@@ -30,7 +30,7 @@ from .construction import (
     compatible_metric,
     construct_point,
     lift_odd,
-    sqrt_on_v,
+    paired_frame,
 )
 from .errors import (
     ConstructionError,

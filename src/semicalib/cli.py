@@ -25,7 +25,7 @@ from .field import FieldConfig, build_report, demo_calfield, parse_calfield, pro
 from .forms import Frame
 from .jsonio import dumps
 
-_TOLERANCE_NAMES = ("pd", "ortho", "rank", "cluster", "zero")
+_TOLERANCE_NAMES = ("pd", "rank", "cluster", "zero")
 
 
 def _tol_arg(text: str):
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable frame propagation between points")
         p.add_argument("--tol", type=_tol_arg, action="append", default=[],
                        metavar="NAME=VALUE",
-                       help="override a tolerance (pd, ortho, rank, cluster, zero); repeatable")
+                       help="override a tolerance (pd, rank, cluster, zero); repeatable")
         if with_sampling:
             p.add_argument("--samples", type=int, default=20_000,
                            help="random frames per sampled comass run (default 20000)")

@@ -2,8 +2,8 @@
 
 The geometry is exact mathematics; every gap between the exact statements and
 the floating-point computation is absorbed by the thresholds below.  All of
-them are relative: ``pd``, ``ortho`` and ``rank`` are measured against the
-largest matrix entry involved, ``cluster`` and ``zero`` against the largest
+them are relative: ``pd`` and ``rank`` are measured against the largest
+matrix entry involved, ``cluster`` and ``zero`` against the largest
 eigenvalue of the squared endomorphism.
 """
 
@@ -18,7 +18,6 @@ MAX_DIM = 16
 @dataclass(frozen=True)
 class Tolerances:
     pd: float = 1e-10       # positive definiteness at construction
-    ortho: float = 1e-10    # orthonormality of frames
     rank: float = 1e-10     # linear independence / Gram-Schmidt breakdown
     cluster: float = 1e-8   # eigenvalue clustering of the paired spectrum
     zero: float = 1e-8      # kernel detection (rank of the two-form)

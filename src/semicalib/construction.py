@@ -1,10 +1,12 @@
 """Pointwise construction of the compatible triple (J, g_J, calibration).
 
 Given a metric g and a 2-form omega at a point, the construction runs:
-endomorphism -> paired spectrum -> band split -> positive square root Q on V
--> almost complex structure J = Q^{-1} A on V, rotation pairing on the
-complement -> compatible metric g_J -> projected form + complement symplectic
-form, summed into the induced calibration.  The result is a compatible triple:
+endomorphism -> paired spectrum -> band split -> paired frame P (the V pairs,
+then the complement frame).  In that frame J, g_J and the induced calibration
+are block diagonal: with d = sqrt(lambda_i) twice per V pair and 1 on the
+complement, and J0 the 2x2 rotation blocks, J = P J0 P^-1,
+g_J = P^-T diag(d) P^-1 and Omega = -P^-T diag(d) J0 P^-1.  On V this is
+J = Q^-1 A with Q = sqrt(-A^2).  The result is a compatible triple:
 g_J(v, w) = Omega(v, J w), J^2 = -Id, and every plane calibrated by omega in
 (R^n, g) is calibrated by the induced form in (R^n, g_J).
 """
@@ -18,7 +20,7 @@ import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ConstructionError, NotPositiveDefiniteError
-from .forms import Frame, MetricTensor, TwoForm, gram_schmidt, orthonormality_defect, plane_area
+from .forms import Frame, MetricTensor, TwoForm, gram_schmidt, plane_area
 from .spectral import (
     Endomorphism,
     PairedSpectrum,
@@ -36,19 +38,17 @@ _TINY = 1e-300
 class PointConstruction:
     """Everything the construction produces at a single point.
 
-    ``q`` lives on V only, expressed in the paired-basis coordinates;
+    ``split.perp_basis`` is the complement frame the construction used;
     ``j`` is the full almost complex structure in ambient coordinates;
     ``omega_total`` is exactly ``omega1 + omega2`` as stored.
     """
 
     split: SpaceSplit
-    q: Endomorphism
     j: Endomorphism
     g_j: MetricTensor
     omega1: TwoForm
     omega2: TwoForm
     omega_total: TwoForm
-    tframe: Frame
     residuals: dict
     endo: Endomorphism
     spectrum: PairedSpectrum
@@ -75,117 +75,58 @@ class OddLift:
     lifted_omega: TwoForm
 
 
-def sqrt_on_v(split: SpaceSplit) -> Endomorphism:
-    """Positive square root of -A^2 restricted to V, in paired coordinates.
+def _rotation_blocks(n: int) -> np.ndarray:
+    """J0: 2x2 rotation blocks, e_2i -> e_2i+1 and e_2i+1 -> -e_2i."""
+    j0 = np.zeros((n, n))
+    j0[1::2, ::2] = np.eye(n // 2)
+    j0[::2, 1::2] = -np.eye(n // 2)
+    return j0
 
-    In the paired basis the square root is exactly block diagonal with blocks
-    sqrt(lambda_i) * I_2, so it is built from the split's eigenvalues instead
-    of a general matrix square root.
+
+def paired_frame(split: SpaceSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, P^-1, d) for the paired frame of a split.
+
+    The columns of P are the V pairs followed by the complement frame; d holds
+    sqrt(lambda_i) twice for each V pair, then 1 on the complement.  P^-1 is
+    an exact inverse, not P^T G: the pair basis is g-orthonormal only up to
+    the spectral solver's error, which grows with the conditioning of g.
     """
-    lams = split.v_eigenvalues
-    if np.any(lams <= 0.0):
-        raise ConstructionError("zero eigenvalue inside V contradicts a valid split")
-    return Endomorphism(np.diag(np.repeat(np.sqrt(lams), 2)))
+    p = np.vstack([split.v_basis.vectors, split.perp_basis.vectors]).T
+    d = np.concatenate([np.repeat(np.sqrt(split.v_eigenvalues), 2), np.ones(len(split.perp_basis))])
+    return p, np.linalg.inv(p), d
 
 
-def _basis_matrix(split: SpaceSplit) -> np.ndarray:
-    """Columns: interleaved V pairs followed by the complement frame."""
-    rows = np.vstack([split.v_basis.vectors, split.perp_basis.vectors])
-    n = split.dim
-    if rows.shape != (n, n):
-        raise ConstructionError(
-            f"split bases do not form a full basis (got {rows.shape[0]} vectors in dimension {n})"
-        )
-    return rows.T
-
-
-def almost_complex_structure(endo: Endomorphism, q: Endomorphism, split: SpaceSplit) -> Endomorphism:
-    """J = Q^{-1} A on V, extended by t_{2k-1} -> t_{2k} rotations on the complement."""
-    n = endo.dim
-    m = split.m
-    k = len(split.perp_basis)
-    if k % 2:
-        raise ConstructionError("complement frame has odd length; cannot pair it")
-    if q.dim != 2 * m:
-        raise ConstructionError("square-root block does not match the split")
-    P = _basis_matrix(split)
-    Pinv = np.linalg.inv(P)
-    coords = Pinv @ endo.matrix @ P
-    jc = np.zeros((n, n))
-    if m:
-        jc[: 2 * m, : 2 * m] = np.linalg.solve(q.matrix, coords[: 2 * m, : 2 * m])
-    for i in range(k // 2):
-        a, b = 2 * m + 2 * i, 2 * m + 2 * i + 1
-        jc[b, a] = 1.0   # J t_{2i+1} = t_{2i+2}
-        jc[a, b] = -1.0  # J t_{2i+2} = -t_{2i+1}
-    return Endomorphism(P @ jc @ Pinv)
+def almost_complex_structure(p: np.ndarray, p_inv: np.ndarray) -> Endomorphism:
+    """J = P J0 P^-1: Q^-1 A on V, t_2i -> t_2i+1 rotations on the complement."""
+    return Endomorphism(p @ _rotation_blocks(len(p)) @ p_inv)
 
 
 def compatible_metric(
-    omega: TwoForm,
-    j: Endomorphism,
-    split: SpaceSplit,
-    g: MetricTensor,
-    pd_tol: float = DEFAULT_TOLERANCES.pd,
+    p_inv: np.ndarray, d: np.ndarray, pd_tol: float = DEFAULT_TOLERANCES.pd
 ) -> MetricTensor:
-    """The metric omega(v, J w) on V, zero across the split, g on the complement."""
-    n = g.dim
-    m = split.m
-    P = _basis_matrix(split)
-    Pinv = np.linalg.inv(P)
-    BV = split.v_basis.vectors
-    T = split.perp_basis.vectors
-    blocks = np.zeros((n, n))
-    if m:
-        mv = BV @ omega.entries @ (j.matrix @ BV.T)
-        blocks[: 2 * m, : 2 * m] = (mv + mv.T) / 2
-    if len(T):
-        blocks[2 * m :, 2 * m :] = T @ g.entries @ T.T
+    """g_J = P^-T diag(d) P^-1: omega(v, J w) on V, g on the complement, zero across."""
     try:
-        return MetricTensor(Pinv.T @ blocks @ Pinv, pd_tol)
+        return MetricTensor(p_inv.T @ (d[:, None] * p_inv), pd_tol)
     except NotPositiveDefiniteError as exc:
         raise ConstructionError(f"compatible metric is not positive definite: {exc}") from exc
 
 
 def assemble_calibration(
-    omega: TwoForm,
-    split: SpaceSplit,
-    g_j: MetricTensor,
-    tframe: Frame,
-    ortho_tol: float = DEFAULT_TOLERANCES.ortho,
+    p_inv: np.ndarray, d: np.ndarray, m: int
 ) -> tuple[TwoForm, TwoForm, TwoForm]:
-    """(projected form, complement symplectic form, their sum).
+    """Omega = -P^-T diag(d) J0 P^-1 as (V part, complement part, their sum).
 
-    The projected form agrees with omega on V x V and vanishes whenever an
-    argument lies in the complement; the complement part wedges the g_J-dual
-    covectors of consecutive tframe vectors, in frame order.
+    The V part agrees with omega on the V pairs and vanishes on the
+    complement; the complement part wedges the g_J-dual covectors of
+    consecutive complement frame vectors, in frame order.
     """
-    n = omega.dim
-    if len(tframe) != n - 2 * split.m or tframe.dim != n:
-        raise ValueError("tframe does not match the complement of the split")
-    if len(tframe) % 2:
-        raise ValueError("tframe must pair up; odd length")
-    defect = orthonormality_defect(g_j, tframe)
-    scale = max(float(np.abs(g_j.entries).max()), 1.0)
-    if defect > ortho_tol * scale:
-        raise ValueError(f"tframe is not g_J-orthonormal (defect {defect:.3g})")
 
-    P = _basis_matrix(replace(split, perp_basis=tframe))
-    Pinv = np.linalg.inv(P)
-    sel = np.zeros(n)
-    sel[: 2 * split.m] = 1.0
-    proj = P @ np.diag(sel) @ Pinv
-    omega1 = TwoForm(proj.T @ omega.entries @ proj)
+    def part(rows: slice) -> TwoForm:
+        rows_inv = p_inv[rows]
+        return TwoForm(-rows_inv.T @ (d[rows, None] * (_rotation_blocks(len(rows_inv)) @ rows_inv)))
 
-    w2 = np.zeros((n, n))
-    GJ = g_j.entries
-    for i in range(len(tframe) // 2):
-        a = GJ @ tframe[2 * i]
-        b = GJ @ tframe[2 * i + 1]
-        w2 += np.outer(a, b) - np.outer(b, a)
-    omega2 = TwoForm(w2)
-    total = TwoForm(omega1.entries + omega2.entries)
-    return omega1, omega2, total
+    omega1, omega2 = part(slice(0, 2 * m)), part(slice(2 * m, None))
+    return omega1, omega2, TwoForm(omega1.entries + omega2.entries)
 
 
 def lift_odd(g: MetricTensor, omega: TwoForm) -> OddLift:
@@ -219,12 +160,6 @@ def align_frame(hint: Frame, base: Frame, g: MetricTensor) -> Frame:
     return gram_schmidt(g, Frame(rotated))
 
 
-def _coords_on_v(endo: Endomorphism, split: SpaceSplit) -> np.ndarray:
-    P = _basis_matrix(split)
-    coords = np.linalg.solve(P, endo.matrix @ P)
-    return coords[: 2 * split.m, : 2 * split.m]
-
-
 def _unit_comass_defect(g_j: MetricTensor, omega_total: TwoForm) -> float:
     """|comass(total form w.r.t. g_J) - 1| via the largest paired eigenvalue."""
     W, GJ = omega_total.entries, g_j.entries
@@ -240,7 +175,9 @@ def _point_residuals(
     endo: Endomorphism,
     spectrum: PairedSpectrum,
     split: SpaceSplit,
-    q: Endomorphism,
+    p: np.ndarray,
+    p_inv: np.ndarray,
+    d: np.ndarray,
     j: Endomorphism,
     g_j: MetricTensor,
     omega_total: TwoForm,
@@ -258,11 +195,10 @@ def _point_residuals(
     res["j_invariance"] = float(np.abs(jm.T @ wt @ jm - wt).max())
     res["definition"] = float(np.abs(A.T @ G - W).max()) / w_scale
     res["skew_adjoint"] = float(np.abs(A.T @ G + G @ A).max()) / w_scale
-    if split.m:
-        av = _coords_on_v(endo, split)
-        res["commutation"] = float(np.abs(q.matrix @ av - av @ q.matrix).max())
-    else:
-        res["commutation"] = 0.0
+    # The closed form assumes A acts on each V pair as sqrt(lambda_i) J0.
+    nv = 2 * split.m
+    av = p_inv[:nv] @ A @ p[:, :nv]
+    res["pairing"] = float(np.abs(av - d[:nv, None] * _rotation_blocks(nv)).max(initial=0.0))
 
     basis = spectrum.basis()
     res["basis_orthonormality"] = float(np.abs(basis @ G @ basis.T - np.eye(n)).max())
@@ -335,22 +271,20 @@ def construct_point(
         tframe = base
     split = replace(split, perp_basis=tframe)
 
-    q = sqrt_on_v(split)
-    j = almost_complex_structure(endo, q, split)
-    g_j = compatible_metric(omega, j, split, g, tol.pd)
-    omega1, omega2, omega_total = assemble_calibration(omega, split, g_j, tframe, tol.ortho)
+    p, p_inv, d = paired_frame(split)
+    j = almost_complex_structure(p, p_inv)
+    g_j = compatible_metric(p_inv, d, tol.pd)
+    omega1, omega2, omega_total = assemble_calibration(p_inv, d, split.m)
     residuals = _point_residuals(
-        g, omega, endo, spectrum, split, q, j, g_j, omega_total, calibrated_tol
+        g, omega, endo, spectrum, split, p, p_inv, d, j, g_j, omega_total, calibrated_tol
     )
     return PointConstruction(
         split=split,
-        q=q,
         j=j,
         g_j=g_j,
         omega1=omega1,
         omega2=omega2,
         omega_total=omega_total,
-        tframe=tframe,
         residuals=residuals,
         endo=endo,
         spectrum=spectrum,

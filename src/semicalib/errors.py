@@ -31,11 +31,13 @@ class GapViolation(RuntimeError):
 
     The point lies outside the neighbourhood on which the two spectral bands
     stay separated; the caller must shrink the region or pick another epsilon.
+    ``eigenvalues`` is the point's full eigenvalue list, for diagnostics.
     """
 
-    def __init__(self, epsilon: float, offenders):
+    def __init__(self, epsilon: float, offenders, eigenvalues):
         self.epsilon = float(epsilon)
         self.offenders = tuple(float(x) for x in offenders)
+        self.eigenvalues = tuple(float(x) for x in eigenvalues)
         super().__init__(
             f"eigenvalues {list(self.offenders)} lie inside the forbidden band "
             f"({self.epsilon / 4:.6g}, {self.epsilon / 2:.6g}) for epsilon={self.epsilon:.6g}"

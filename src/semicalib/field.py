@@ -38,14 +38,14 @@ from .errors import (
 from .forms import Frame, MetricTensor, TwoForm
 from .spectral import associated_endomorphism, infer_epsilon, paired_spectrum
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Thresholds applied by verify_field, per check.
 RESIDUAL_THRESHOLDS = {
     "j_squared": 1e-10,
     "compatibility": 1e-10,
     "j_invariance": 1e-10,
-    "commutation": 1e-10,
+    "pairing": 1e-10,
     "definition": 1e-12,
     "skew_adjoint": 1e-12,
     "basis_orthonormality": 1e-10,
@@ -227,6 +227,9 @@ def parse_calfield(text: str) -> FieldGrid:
 
 
 def _lift_grid_point(point: FieldPoint) -> tuple[MetricTensor, TwoForm]:
+    """The point's (g, omega), lifted to the next even dimension when odd."""
+    if point.g.dim % 2 == 0:
+        return point.g, point.omega
     lifted = lift_odd(point.g, point.omega)
     return lifted.lifted_g, lifted.lifted_omega
 
@@ -243,13 +246,7 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     lifted_from = grid.dim if grid.dim % 2 else None
     dim = grid.dim + 1 if lifted_from else grid.dim
 
-    data: list[tuple[FieldPoint, MetricTensor, TwoForm]] = []
-    for point in grid.points:
-        if lifted_from:
-            g, omega = _lift_grid_point(point)
-        else:
-            g, omega = point.g, point.omega
-        data.append((point, g, omega))
+    data = [(point, *_lift_grid_point(point)) for point in grid.points]
 
     epsilon = config.epsilon
     if epsilon is None:
@@ -276,7 +273,6 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
                 calibrated_tol=config.calibrated_tol,
             )
         except GapViolation as exc:
-            spectrum = paired_spectrum(associated_endomorphism(g, omega), g, config.tolerances)
             outcomes.append(
                 PointOutcome(
                     index=point.index,
@@ -284,7 +280,7 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
                     construction=None,
                     gap_ok=False,
                     offending_eigenvalues=exc.offenders,
-                    eigenvalues=tuple(float(x) for x in spectrum.all_eigenvalues()),
+                    eigenvalues=exc.eigenvalues,
                 )
             )
             continue
@@ -298,13 +294,13 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
                 eigenvalues=tuple(float(x) for x in pc.spectrum.all_eigenvalues()),
             )
         )
-        if len(pc.tframe):
-            hint = pc.tframe
+        if len(pc.split.perp_basis):
+            hint = pc.split.perp_basis
 
     continuity: list[dict] = []
     included = [o for o in outcomes if o.construction is not None]
     for prev, nxt in zip(included, included[1:]):
-        tp, tn = prev.construction.tframe, nxt.construction.tframe
+        tp, tn = prev.construction.split.perp_basis, nxt.construction.split.perp_basis
         if len(tp) != len(tn):
             continue
         value = float(np.linalg.norm(tn.vectors - tp.vectors)) if len(tp) else 0.0
@@ -440,14 +436,13 @@ def _verify_point(outcome: PointOutcome, point: FieldPoint, config: FieldConfig)
     )
     checks["Omega_comass_sampled_bound"] = _check(sampled.value, 1.0 + SAMPLED_COMASS_SLACK)
 
-    dim = pc.dim
+    g, omega = _lift_grid_point(point)
     for which, p in enumerate(sorted(set(config.powers))):
-        if p < 1 or 2 * p > dim:
+        if p < 1 or 2 * p > pc.dim:
             continue
-        lifted_omega = TwoForm(_embed(point.omega.entries, dim))
         power_in = comass_bruteforce(
-            _embed_metric(point.g, dim),
-            PowerForm(lifted_omega, p),
+            g,
+            PowerForm(omega, p),
             samples=config.samples,
             restarts=config.restarts,
             seed=_point_seed(config.seed, outcome.index, 1 + 2 * which),
@@ -466,22 +461,6 @@ def _verify_point(outcome: PointOutcome, point: FieldPoint, config: FieldConfig)
 
 def _point_seed(seed: int, index: int, stream: int):
     return np.random.SeedSequence(entropy=seed, spawn_key=(index, stream))
-
-
-def _embed(mat: np.ndarray, dim: int) -> np.ndarray:
-    if mat.shape[0] == dim:
-        return mat
-    out = np.zeros((dim, dim))
-    out[: mat.shape[0], : mat.shape[1]] = mat
-    return out
-
-
-def _embed_metric(g: MetricTensor, dim: int) -> MetricTensor:
-    if g.dim == dim:
-        return g
-    out = np.eye(dim)
-    out[: g.dim, : g.dim] = g.entries
-    return MetricTensor(out)
 
 
 def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = FieldConfig()) -> VerificationReport:

@@ -101,13 +101,10 @@ class SpaceSplit:
     perp_basis: Frame
     m: int
     epsilon: float
-    gap_ok: bool
     v_eigenvalues: np.ndarray     # (m,) one entry per pair
-    perp_eigenvalues: np.ndarray  # one entry per perp basis vector
 
     def __post_init__(self):
         object.__setattr__(self, "v_eigenvalues", _freeze(np.array(self.v_eigenvalues, dtype=float)))
-        object.__setattr__(self, "perp_eigenvalues", _freeze(np.array(self.perp_eigenvalues, dtype=float)))
 
     @property
     def dim(self) -> int:
@@ -244,7 +241,8 @@ def split_spaces(
 
     ``band_slack`` widens both bands so eigenvalues sitting exactly on a band
     edge are not rejected for rounding dust.  Raises :class:`GapViolation`
-    when any eigenvalue falls strictly between the bands.
+    when any eigenvalue falls strictly between the bands; it carries the
+    full eigenvalue list so callers need not recompute the spectrum.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -256,7 +254,7 @@ def split_spaces(
     offenders = [float(l) for l in lams if lo_edge < l < hi_edge]
     offenders += [float(l) for l in spectrum.kernel_eigenvalues if lo_edge < l < hi_edge]
     if offenders:
-        raise GapViolation(epsilon, offenders)
+        raise GapViolation(epsilon, offenders, spectrum.all_eigenvalues())
 
     n = spectrum.dim
     in_v = lams >= hi_edge
@@ -264,13 +262,10 @@ def split_spaces(
     v_rows = spectrum.pair_vectors[in_v].reshape(-1, n) if m else np.zeros((0, n))
     perp_pairs = spectrum.pair_vectors[~in_v]
     perp_rows_list = []
-    perp_eigs: list[float] = []
     if perp_pairs.size:
         perp_rows_list.append(perp_pairs.reshape(-1, n))
-        perp_eigs.extend(float(l) for l in np.repeat(lams[~in_v], 2))
     if spectrum.kernel_vectors.size:
         perp_rows_list.append(spectrum.kernel_vectors)
-        perp_eigs.extend(float(l) for l in spectrum.kernel_eigenvalues)
     perp_rows = np.vstack(perp_rows_list) if perp_rows_list else np.zeros((0, n))
 
     return SpaceSplit(
@@ -278,7 +273,5 @@ def split_spaces(
         perp_basis=Frame(perp_rows) if perp_rows.size else Frame.empty(n),
         m=m,
         epsilon=float(epsilon),
-        gap_ok=True,
         v_eigenvalues=lams[in_v],
-        perp_eigenvalues=np.array(perp_eigs),
     )

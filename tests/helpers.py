@@ -65,6 +65,25 @@ def planted_form(rng, g: MetricTensor, blocks: int, rest_comass: float = 0.5):
     return TwoForm(w), planted
 
 
+def near_double_form(rng, cond: float, sep: float):
+    """(g, omega) at n = 8 with cond(g) = cond and near-double pair values.
+
+    ``g = U diag(geomspace(1, cond, 8)) U^T``; omega has g-normal-form values
+    ``(1, 1 - sep, 0.5, 0.5 (1 - sep))`` on a random g-orthonormal frame, so
+    it is valid input of comass 1 with no kernel.
+    """
+    n = 8
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gm = (u * np.geomspace(1.0, cond, n)) @ u.T
+    g = MetricTensor((gm + gm.T) / 2)
+    z, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    frame = np.linalg.solve(np.linalg.cholesky(g.entries).T, z).T
+    w = np.zeros((n, n))
+    for i, mu in enumerate((1.0, 1.0 - sep, 0.5, 0.5 * (1.0 - sep))):
+        w += mu * dual_wedge(g, frame[2 * i], frame[2 * i + 1])
+    return g, TwoForm(w)
+
+
 def ramp_field_text(svals, coords_axis: int = 0) -> str:
     """n=4 field with omega = dx1^dx2 + s dx3^dx4 and identity metric."""
     lines = ["CALFIELD 1", "DIM 4", f"POINTS {len(svals)}"]

@@ -78,7 +78,7 @@ def test_criterion_02_random_field_invariants(random_suite):
             np.abs(jm @ jm + np.eye(n)).max() <= 1e-9,
             np.linalg.eigvalsh(pc.g_j.entries)[0] > 0,
             np.abs(pc.g_j.entries - wt @ jm).max() <= 1e-9,
-            pc.residuals["commutation"] <= 1e-9,
+            pc.residuals["pairing"] <= 1e-9,
             pc.residuals["metric_domination_min_eig"] >= -1e-9 * np.abs(g.entries).max(),
         ]
         failures += 0 if all(checks) else 1

@@ -1,5 +1,7 @@
 """Tests for the pointwise compatible-triple construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,18 @@ from semicalib import (
     eval_two_form,
     g_inner,
     lift_odd,
+    paired_frame,
     paired_spectrum,
     plane_area,
     split_spaces,
-    sqrt_on_v,
 )
-from helpers import planted_form, random_pd_metric, random_two_form, unit_comass_form
+from helpers import (
+    near_double_form,
+    planted_form,
+    random_pd_metric,
+    random_two_form,
+    unit_comass_form,
+)
 
 E4 = np.eye(4)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -45,27 +53,45 @@ def split_for(g, omega, epsilon):
     return endo, split_spaces(spectrum, epsilon)
 
 
-class TestSqrtOnV:
+def congruences(w, epsilon, complement=None):
+    """(split, J, g_J, (omega1, omega2, total)) from the identity metric."""
+    g = MetricTensor.identity(w.dim)
+    _, split = split_for(g, w, epsilon)
+    if complement is not None:
+        split = replace(split, perp_basis=Frame(np.array(complement)))
+    p, p_inv, d = paired_frame(split)
+    return (
+        split,
+        almost_complex_structure(p, p_inv),
+        compatible_metric(p_inv, d),
+        assemble_calibration(p_inv, d, split.m),
+    )
+
+
+class TestPairedFrame:
     def test_identity_case(self):
         g = MetricTensor.identity(4)
         _, split = split_for(g, TwoForm.standard_symplectic(4), 1.0)
-        q = sqrt_on_v(split)
-        np.testing.assert_allclose(q.matrix, np.eye(4), atol=1e-12)
+        p, p_inv, d = paired_frame(split)
+        np.testing.assert_allclose(p.T @ p, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(p_inv, p.T, atol=1e-12)
+        np.testing.assert_allclose(d, np.ones(4), atol=1e-12)
 
     def test_scaled_blocks(self):
         g = MetricTensor.identity(4)
         w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
-        endo, split = split_for(g, w, 0.25)
-        q = sqrt_on_v(split)
-        np.testing.assert_allclose(q.matrix, np.diag([1, 1, 0.5, 0.5]), atol=1e-12)
+        _, split = split_for(g, w, 0.25)
+        _, _, d = paired_frame(split)
+        np.testing.assert_allclose(d, [1, 1, 0.5, 0.5], atol=1e-12)
 
     def test_two_dims(self):
         g = MetricTensor.identity(2)
         _, split = split_for(g, TwoForm.from_pairs(2, {(0, 1): 1.0}), 1.0)
-        np.testing.assert_allclose(sqrt_on_v(split).matrix, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(paired_frame(split)[2], np.ones(2), atol=1e-12)
 
-    def test_square_and_commutation(self):
-        # Q^2 = -A^2 on V and QA = AQ there, in paired coordinates
+    def test_pairing_blocks(self):
+        # in the paired frame A is sqrt(lambda_i) times a rotation on each V
+        # pair, so Q = diag(d) squares to -A^2 there and commutes with A
         rng = np.random.default_rng(0)
         for _ in range(10):
             n = 6
@@ -74,34 +100,29 @@ class TestSqrtOnV:
             endo = associated_endomorphism(g, w)
             spectrum = paired_spectrum(endo, g)
             split = split_spaces(spectrum, spectrum.eigenvalues[-1])
-            q = sqrt_on_v(split)
-            P = np.vstack([split.v_basis.vectors, split.perp_basis.vectors]).T
-            coords = np.linalg.solve(P, endo.matrix @ P)
+            p, p_inv, d = paired_frame(split)
             m2 = 2 * split.m
-            av = coords[:m2, :m2]
-            assert np.abs(q.matrix @ q.matrix + av @ av).max() <= 1e-10
-            assert np.abs(q.matrix @ av - av @ q.matrix).max() <= 1e-10
+            av = (p_inv @ endo.matrix @ p)[:m2, :m2]
+            q = np.diag(d[:m2])
+            blocks = blockdiag(*[J2] * split.m)
+            assert np.abs(av - q @ blocks).max() <= 1e-10
+            assert np.abs(q @ q + av @ av).max() <= 1e-10
+            assert np.abs(q @ av - av @ q).max() <= 1e-10
 
 
 class TestAlmostComplexStructure:
     def test_scaled_blocks(self):
-        g = MetricTensor.identity(4)
         w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
-        endo, split = split_for(g, w, 0.25)
-        j = almost_complex_structure(endo, sqrt_on_v(split), split)
+        _, j, _, _ = congruences(w, 0.25)
         np.testing.assert_allclose(j.matrix, blockdiag(J2, J2), atol=1e-12)
 
     def test_two_dims_identity_q(self):
-        g = MetricTensor.identity(2)
-        endo, split = split_for(g, TwoForm.from_pairs(2, {(0, 1): 1.0}), 1.0)
-        j = almost_complex_structure(endo, sqrt_on_v(split), split)
+        _, j, _, _ = congruences(TwoForm.from_pairs(2, {(0, 1): 1.0}), 1.0)
         np.testing.assert_allclose(j.matrix, J2, atol=1e-12)
 
     def test_complement_extension_rule(self):
         # V = span(e1, e2); J rotates the complement frame pairs
-        g = MetricTensor.identity(4)
-        endo, split = split_for(g, TwoForm.from_pairs(4, {(0, 1): 1.0}), 1.0)
-        j = almost_complex_structure(endo, sqrt_on_v(split), split)
+        split, j, _, _ = congruences(TwoForm.from_pairs(4, {(0, 1): 1.0}), 1.0)
         t1, t2 = split.perp_basis[0], split.perp_basis[1]
         np.testing.assert_allclose(j.matrix @ t1, t2, atol=1e-12)
         np.testing.assert_allclose(j.matrix @ t2, -t1, atol=1e-12)
@@ -154,30 +175,19 @@ class TestAssembleCalibration:
         np.testing.assert_allclose(pc.omega1.entries, w.entries, atol=1e-12)
 
     def test_direct_assembly(self):
-        g = MetricTensor.identity(4)
         w = TwoForm.from_pairs(4, {(0, 1): 1.0})
-        endo, split = split_for(g, w, 1.0)
-        tframe = Frame(np.array([E4[2], E4[3]]))
-        from dataclasses import replace
-
-        split = replace(split, perp_basis=tframe)
-        j = almost_complex_structure(endo, sqrt_on_v(split), split)
-        gj = compatible_metric(w, j, split, g)
-        o1, o2, total = assemble_calibration(w, split, gj, tframe)
+        _, _, gj, (o1, o2, total) = congruences(w, 1.0, complement=[E4[2], E4[3]])
+        np.testing.assert_allclose(gj.entries, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(o1.entries, w.entries, atol=1e-12)
+        np.testing.assert_allclose(
+            o2.entries, TwoForm.from_pairs(4, {(2, 3): 1.0}).entries, atol=1e-12
+        )
         expected = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 1.0})
         np.testing.assert_allclose(total.entries, expected.entries, atol=1e-12)
 
     def test_frame_order_flips_sign(self):
-        g = MetricTensor.identity(4)
         w = TwoForm.from_pairs(4, {(0, 1): 1.0})
-        endo, split = split_for(g, w, 1.0)
-        tframe = Frame(np.array([E4[3], E4[2]]))
-        from dataclasses import replace
-
-        split = replace(split, perp_basis=tframe)
-        j = almost_complex_structure(endo, sqrt_on_v(split), split)
-        gj = compatible_metric(w, j, split, g)
-        _, _, total = assemble_calibration(w, split, gj, tframe)
+        _, _, _, (_, _, total) = congruences(w, 1.0, complement=[E4[3], E4[2]])
         expected = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): -1.0})
         np.testing.assert_allclose(total.entries, expected.entries, atol=1e-12)
 
@@ -195,7 +205,7 @@ class TestAssembleCalibration:
         g = random_pd_metric(rng, 6)
         w, _ = planted_form(rng, g, blocks=1, rest_comass=0.0)
         pc = construct_point(g, w)
-        for t in pc.tframe:
+        for t in pc.split.perp_basis:
             assert np.abs(pc.omega1.entries @ t).max() <= 1e-10
         for v in pc.split.v_basis:
             assert np.abs(pc.omega2.entries @ v).max() <= 1e-10
@@ -309,9 +319,26 @@ class TestConstructPoint:
         w = TwoForm.from_pairs(4, {(0, 1): 1.0})
         hint = Frame(np.array([E4[3], E4[2]]))
         pc = construct_point(g, w, tframe_hint=hint)
-        np.testing.assert_allclose(pc.tframe.vectors, hint.vectors, atol=1e-12)
+        np.testing.assert_allclose(pc.split.perp_basis.vectors, hint.vectors, atol=1e-12)
         # invariants hold regardless of the frame choice
         assert max(abs(v) for v in pc.residuals.values()) <= 1e-10
+
+
+class TestNearDoubleIllConditioned:
+    def test_triple_residuals_within_verify_thresholds(self):
+        # cond(g) = 100 with pairs split by 1e-9: the spectral front end's pair
+        # basis is off by ~1e-9 here, so basis_orthonormality, eigen_residual
+        # and pairing still exceed their thresholds on some inputs; that is
+        # the spectral pairing's defect, not the construction's.  The exact
+        # congruences keep the triple's own residuals at rounding level.
+        rng = np.random.default_rng(0)
+        for _ in range(16):
+            g, w = near_double_form(rng, cond=100.0, sep=1e-9)
+            res = construct_point(g, w).residuals
+            assert res["j_squared"] <= 1e-10
+            assert res["compatibility"] <= 1e-10
+            assert res["j_invariance"] <= 1e-10
+            assert res["calibration_unit_comass"] <= 1e-9
 
 
 class TestLiftOdd:

@@ -240,6 +240,15 @@ class TestVerifyField:
         checks = report.data["points"][0]["checks"]
         assert "power_2_comass_bound" in checks and "power_2_calibration_bound" in checks
 
+    def test_odd_power_checks_match_explicit_lift(self):
+        cfg = FieldConfig(samples=2_000, restarts=3, powers=(2,))
+        odd = parse_calfield(demo_calfield("odd3"))
+        lifted = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 0", 3))
+        reports = [verify_field(process_field(grid, cfg), grid, cfg).data for grid in (odd, lifted)]
+        for p_odd, p_lifted in zip(*(r["points"] for r in reports)):
+            for key in ("power_2_comass_bound", "power_2_calibration_bound"):
+                assert p_odd["checks"][key] == p_lifted["checks"][key]
+
     def test_gap_points_listed_but_not_failing(self):
         grid = parse_calfield(ramp_field_text([0.6, 0.475, 0.35, 0.225, 0.1]))
         cf = process_field(grid, FAST)

@@ -232,7 +232,6 @@ class TestSplitSpaces:
         split = split_spaces(s, 0.25)
         assert split.m == 2
         assert len(split.v_basis) == 4 and len(split.perp_basis) == 0
-        assert split.gap_ok
 
     def test_two_bands(self):
         s = spectrum_from_eigenvalues([1.0, 0.01])
