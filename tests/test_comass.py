@@ -1,14 +1,20 @@
 """Tests for comass computation, power forms, and plane testing."""
 
+import logging
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
+import semicalib.comass as comass_module
 from semicalib import (
+    FieldConfig,
     Frame,
     MetricTensor,
     PowerForm,
     RankDeficiencyError,
     TwoForm,
+    associated_endomorphism,
     calibrated_eigenspace,
     comass_bruteforce,
     comass_exact,
@@ -16,6 +22,7 @@ from semicalib import (
     eval_power,
     eval_two_form,
     first_cousin_residual,
+    paired_spectrum,
     pfaffian,
 )
 from semicalib import test_calibrated as check_calibrated
@@ -23,6 +30,11 @@ from helpers import planted_form, random_pd_metric, random_two_form, unit_comass
 from oracles import wedge_power_value
 
 E4 = np.eye(4)
+
+
+def _random_skew(rng, k: int) -> np.ndarray:
+    x = rng.standard_normal((k, k))
+    return np.triu(x, 1) - np.triu(x, 1).T
 
 
 class TestPfaffian:
@@ -44,11 +56,44 @@ class TestPfaffian:
             assert pfaffian(m) == pytest.approx(expected, abs=1e-13)
 
     def test_squares_to_determinant(self):
+        # k >= 10 goes through Parlett-Reid elimination instead of the expansion
         rng = np.random.default_rng(1)
-        for k in (2, 4, 6, 8):
-            x = rng.standard_normal((k, k))
-            m = np.triu(x, 1) - np.triu(x, 1).T
-            assert pfaffian(m) ** 2 == pytest.approx(np.linalg.det(m), rel=1e-10)
+        for k in (2, 4, 6, 8, 10, 12, 14, 16):
+            for _ in range(1 if k <= 8 else 5):
+                m = _random_skew(rng, k)
+                assert pfaffian(m) ** 2 == pytest.approx(np.linalg.det(m), rel=1e-10)
+
+    @pytest.mark.parametrize("k", [10, 12, 14, 16])
+    def test_block_diagonal_is_product_of_blocks(self, k):
+        rng = np.random.default_rng(100 + k)
+        sizes = [4] * (k // 4) + [2] * (k % 4 // 2)
+        blocks = [_random_skew(rng, size) for size in sizes]
+        expected = np.prod([pfaffian(b) for b in blocks])
+        assert pfaffian(block_diag(*blocks)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [10, 12, 14, 16])
+    def test_congruence_scales_by_determinant(self, k):
+        # Pf(B A B^T) = det(B) Pf(A) pins the sign, for a permutation (pure
+        # pivoting) and for a general B
+        rng = np.random.default_rng(200 + k)
+        a = _random_skew(rng, k)
+        perm = np.eye(k)[rng.permutation(k)]
+        for b in (perm, rng.standard_normal((k, k))):
+            m = b @ a @ b.T
+            m = (m - m.T) / 2
+            assert pfaffian(m) == pytest.approx(np.linalg.det(b) * pfaffian(a), rel=1e-9)
+
+    def test_large_zero_matrix(self):
+        assert pfaffian(np.zeros((10, 10))) == 0.0
+
+    def test_elimination_agrees_with_expansion_at_eight(self):
+        rng = np.random.default_rng(300)
+        mats = np.array([_random_skew(rng, 8) for _ in range(20)])
+        np.testing.assert_allclose(
+            comass_module._pf_parlett_reid(mats),
+            comass_module._pf_expand(mats, tuple(range(8))),
+            rtol=1e-11,
+        )
 
 
 class TestEvalPower:
@@ -185,6 +230,16 @@ class TestComassBruteforce:
         est = comass_bruteforce(MetricTensor.identity(4), TwoForm.zero(4), samples=100, restarts=2, seed=0)
         assert est.value == 0.0
 
+    def test_top_power_at_n16_returns(self):
+        # a 16-frame spans all of R^16, so every g-orthonormal frame gives
+        # |Pf| = prod(mu); before the elimination this call never finished
+        rng = np.random.default_rng(16)
+        g = random_pd_metric(rng, 16)
+        w = random_two_form(rng, 16)
+        mu = np.sqrt(paired_spectrum(associated_endomorphism(g, w), g).eigenvalues)
+        est = comass_bruteforce(g, PowerForm(w, 8), samples=200, restarts=1, seed=0)
+        assert est.value == pytest.approx(float(np.prod(mu)), rel=1e-9)
+
 
 class TestTestCalibrated:
     def test_calibrated_plane(self):
@@ -311,3 +366,68 @@ class TestSampledVersusExactInvariant:
             w = unit_comass_form(g, random_two_form(rng, n))
             est = comass_bruteforce(g, w, samples=20_000, restarts=10, seed=trial)
             assert est.value <= 1 + 1e-9
+
+
+# comass_bruteforce values recorded before the search switched to |Pf| =
+# sqrt(det) ranking and the active-only ascent: n = 8, one planted unit block
+# (pair values 1, 0.5, 0.132..., 0.0172...), FieldConfig's default samples
+# and restarts.  Keyed by (p, seed).
+GOLDEN_SAMPLED = {
+    (1, 0): 0.9999999999993229,
+    (1, 1): 0.9999999999992617,
+    (1, 2): 0.9999999999990582,
+    (2, 0): 0.4999999999995406,
+    (2, 1): 0.4999999999993292,
+    (2, 2): 0.49999999999942946,
+    (3, 0): 0.06605609012403173,
+    (3, 1): 0.0660560901240358,
+    (3, 2): 0.06605609012405268,
+}
+
+
+class TestSampledGolden:
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(2024)
+        g = random_pd_metric(rng, 8)
+        w, _ = planted_form(rng, g, blocks=1)
+        mu = np.sqrt(paired_spectrum(associated_endomorphism(g, w), g).eigenvalues)
+        return g, w, mu
+
+    @pytest.mark.parametrize("p, seed", sorted(GOLDEN_SAMPLED))
+    def test_matches_recorded_value(self, case, p, seed):
+        g, w, mu = case
+        config = FieldConfig()
+        est = comass_bruteforce(g, PowerForm(w, p), samples=config.samples,
+                                restarts=config.restarts, seed=seed)
+        recorded = GOLDEN_SAMPLED[(p, seed)]
+        exact = float(np.prod(mu[:p]))
+        # same value, or a better lower bound that still respects the exact one
+        assert abs(est.value - recorded) <= 1e-12 or recorded < est.value <= exact * (1 + 1e-9)
+
+
+class TestAscentCap:
+    def test_cap_is_flagged_and_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(comass_module, "_ASCENT_MAX_ITER", 5)
+        w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
+        with caplog.at_level(logging.WARNING, logger="semicalib"):
+            est = comass_bruteforce(MetricTensor.identity(4), PowerForm(w, 2),
+                                    samples=500, restarts=3, seed=0)
+        assert est.ascent_capped
+        assert est.ascent_iterations == 5
+        assert [r.levelno for r in caplog.records if r.name == "semicalib"] == [logging.WARNING]
+        assert "cap" in caplog.records[0].getMessage()
+
+    def test_converged_ascent_is_not_flagged(self, caplog):
+        w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
+        with caplog.at_level(logging.WARNING, logger="semicalib"):
+            est = comass_bruteforce(MetricTensor.identity(4), PowerForm(w, 2),
+                                    samples=500, restarts=3, seed=0)
+        assert not est.ascent_capped
+        assert 0 < est.ascent_iterations < comass_module._ASCENT_MAX_ITER
+        assert not caplog.records
+
+    def test_no_ascent_without_restarts(self):
+        est = comass_bruteforce(MetricTensor.identity(4), TwoForm.standard_symplectic(4),
+                                samples=100, restarts=0, seed=0)
+        assert est.ascent_iterations == 0 and not est.ascent_capped
