@@ -1,6 +1,6 @@
 """Stage timings of the sampled comass oracle, merged into a BENCH JSON file.
 
-    python bench/comass_stages.py --label change [--src DIR] [--repeats 3] [-o BENCH_comass.json]
+    python bench/comass_stages.py --label change [--src DIR] [-o BENCH_comass.json]
 
 Times ``comass_bruteforce`` at n = 8 for p = 1, 2 and 3 with FieldConfig's
 default samples and restarts, split into frame sampling, sample ranking and
@@ -10,7 +10,9 @@ are timed by wrapping the oracle's private stage functions, so the numbers
 are only as stable as those names.  ``--src`` chooses the source tree to
 import, so one copy of this script times two commits on the same machine;
 each invocation appends one run under ``--label`` and refreshes that label's
-medians.  BLAS runs on one thread, as in the benchmark.
+medians.  A run is refused when the file's recorded machine or setup differs
+from the current one, so every label in one file is comparable.  BLAS runs
+on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ N = 8
 PAIR_VALUES = (1.0, 0.7, 0.4)  # the last pair of R^8 is kernel
 POWERS = (1, 2, 3)
 SEEDS = (0, 1, 2)
+REPEATS = 3  # oracle passes per run; each stage keeps the median
 
 
 def planted_point(seed: int = 8):
@@ -152,33 +155,37 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="name of the measured tree, e.g. parent or change")
     parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
                         help="source tree holding the semicalib package (default: this checkout)")
-    parser.add_argument("--repeats", type=int, default=3, help="oracle passes; the median is kept")
     parser.add_argument("-o", "--output", default="BENCH_comass.json")
     args = parser.parse_args(argv)
+
+    setup = {
+        "script": "bench/comass_stages.py",
+        "n": N, "pair_values": list(PAIR_VALUES), "powers": list(POWERS), "seeds": list(SEEDS),
+        "repeats": REPEATS,
+        "oracle": "comass_bruteforce with FieldConfig defaults; stage times are medians over seeds, then over repeats",
+        "verify": "semicalib verify --power 2 --power 3, one point, in process",
+    }
+    machine = {
+        "platform": platform.platform(), "python": platform.python_version(),
+        "numpy": np.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
+    }
+    data = {"setup": setup, "machine": machine}
+    if os.path.exists(args.output):
+        with open(args.output) as handle:
+            data = json.load(handle)
+        for key, current in (("setup", setup), ("machine", machine)):
+            if data.get(key) != current:
+                raise SystemExit(f"{args.output} records another {key}: {data.get(key)} != {current}; "
+                                 "write to a new file")
 
     sys.path.insert(0, os.path.abspath(args.src))
     G, W = planted_point()
     time_verify(G, W)  # warm-up: imports, LAPACK initialisation
-    passes = [time_oracle(G, W) for _ in range(args.repeats)]
+    passes = [time_oracle(G, W) for _ in range(REPEATS)]
     run = {
         "comass": {p: _median_rows([x[p] for x in passes]) for p in passes[0]},
         "verify_power_2_3_s": time_verify(G, W),
     }
-
-    data = {}
-    if os.path.exists(args.output):
-        with open(args.output) as handle:
-            data = json.load(handle)
-    data.setdefault("setup", {
-        "script": "bench/comass_stages.py",
-        "n": N, "pair_values": list(PAIR_VALUES), "powers": list(POWERS), "seeds": list(SEEDS),
-        "oracle": "comass_bruteforce with FieldConfig defaults; stage times are medians over seeds, then over repeats",
-        "verify": "semicalib verify --power 2 --power 3, one point, in process",
-    })
-    data.setdefault("machine", {
-        "platform": platform.platform(), "python": platform.python_version(),
-        "numpy": np.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
-    })
     entry = data.setdefault("results", {}).setdefault(args.label, {"runs": []})
     entry["runs"].append(run)
     entry["median"] = summarize(entry["runs"])
