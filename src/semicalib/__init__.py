@@ -37,7 +37,6 @@ from .errors import (
     EpsilonInferenceError,
     GapViolation,
     NotPositiveDefiniteError,
-    PairingError,
     ParseError,
     RankDeficiencyError,
 )

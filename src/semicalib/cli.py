@@ -7,12 +7,14 @@ documented example field).
 
 Exit codes: 0 success / verification passed, 1 verification failure,
 2 input or parse error, 3 base-point failure (gap violation at point 0, or
-the automatic epsilon policy found no positive eigenvalue there).
+the automatic epsilon policy found no positive eigenvalue there),
+4 the construction broke down at some point.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,12 +22,18 @@ import numpy as np
 from . import field as field_mod
 from .comass import PowerForm, comass_bruteforce, comass_exact, test_calibrated
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import EpsilonInferenceError, GapViolation, ParseError, RankDeficiencyError
+from .errors import (
+    ConstructionError,
+    EpsilonInferenceError,
+    GapViolation,
+    ParseError,
+    RankDeficiencyError,
+)
 from .field import FieldConfig, build_report, demo_calfield, parse_calfield, process_field, verify_field
 from .forms import Frame
 from .jsonio import dumps
 
-_TOLERANCE_NAMES = ("pd", "rank", "cluster", "zero")
+_TOLERANCE_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 
 def _tol_arg(text: str):
@@ -74,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable frame propagation between points")
         p.add_argument("--tol", type=_tol_arg, action="append", default=[],
                        metavar="NAME=VALUE",
-                       help="override a tolerance (pd, rank, cluster, zero); repeatable")
+                       help=f"override a tolerance ({', '.join(_TOLERANCE_NAMES)}); repeatable")
         if with_sampling:
             p.add_argument("--samples", type=int, default=20_000,
                            help="random frames per sampled comass run (default 20000)")
@@ -125,12 +133,6 @@ def _read(path: str) -> str:
 
 
 def _config(args, powers=()) -> FieldConfig:
-    overrides = dict(getattr(args, "tol", []))
-    tolerances = (
-        Tolerances(**{**DEFAULT_TOLERANCES.__dict__, **overrides})
-        if overrides
-        else DEFAULT_TOLERANCES
-    )
     return FieldConfig(
         epsilon=args.epsilon,
         seed=args.seed,
@@ -138,7 +140,7 @@ def _config(args, powers=()) -> FieldConfig:
         restarts=getattr(args, "restarts", 10),
         powers=tuple(powers),
         use_hints=not args.no_hints,
-        tolerances=tolerances,
+        tolerances=dataclasses.replace(DEFAULT_TOLERANCES, **dict(args.tol)),
     )
 
 
@@ -264,10 +266,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EpsilonInferenceError as exc:
@@ -276,6 +275,9 @@ def main(argv=None) -> int:
     except GapViolation as exc:
         print(f"error: gap violation at base point: {exc}", file=sys.stderr)
         return 3
+    except (ConstructionError, RankDeficiencyError) as exc:
+        print(f"error: construction failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

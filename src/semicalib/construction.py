@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ConstructionError, NotPositiveDefiniteError
@@ -161,12 +160,14 @@ def align_frame(hint: Frame, base: Frame, g: MetricTensor) -> Frame:
 
 
 def _unit_comass_defect(g_j: MetricTensor, omega_total: TwoForm) -> float:
-    """|comass(total form w.r.t. g_J) - 1| via the largest paired eigenvalue."""
-    W, GJ = omega_total.entries, g_j.entries
-    K = -W @ np.linalg.solve(GJ, W)
-    K = (K + K.T) / 2
-    lam_max = float(scipy.linalg.eigh(K, GJ, eigvals_only=True)[-1])
-    return abs(float(np.sqrt(max(lam_max, 0.0))) - 1.0)
+    """|comass(total form w.r.t. g_J) - 1|.
+
+    With g_J = L L^T the comass is the largest pair value of the skew matrix
+    L^-1 Omega L^-T, which is its spectral norm.
+    """
+    chol = np.linalg.cholesky(g_j.entries)
+    skew = np.linalg.solve(chol, np.linalg.solve(chol, omega_total.entries).T)
+    return abs(float(np.linalg.norm(skew, 2)) - 1.0)
 
 
 def _point_residuals(
@@ -259,8 +260,7 @@ def construct_point(
         # Degenerate all-kernel spectrum: any positive epsilon produces the
         # same split, so a fixed sentinel keeps the output deterministic.
         epsilon = inferred if inferred is not None else 1.0
-    lam_max = float(spectrum.eigenvalues[0]) if spectrum.npairs else 0.0
-    split = split_spaces(spectrum, epsilon, band_slack=tol.cluster * lam_max)
+    split = split_spaces(spectrum, epsilon)
 
     base = split.perp_basis
     if tframe_hint is not None and len(base) and len(tframe_hint) == len(base):

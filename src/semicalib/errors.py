@@ -11,21 +11,6 @@ class NotPositiveDefiniteError(ValueError):
     """A matrix expected to be a metric failed the positive-definiteness check."""
 
 
-class PairingError(RuntimeError):
-    """An eigenvalue cluster could not be organized into multiplicity-2 pairs.
-
-    Carries the eigenvalue boundaries of the offending cluster so the caller
-    can inspect where the numerical multiplicity broke.
-    """
-
-    def __init__(self, message: str, cluster_bounds: tuple[float, float]):
-        self.cluster_bounds = (float(cluster_bounds[0]), float(cluster_bounds[1]))
-        super().__init__(
-            f"{message} (cluster eigenvalue range "
-            f"[{self.cluster_bounds[0]:.6g}, {self.cluster_bounds[1]:.6g}])"
-        )
-
-
 class GapViolation(RuntimeError):
     """Some eigenvalue fell inside the forbidden band (epsilon/4, epsilon/2).
 

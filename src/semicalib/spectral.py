@@ -3,7 +3,10 @@
 The endomorphism ``A`` is defined by omega(v, w) = g(Av, w).  It is
 g-skew-adjoint, so ``-A^2`` is g-self-adjoint and positive semidefinite; its
 positive eigenvalues come in pairs and each eigenplane carries a g-orthonormal
-basis of the shape (v, Av/sqrt(lambda)).  Splitting the spectrum into a large
+basis of the shape (v, Av/sqrt(lambda)).  The pairs are read off the real
+Schur form of the skew-symmetric matrix L^T A L^-T (g = L L^T), whose 2x2
+blocks are exactly these eigenplanes (Ward & Gray, ACM TOMS 4, 1978), so a
+double eigenvalue needs no special care.  Splitting the spectrum into a large
 band and a small band separates the tangent space into the non-degenerate
 subspace V and its g-orthogonal complement.
 """
@@ -16,10 +19,11 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import GapViolation, PairingError
+from .errors import GapViolation
 from .forms import Frame, MetricTensor, TwoForm, _freeze
 
 _TINY = 1e-300
+_BAND_SLACK = 1e-8  # relative to the largest eigenvalue
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,13 +52,15 @@ class PairedSpectrum:
     ``eigenvalues[i]`` is the (double) eigenvalue of the pair
     ``pair_vectors[i] = (v_i, A v_i / sqrt(lambda_i))``; the kernel of A is
     spanned by ``kernel_vectors``.  The union of all pair vectors and the
-    kernel basis is g-orthonormal.
+    kernel basis is g-orthonormal.  ``kernel_eigenvalues`` holds, per kernel
+    vector, the square of its Schur block's value: t^2 of a 2x2 block below
+    the zero threshold (once for each of its two vectors) or of a 1x1 block.
     """
 
     eigenvalues: np.ndarray       # (npairs,) descending, one entry per pair
     pair_vectors: np.ndarray      # (npairs, 2, n)
     kernel_vectors: np.ndarray    # (k0, n)
-    kernel_eigenvalues: np.ndarray  # (k0,) raw near-zero values, for diagnostics
+    kernel_eigenvalues: np.ndarray  # (k0,) near-zero block values squared, for diagnostics
 
     def __post_init__(self):
         for name in ("eigenvalues", "pair_vectors", "kernel_vectors", "kernel_eigenvalues"):
@@ -125,49 +131,10 @@ def skew_adjoint_defect(endo: Endomorphism, g: MetricTensor) -> float:
     return float(np.abs(A.T @ G + G @ A).max()) / scale
 
 
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    """Deterministic sign: the largest-magnitude component is made positive."""
-    idx = int(np.argmax(np.abs(v)))
-    return -v if v[idx] < 0 else v
-
-
-def _orthogonalize(G: np.ndarray, v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    u = v.copy()
-    for _ in range(2):
-        for b in basis:
-            u = u - (b @ G @ u) * b
-    return u
-
-
-def _pair_cluster(vectors, A, G, bounds) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Pair one eigenvalue cluster into (lambda, v, Av/sqrt(lambda)) families.
-
-    Each input eigenvector either seeds a new pair or dissolves into the span
-    of earlier pairs; a leftover odd dimension means the multiplicity-2
-    structure broke numerically.
-    """
-    pairs: list[tuple[float, np.ndarray, np.ndarray]] = []
-    basis: list[np.ndarray] = []
-    for vec in vectors:
-        v = _orthogonalize(G, vec, basis)
-        nv = float(np.sqrt(max(v @ G @ v, 0.0)))
-        if nv <= 1e-6:
-            continue  # consumed by an earlier pair
-        v = _sign_fix(v / nv)
-        mv = -(A @ (A @ v))
-        lam = float(v @ G @ mv)
-        if lam <= 0.0:
-            raise PairingError("non-positive Rayleigh quotient inside a positive cluster", bounds)
-        w = (A @ v) / np.sqrt(lam)
-        w = _orthogonalize(G, w, basis + [v])
-        nw = float(np.sqrt(max(w @ G @ w, 0.0)))
-        if nw <= 0.5:
-            raise PairingError("pair vector collapsed during orthogonalization", bounds)
-        pairs.append((lam, v, w / nw))
-        basis.extend([v, w / nw])
-    if 2 * len(pairs) != len(vectors):
-        raise PairingError("odd numerical multiplicity after clustering", bounds)
-    return pairs
+def _sign_fix(rows: np.ndarray) -> np.ndarray:
+    """Deterministic sign: the first row's largest-magnitude component is made positive."""
+    idx = int(np.argmax(np.abs(rows[0])))
+    return -rows if rows[0, idx] < 0 else rows
 
 
 def paired_spectrum(
@@ -175,55 +142,54 @@ def paired_spectrum(
 ) -> PairedSpectrum:
     """Eigenvalues and paired g-orthonormal eigenbasis of -A^2.
 
-    Eigenvalues within ``tol.cluster`` (relative to the largest one) are
-    treated as a single cluster and paired inside it; eigenvalues below
-    ``tol.zero`` relative count as the kernel.
+    With g = L L^T, S = L^T A L^-T is skew-symmetric, and its real Schur form
+    S = Z T Z^T is block diagonal up to rounding.  A 2x2 block at (i, i+1)
+    with t = T[i+1, i] is one pair: v = L^-T z_i and w = sign(t) L^-T z_i+1
+    satisfy A v = |t| w, so lambda = t^2.  Pairs with lambda at or below
+    ``tol.zero`` relative to the largest one, and the 1x1 blocks, span the
+    kernel.
     """
     if endo.dim != g.dim:
         raise ValueError("endomorphism and metric dimensions disagree")
     defect = skew_adjoint_defect(endo, g)
     if defect > 1e-8:
         raise ValueError(f"endomorphism is not g-skew-adjoint (relative defect {defect:.3g})")
-    A, G = endo.matrix, g.entries
     n = endo.dim
+    # S^T = L^-1 (L^T A)^T, so S = L^T A L^-T needs one triangular solve.
+    # Endomorphism and MetricTensor already reject non-finite entries.
+    chol = np.linalg.cholesky(g.entries)
+    s_t = scipy.linalg.solve_triangular(
+        chol, (chol.T @ endo.matrix).T, lower=True, check_finite=False
+    )
+    t, z = scipy.linalg.schur((s_t.T - s_t) / 2, output="real", check_finite=False)
+    # Row i is L^-T z_i.
+    basis = scipy.linalg.solve_triangular(chol, z, lower=True, trans="T", check_finite=False).T
 
-    # g-self-adjoint form of -A^2: solve the symmetric generalized problem
-    # (-G A A) x = lambda G x with G-orthonormal eigenvectors.
-    K = -G @ A @ A
-    K = (K + K.T) / 2
-    evals, evecs = scipy.linalg.eigh(K, G)
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    evecs = evecs[:, order]
+    blocks: list[tuple[float, np.ndarray]] = []  # (lambda, rows): (v, w) or one vector
+    i = 0
+    while i < n:
+        sub = t[i + 1, i] if i + 1 < n else 0.0
+        if sub:
+            blocks.append((float(sub * sub), np.array([basis[i], np.sign(sub) * basis[i + 1]])))
+            i += 2
+        else:
+            blocks.append((float(t[i, i] ** 2), basis[i : i + 1]))
+            i += 1
+    blocks.sort(key=lambda b: -b[0])
 
-    lam_max = max(float(evals[0]) if n else 0.0, 0.0)
-    zero_thr = tol.zero * lam_max
-    positive = evals > zero_thr
-
-    pairs: list[tuple[float, np.ndarray, np.ndarray]] = []
-    idx = 0
-    npos = int(np.count_nonzero(positive))
-    cluster_gap = tol.cluster * lam_max
-    while idx < npos:
-        stop = idx + 1
-        while stop < npos and evals[stop - 1] - evals[stop] <= cluster_gap:
-            stop += 1
-        vectors = [evecs[:, j] for j in range(idx, stop)]
-        bounds = (float(evals[stop - 1]), float(evals[idx]))
-        pairs.extend(_pair_cluster(vectors, A, G, bounds))
-        idx = stop
-
-    pairs.sort(key=lambda t: -t[0])
-    kernel = np.array([_sign_fix(evecs[:, j]) for j in range(npos, n)])
-    if kernel.size == 0:
-        kernel = np.zeros((0, n))
+    zero_thr = tol.zero * max((lam for lam, _ in blocks), default=0.0)
+    pairs = [(lam, _sign_fix(rows)) for lam, rows in blocks if len(rows) == 2 and lam > zero_thr]
+    kernel = [
+        (lam, _sign_fix(row[None])[0])
+        for lam, rows in blocks
+        if len(rows) == 1 or lam <= zero_thr
+        for row in rows
+    ]
     return PairedSpectrum(
-        eigenvalues=np.array([p[0] for p in pairs]),
-        pair_vectors=(
-            np.array([[p[1], p[2]] for p in pairs]) if pairs else np.zeros((0, 2, n))
-        ),
-        kernel_vectors=kernel,
-        kernel_eigenvalues=evals[npos:].copy(),
+        eigenvalues=np.array([lam for lam, _ in pairs]),
+        pair_vectors=np.array([rows for _, rows in pairs]).reshape(-1, 2, n),
+        kernel_vectors=np.array([row for _, row in kernel]).reshape(-1, n),
+        kernel_eigenvalues=np.array([lam for lam, _ in kernel]),
     )
 
 
@@ -234,23 +200,23 @@ def infer_epsilon(spectrum: PairedSpectrum) -> float | None:
     return float(spectrum.eigenvalues[-1])
 
 
-def split_spaces(
-    spectrum: PairedSpectrum, epsilon: float, band_slack: float = 0.0
-) -> SpaceSplit:
+def split_spaces(spectrum: PairedSpectrum, epsilon: float) -> SpaceSplit:
     """Split the paired spectrum into the bands [epsilon/2, inf) and [0, epsilon/4].
 
-    ``band_slack`` widens both bands so eigenvalues sitting exactly on a band
-    edge are not rejected for rounding dust.  Raises :class:`GapViolation`
-    when any eigenvalue falls strictly between the bands; it carries the
-    full eigenvalue list so callers need not recompute the spectrum.
+    Both bands are widened by ``_BAND_SLACK`` times the largest eigenvalue so
+    eigenvalues sitting exactly on a band edge are not rejected for rounding
+    dust.  Raises :class:`GapViolation` when any eigenvalue falls strictly
+    between the bands; it carries the full eigenvalue list so callers need
+    not recompute the spectrum.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    hi_edge = epsilon / 2 - band_slack
-    lo_edge = epsilon / 4 + band_slack
+    lams = spectrum.eigenvalues
+    slack = _BAND_SLACK * float(lams[0]) if spectrum.npairs else 0.0
+    hi_edge = epsilon / 2 - slack
+    lo_edge = epsilon / 4 + slack
     if hi_edge <= lo_edge:
         hi_edge, lo_edge = epsilon / 2, epsilon / 4
-    lams = spectrum.eigenvalues
     offenders = [float(l) for l in lams if lo_edge < l < hi_edge]
     offenders += [float(l) for l in spectrum.kernel_eigenvalues if lo_edge < l < hi_edge]
     if offenders:
@@ -258,20 +224,11 @@ def split_spaces(
 
     n = spectrum.dim
     in_v = lams >= hi_edge
-    m = int(np.count_nonzero(in_v))
-    v_rows = spectrum.pair_vectors[in_v].reshape(-1, n) if m else np.zeros((0, n))
-    perp_pairs = spectrum.pair_vectors[~in_v]
-    perp_rows_list = []
-    if perp_pairs.size:
-        perp_rows_list.append(perp_pairs.reshape(-1, n))
-    if spectrum.kernel_vectors.size:
-        perp_rows_list.append(spectrum.kernel_vectors)
-    perp_rows = np.vstack(perp_rows_list) if perp_rows_list else np.zeros((0, n))
-
+    perp_rows = np.vstack([spectrum.pair_vectors[~in_v].reshape(-1, n), spectrum.kernel_vectors])
     return SpaceSplit(
-        v_basis=Frame(v_rows) if m else Frame.empty(n),
-        perp_basis=Frame(perp_rows) if perp_rows.size else Frame.empty(n),
-        m=m,
+        v_basis=Frame(spectrum.pair_vectors[in_v].reshape(-1, n)),
+        perp_basis=Frame(perp_rows),
+        m=int(np.count_nonzero(in_v)),
         epsilon=float(epsilon),
         v_eigenvalues=lams[in_v],
     )

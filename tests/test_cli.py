@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import semicalib.field
 from semicalib.cli import main
+from semicalib.errors import ConstructionError
 from helpers import constant_field_text, ramp_field_text
 
 FAST = ["--samples", "2000", "--restarts", "3"]
@@ -38,7 +40,7 @@ class TestDemoAndBuild:
         main(["demo", "--name", "scaled", "-o", demo])
         assert main(["build", demo]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["format_version"] == 2
+        assert data["format_version"] == 3
         assert data["points"][0]["m"] == 2
 
     def test_demo_residuals_tiny(self, tmp_path):
@@ -96,6 +98,17 @@ class TestExitCodes:
         assert main(["build", zero]) == 3
         assert "cannot infer epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_construction_breakdown_is_4(self, command, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ConstructionError("compatible metric is not positive definite")
+
+        monkeypatch.setattr(semicalib.field, "construct_point", broken)
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        assert main([command, demo]) == 4
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_non_base_gap_violation_still_builds(self, tmp_path):
         field = write(tmp_path, "ramp.calfield", ramp_field_text([0.6, 0.475, 0.35, 0.225, 0.1]))
         out = str(tmp_path / "ramp.json")
@@ -119,11 +132,16 @@ class TestExitCodes:
     def test_tolerance_override_accepted(self, tmp_path):
         demo = str(tmp_path / "d.calfield")
         main(["demo", "--name", "scaled", "-o", demo])
-        assert main(["build", demo, "--tol", "cluster=1e-6", "-o", str(tmp_path / "b.json")]) == 0
+        assert main(["build", demo, "--tol", "zero=1e-6", "-o", str(tmp_path / "b.json")]) == 0
 
     def test_bad_tolerance_override_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["build", "x", "--tol", "bogus=1"])
+        assert err.value.code == 2
+
+    def test_removed_cluster_tolerance_rejected(self):
+        with pytest.raises(SystemExit) as err:
+            main(["build", "x", "--tol", "cluster=1e-6"])
         assert err.value.code == 2
 
 

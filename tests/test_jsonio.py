@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from semicalib.jsonio import dumps
-from semicalib.errors import PairingError
-import semicalib.spectral as spectral
 
 
 class TestDumps:
@@ -34,15 +32,3 @@ class TestDumps:
     def test_byte_identical(self):
         payload = {"m": np.linspace(0, 1, 7), "k": {"z": 1.25, "a": [True, None]}}
         assert dumps(payload) == dumps(payload)
-
-
-class TestPairingDiagnostics:
-    def test_unpairable_cluster_raises_with_bounds(self):
-        # a kernel vector smuggled into a positive cluster cannot pair
-        a = np.zeros((4, 4))
-        a[0, 1], a[1, 0] = -1.0, 1.0
-        g = np.eye(4)
-        vectors = [np.eye(4)[0], np.eye(4)[1], np.eye(4)[2]]
-        with pytest.raises(PairingError) as err:
-            spectral._pair_cluster(vectors, a, g, (0.9, 1.1))
-        assert err.value.cluster_bounds == (0.9, 1.1)

@@ -254,8 +254,9 @@ class TestSplitSpaces:
         assert len(split.perp_basis) == 2
 
     def test_band_slack_keeps_edge_values(self):
+        # the bands are widened by 1e-8 times the largest eigenvalue
         s = spectrum_from_eigenvalues([1.0, 0.5 - 1e-12])
-        split = split_spaces(s, 1.0, band_slack=1e-8)
+        split = split_spaces(s, 1.0)
         assert split.m == 2
 
     def test_rejects_bad_epsilon(self):
