@@ -34,6 +34,7 @@ from .forms import Frame
 from .jsonio import dumps
 
 _TOLERANCE_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
+_DEFAULTS = FieldConfig()
 
 
 def _tol_arg(text: str):
@@ -84,10 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=VALUE",
                        help=f"override a tolerance ({', '.join(_TOLERANCE_NAMES)}); repeatable")
         if with_sampling:
-            p.add_argument("--samples", type=int, default=20_000,
-                           help="random frames per sampled comass run (default 20000)")
-            p.add_argument("--restarts", type=int, default=10,
-                           help="local-ascent restarts (default 10)")
+            p.add_argument("--samples", type=int, default=_DEFAULTS.samples,
+                           help=f"random frames per sampled comass run (default {_DEFAULTS.samples})")
+            p.add_argument("--restarts", type=int, default=_DEFAULTS.restarts,
+                           help=f"local-ascent restarts (default {_DEFAULTS.restarts})")
 
     p_build = sub.add_parser("build", help="run the construction and emit the report")
     common(p_build, with_sampling=False)
@@ -136,39 +137,47 @@ def _config(args, powers=()) -> FieldConfig:
     return FieldConfig(
         epsilon=args.epsilon,
         seed=args.seed,
-        samples=getattr(args, "samples", 20_000),
-        restarts=getattr(args, "restarts", 10),
+        samples=getattr(args, "samples", _DEFAULTS.samples),
+        restarts=getattr(args, "restarts", _DEFAULTS.restarts),
         powers=tuple(powers),
         use_hints=not args.no_hints,
         tolerances=dataclasses.replace(DEFAULT_TOLERANCES, **dict(args.tol)),
     )
 
 
+class _UsageError(Exception):
+    """A flag value the input makes invalid; exits 2 like an argparse error."""
+
+
+def _check_power(power: int, dim: int) -> None:
+    if power < 1:
+        raise _UsageError("--power must be >= 1")
+    if 2 * power > dim:
+        raise _UsageError(f"degree {2 * power} exceeds dimension {dim}")
+
+
+def _process(grid, config: FieldConfig):
+    """process_field; a gap violation at the base point is raised (exit 3)."""
+    cf = process_field(grid, config)
+    base = cf.outcomes[0]
+    if not base.gap_ok:
+        raise GapViolation(cf.epsilon, base.offending_eigenvalues, base.eigenvalues)
+    return cf
+
+
 def _cmd_build(args) -> int:
     grid = parse_calfield(_read(args.input))
-    cf = process_field(grid, _config(args))
-    if not cf.outcomes[0].gap_ok:
-        print(
-            f"error: gap violation at base point: offending eigenvalues "
-            f"{list(cf.outcomes[0].offending_eigenvalues)}",
-            file=sys.stderr,
-        )
-        return 3
+    cf = _process(grid, _config(args))
     _emit(dumps(build_report(cf)), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
     grid = parse_calfield(_read(args.input))
+    for power in args.power:
+        _check_power(power, grid.dim + grid.dim % 2)  # odd fields are lifted
     config = _config(args, powers=args.power)
-    cf = process_field(grid, config)
-    if not cf.outcomes[0].gap_ok:
-        print(
-            f"error: gap violation at base point: offending eigenvalues "
-            f"{list(cf.outcomes[0].offending_eigenvalues)}",
-            file=sys.stderr,
-        )
-        return 3
+    cf = _process(grid, config)
     report = verify_field(cf, grid, config)
     _emit(dumps(report.data), args.output)
     if not report.passed:
@@ -179,15 +188,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_comass(args) -> int:
     grid = parse_calfield(_read(args.input))
-    if args.power < 1:
-        print("error: --power must be >= 1", file=sys.stderr)
-        return 2
-    if 2 * args.power > grid.dim:
-        print(f"error: degree {2 * args.power} exceeds dimension {grid.dim}", file=sys.stderr)
-        return 2
+    _check_power(args.power, grid.dim)
     rows = []
     for point in grid.points:
-        form = point.omega if args.power == 1 else PowerForm(point.omega, args.power)
+        form = PowerForm(point.omega, args.power)
         sampled = comass_bruteforce(
             point.g,
             form,
@@ -198,7 +202,7 @@ def _cmd_comass(args) -> int:
         entry = {
             "index": point.index,
             "power": args.power,
-            "exact": comass_exact(point.g, point.omega).value if args.power == 1 else None,
+            "exact": comass_exact(point.g, form).value,
             "sampled": sampled.value,
             "samples": sampled.samples,
             "restarts": sampled.restarts,
@@ -263,10 +267,13 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "samples", 1) < 1 or getattr(args, "restarts", 0) < 0:
+        parser.error("--samples must be >= 1 and --restarts >= 0")
     try:
         return _DISPATCH[args.command](args)
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EpsilonInferenceError as exc:

@@ -1,9 +1,11 @@
 """Comass computation, power forms, and calibrated-plane testing.
 
-The comass of a degree-2 form is exact: it is the square root of the largest
-eigenvalue of -A^2.  For normalized powers (1/p!) omega^p the value on a frame
-equals the Pfaffian of the frame's omega-Gram matrix, and the comass is
-estimated by direct maximization over random metric-orthonormal frames
+The exact comass of omega, or of a normalized power (1/p!) omega^p, is the
+product mu_1 ... mu_p of the p largest pair values mu_i = sqrt(lambda_i) of
+-A^2 (Wirtinger's inequality for p = 1; Harvey & Lawson, Acta Math. 148,
+1982).  The value of (1/p!) omega^p on a frame equals the Pfaffian of the
+frame's omega-Gram matrix, and the sampled oracle, an independent
+cross-check, maximizes it directly over random metric-orthonormal frames
 followed by a shrinking-step local ascent.  The search only needs magnitudes,
 so it ranks frames by |Pf| = sqrt(det) of the Gram matrix (batched LU); the
 reported value is the signed Pfaffian of the best frame after it has been
@@ -14,10 +16,11 @@ comass by construction.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES
 from .construction import PointConstruction
 from .forms import (
     Frame,
@@ -37,6 +40,8 @@ _ASCENT_MAX_ITER = 20_000
 _PF_EXPANSION_MAX = 8
 
 _log = logging.getLogger("semicalib")
+# Every 2x2 Schur block is a pair, however small: a power's comass needs them all.
+_EVERY_BLOCK = replace(DEFAULT_TOLERANCES, zero=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +81,7 @@ class CalibrationVerdict:
 class ComassEstimate:
     """Comass value with the frame that attains it.
 
-    ``mode`` is "exact" (spectral, degree 2 only) or "sampled" (maximization;
+    ``mode`` is "exact" (spectral) or "sampled" (maximization;
     a lower bound of the true comass).  ``ascent_iterations`` counts the local
     ascent's iterations; ``ascent_capped`` is set when it stopped at
     ``_ASCENT_MAX_ITER`` with restarts still moving.
@@ -164,11 +169,11 @@ def _pf_parlett_reid(mats: np.ndarray) -> np.ndarray:
     return pf.reshape(shape)
 
 
-def _form_data(form) -> tuple[np.ndarray, int]:
+def _form_data(form) -> tuple[TwoForm, int]:
     if isinstance(form, PowerForm):
-        return form.base.entries, form.p
+        return form.base, form.p
     if isinstance(form, TwoForm):
-        return form.entries, 1
+        return form, 1
     raise TypeError(f"expected TwoForm or PowerForm, got {type(form).__name__}")
 
 
@@ -186,15 +191,19 @@ def eval_power(power: PowerForm, frame: Frame) -> float:
     return _eval_rows(power.base.entries, frame.vectors)
 
 
-def comass_exact(g: MetricTensor, omega: TwoForm) -> ComassEstimate:
-    """Exact degree-2 comass: sqrt of the largest eigenvalue of -A^2."""
-    endo = associated_endomorphism(g, omega)
-    spectrum = paired_spectrum(endo, g)
-    if spectrum.npairs == 0:
+def comass_exact(g: MetricTensor, form) -> ComassEstimate:
+    """Exact comass of omega or of (1/p!) omega^p: the product of the p largest pair values.
+
+    The top p pairs attain it; no g-orthonormal 2p-frame exceeds it, because
+    the pair values of a compression interlace those of the whole form.  A
+    form of rank below 2p has comass 0 and an empty maximizer.
+    """
+    omega, p = _form_data(form)
+    spectrum = paired_spectrum(associated_endomorphism(g, omega), g, _EVERY_BLOCK)
+    if spectrum.npairs < p:
         return ComassEstimate(0.0, Frame.empty(g.dim), 0, 0, "exact")
-    value = float(np.sqrt(spectrum.eigenvalues[0]))
-    v, w = spectrum.pair(0)
-    return ComassEstimate(value, Frame(np.array([v, w])), 0, 0, "exact")
+    value = float(np.prod(np.sqrt(spectrum.eigenvalues[:p])))
+    return ComassEstimate(value, Frame(spectrum.pair_vectors[:p].reshape(-1, g.dim)), 0, 0, "exact")
 
 
 def _orthonormal_frames(rng, G: np.ndarray, k: int, count: int):
@@ -293,7 +302,8 @@ def comass_bruteforce(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    w, p = _form_data(form)
+    omega, p = _form_data(form)
+    w = omega.entries
     k = 2 * p
     if w.shape[0] != g.dim:
         raise ValueError("form and metric dimensions disagree")
@@ -369,7 +379,8 @@ def test_calibrated(g: MetricTensor, form, frame: Frame, tol: float = 1e-9) -> C
     The frame is g-orthonormalized (orientation preserved), so the metric area
     is 1 and the ratio is the bare form value.
     """
-    w, p = _form_data(form)
+    omega, p = _form_data(form)
+    w = omega.entries
     if len(frame) != 2 * p:
         raise ValueError(f"frame must have exactly {2 * p} vectors, got {len(frame)}")
     if frame.dim != w.shape[0]:
@@ -379,7 +390,7 @@ def test_calibrated(g: MetricTensor, form, frame: Frame, tol: float = 1e-9) -> C
     return CalibrationVerdict(ratio=ratio, calibrated=abs(ratio - 1.0) <= tol, tolerance=tol)
 
 
-def calibrated_eigenspace(pc: PointConstruction, tol: float = 1e-8) -> Frame:
+def calibrated_eigenspace(pc: PointConstruction, tol: float = CALIBRATED_TOL) -> Frame:
     """g-orthonormal basis of the eigenvalue-1 eigenspace of -A^2.
 
     Every positively-oriented plane of the shape (v, Av) inside it is

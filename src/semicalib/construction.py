@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES, Tolerances
 from .errors import ConstructionError, NotPositiveDefiniteError
 from .forms import Frame, MetricTensor, TwoForm, gram_schmidt, plane_area
 from .spectral import (
@@ -182,7 +182,6 @@ def _point_residuals(
     j: Endomorphism,
     g_j: MetricTensor,
     omega_total: TwoForm,
-    calibrated_tol: float,
 ) -> dict:
     n = g.dim
     A, G, W = endo.matrix, g.entries, omega.entries
@@ -216,7 +215,7 @@ def _point_residuals(
 
     preserve = 0.0
     for lam, (v, w) in zip(spectrum.eigenvalues, spectrum.pair_vectors):
-        if abs(lam - 1.0) <= calibrated_tol:
+        if abs(lam - 1.0) <= CALIBRATED_TOL:
             ratio = float(v @ wt @ w) / plane_area(g_j, v, w)
             preserve = max(preserve, abs(ratio - 1.0))
     res["preservation"] = preserve
@@ -236,7 +235,6 @@ def construct_point(
     epsilon: float | None = None,
     tframe_hint: Frame | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    calibrated_tol: float = 1e-8,
 ) -> PointConstruction:
     """Run the full pointwise construction.
 
@@ -276,7 +274,7 @@ def construct_point(
     g_j = compatible_metric(p_inv, d, tol.pd)
     omega1, omega2, omega_total = assemble_calibration(p_inv, d, split.m)
     residuals = _point_residuals(
-        g, omega, endo, spectrum, split, p, p_inv, d, j, g_j, omega_total, calibrated_tol
+        g, omega, endo, spectrum, split, p, p_inv, d, j, g_j, omega_total
     )
     return PointConstruction(
         split=split,

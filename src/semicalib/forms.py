@@ -19,6 +19,7 @@ from .config import DEFAULT_TOLERANCES, MAX_DIM
 from .errors import NotPositiveDefiniteError, RankDeficiencyError
 
 _TINY = 1e-300
+_RANK_TOL = 1e-10  # linear independence, relative to the vectors' own scale
 # Guard against grossly asymmetric input before canonicalization silently
 # rewrites it; canonicalization itself only cleans up rounding dust.
 _STORAGE_GUARD = 1e-8
@@ -241,12 +242,12 @@ def plane_area(g: MetricTensor, v, w) -> float:
     gvw = g_inner(g, v, w)
     radicand = gvv * gww - gvw * gvw
     scale = max(abs(gvv * gww), _TINY)
-    if radicand < -DEFAULT_TOLERANCES.rank * scale:
+    if radicand < -_RANK_TOL * scale:
         raise ValueError(f"negative Gram determinant {radicand:.6g}; metric is not PSD")
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def gram_schmidt(g: MetricTensor, frame: Frame, rank_tol: float | None = None) -> Frame:
+def gram_schmidt(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:
     """g-orthonormalize a frame, preserving the span and the first direction.
 
     Modified Gram-Schmidt with a second orthogonalization pass.  Raises
@@ -255,8 +256,6 @@ def gram_schmidt(g: MetricTensor, frame: Frame, rank_tol: float | None = None) -
     """
     if frame.dim != g.dim:
         raise ValueError("frame and metric dimensions disagree")
-    if rank_tol is None:
-        rank_tol = DEFAULT_TOLERANCES.rank
     G = g.entries
     rows: list[np.ndarray] = []
     for v in frame.vectors:
@@ -291,7 +290,7 @@ def orthonormality_defect(g: MetricTensor, frame: Frame) -> float:
     return float(np.abs(gram - np.eye(len(frame))).max())
 
 
-def complement_basis(g: MetricTensor, frame: Frame, rank_tol: float | None = None) -> Frame:
+def complement_basis(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:
     """Deterministic g-orthonormal basis of the g-orthogonal complement of a frame.
 
     Seeds Gram-Schmidt with the frame itself, then sweeps the coordinate
@@ -299,8 +298,6 @@ def complement_basis(g: MetricTensor, frame: Frame, rank_tol: float | None = Non
     """
     if frame.dim != g.dim:
         raise ValueError("frame and metric dimensions disagree")
-    if rank_tol is None:
-        rank_tol = DEFAULT_TOLERANCES.rank
     n = g.dim
     G = g.entries
     rows = [np.asarray(v) for v in gram_schmidt(g, frame, rank_tol)] if len(frame) else []

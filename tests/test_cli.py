@@ -40,7 +40,7 @@ class TestDemoAndBuild:
         main(["demo", "--name", "scaled", "-o", demo])
         assert main(["build", demo]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["format_version"] == 3
+        assert data["format_version"] == 4
         assert data["points"][0]["m"] == 2
 
     def test_demo_residuals_tiny(self, tmp_path):
@@ -144,6 +144,31 @@ class TestExitCodes:
             main(["build", "x", "--tol", "cluster=1e-6"])
         assert err.value.code == 2
 
+    def test_removed_rank_tolerance_rejected(self):
+        with pytest.raises(SystemExit) as err:
+            main(["build", "x", "--tol", "rank=0.99"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "comass"])
+    @pytest.mark.parametrize("flag", [["--samples", "0"], ["--restarts", "-1"]])
+    def test_bad_sampling_flags_rejected(self, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, "x", *flag])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("power", ["0", "3"])
+    def test_invalid_verify_power_is_2(self, power, tmp_path, capsys):
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        assert main(["verify", demo, "--power", power, *FAST]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_verify_power_uses_lifted_dimension(self, tmp_path):
+        # odd3 is lifted to n = 4, where the top power 2 is valid
+        demo = str(tmp_path / "odd3.calfield")
+        main(["demo", "--name", "odd3", "-o", demo])
+        assert main(["verify", demo, "--power", "2", *FAST, "-o", str(tmp_path / "v.json")]) == 0
+
 
 class TestComassCommand:
     def test_scaled_demo_exact_one(self, tmp_path):
@@ -156,14 +181,14 @@ class TestComassCommand:
             assert row["exact"] == pytest.approx(1.0, abs=1e-12)
             assert row["sampled"] == pytest.approx(1.0, abs=1e-3)
 
-    def test_power_table_has_no_exact(self, tmp_path):
+    def test_power_table_has_exact(self, tmp_path):
         demo = str(tmp_path / "scaled.calfield")
         main(["demo", "--name", "scaled", "-o", demo])
         out = str(tmp_path / "c2.json")
         assert main(["comass", demo, "--power", "2", *FAST, "-o", out]) == 0
         table = json.loads(open(out).read())
         for row in table["points"]:
-            assert row["exact"] is None
+            assert row["exact"] == 0.5
             assert row["sampled"] == pytest.approx(0.5, abs=1e-6)
 
     def test_excessive_power_rejected(self, tmp_path, capsys):

@@ -26,7 +26,7 @@ from semicalib import (
     pfaffian,
 )
 from semicalib import test_calibrated as check_calibrated
-from helpers import planted_form, random_pd_metric, random_two_form, unit_comass_form
+from helpers import dual_wedge, planted_form, random_pd_metric, random_two_form, unit_comass_form
 from oracles import wedge_power_value
 
 E4 = np.eye(4)
@@ -176,6 +176,77 @@ class TestComassExact:
             est = comass_exact(g, w)
             v, u = est.maximizer[0], est.maximizer[1]
             assert eval_two_form(w, v, u) == pytest.approx(est.value, rel=1e-10)
+
+
+def normal_form(rng, n: int, mu) -> tuple[MetricTensor, TwoForm]:
+    """(g, omega) with pair values ``mu`` on a random g-orthonormal frame."""
+    g = random_pd_metric(rng, n)
+    z, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    frame = np.linalg.solve(np.linalg.cholesky(g.entries).T, z).T
+    w = np.zeros((n, n))
+    for i, value in enumerate(mu):
+        w += value * dual_wedge(g, frame[2 * i], frame[2 * i + 1])
+    return g, TwoForm(w)
+
+
+class TestComassExactPower:
+    @pytest.mark.parametrize("n", [6, 8, 16])
+    def test_product_of_top_pair_values(self, n):
+        rng = np.random.default_rng(n)
+        mu = np.sort(rng.uniform(0.1, 1.0, n // 2))[::-1]
+        g, w = normal_form(rng, n, mu)
+        for p in range(1, n // 2 + 1):
+            power = PowerForm(w, p)
+            est = comass_exact(g, power)
+            assert est.mode == "exact"
+            assert est.value == pytest.approx(float(np.prod(mu[:p])), rel=1e-10)
+            gram = est.maximizer.vectors @ g.entries @ est.maximizer.vectors.T
+            assert np.abs(gram - np.eye(2 * p)).max() <= 1e-10
+            assert eval_power(power, est.maximizer) == pytest.approx(est.value, rel=1e-10)
+
+    def test_rank_below_2p_is_zero(self):
+        w = TwoForm.from_pairs(8, {(0, 1): 1.0, (2, 3): 0.5})
+        assert comass_exact(MetricTensor.identity(8), PowerForm(w, 2)).value == 0.5
+        for p in (3, 4):
+            est = comass_exact(MetricTensor.identity(8), PowerForm(w, p))
+            assert est.value == 0.0
+            assert len(est.maximizer) == 0
+
+    def test_rank_below_2p_in_a_random_frame_is_rounding(self):
+        # the kernel's Schur blocks carry rounding-sized values, never more
+        rng = np.random.default_rng(3)
+        g, w = normal_form(rng, 8, (1.0, 0.5))
+        assert comass_exact(g, PowerForm(w, 2)).value == pytest.approx(0.5, rel=1e-10)
+        for p in (3, 4):
+            assert comass_exact(g, PowerForm(w, p)).value <= 1e-14
+
+    def test_pair_below_kernel_threshold_counts(self):
+        # lambda = 1e-10 sits below the default kernel threshold (1e-8 relative),
+        # so paired_spectrum files it as kernel; the power comass still sees it
+        g = MetricTensor.identity(4)
+        w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 1e-5})
+        assert paired_spectrum(associated_endomorphism(g, w), g).npairs == 1
+        est = comass_exact(g, PowerForm(w, 2))
+        assert est.value == pytest.approx(1e-5, rel=1e-12)
+        sampled = comass_bruteforce(g, PowerForm(w, 2), samples=2_000, restarts=3, seed=0)
+        assert sampled.value <= est.value * (1 + 1e-9)
+
+    def test_first_power_is_the_two_form(self):
+        rng = np.random.default_rng(9)
+        for n in (4, 7, 10):
+            g = random_pd_metric(rng, n)
+            w = random_two_form(rng, n)
+            a, b = comass_exact(g, w), comass_exact(g, PowerForm(w, 1))
+            assert a.value == b.value
+            np.testing.assert_array_equal(a.maximizer.vectors, b.maximizer.vectors)
+
+    def test_sampled_stays_below(self):
+        rng = np.random.default_rng(12)
+        g, w = normal_form(rng, 6, (1.0, 0.8, 0.3))
+        for p in (2, 3):
+            exact = comass_exact(g, PowerForm(w, p)).value
+            sampled = comass_bruteforce(g, PowerForm(w, p), samples=5_000, restarts=5, seed=p)
+            assert exact * (1 - 1e-6) <= sampled.value <= exact * (1 + 1e-9)
 
 
 class TestComassBruteforce:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import semicalib.field
 from semicalib import (
     EpsilonInferenceError,
     FieldConfig,
     ParseError,
+    TwoForm,
     build_report,
     demo_calfield,
     finite_difference_continuity,
@@ -239,6 +241,45 @@ class TestVerifyField:
         assert report.passed
         checks = report.data["points"][0]["checks"]
         assert "power_2_comass_bound" in checks and "power_2_calibration_bound" in checks
+
+    def test_power_bound_fails_above_comass_one(self):
+        # pair values (2, 1): comass 2, and omega^2/2 has comass 2 as well
+        grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "2 0 0 0 0 1", 1))
+        cfg = FieldConfig(samples=2_000, restarts=3, powers=(2,))
+        report = verify_field(process_field(grid, cfg), grid, cfg)
+        assert not report.passed
+        checks = report.data["points"][0]["checks"]
+        assert checks["power_2_comass_bound"]["value"] == pytest.approx(2.0, rel=1e-12)
+        assert checks["power_2_comass_bound"]["pass"] is False
+        assert checks["power_2_calibration_bound"]["pass"] is True
+
+    def test_one_sampled_run_per_point(self, monkeypatch):
+        calls = []
+        sampled = semicalib.field.comass_bruteforce
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return sampled(*args, **kwargs)
+
+        monkeypatch.setattr(semicalib.field, "comass_bruteforce", counting)
+        iu = np.triu_indices(8, 1)
+        w = np.zeros((8, 8))
+        w[0, 1], w[2, 3], w[4, 5] = 1.0, 0.7, 0.4
+        g_upper = " ".join(str(x) for x in np.eye(8)[np.triu_indices(8)])
+        grid = parse_calfield(constant_field_text(8, g_upper, " ".join(str(x) for x in w[iu]), 3))
+        cfg = FieldConfig(samples=500, restarts=2, powers=(2, 3))
+        report = verify_field(process_field(grid, cfg), grid, cfg)
+        assert report.passed
+        assert len(calls) == 3
+        assert all(isinstance(form, TwoForm) for form in calls)  # on Omega, not a power
+        checks = report.data["points"][0]["checks"]
+        assert checks["power_3_comass_bound"]["value"] == pytest.approx(0.28, rel=1e-12)
+
+    def test_invalid_power_raises(self):
+        grid = parse_calfield(MINIMAL)
+        cfg = FieldConfig(samples=200, restarts=1, powers=(3,))
+        with pytest.raises(ValueError, match="exceeds the ambient dimension"):
+            verify_field(process_field(grid, cfg), grid, cfg)
 
     def test_odd_power_checks_match_explicit_lift(self):
         cfg = FieldConfig(samples=2_000, restarts=3, powers=(2,))
