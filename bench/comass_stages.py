@@ -4,7 +4,8 @@
 
 Times ``comass_bruteforce`` at n = 8 for p = 1, 2 and 3 with FieldConfig's
 default samples and restarts, split into frame sampling, sample ranking and
-local ascent (the rest, mostly the final polish, is ``other``), and
+ascent (the Stiefel polish ``_polish``, or the random ascent ``_ascend`` of
+older trees; the rest, mostly the final Gram-Schmidt pass, is ``other``), and
 ``semicalib verify --power 2 --power 3`` on a one-point n = 8 field.  Stages
 are timed by wrapping the oracle's private stage functions, so the numbers
 are only as stable as those names.  ``--src`` chooses the source tree to
@@ -68,8 +69,9 @@ class StageTimer:
 
     def __init__(self, module):
         self.module = module
-        self.ranking_name = "_abs_values" if hasattr(module, "_abs_values") else "_frame_values"
-        self.names = {"_orthonormal_frames": "sampling", self.ranking_name: "ranking", "_ascend": "ascent"}
+        ranking = "_abs_values" if hasattr(module, "_abs_values") else "_frame_values"
+        ascent = "_polish" if hasattr(module, "_polish") else "_ascend"
+        self.names = {"_orthonormal_frames": "sampling", ranking: "ranking", ascent: "ascent"}
         self.seconds = dict.fromkeys(self.names.values(), 0.0)
         self.in_ascent = False
         self.saved = {}

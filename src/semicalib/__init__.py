@@ -16,7 +16,6 @@ from .comass import (
     comass_bruteforce,
     comass_exact,
     eval_power,
-    first_cousin_residual,
     pfaffian,
     test_calibrated,
 )

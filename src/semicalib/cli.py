@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, default=_DEFAULTS.samples,
                            help=f"random frames per sampled comass run (default {_DEFAULTS.samples})")
             p.add_argument("--restarts", type=int, default=_DEFAULTS.restarts,
-                           help=f"local-ascent restarts (default {_DEFAULTS.restarts})")
+                           help=f"best sampled frames to polish (default {_DEFAULTS.restarts})")
 
     p_build = sub.add_parser("build", help="run the construction and emit the report")
     common(p_build, with_sampling=False)

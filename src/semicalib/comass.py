@@ -5,12 +5,12 @@ product mu_1 ... mu_p of the p largest pair values mu_i = sqrt(lambda_i) of
 -A^2 (Wirtinger's inequality for p = 1; Harvey & Lawson, Acta Math. 148,
 1982).  The value of (1/p!) omega^p on a frame equals the Pfaffian of the
 frame's omega-Gram matrix, and the sampled oracle, an independent
-cross-check, maximizes it directly over random metric-orthonormal frames
-followed by a shrinking-step local ascent.  The search only needs magnitudes,
-so it ranks frames by |Pf| = sqrt(det) of the Gram matrix (batched LU); the
-reported value is the signed Pfaffian of the best frame after it has been
-re-orthonormalized, so the sampled estimate stays a lower bound of the true
-comass by construction.
+cross-check, maximizes it directly: it ranks random metric-orthonormal
+frames by |Pf| = sqrt(det) of the Gram matrix (batched LU), then polishes
+the best ones by a deterministic gradient ascent on the Stiefel manifold.
+The reported value is the signed Pfaffian of the best frame after it has
+been re-orthonormalized, so the sampled estimate stays a lower bound of the
+true comass by construction.
 """
 
 from __future__ import annotations
@@ -22,21 +22,14 @@ import numpy as np
 
 from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES
 from .construction import PointConstruction
-from .forms import (
-    Frame,
-    MetricTensor,
-    TwoForm,
-    complement_basis,
-    eval_two_form,
-    gram_schmidt,
-)
+from .forms import Frame, MetricTensor, TwoForm, gram_schmidt
 from .spectral import associated_endomorphism, paired_spectrum
 
 _CHUNK = 25_000
-_ASCENT_START = 0.1
-_ASCENT_STOP = 1e-6
-_ASCENT_PATIENCE = 20
-_ASCENT_MAX_ITER = 20_000
+_POLISH_SHIFT = 0.5
+_POLISH_TOL = 1e-10
+_POLISH_SINGULAR = 1e-12
+_POLISH_MAX_ITER = 1000
 _PF_EXPANSION_MAX = 8
 
 _log = logging.getLogger("semicalib")
@@ -82,9 +75,9 @@ class ComassEstimate:
     """Comass value with the frame that attains it.
 
     ``mode`` is "exact" (spectral) or "sampled" (maximization;
-    a lower bound of the true comass).  ``ascent_iterations`` counts the local
-    ascent's iterations; ``ascent_capped`` is set when it stopped at
-    ``_ASCENT_MAX_ITER`` with restarts still moving.
+    a lower bound of the true comass).  ``ascent_iterations`` counts the
+    polish steps of the sampled run; ``ascent_capped`` is set when the polish
+    stopped at ``_POLISH_MAX_ITER`` with restarts still moving.
     """
 
     value: float
@@ -233,57 +226,45 @@ def _abs_values(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """|form value| on a batch of frames: |Pf(gram)| = sqrt(det(gram)).
 
     The sign is lost, so this serves the search only (ranking samples and
-    accepting proposals); final values are signed Pfaffians.
+    finding singular frames for the polish); final values are signed
+    Pfaffians.
     """
     gram = frames @ w @ np.swapaxes(frames, -1, -2)
     return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
 
 
-def _ascend(rng, G: np.ndarray, w: np.ndarray, frames: np.ndarray):
-    """Stochastic ascent of |form value| over orthonormal frames, batched.
+def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray):
+    """Deterministic ascent of |form value| over g-orthonormal frames, batched.
 
-    Proposals rotate one frame vector toward a random direction orthogonal to
-    the whole frame; the step angle halves after 20 consecutive rejections and
-    a restart stops once its angle is below 1e-6 radians.  Every iteration
-    draws a row and a direction for all restarts, so the random stream does
-    not depend on which have stopped; only the others are computed.  Returns
-    (frames, iterations, capped).
+    In whitened coordinates (G = L L^T, Y = F L, W_w = L^-1 W L^-T) the
+    frames are orthonormal rows and the value is Pf(M), M = Y W_w Y^T, whose
+    log-gradient is E = M^-1 Y W_w.  Each step maps Y to the polar factor of
+    E + s Y, a shifted power iteration on the Stiefel manifold (Edelman,
+    Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 1998); a restart stops
+    once the part of E normal to its rows, the Riemannian gradient, is at
+    most 1e-10.  Frames whose |Pf| is rounding-sized next to the form's
+    scale (the zero form, or rank below the degree) are left as they are.
+    Returns (frames, iterations, capped).
     """
-    F = frames.copy()
-    R, k, n = F.shape
-    vals = _abs_values(w, F)
-    angles = np.full(R, _ASCENT_START)
-    rejects = np.zeros(R, dtype=int)
+    L = np.linalg.cholesky(G)
+    L_inv = np.linalg.inv(L)
+    w_w = L_inv @ w @ L_inv.T
+    Y = frames @ L
+    k = frames.shape[1]
+    vals = _abs_values(w_w, Y)
+    act = np.flatnonzero(vals > _POLISH_SINGULAR * np.abs(w_w).max() ** (k // 2))
     iterations = 0
-    while iterations < _ASCENT_MAX_ITER:
-        act = np.flatnonzero(angles >= _ASCENT_STOP)
-        if not act.size:
-            break
+    while act.size and iterations < _POLISH_MAX_ITER:
         iterations += 1
-        rows = rng.integers(0, k, size=R)[act]
-        u = rng.standard_normal((R, n))[act][:, None, :]
-        Fa = F[act]
-        FGt = np.swapaxes(Fa @ G, 1, 2)
-        for _ in range(2):
-            u -= (u @ FGt) @ Fa
-        u = u[:, 0, :]
-        norm2 = np.einsum("cn,cn->c", u @ G, u)
-        ok = norm2 > 1e-24
-        u /= np.sqrt(np.where(ok, norm2, 1.0))[:, None]
-
-        pick = np.arange(act.size)
-        ang = angles[act]
-        new_rows = np.cos(ang)[:, None] * Fa[pick, rows] + np.sin(ang)[:, None] * u
-        Fa[pick, rows] = new_rows
-        new_vals = _abs_values(w, Fa)
-        better = (new_vals > vals[act]) & ok
-        F[act[better], rows[better]] = new_rows[better]
-        vals[act[better]] = new_vals[better]
-        rej = np.where(better, 0, rejects[act] + 1)
-        halve = rej >= _ASCENT_PATIENCE
-        angles[act] = np.where(halve, ang / 2, ang)
-        rejects[act] = np.where(halve, 0, rej)
-    return F, iterations, bool((angles >= _ASCENT_STOP).any())
+        Ya = Y[act]
+        YW = Ya @ w_w
+        E = np.linalg.solve(YW @ np.swapaxes(Ya, 1, 2), YW)
+        normal = E - (E @ np.swapaxes(Ya, 1, 2)) @ Ya
+        moving = np.linalg.norm(normal, axis=(1, 2)) > _POLISH_TOL
+        act = act[moving]
+        u, _, vt = np.linalg.svd(E[moving] + _POLISH_SHIFT * Ya[moving], full_matrices=False)
+        Y[act] = u @ vt
+    return Y @ L_inv, iterations, bool(act.size)
 
 
 def comass_bruteforce(
@@ -293,7 +274,7 @@ def comass_bruteforce(
     restarts: int = 20,
     seed: int = 0,
 ) -> ComassEstimate:
-    """Sampled comass: random orthonormal frames plus local ascent.
+    """Sampled comass: random orthonormal frames plus a deterministic polish.
 
     Deterministic given ``seed`` (PCG64 stream); the result is a lower bound
     of the true comass, pair it with an exact or analytic upper bound.
@@ -337,12 +318,12 @@ def comass_bruteforce(
 
     iterations, capped = 0, False
     if restarts > 0:
-        frames, iterations, capped = _ascend(rng, G, w, top_frames)
+        frames, iterations, capped = _polish(G, w, top_frames)
         if capped:
             _log.warning(
-                "comass ascent stopped at the %d-iteration cap before converging "
+                "comass polish stopped at the %d-iteration cap before converging "
                 "(degree %d, n=%d); the sampled value is still a lower bound",
-                _ASCENT_MAX_ITER, k, g.dim,
+                _POLISH_MAX_ITER, k, g.dim,
             )
     else:
         frames = top_frames
@@ -404,20 +385,3 @@ def calibrated_eigenspace(pc: PointConstruction, tol: float = CALIBRATED_TOL) ->
     if not rows:
         return Frame.empty(pc.dim)
     return Frame(np.array(rows))
-
-
-def first_cousin_residual(g: MetricTensor, omega: TwoForm, frame: Frame) -> float:
-    """Largest |omega(plane vector, t)| over unit t orthogonal to the plane.
-
-    Vanishes on calibrated planes of a unit-comass form: the form cannot be
-    first-order increased by tilting a calibrated plane.
-    """
-    if len(frame) != 2:
-        raise ValueError("first-cousin residual is defined for 2-frames")
-    plane = gram_schmidt(g, frame)
-    comp = complement_basis(g, plane)
-    worst = 0.0
-    for x in plane:
-        for t in comp:
-            worst = max(worst, abs(eval_two_form(omega, x, t)))
-    return worst

@@ -21,12 +21,18 @@ from semicalib import (
     construct_point,
     eval_power,
     eval_two_form,
-    first_cousin_residual,
     paired_spectrum,
     pfaffian,
 )
 from semicalib import test_calibrated as check_calibrated
-from helpers import dual_wedge, planted_form, random_pd_metric, random_two_form, unit_comass_form
+from helpers import (
+    dual_wedge,
+    near_double_form,
+    planted_form,
+    random_pd_metric,
+    random_two_form,
+    unit_comass_form,
+)
 from oracles import wedge_power_value
 
 E4 = np.eye(4)
@@ -398,36 +404,6 @@ class TestCalibratedEigenspace:
             assert verdict.calibrated
 
 
-class TestFirstCousin:
-    def test_standard_block(self):
-        g = MetricTensor.identity(4)
-        w = TwoForm.standard_symplectic(4)
-        assert first_cousin_residual(g, w, Frame(np.array([E4[0], E4[1]]))) <= 1e-14
-
-    def test_calibrated_plane_of_skew_form(self):
-        # omega = (dx1^dx2 + dx1^dx3)/sqrt(2) has comass 1; its calibrated
-        # plane comes out of the spectrum and must satisfy the principle
-        g = MetricTensor.identity(4)
-        w0 = TwoForm.from_pairs(4, {(0, 1): 1.0, (0, 2): 1.0})
-        w = unit_comass_form(g, w0)
-        pc = construct_point(g, w)
-        frame = calibrated_eigenspace(pc)
-        assert len(frame) == 2
-        assert first_cousin_residual(g, w, Frame(frame.vectors)) <= 1e-9
-
-    def test_non_calibrated_plane_sees_leakage(self):
-        g = MetricTensor.identity(4)
-        w = TwoForm.standard_symplectic(4)
-        f = Frame(np.array([E4[0], (E4[1] + E4[2]) / np.sqrt(2)]))
-        assert first_cousin_residual(g, w, f) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-    def test_rejects_bad_frame(self):
-        g = MetricTensor.identity(4)
-        w = TwoForm.standard_symplectic(4)
-        with pytest.raises(ValueError, match="2-frames"):
-            first_cousin_residual(g, w, Frame(np.eye(4)[:3]))
-
-
 class TestSampledVersusExactInvariant:
     def test_sampled_below_exact_bound(self):
         rng = np.random.default_rng(11)
@@ -479,11 +455,11 @@ class TestSampledGolden:
 
 class TestAscentCap:
     def test_cap_is_flagged_and_logged(self, monkeypatch, caplog):
-        monkeypatch.setattr(comass_module, "_ASCENT_MAX_ITER", 5)
-        w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
+        # at k = n the polish is exact in one step, so the cap needs k < n
+        monkeypatch.setattr(comass_module, "_POLISH_MAX_ITER", 5)
+        g, w = normal_form(np.random.default_rng(13), 8, (1.0, 0.8, 0.5, 0.3))
         with caplog.at_level(logging.WARNING, logger="semicalib"):
-            est = comass_bruteforce(MetricTensor.identity(4), PowerForm(w, 2),
-                                    samples=500, restarts=3, seed=0)
+            est = comass_bruteforce(g, PowerForm(w, 2), samples=500, restarts=3, seed=0)
         assert est.ascent_capped
         assert est.ascent_iterations == 5
         assert [r.levelno for r in caplog.records if r.name == "semicalib"] == [logging.WARNING]
@@ -495,10 +471,37 @@ class TestAscentCap:
             est = comass_bruteforce(MetricTensor.identity(4), PowerForm(w, 2),
                                     samples=500, restarts=3, seed=0)
         assert not est.ascent_capped
-        assert 0 < est.ascent_iterations < comass_module._ASCENT_MAX_ITER
+        assert 0 < est.ascent_iterations < comass_module._POLISH_MAX_ITER
         assert not caplog.records
 
     def test_no_ascent_without_restarts(self):
         est = comass_bruteforce(MetricTensor.identity(4), TwoForm.standard_symplectic(4),
                                 samples=100, restarts=0, seed=0)
         assert est.ascent_iterations == 0 and not est.ascent_capped
+
+
+class TestNearDoublePolish:
+    """Pair values (1, 1 - sep, 0.5, 0.5 (1 - sep)) at cond(g) 1e2 and 1e4.
+
+    The maximizer is nearly degenerate, so the polish may stop at its cap;
+    the value must still come within 2 sep of the exact comass and stay
+    below it.
+    """
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4])
+    @pytest.mark.parametrize("sep", [1e-9, 1e-6, 1e-3])
+    def test_within_two_sep_of_exact(self, cond, sep):
+        g, w = near_double_form(np.random.default_rng(0), cond, sep)
+        for p in (1, 2, 3):
+            exact = comass_exact(g, PowerForm(w, p)).value
+            sampled = comass_bruteforce(g, PowerForm(w, p), samples=2_000, restarts=5, seed=0).value
+            assert exact * (1 - 2 * sep) <= sampled <= exact * (1 + 1e-9)
+
+    def test_zero_and_rank_deficient_forms_are_not_polished(self):
+        # a singular Gram matrix has no gradient to follow; the polish skips it
+        g = MetricTensor.identity(8)
+        zero = comass_bruteforce(g, PowerForm(TwoForm.zero(8), 2), samples=100, restarts=3, seed=0)
+        assert zero.value == 0.0 and zero.ascent_iterations == 0
+        w = TwoForm.from_pairs(8, {(0, 1): 1.0, (2, 3): 0.5})
+        low = comass_bruteforce(g, PowerForm(w, 3), samples=100, restarts=3, seed=0)
+        assert abs(low.value) <= 1e-14 and low.ascent_iterations == 0
