@@ -21,7 +21,6 @@ from .comass import (
 )
 from .config import DEFAULT_TOLERANCES, MAX_DIM, Tolerances
 from .construction import (
-    OddLift,
     PointConstruction,
     align_frame,
     almost_complex_structure,
@@ -48,23 +47,18 @@ from .field import (
     VerificationReport,
     build_report,
     demo_calfield,
-    finite_difference_continuity,
     parse_calfield,
     process_field,
     verify_field,
 )
 from .forms import (
-    Covector,
     Frame,
     MetricTensor,
     TwoForm,
     complement_basis,
     eval_two_form,
     g_inner,
-    g_norm,
     gram_schmidt,
-    musical_dual,
-    orthonormality_defect,
     plane_area,
 )
 from .spectral import (

@@ -216,27 +216,21 @@ def _cmd_comass(args) -> int:
 def _cmd_plane_test(args) -> int:
     grid = parse_calfield(_read(args.input))
     if not 0 <= args.point < len(grid.points):
-        print(f"error: point index {args.point} out of range", file=sys.stderr)
-        return 2
+        raise _UsageError(f"point index {args.point} out of range")
+    _check_power(args.power, grid.dim)
     k = 2 * args.power
-    if args.power < 1 or k > grid.dim:
-        print(f"error: invalid power {args.power} for dimension {grid.dim}", file=sys.stderr)
-        return 2
     if len(args.vectors) != k * grid.dim:
-        print(
-            f"error: expected {k * grid.dim} reals for a {k}-frame in dimension {grid.dim}, "
-            f"got {len(args.vectors)}",
-            file=sys.stderr,
+        raise _UsageError(
+            f"expected {k * grid.dim} reals for a {k}-frame in dimension {grid.dim}, "
+            f"got {len(args.vectors)}"
         )
-        return 2
     point = grid.points[args.point]
     frame = Frame(np.array(args.vectors).reshape(k, grid.dim))
     form = point.omega if args.power == 1 else PowerForm(point.omega, args.power)
     try:
         verdict = test_calibrated(point.g, form, frame, tol=args.tol)
     except RankDeficiencyError as exc:
-        print(f"error: degenerate frame: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"degenerate frame: {exc}") from exc
     _emit(
         dumps(
             {

@@ -200,8 +200,13 @@ def comass_exact(g: MetricTensor, form) -> ComassEstimate:
 
 
 def _orthonormal_frames(rng, G: np.ndarray, k: int, count: int):
-    """Batch of random g-orthonormal k-frames; returns (frames, valid mask)."""
+    """Batch of random g-orthonormal k-frames; returns (frames, valid mask).
+
+    A draw is invalid when a vector's residual is rounding-sized on the
+    metric's own scale.
+    """
     n = G.shape[0]
+    tiny = 1e-24 * np.abs(G).max()
     X = rng.standard_normal((count, k, n))
     F = np.empty_like(X)
     FG = np.empty_like(X)
@@ -214,7 +219,7 @@ def _orthonormal_frames(rng, G: np.ndarray, k: int, count: int):
                 v -= coeff[:, None] * F[:, i, :]
         vg = v @ G
         norm2 = np.einsum("cn,cn->c", vg, v)
-        bad = norm2 <= 1e-24
+        bad = norm2 <= tiny
         valid &= ~bad
         norm = np.sqrt(np.where(bad, 1.0, norm2))
         F[:, j, :] = v / norm[:, None]
@@ -310,8 +315,9 @@ def comass_bruteforce(
     finite = np.isfinite(top_vals)
     if not finite.any():
         # all sampled frames degenerate (cannot happen for a PD metric); fall
-        # back to coordinate vectors so the estimate stays well-defined
-        top_frames = np.eye(g.dim)[:k][None]
+        # back to g-orthonormalized coordinate vectors so the estimate stays
+        # well-defined
+        top_frames = gram_schmidt(g, Frame(np.eye(g.dim)[:k])).vectors[None]
     else:
         top_frames = top_frames[finite]
     n_restarts = top_frames.shape[0]

@@ -38,18 +38,15 @@ class PointConstruction:
     """Everything the construction produces at a single point.
 
     ``split.perp_basis`` is the complement frame the construction used;
-    ``j`` is the full almost complex structure in ambient coordinates;
-    ``omega_total`` is exactly ``omega1 + omega2`` as stored.
+    ``j`` is the full almost complex structure in ambient coordinates and
+    ``omega_total`` the induced calibration Omega.
     """
 
     split: SpaceSplit
     j: Endomorphism
     g_j: MetricTensor
-    omega1: TwoForm
-    omega2: TwoForm
     omega_total: TwoForm
     residuals: dict
-    endo: Endomorphism
     spectrum: PairedSpectrum
 
     @property
@@ -59,19 +56,6 @@ class PointConstruction:
     @property
     def epsilon(self) -> float:
         return self.split.epsilon
-
-
-@dataclass(frozen=True, eq=False)
-class OddLift:
-    """Odd-dimensional data embedded into one extra flat dimension.
-
-    The added direction is g-orthonormal to everything, the form does not see
-    it, and all lifted data is constant along it.
-    """
-
-    original_dim: int
-    lifted_g: MetricTensor
-    lifted_omega: TwoForm
 
 
 def _rotation_blocks(n: int) -> np.ndarray:
@@ -110,26 +94,29 @@ def compatible_metric(
         raise ConstructionError(f"compatible metric is not positive definite: {exc}") from exc
 
 
-def assemble_calibration(
-    p_inv: np.ndarray, d: np.ndarray, m: int
-) -> tuple[TwoForm, TwoForm, TwoForm]:
-    """Omega = -P^-T diag(d) J0 P^-1 as (V part, complement part, their sum).
+def assemble_calibration(p_inv: np.ndarray, d: np.ndarray, m: int) -> TwoForm:
+    """Omega = -P^-T diag(d) J0 P^-1, summed as its V part plus its complement part.
 
     The V part agrees with omega on the V pairs and vanishes on the
     complement; the complement part wedges the g_J-dual covectors of
-    consecutive complement frame vectors, in frame order.
+    consecutive complement frame vectors, in frame order.  The parts are
+    added as arrays: one product over all rows rounds differently, and the
+    reports' bytes depend on this rounding.
     """
 
-    def part(rows: slice) -> TwoForm:
+    def part(rows: slice) -> np.ndarray:
         rows_inv = p_inv[rows]
-        return TwoForm(-rows_inv.T @ (d[rows, None] * (_rotation_blocks(len(rows_inv)) @ rows_inv)))
+        return -rows_inv.T @ (d[rows, None] * (_rotation_blocks(len(rows_inv)) @ rows_inv))
 
-    omega1, omega2 = part(slice(0, 2 * m)), part(slice(2 * m, None))
-    return omega1, omega2, TwoForm(omega1.entries + omega2.entries)
+    return TwoForm(part(slice(0, 2 * m)) + part(slice(2 * m, None)))
 
 
-def lift_odd(g: MetricTensor, omega: TwoForm) -> OddLift:
-    """Embed odd-dimensional data into n+1 flat dimensions."""
+def lift_odd(g: MetricTensor, omega: TwoForm) -> tuple[MetricTensor, TwoForm]:
+    """Embed odd-dimensional data into n+1 flat dimensions.
+
+    The added direction is g-orthonormal to everything and the form does not
+    see it.
+    """
     n = g.dim
     if g.dim != omega.dim:
         raise ValueError("metric and two-form dimensions disagree")
@@ -139,7 +126,7 @@ def lift_odd(g: MetricTensor, omega: TwoForm) -> OddLift:
     G[:n, :n] = g.entries
     W = np.zeros((n + 1, n + 1))
     W[:n, :n] = omega.entries
-    return OddLift(original_dim=n, lifted_g=MetricTensor(G), lifted_omega=TwoForm(W))
+    return MetricTensor(G), TwoForm(W)
 
 
 def align_frame(hint: Frame, base: Frame, g: MetricTensor) -> Frame:
@@ -272,18 +259,10 @@ def construct_point(
     p, p_inv, d = paired_frame(split)
     j = almost_complex_structure(p, p_inv)
     g_j = compatible_metric(p_inv, d, tol.pd)
-    omega1, omega2, omega_total = assemble_calibration(p_inv, d, split.m)
+    omega_total = assemble_calibration(p_inv, d, split.m)
     residuals = _point_residuals(
         g, omega, endo, spectrum, split, p, p_inv, d, j, g_j, omega_total
     )
     return PointConstruction(
-        split=split,
-        j=j,
-        g_j=g_j,
-        omega1=omega1,
-        omega2=omega2,
-        omega_total=omega_total,
-        residuals=residuals,
-        endo=endo,
-        spectrum=spectrum,
+        split=split, j=j, g_j=g_j, omega_total=omega_total, residuals=residuals, spectrum=spectrum
     )

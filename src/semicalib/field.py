@@ -98,7 +98,6 @@ class PointOutcome:
     """One point's construction, or the gap diagnostics when it was excluded."""
 
     index: int
-    coords: np.ndarray
     construction: PointConstruction | None
     gap_ok: bool
     offending_eigenvalues: tuple[float, ...]
@@ -107,13 +106,12 @@ class PointOutcome:
 
 @dataclass(frozen=True, eq=False)
 class ConstructionField:
-    """Per-point constructions plus the shared epsilon and frame diagnostics."""
+    """Per-point constructions plus the shared epsilon."""
 
     epsilon: float
     dim: int
     lifted_from: int | None
     outcomes: tuple[PointOutcome, ...]
-    frame_continuity: tuple[dict, ...]  # {"edge": (i, j), "value": float}
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +227,7 @@ def _lift_grid_point(point: FieldPoint) -> tuple[MetricTensor, TwoForm]:
     """The point's (g, omega), lifted to the next even dimension when odd."""
     if point.g.dim % 2 == 0:
         return point.g, point.omega
-    lifted = lift_odd(point.g, point.omega)
-    return lifted.lifted_g, lifted.lifted_omega
+    return lift_odd(point.g, point.omega)
 
 
 def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> ConstructionField:
@@ -274,7 +271,6 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
             outcomes.append(
                 PointOutcome(
                     index=point.index,
-                    coords=point.coords,
                     construction=None,
                     gap_ok=False,
                     offending_eigenvalues=exc.offenders,
@@ -285,7 +281,6 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
         outcomes.append(
             PointOutcome(
                 index=point.index,
-                coords=point.coords,
                 construction=pc,
                 gap_ok=True,
                 offending_eigenvalues=(),
@@ -295,46 +290,9 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
         if len(pc.split.perp_basis):
             hint = pc.split.perp_basis
 
-    continuity: list[dict] = []
-    included = [o for o in outcomes if o.construction is not None]
-    for prev, nxt in zip(included, included[1:]):
-        tp, tn = prev.construction.split.perp_basis, nxt.construction.split.perp_basis
-        if len(tp) != len(tn):
-            continue
-        value = float(np.linalg.norm(tn.vectors - tp.vectors)) if len(tp) else 0.0
-        continuity.append({"edge": (prev.index, nxt.index), "value": value})
-
     return ConstructionField(
-        epsilon=float(epsilon),
-        dim=dim,
-        lifted_from=lifted_from,
-        outcomes=tuple(outcomes),
-        frame_continuity=tuple(continuity),
+        epsilon=float(epsilon), dim=dim, lifted_from=lifted_from, outcomes=tuple(outcomes)
     )
-
-
-def finite_difference_continuity(cf: ConstructionField) -> list[dict]:
-    """Discrete continuity of J, g_J and the calibration along the traversal.
-
-    For consecutive included points returns the Frobenius norm of the field
-    difference divided by (1 + coordinate distance); large jumps flag frame
-    flips.
-    """
-    included = [o for o in cf.outcomes if o.construction is not None]
-    edges: list[dict] = []
-    for prev, nxt in zip(included, included[1:]):
-        denom = 1.0 + float(np.linalg.norm(nxt.coords - prev.coords))
-        pa, pb = prev.construction, nxt.construction
-        edges.append(
-            {
-                "edge": (prev.index, nxt.index),
-                "j": float(np.linalg.norm(pb.j.matrix - pa.j.matrix)) / denom,
-                "g_j": float(np.linalg.norm(pb.g_j.entries - pa.g_j.entries)) / denom,
-                "omega": float(np.linalg.norm(pb.omega_total.entries - pa.omega_total.entries))
-                / denom,
-            }
-        )
-    return edges
 
 
 def _point_entry(outcome: PointOutcome) -> dict:

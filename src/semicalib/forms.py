@@ -1,6 +1,6 @@
 """Dimension-generic dense multilinear algebra.
 
-Metrics, antisymmetric 2-forms, frames and covectors are stored as full
+Metrics, antisymmetric 2-forms and frames are stored as full
 ``numpy`` matrices with a canonical-storage rule: a metric mirrors its upper
 triangle, a 2-form keeps the strict upper triangle and derives the lower one.
 Symmetry and antisymmetry therefore hold exactly as stored, not approximately.
@@ -172,31 +172,6 @@ class Frame:
         return cls(np.zeros((0, dim)))
 
 
-@dataclass(frozen=True, eq=False)
-class Covector:
-    """Components of a linear functional: <alpha, v> = alpha . v."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        comp = np.array(self.components, dtype=float)
-        if comp.ndim != 1:
-            raise ValueError("covector components must be a 1-d array")
-        if not np.isfinite(comp).all():
-            raise ValueError("covector contains non-finite entries")
-        object.__setattr__(self, "components", _freeze(comp))
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
-
-    def __call__(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        if v.shape != self.components.shape:
-            raise ValueError("dimension mismatch in covector pairing")
-        return float(self.components @ v)
-
-
 def _check_vector(v, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (dim,):
@@ -209,11 +184,6 @@ def g_inner(g: MetricTensor, v, w) -> float:
     v = _check_vector(v, g.dim)
     w = _check_vector(w, g.dim)
     return float(v @ g.entries @ w)
-
-
-def g_norm(g: MetricTensor, v) -> float:
-    """Metric norm sqrt(g(v, v))."""
-    return float(np.sqrt(max(g_inner(g, v, v), 0.0)))
 
 
 def eval_two_form(omega: TwoForm, v, w) -> float:
@@ -274,20 +244,6 @@ def gram_schmidt(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> 
     if not rows:
         return Frame.empty(frame.dim)
     return Frame(np.array(rows))
-
-
-def musical_dual(g: MetricTensor, v) -> Covector:
-    """Metric duality: the covector g(v, .)."""
-    v = _check_vector(v, g.dim)
-    return Covector(g.entries @ v)
-
-
-def orthonormality_defect(g: MetricTensor, frame: Frame) -> float:
-    """Largest entrywise deviation of the frame's g-Gram matrix from the identity."""
-    if len(frame) == 0:
-        return 0.0
-    gram = frame.vectors @ g.entries @ frame.vectors.T
-    return float(np.abs(gram - np.eye(len(frame))).max())
 
 
 def complement_basis(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:

@@ -25,19 +25,26 @@ def _convert(obj):
     return obj
 
 
+def _scalar(x) -> str:
+    """JSON text of a converted scalar: a float, bool, int or None."""
+    if type(x) is float:
+        if not math.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite float {x!r}")
+        return format(x, ".17g")
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    return _scalar(float(x))
+
+
 def _write(obj, indent: int, out: list[str]) -> None:
     obj = _convert(obj)
     pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite float {obj!r}")
-        out.append(format(obj, ".17g"))
+    if obj is None or isinstance(obj, (int, float)):
+        out.append(_scalar(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -58,13 +65,8 @@ def _write(obj, indent: int, out: list[str]) -> None:
         if not items:
             out.append("[]")
             return
-        if all(isinstance(x, (int, float, bool)) or x is None for x in items):
-            parts: list[str] = []
-            for x in items:
-                sub: list[str] = []
-                _write(x, 0, sub)
-                parts.append("".join(sub))
-            out.append("[" + ", ".join(parts) + "]")
+        if all(x is None or isinstance(x, (int, float)) for x in items):
+            out.append("[" + ", ".join(map(_scalar, items)) + "]")
             return
         out.append("[\n")
         for i, item in enumerate(items):

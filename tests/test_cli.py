@@ -224,6 +224,21 @@ class TestPlaneTest:
         main(["demo", "--name", "standard", "-o", demo])
         assert main(["plane-test", demo, "--vectors", "1", "0"]) == 2
 
+    def test_point_index_out_of_range(self, tmp_path, capsys):
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        vectors = ["1", "0", "0", "0", "0", "1", "0", "0"]
+        assert main(["plane-test", demo, "--point", "3", "--vectors", *vectors]) == 2
+        assert capsys.readouterr().err == "error: point index 3 out of range\n"
+
+    @pytest.mark.parametrize("power", ["0", "3"])
+    def test_invalid_power_is_2(self, power, tmp_path, capsys):
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        vectors = ["1", "0", "0", "0", "0", "1", "0", "0"]
+        assert main(["plane-test", demo, "--power", power, "--vectors", *vectors]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_degenerate_frame(self, tmp_path, capsys):
         demo = str(tmp_path / "d.calfield")
         main(["demo", "--name", "standard", "-o", demo])

@@ -399,7 +399,7 @@ class TestCalibratedEigenspace:
             # A-invariant planes (v, Av) inside the eigenspace are calibrated
             coeff = rng.standard_normal(len(frame))
             v = coeff @ frame.vectors
-            av = pc.endo.matrix @ v
+            av = associated_endomorphism(g, w).matrix @ v
             verdict = check_calibrated(g, w, Frame(np.array([v, av])))
             assert verdict.calibrated
 
@@ -451,6 +451,39 @@ class TestSampledGolden:
         exact = float(np.prod(mu[:p]))
         # same value, or a better lower bound that still respects the exact one
         assert abs(est.value - recorded) <= 1e-12 or recorded < est.value <= exact * (1 + 1e-9)
+
+
+class TestMetricScale:
+    """The sampled oracle judges degenerate draws on the metric's own scale."""
+
+    @staticmethod
+    def scaled(scale):
+        g, w = normal_form(np.random.default_rng(17), 8, (1.0, 0.5, 0.3))
+        return MetricTensor(scale * g.entries), TwoForm(scale * w.entries)
+
+    @pytest.mark.parametrize("scale", [1e-26, 1.0, 1e26])
+    def test_sampled_reaches_exact(self, scale):
+        g, w = self.scaled(scale)
+        pc = construct_point(g, w)
+        for metric, form in ((g, w), (pc.g_j, pc.omega_total)):
+            exact = comass_exact(metric, form).value
+            sampled = comass_bruteforce(metric, form, samples=20_000, restarts=10, seed=0)
+            assert exact * (1 - 1e-6) <= sampled.value <= exact * (1 + 1e-9)
+
+    def test_fallback_frame_is_orthonormal(self, monkeypatch):
+        # with every draw rejected the polish starts from the g-orthonormalized
+        # coordinate frame, which it can still ascend from
+        draw = comass_module._orthonormal_frames
+
+        def rejected(rng, G, k, count):
+            frames, _ = draw(rng, G, k, count)
+            return frames, np.zeros(count, dtype=bool)
+
+        monkeypatch.setattr(comass_module, "_orthonormal_frames", rejected)
+        g, w = self.scaled(1e-26)
+        exact = comass_exact(g, w).value
+        sampled = comass_bruteforce(g, w, samples=100, restarts=1, seed=0)
+        assert exact * (1 - 1e-6) <= sampled.value <= exact * (1 + 1e-9)
 
 
 class TestAscentCap:

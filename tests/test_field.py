@@ -11,7 +11,6 @@ from semicalib import (
     TwoForm,
     build_report,
     demo_calfield,
-    finite_difference_continuity,
     parse_calfield,
     process_field,
     verify_field,
@@ -29,6 +28,20 @@ W 1 0 0 0 0 1
 """
 
 FAST = FieldConfig(samples=2_000, restarts=3)
+
+
+def jumps(cf, matrix):
+    """Frobenius norms of the change of ``matrix(construction)`` between consecutive included points."""
+    built = [o.construction for o in cf.outcomes if o.construction is not None]
+    return [float(np.linalg.norm(matrix(b) - matrix(a))) for a, b in zip(built, built[1:])]
+
+
+def frames(pc):
+    return pc.split.perp_basis.vectors
+
+
+def omegas(pc):
+    return pc.omega_total.entries
 
 
 class TestParser:
@@ -94,8 +107,7 @@ class TestProcessField:
         cf = process_field(grid)
         assert cf.epsilon == pytest.approx(1.0, abs=1e-12)
         assert all(o.gap_ok for o in cf.outcomes)
-        smalls = [e["value"] for e in cf.frame_continuity]
-        assert all(v == 0.0 for v in smalls)
+        assert all(v == 0.0 for v in jumps(cf, frames))
         first = cf.outcomes[0].construction
         for o in cf.outcomes[1:]:
             np.testing.assert_array_equal(o.construction.j.matrix, first.j.matrix)
@@ -163,18 +175,18 @@ class TestFramePropagation:
         grid = parse_calfield(rotating_plane_field_text(thetas))
         cf_on = process_field(grid, FieldConfig(use_hints=True))
         cf_off = process_field(grid, FieldConfig(use_hints=False))
-        on_max = max(e["value"] for e in cf_on.frame_continuity)
-        off_max = max(e["value"] for e in cf_off.frame_continuity)
+        on_max = max(jumps(cf_on, frames))
+        off_max = max(jumps(cf_off, frames))
         assert on_max < 0.3
         assert off_max > 1.0  # sign-fixed spectral frames flip along the path
 
     def test_flip_visible_in_field_differences(self):
         thetas = np.linspace(0.0, np.pi / 2, 9)
         grid = parse_calfield(rotating_plane_field_text(thetas))
-        fd_on = finite_difference_continuity(process_field(grid, FieldConfig(use_hints=True)))
-        fd_off = finite_difference_continuity(process_field(grid, FieldConfig(use_hints=False)))
-        assert max(e["omega"] for e in fd_on) < 0.3
-        assert max(e["omega"] for e in fd_off) > 1.0
+        on = jumps(process_field(grid, FieldConfig(use_hints=True)), omegas)
+        off = jumps(process_field(grid, FieldConfig(use_hints=False)), omegas)
+        assert max(on) < 0.6
+        assert max(off) > 2.0
 
     def test_hints_do_not_change_invariants(self):
         thetas = np.linspace(0.0, np.pi / 2, 5)
@@ -193,19 +205,19 @@ class TestFramePropagation:
 class TestFiniteDifferenceContinuity:
     def test_constant_field_zero(self):
         grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 1", 3))
-        edges = finite_difference_continuity(process_field(grid))
-        assert all(e["j"] == 0.0 and e["g_j"] == 0.0 and e["omega"] == 0.0 for e in edges)
+        cf = process_field(grid)
+        for matrix in (lambda pc: pc.j.matrix, lambda pc: pc.g_j.entries, omegas):
+            assert jumps(cf, matrix) == [0.0, 0.0]
 
     def test_ramp_steps(self):
         svals = np.linspace(0.6, 1.0, 5)
         grid = parse_calfield(ramp_field_text(svals))
-        edges = finite_difference_continuity(process_field(grid))
-        # g_J = diag(1, 1, s, s): step 0.1 on two entries, coordinates 1 apart
-        expected = np.sqrt(2) * 0.1 / 2
-        for e in edges:
-            assert e["j"] <= 1e-12
-            assert e["g_j"] == pytest.approx(expected, abs=1e-10)
-            assert e["omega"] == pytest.approx(expected, abs=1e-10)
+        cf = process_field(grid)
+        # g_J = diag(1, 1, s, s) and Omega = dx1^dx2 + s dx3^dx4: step 0.1 on two entries
+        expected = np.sqrt(2) * 0.1
+        assert max(jumps(cf, lambda pc: pc.j.matrix)) <= 1e-12
+        assert jumps(cf, lambda pc: pc.g_j.entries) == pytest.approx([expected] * 4, abs=1e-10)
+        assert jumps(cf, omegas) == pytest.approx([expected] * 4, abs=1e-10)
 
 
 class TestVerifyField:

@@ -29,6 +29,25 @@ class TestDumps:
         with pytest.raises(ValueError, match="non-finite"):
             dumps({"x": float("nan")})
 
+    def test_rejects_non_finite_in_list(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps([1.0, float("nan")])
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"m": np.array([[0.0, np.inf]])})
+
+    def test_mixed_scalar_list_exact(self):
+        items = [1, 2.5, True, None, np.float64(0.1), np.int64(-7), np.bool_(False)]
+        out = dumps({"v": items, "m": np.array([[1.0, 1 / 3], [-0.0, 2e-300]])})
+        assert out == (
+            "{\n"
+            '  "m": [\n'
+            "    [1, 0.33333333333333331],\n"
+            "    [-0, 2.0000000000000001e-300]\n"
+            "  ],\n"
+            '  "v": [1, 2.5, true, null, 0.10000000000000001, -7, false]\n'
+            "}\n"
+        )
+
     def test_byte_identical(self):
         payload = {"m": np.linspace(0, 1, 7), "k": {"z": 1.25, "a": [True, None]}}
         assert dumps(payload) == dumps(payload)
