@@ -3,9 +3,11 @@
     python bench/comass_stages.py --label change [--src DIR] [-o BENCH_comass.json]
 
 Times ``comass_bruteforce`` at n = 8 for p = 1, 2 and 3 with FieldConfig's
-default samples and restarts, split into frame sampling, sample ranking and
-ascent (the Stiefel polish ``_polish``, or the random ascent ``_ascend`` of
-older trees; the rest, mostly the final Gram-Schmidt pass, is ``other``), and
+default samples and restarts, split into frame sampling
+(``_orthonormal_frames``), sample ranking (``_abs_values``, or
+``_frame_values`` of older trees) and ascent (the Stiefel polish
+``_polish``, or the random ascent ``_ascend`` of older trees; the rest, mostly
+the chunk merge and the final Gram-Schmidt pass, is ``other``), and
 ``semicalib verify --power 2 --power 3`` on a one-point n = 8 field.  Stages
 are timed by wrapping the oracle's private stage functions, so the numbers
 are only as stable as those names.  ``--src`` chooses the source tree to

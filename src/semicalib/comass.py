@@ -5,9 +5,10 @@ product mu_1 ... mu_p of the p largest pair values mu_i = sqrt(lambda_i) of
 -A^2 (Wirtinger's inequality for p = 1; Harvey & Lawson, Acta Math. 148,
 1982).  The value of (1/p!) omega^p on a frame equals the Pfaffian of the
 frame's omega-Gram matrix, and the sampled oracle, an independent
-cross-check, maximizes it directly: it ranks random metric-orthonormal
-frames by |Pf| = sqrt(det) of the Gram matrix (batched LU), then polishes
-the best ones by a deterministic gradient ascent on the Stiefel manifold.
+cross-check, maximizes it directly: it draws random metric-orthonormal
+frames in cache-sized chunks, vector-major, ranks them by the |Pf| of their
+Gram matrices, then polishes the best ones by a deterministic gradient
+ascent on the Stiefel manifold.
 The reported value is the signed Pfaffian of the best frame after it has
 been re-orthonormalized, so the sampled estimate stays a lower bound of the
 true comass by construction.
@@ -25,7 +26,9 @@ from .construction import PointConstruction
 from .forms import Frame, MetricTensor, TwoForm, gram_schmidt
 from .spectral import associated_endomorphism, paired_spectrum
 
-_CHUNK = 25_000
+# Frames per sampling chunk: each (chunk, n) temporary stays cache-sized.  The
+# sampled values do not depend on it.
+_CHUNK = 2048
 _POLISH_SHIFT = 0.5
 _POLISH_TOL = 1e-10
 _POLISH_SINGULAR = 1e-12
@@ -37,6 +40,13 @@ _log = logging.getLogger("semicalib")
 _EVERY_BLOCK = replace(DEFAULT_TOLERANCES, zero=0.0)
 
 
+def _check_power(p: int, dim: int) -> None:
+    if p < 1:
+        raise ValueError("power must be a positive integer")
+    if 2 * p > dim:
+        raise ValueError(f"degree {2 * p} exceeds the ambient dimension {dim}")
+
+
 @dataclass(frozen=True, eq=False)
 class PowerForm:
     """The normalized power (1/p!) omega^p, a form of degree 2p."""
@@ -45,12 +55,7 @@ class PowerForm:
     p: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("power must be a positive integer")
-        if 2 * self.p > self.base.dim:
-            raise ValueError(
-                f"degree {2 * self.p} exceeds the ambient dimension {self.base.dim}"
-            )
+        _check_power(self.p, self.base.dim)
 
     @property
     def dim(self) -> int:
@@ -192,50 +197,77 @@ def comass_exact(g: MetricTensor, form) -> ComassEstimate:
     form of rank below 2p has comass 0 and an empty maximizer.
     """
     omega, p = _form_data(form)
+    value, rows = _exact_powers(g, omega, (p,))[p]
+    return ComassEstimate(value, Frame(rows), 0, 0, "exact")
+
+
+def _exact_powers(g: MetricTensor, omega: TwoForm, powers) -> dict[int, tuple[float, np.ndarray]]:
+    """(comass, maximizer rows) of (1/p!) omega^p for every p in ``powers``, from one spectrum.
+
+    Rows are empty when the form's rank is below 2p, and the comass is 0.
+    """
+    for p in powers:
+        _check_power(p, omega.dim)
     spectrum = paired_spectrum(associated_endomorphism(g, omega), g, _EVERY_BLOCK)
-    if spectrum.npairs < p:
-        return ComassEstimate(0.0, Frame.empty(g.dim), 0, 0, "exact")
-    value = float(np.prod(np.sqrt(spectrum.eigenvalues[:p])))
-    return ComassEstimate(value, Frame(spectrum.pair_vectors[:p].reshape(-1, g.dim)), 0, 0, "exact")
+    out = {}
+    for p in powers:
+        if spectrum.npairs < p:
+            out[p] = (0.0, np.zeros((0, g.dim)))
+        else:
+            value = float(np.prod(np.sqrt(spectrum.eigenvalues[:p])))
+            out[p] = (value, spectrum.pair_vectors[:p].reshape(-1, g.dim))
+    return out
 
 
 def _orthonormal_frames(rng, G: np.ndarray, k: int, count: int):
     """Batch of random g-orthonormal k-frames; returns (frames, valid mask).
 
-    A draw is invalid when a vector's residual is rounding-sized on the
-    metric's own scale.
+    The frames are vector-major, shape (k, count, n): ``frames[j]`` holds the
+    j-th vector of every frame as one contiguous block.  The normals are
+    drawn frame-major, so the stream, and each frame, is the same for any
+    layout or chunk size.  A draw is invalid when a vector's residual is
+    rounding-sized on the metric's own scale.
     """
     n = G.shape[0]
     tiny = 1e-24 * np.abs(G).max()
     X = rng.standard_normal((count, k, n))
-    F = np.empty_like(X)
-    FG = np.empty_like(X)
+    F = np.empty((k, count, n))
+    FG = np.empty((k, count, n))
     valid = np.ones(count, dtype=bool)
     for j in range(k):
-        v = X[:, j, :].copy()
+        v = X[:, j, :]  # a view: the draws are not read again, so reduce them in place
         for _ in range(2):
             for i in range(j):
-                coeff = np.einsum("cn,cn->c", FG[:, i, :], v)
-                v -= coeff[:, None] * F[:, i, :]
+                coeff = np.einsum("cn,cn->c", FG[i], v)
+                v -= coeff[:, None] * F[i]
         vg = v @ G
         norm2 = np.einsum("cn,cn->c", vg, v)
         bad = norm2 <= tiny
         valid &= ~bad
-        norm = np.sqrt(np.where(bad, 1.0, norm2))
-        F[:, j, :] = v / norm[:, None]
-        FG[:, j, :] = vg / norm[:, None]
+        norm = np.sqrt(np.where(bad, 1.0, norm2))[:, None]
+        np.divide(v, norm, out=F[j])
+        np.divide(vg, norm, out=FG[j])
     return F, valid
 
 
 def _abs_values(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """|form value| on a batch of frames: |Pf(gram)| = sqrt(det(gram)).
+    """|form value| on a batch of vector-major frames (k, count, n): |Pf(gram)|.
 
-    The sign is lost, so this serves the search only (ranking samples and
-    finding singular frames for the polish); final values are signed
-    Pfaffians.
+    One GEMM per frame vector gives f_a W, and one row dot product per
+    entry the strict upper triangle of gram = [omega(f_a, f_b)]; its
+    Pfaffian is the value the final estimate reports.  The sign is lost, so
+    this serves the search only (ranking samples and finding singular frames
+    for the polish).
     """
-    gram = frames @ w @ np.swapaxes(frames, -1, -2)
-    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+    k, count = frames.shape[:2]
+    fw = frames @ w
+    # (k, k, count) storage: each entry is a contiguous vector for the expansion
+    gram = np.zeros((k, k, count))
+    for a in range(k):
+        for b in range(a + 1, k):
+            gram[a, b] = np.einsum("cn,cn->c", fw[a], frames[b])
+            gram[b, a] = -gram[a, b]
+    return np.abs(_pf_batch(gram.transpose(2, 0, 1)))
 
 
 def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray):
@@ -256,7 +288,7 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray):
     w_w = L_inv @ w @ L_inv.T
     Y = frames @ L
     k = frames.shape[1]
-    vals = _abs_values(w_w, Y)
+    vals = _abs_values(w_w, Y.transpose(1, 0, 2))
     act = np.flatnonzero(vals > _POLISH_SINGULAR * np.abs(w_w).max() ** (k // 2))
     iterations = 0
     while act.size and iterations < _POLISH_MAX_ITER:
@@ -305,7 +337,7 @@ def comass_bruteforce(
         vals = np.where(valid, _abs_values(w, frames), -np.inf)
         keep = min(max(restarts, 1), count)
         part = np.argpartition(-vals, keep - 1)[:keep]
-        top_frames = np.concatenate([top_frames, frames[part]])
+        top_frames = np.concatenate([top_frames, frames[:, part].transpose(1, 0, 2)])
         top_vals = np.concatenate([top_vals, vals[part]])
         if top_vals.size > max(restarts, 1):
             order = np.argsort(-top_vals, kind="stable")[: max(restarts, 1)]

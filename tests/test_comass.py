@@ -318,6 +318,35 @@ class TestComassBruteforce:
         assert est.value == pytest.approx(float(np.prod(mu)), rel=1e-9)
 
 
+class TestSamplingAndRanking:
+    """The frame sampler's chunking and the |Pf| ranking of the sampled oracle."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("chunk", [1000, 4096, 25_000])
+    def test_chunk_size_does_not_change_the_estimate(self, monkeypatch, chunk, p):
+        rng = np.random.default_rng(29)
+        g, w = random_pd_metric(rng, 8), PowerForm(random_two_form(rng, 8), p)
+        reference = comass_bruteforce(g, w, samples=20_000, restarts=10, seed=4)
+        monkeypatch.setattr(comass_module, "_CHUNK", chunk)
+        est = comass_bruteforce(g, w, samples=20_000, restarts=10, seed=4)
+        assert est.value == reference.value
+        np.testing.assert_array_equal(est.maximizer.vectors, reference.maximizer.vectors)
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
+    def test_abs_values_is_sqrt_det_of_the_gram_matrix(self, k):
+        # k = 10 takes the Parlett-Reid branch of the Pfaffian
+        rng = np.random.default_rng(k)
+        g, w = random_pd_metric(rng, 12), random_two_form(rng, 12)
+        frames, valid = comass_module._orthonormal_frames(rng, g.entries, k, 500)
+        assert valid.all()
+        rows = frames.transpose(1, 0, 2)  # frame-major view (count, k, n)
+        assert np.abs(rows @ g.entries @ rows.transpose(0, 2, 1) - np.eye(k)).max() <= 1e-12
+        gram = rows @ w.entries @ rows.transpose(0, 2, 1)
+        reference = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+        values = comass_module._abs_values(w.entries, frames)
+        assert np.abs(values - reference).max() <= 1e-12 * reference.max()
+
+
 class TestTestCalibrated:
     def test_calibrated_plane(self):
         g = MetricTensor.identity(4)

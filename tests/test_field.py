@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import semicalib.comass
+import semicalib.construction
 import semicalib.field
 from semicalib import (
     EpsilonInferenceError,
@@ -136,6 +138,31 @@ class TestProcessField:
         grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "0 0 0 0 0 0", 2))
         with pytest.raises(EpsilonInferenceError, match="cannot infer epsilon"):
             process_field(grid)
+
+    def test_one_spectrum_per_point(self, monkeypatch):
+        calls = []
+        for module in (semicalib.field, semicalib.construction):
+            spectrum = module.paired_spectrum
+            monkeypatch.setattr(module, "paired_spectrum",
+                                lambda *a, _f=spectrum, **k: calls.append(1) or _f(*a, **k))
+        process_field(parse_calfield(ramp_field_text(np.linspace(0.6, 1.0, 5))))
+        assert len(calls) == 5  # the base point's epsilon comes from its own construction
+
+    def test_base_gap_violation_keeps_inferred_epsilon(self):
+        # base pair values (1, 3e-8, 0.9e-8) in lambda: the last pair is kernel
+        # (<= 1e-8) but lies in the band (eps/4, eps/2) of eps = 3e-8
+        upper = np.triu_indices(6, 1)
+        g_text = " ".join(str(x) for x in np.eye(6)[np.triu_indices(6)])
+        lines = ["CALFIELD 1", "DIM 6", "POINTS 2"]
+        for k, lams in enumerate([(1.0, 3e-8, 0.9e-8), (1.0, 0.5, 0.3)]):
+            w = np.zeros((6, 6))
+            w[0, 1], w[2, 3], w[4, 5] = np.sqrt(lams)
+            lines += [f"P {k}", "X " + " ".join(["0"] * 6), "G " + g_text,
+                      "W " + " ".join(repr(float(x)) for x in w[upper])]
+        cf = process_field(parse_calfield("\n".join(lines) + "\n"))
+        assert not cf.outcomes[0].gap_ok
+        assert cf.epsilon == pytest.approx(3e-8, rel=1e-6)
+        assert cf.outcomes[1].gap_ok and cf.outcomes[1].construction.epsilon == cf.epsilon
 
     def test_fixed_epsilon_accepted(self):
         grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "0 0 0 0 0 0", 2))
@@ -274,6 +301,10 @@ class TestVerifyField:
             return sampled(*args, **kwargs)
 
         monkeypatch.setattr(semicalib.field, "comass_bruteforce", counting)
+        spectra = []
+        spectrum = semicalib.comass.paired_spectrum
+        monkeypatch.setattr(semicalib.comass, "paired_spectrum",
+                            lambda *a, **k: spectra.append(1) or spectrum(*a, **k))
         iu = np.triu_indices(8, 1)
         w = np.zeros((8, 8))
         w[0, 1], w[2, 3], w[4, 5] = 1.0, 0.7, 0.4
@@ -284,6 +315,7 @@ class TestVerifyField:
         assert report.passed
         assert len(calls) == 3
         assert all(isinstance(form, TwoForm) for form in calls)  # on Omega, not a power
+        assert len(spectra) == 2 * 3  # one per form, (g, omega) and (g_J, Omega), for all powers
         checks = report.data["points"][0]["checks"]
         assert checks["power_3_comass_bound"]["value"] == pytest.approx(0.28, rel=1e-12)
 
