@@ -64,7 +64,6 @@ from .forms import (
 from .spectral import (
     Endomorphism,
     PairedSpectrum,
-    SpaceSplit,
     associated_endomorphism,
     infer_epsilon,
     paired_spectrum,

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
 
+from . import comass
 from . import field as field_mod
 from .comass import PowerForm, comass_bruteforce, comass_exact, test_calibrated
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -60,8 +62,8 @@ def _epsilon_arg(text: str):
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"epsilon must be 'auto' or a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("epsilon must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("epsilon must be finite and positive")
     return value
 
 
@@ -77,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="CALFIELD input file")
         p.add_argument("-o", "--output", help="write the report here instead of stdout")
         p.add_argument("--epsilon", type=_epsilon_arg, default=None,
-                       help="gap parameter: 'auto' (default, from the base point) or a positive number")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+                       help="gap parameter: 'auto' (default, from the base point) or a finite positive number")
+        p.add_argument("--seed", type=int, default=0, help="non-negative PRNG seed (default 0)")
         p.add_argument("--no-hints", action="store_true",
                        help="disable frame propagation between points")
         p.add_argument("--tol", type=_tol_arg, action="append", default=[],
@@ -150,10 +152,10 @@ class _UsageError(Exception):
 
 
 def _check_power(power: int, dim: int) -> None:
-    if power < 1:
-        raise _UsageError("--power must be >= 1")
-    if 2 * power > dim:
-        raise _UsageError(f"degree {2 * power} exceeds dimension {dim}")
+    try:
+        comass._check_power(power, dim)
+    except ValueError as exc:
+        raise _UsageError(f"--power {power}: {exc}") from exc
 
 
 def _process(grid, config: FieldConfig):
@@ -265,6 +267,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) < 1 or getattr(args, "restarts", 0) < 0:
         parser.error("--samples must be >= 1 and --restarts >= 0")
+    if getattr(args, "seed", 0) < 0:
+        parser.error("--seed must be >= 0")
     try:
         return _DISPATCH[args.command](args)
     except (ParseError, OSError, _UsageError) as exc:

@@ -215,7 +215,7 @@ def _exact_powers(g: MetricTensor, omega: TwoForm, powers) -> dict[int, tuple[fl
             out[p] = (0.0, np.zeros((0, g.dim)))
         else:
             value = float(np.prod(np.sqrt(spectrum.eigenvalues[:p])))
-            out[p] = (value, spectrum.pair_vectors[:p].reshape(-1, g.dim))
+            out[p] = (value, spectrum.basis[: 2 * p])
     return out
 
 
@@ -416,10 +416,6 @@ def calibrated_eigenspace(pc: PointConstruction, tol: float = CALIBRATED_TOL) ->
     calibrated by the input form; the frame is empty when no eigenvalue
     reaches 1 (then no plane is calibrated).
     """
-    rows = []
-    for lam, pair in zip(pc.spectrum.eigenvalues, pc.spectrum.pair_vectors):
-        if abs(float(lam) - 1.0) <= tol:
-            rows.extend([pair[0], pair[1]])
-    if not rows:
-        return Frame.empty(pc.dim)
-    return Frame(np.array(rows))
+    spectrum = pc.spectrum
+    calibrated = np.abs(spectrum.eigenvalues - 1.0) <= tol
+    return Frame(spectrum.basis[: 2 * spectrum.npairs][np.repeat(calibrated, 2)])

@@ -13,17 +13,16 @@ g_J(v, w) = Omega(v, J w), J^2 = -Id, and every plane calibrated by omega in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES, Tolerances
 from .errors import ConstructionError, NotPositiveDefiniteError
-from .forms import Frame, MetricTensor, TwoForm, gram_schmidt, plane_area
+from .forms import Frame, MetricTensor, TwoForm, _freeze, gram_schmidt, plane_area
 from .spectral import (
     Endomorphism,
     PairedSpectrum,
-    SpaceSplit,
     associated_endomorphism,
     infer_epsilon,
     paired_spectrum,
@@ -37,12 +36,15 @@ _TINY = 1e-300
 class PointConstruction:
     """Everything the construction produces at a single point.
 
-    ``split.perp_basis`` is the complement frame the construction used;
-    ``j`` is the full almost complex structure in ambient coordinates and
-    ``omega_total`` the induced calibration Omega.
+    ``frame`` is the paired frame as rows: the ``m`` V pairs of ``spectrum``
+    (rows ``:2m``), then the complement frame the construction used (rows
+    ``2m:``).  ``j`` is the full almost complex structure in ambient
+    coordinates and ``omega_total`` the induced calibration Omega.
     """
 
-    split: SpaceSplit
+    frame: np.ndarray
+    m: int
+    epsilon: float
     j: Endomorphism
     g_j: MetricTensor
     omega_total: TwoForm
@@ -53,10 +55,6 @@ class PointConstruction:
     def dim(self) -> int:
         return self.j.dim
 
-    @property
-    def epsilon(self) -> float:
-        return self.split.epsilon
-
 
 def _rotation_blocks(n: int) -> np.ndarray:
     """J0: 2x2 rotation blocks, e_2i -> e_2i+1 and e_2i+1 -> -e_2i."""
@@ -66,16 +64,20 @@ def _rotation_blocks(n: int) -> np.ndarray:
     return j0
 
 
-def paired_frame(split: SpaceSplit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P, P^-1, d) for the paired frame of a split.
+def paired_frame(
+    frame: np.ndarray, v_eigenvalues: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, P^-1, d) for a paired frame given as rows.
 
-    The columns of P are the V pairs followed by the complement frame; d holds
+    The rows of ``frame``, the columns of P, are the V pairs with eigenvalues
+    ``v_eigenvalues`` (one per pair) followed by the complement frame; d holds
     sqrt(lambda_i) twice for each V pair, then 1 on the complement.  P^-1 is
     an exact inverse, not P^T G: the pair basis is g-orthonormal only up to
     the spectral solver's error, which grows with the conditioning of g.
     """
-    p = np.vstack([split.v_basis.vectors, split.perp_basis.vectors]).T
-    d = np.concatenate([np.repeat(np.sqrt(split.v_eigenvalues), 2), np.ones(len(split.perp_basis))])
+    p = frame.T
+    nv = 2 * len(v_eigenvalues)
+    d = np.concatenate([np.repeat(np.sqrt(v_eigenvalues), 2), np.ones(len(frame) - nv)])
     return p, np.linalg.inv(p), d
 
 
@@ -162,7 +164,7 @@ def _point_residuals(
     omega: TwoForm,
     endo: Endomorphism,
     spectrum: PairedSpectrum,
-    split: SpaceSplit,
+    m: int,
     p: np.ndarray,
     p_inv: np.ndarray,
     d: np.ndarray,
@@ -183,32 +185,32 @@ def _point_residuals(
     res["definition"] = float(np.abs(A.T @ G - W).max()) / w_scale
     res["skew_adjoint"] = float(np.abs(A.T @ G + G @ A).max()) / w_scale
     # The closed form assumes A acts on each V pair as sqrt(lambda_i) J0.
-    nv = 2 * split.m
+    nv = 2 * m
     av = p_inv[:nv] @ A @ p[:, :nv]
     res["pairing"] = float(np.abs(av - d[:nv, None] * _rotation_blocks(nv)).max(initial=0.0))
 
-    basis = spectrum.basis()
+    basis = spectrum.basis
     res["basis_orthonormality"] = float(np.abs(basis @ G @ basis.T - np.eye(n)).max())
 
     M = -(A @ A)
     m_scale = max(float(np.abs(M).max()), _TINY)
+    npv = 2 * spectrum.npairs
     eig_res = 0.0
-    for lam, pair in zip(spectrum.eigenvalues, spectrum.pair_vectors):
-        for v in pair:
-            eig_res = max(eig_res, float(np.abs(M @ v - lam * v).max()))
+    for lam, v in zip(spectrum.values[:npv], basis[:npv]):
+        eig_res = max(eig_res, float(np.abs(M @ v - lam * v).max()))
     res["eigen_residual"] = eig_res / m_scale
 
     res["calibration_unit_comass"] = _unit_comass_defect(g_j, omega_total)
 
     preserve = 0.0
-    for lam, (v, w) in zip(spectrum.eigenvalues, spectrum.pair_vectors):
+    for lam, v, w in zip(spectrum.eigenvalues, basis[0:npv:2], basis[1:npv:2]):
         if abs(lam - 1.0) <= CALIBRATED_TOL:
             ratio = float(v @ wt @ w) / plane_area(g_j, v, w)
             preserve = max(preserve, abs(ratio - 1.0))
     res["preservation"] = preserve
 
-    if split.m:
-        BV = split.v_basis.vectors
+    if m:
+        BV = basis[:nv]
         dom = BV @ (G - g_j.entries) @ BV.T
         res["metric_domination_min_eig"] = float(np.linalg.eigvalsh((dom + dom.T) / 2)[0])
     else:
@@ -245,24 +247,22 @@ def construct_point(
         # Degenerate all-kernel spectrum: any positive epsilon produces the
         # same split, so a fixed sentinel keeps the output deterministic.
         epsilon = inferred if inferred is not None else 1.0
-    split = split_spaces(spectrum, epsilon)
+    m = split_spaces(spectrum, epsilon)
 
-    base = split.perp_basis
-    if tframe_hint is not None and len(base) and len(tframe_hint) == len(base):
-        tframe = align_frame(tframe_hint, base, g)
-    elif len(base):
-        tframe = gram_schmidt(g, base)
-    else:
-        tframe = base
-    split = replace(split, perp_basis=tframe)
+    frame = spectrum.basis.copy()
+    if 2 * m < len(frame):
+        base = Frame(frame[2 * m :])
+        if tframe_hint is not None and len(tframe_hint) == len(base):
+            frame[2 * m :] = align_frame(tframe_hint, base, g).vectors
+        else:
+            frame[2 * m :] = gram_schmidt(g, base).vectors
 
-    p, p_inv, d = paired_frame(split)
+    p, p_inv, d = paired_frame(frame, spectrum.eigenvalues[:m])
     j = almost_complex_structure(p, p_inv)
     g_j = compatible_metric(p_inv, d, tol.pd)
-    omega_total = assemble_calibration(p_inv, d, split.m)
-    residuals = _point_residuals(
-        g, omega, endo, spectrum, split, p, p_inv, d, j, g_j, omega_total
-    )
+    omega_total = assemble_calibration(p_inv, d, m)
+    residuals = _point_residuals(g, omega, endo, spectrum, m, p, p_inv, d, j, g_j, omega_total)
     return PointConstruction(
-        split=split, j=j, g_j=g_j, omega_total=omega_total, residuals=residuals, spectrum=spectrum
+        frame=_freeze(frame), m=m, epsilon=float(epsilon), j=j, g_j=g_j,
+        omega_total=omega_total, residuals=residuals, spectrum=spectrum,
     )

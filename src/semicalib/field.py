@@ -1,12 +1,13 @@
 """Grid-level orchestration: CALFIELD parsing, field processing, verification.
 
-A field is an ordered list of sample points, each carrying coordinates, a
-metric and a 2-form.  Point 0 is the designated base point: the automatic gap
-parameter epsilon is read off its spectrum and shared by every point.  The
-construction runs pointwise in index order, propagating the complement frame
-from one point to the next by orthogonal Procrustes alignment so the output
-fields stay continuous; points whose spectrum violates the band gap are
-flagged and excluded rather than fatal.
+A field is an ordered list of sample points, each carrying a metric and a
+2-form; the file's coordinates are checked but not kept.  Point 0 is the
+designated base point: the automatic gap parameter epsilon is read off its
+spectrum and shared by every point.  The construction runs pointwise in index
+order, propagating the complement frame from one point to the next by
+orthogonal Procrustes alignment so the output fields stay continuous; points
+whose spectrum violates the band gap are flagged and excluded rather than
+fatal.
 
 CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
 
@@ -65,7 +66,6 @@ METRIC_DOMINATION_SLACK = 1e-9
 @dataclass(frozen=True, eq=False)
 class FieldPoint:
     index: int
-    coords: np.ndarray
     g: MetricTensor
     omega: TwoForm
 
@@ -202,7 +202,8 @@ def parse_calfield(text: str) -> FieldGrid:
         lineno, rest = records.take("X", "coordinates 'X ...'")
         if len(rest) != dim:
             raise ParseError(f"expected {dim} coordinates, got {len(rest)}", lineno)
-        coords = np.array([_parse_number(t, lineno) for t in rest])
+        for t in rest:
+            _parse_number(t, lineno)
         lineno, rest = records.take("G", "metric 'G ...'")
         if len(rest) != n_g:
             raise ParseError(f"expected {n_g} metric coefficients, got {len(rest)}", lineno)
@@ -215,7 +216,7 @@ def parse_calfield(text: str) -> FieldGrid:
         if len(rest) != n_w:
             raise ParseError(f"expected {n_w} form coefficients, got {len(rest)}", lineno)
         omega = TwoForm.from_upper(dim, [_parse_number(t, lineno) for t in rest])
-        points.append(FieldPoint(index=i, coords=coords, g=g, omega=omega))
+        points.append(FieldPoint(index=i, g=g, omega=omega))
 
     if not records.exhausted():
         lineno, tokens = records.records[records.pos]
@@ -286,11 +287,11 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
                 construction=pc,
                 gap_ok=True,
                 offending_eigenvalues=(),
-                eigenvalues=tuple(float(x) for x in pc.spectrum.all_eigenvalues()),
+                eigenvalues=tuple(float(x) for x in pc.spectrum.values),
             )
         )
-        if len(pc.split.perp_basis):
-            hint = pc.split.perp_basis
+        if 2 * pc.m < dim:
+            hint = Frame(pc.frame[2 * pc.m :])
 
     return ConstructionField(
         epsilon=float(epsilon), dim=dim, lifted_from=lifted_from, outcomes=tuple(outcomes)
@@ -310,7 +311,7 @@ def _point_entry(outcome: PointOutcome) -> dict:
     else:
         entry.update(
             {
-                "m": pc.split.m,
+                "m": pc.m,
                 "J": pc.j.matrix,
                 "gJ": pc.g_j.entries,
                 "Omega": pc.omega_total.entries,

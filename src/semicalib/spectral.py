@@ -13,6 +13,7 @@ subspace V and its g-orthogonal complement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GapViolation
-from .forms import Frame, MetricTensor, TwoForm, _freeze
+from .forms import MetricTensor, TwoForm, _freeze
 
 _TINY = 1e-300
 _BAND_SLACK = 1e-8  # relative to the largest eigenvalue
@@ -47,74 +48,27 @@ class Endomorphism:
 
 @dataclass(frozen=True, eq=False)
 class PairedSpectrum:
-    """Eigen-decomposition of -A^2 organized into multiplicity-2 pairs.
+    """Eigen-decomposition of -A^2 as one ordered g-orthonormal basis.
 
-    ``eigenvalues[i]`` is the (double) eigenvalue of the pair
-    ``pair_vectors[i] = (v_i, A v_i / sqrt(lambda_i))``; the kernel of A is
-    spanned by ``kernel_vectors``.  The union of all pair vectors and the
-    kernel basis is g-orthonormal.  ``kernel_eigenvalues`` holds, per kernel
-    vector, the square of its Schur block's value: t^2 of a 2x2 block below
-    the zero threshold (once for each of its two vectors) or of a 1x1 block.
+    The rows of ``basis`` are the ``npairs`` pairs (v_i, A v_i / sqrt(lambda_i)),
+    interleaved and by descending lambda_i, then a basis of the kernel of A.
+    ``values`` holds one eigenvalue per row: lambda_i twice for pair i, then
+    for each kernel row the square of its Schur block's value (t^2 of a 2x2
+    block below the zero threshold, or of a 1x1 block), for diagnostics.
     """
 
-    eigenvalues: np.ndarray       # (npairs,) descending, one entry per pair
-    pair_vectors: np.ndarray      # (npairs, 2, n)
-    kernel_vectors: np.ndarray    # (k0, n)
-    kernel_eigenvalues: np.ndarray  # (k0,) near-zero block values squared, for diagnostics
+    basis: np.ndarray    # (n, n) rows
+    values: np.ndarray   # (n,) one per row
+    npairs: int
 
     def __post_init__(self):
-        for name in ("eigenvalues", "pair_vectors", "kernel_vectors", "kernel_eigenvalues"):
+        for name in ("basis", "values"):
             object.__setattr__(self, name, _freeze(np.array(getattr(self, name), dtype=float)))
 
     @property
-    def dim(self) -> int:
-        if self.pair_vectors.size:
-            return self.pair_vectors.shape[2]
-        return self.kernel_vectors.shape[1]
-
-    @property
-    def npairs(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.pair_vectors[i, 0], self.pair_vectors[i, 1]
-
-    def basis(self) -> np.ndarray:
-        """All basis vectors as rows: interleaved pairs, then the kernel."""
-        rows = [self.pair_vectors.reshape(-1, self.dim)] if self.npairs else []
-        if self.kernel_vectors.size:
-            rows.append(self.kernel_vectors)
-        if not rows:
-            return np.zeros((0, self.dim))
-        return np.vstack(rows)
-
-    def all_eigenvalues(self) -> np.ndarray:
-        """Full eigenvalue list (pairs doubled, kernel raw), descending."""
-        doubled = np.repeat(self.eigenvalues, 2)
-        return np.concatenate([doubled, self.kernel_eigenvalues])
-
-
-@dataclass(frozen=True, eq=False)
-class SpaceSplit:
-    """Band split of the tangent space: V (large eigenvalues) and its complement.
-
-    ``v_basis`` holds the 2m interleaved pair vectors with eigenvalues at or
-    above epsilon/2; ``perp_basis`` the remaining pairs and the kernel, all
-    with eigenvalues at or below epsilon/4.
-    """
-
-    v_basis: Frame
-    perp_basis: Frame
-    m: int
-    epsilon: float
-    v_eigenvalues: np.ndarray     # (m,) one entry per pair
-
-    def __post_init__(self):
-        object.__setattr__(self, "v_eigenvalues", _freeze(np.array(self.v_eigenvalues, dtype=float)))
-
-    @property
-    def dim(self) -> int:
-        return self.v_basis.dim
+    def eigenvalues(self) -> np.ndarray:
+        """One eigenvalue per pair, descending."""
+        return self.values[: 2 * self.npairs : 2]
 
 
 def associated_endomorphism(g: MetricTensor, omega: TwoForm) -> Endomorphism:
@@ -185,11 +139,11 @@ def paired_spectrum(
         if len(rows) == 1 or lam <= zero_thr
         for row in rows
     ]
+    ordered = [(lam, row) for lam, rows in pairs for row in rows] + kernel
     return PairedSpectrum(
-        eigenvalues=np.array([lam for lam, _ in pairs]),
-        pair_vectors=np.array([rows for _, rows in pairs]).reshape(-1, 2, n),
-        kernel_vectors=np.array([row for _, row in kernel]).reshape(-1, n),
-        kernel_eigenvalues=np.array([lam for lam, _ in kernel]),
+        basis=np.array([row for _, row in ordered]),
+        values=np.array([lam for lam, _ in ordered]),
+        npairs=len(pairs),
     )
 
 
@@ -200,35 +154,26 @@ def infer_epsilon(spectrum: PairedSpectrum) -> float | None:
     return float(spectrum.eigenvalues[-1])
 
 
-def split_spaces(spectrum: PairedSpectrum, epsilon: float) -> SpaceSplit:
-    """Split the paired spectrum into the bands [epsilon/2, inf) and [0, epsilon/4].
+def split_spaces(spectrum: PairedSpectrum, epsilon: float) -> int:
+    """Number m of pairs in the band [epsilon/2, inf); the rest lie in [0, epsilon/4].
 
-    Both bands are widened by ``_BAND_SLACK`` times the largest eigenvalue so
-    eigenvalues sitting exactly on a band edge are not rejected for rounding
-    dust.  Raises :class:`GapViolation` when any eigenvalue falls strictly
-    between the bands; it carries the full eigenvalue list so callers need
-    not recompute the spectrum.
+    The V pairs are the first m, so rows ``2m:`` of ``spectrum.basis`` span the
+    complement.  Both bands are widened by ``_BAND_SLACK`` times the largest
+    eigenvalue so eigenvalues sitting exactly on a band edge are not rejected
+    for rounding dust.  Raises :class:`GapViolation` when any eigenvalue falls
+    strictly between the bands; it carries the full eigenvalue list so callers
+    need not recompute the spectrum.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     lams = spectrum.eigenvalues
     slack = _BAND_SLACK * float(lams[0]) if spectrum.npairs else 0.0
     hi_edge = epsilon / 2 - slack
     lo_edge = epsilon / 4 + slack
     if hi_edge <= lo_edge:
         hi_edge, lo_edge = epsilon / 2, epsilon / 4
-    offenders = [float(l) for l in lams if lo_edge < l < hi_edge]
-    offenders += [float(l) for l in spectrum.kernel_eigenvalues if lo_edge < l < hi_edge]
+    kernel = spectrum.values[2 * spectrum.npairs :]
+    offenders = [float(l) for l in (*lams, *kernel) if lo_edge < l < hi_edge]
     if offenders:
-        raise GapViolation(epsilon, offenders, spectrum.all_eigenvalues())
-
-    n = spectrum.dim
-    in_v = lams >= hi_edge
-    perp_rows = np.vstack([spectrum.pair_vectors[~in_v].reshape(-1, n), spectrum.kernel_vectors])
-    return SpaceSplit(
-        v_basis=Frame(spectrum.pair_vectors[in_v].reshape(-1, n)),
-        perp_basis=Frame(perp_rows),
-        m=int(np.count_nonzero(in_v)),
-        epsilon=float(epsilon),
-        v_eigenvalues=lams[in_v],
-    )
+        raise GapViolation(epsilon, offenders, spectrum.values)
+    return int(np.count_nonzero(lams >= hi_edge))

@@ -88,7 +88,7 @@ def test_criterion_02_random_field_invariants(random_suite):
 def test_criterion_03_eigenvalue_bound(random_suite):
     ok = True
     for _, _, _, pc in random_suite:
-        evs = pc.spectrum.all_eigenvalues()
+        evs = pc.spectrum.values
         ok &= evs.min() >= -1e-12 and evs.max() <= 1 + 1e-9
     report(3, "eigenvalue bound [0, 1]", bool(ok))
 
@@ -137,7 +137,7 @@ def test_criterion_06_wirtinger_unit_comass():
         pc = construct_point(g, omega)
         est = comass_bruteforce(pc.g_j, pc.omega_total, samples=100_000, restarts=20, seed=trial)
         ok &= est.value <= 1 + 1e-9
-        v, _ = pc.spectrum.pair(0)
+        v = pc.spectrum.basis[0]
         jv = pc.j.matrix @ v
         verdict = check_calibrated(pc.g_j, pc.omega_total, Frame(np.array([v, jv])), tol=1e-9)
         ok &= abs(verdict.ratio - 1.0) <= 1e-9

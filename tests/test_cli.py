@@ -120,9 +120,19 @@ class TestExitCodes:
     def test_bad_epsilon_flag_rejected(self, tmp_path, capsys):
         demo = str(tmp_path / "d.calfield")
         main(["demo", "--name", "standard", "-o", demo])
+        for value in ("-1", "nan", "inf"):
+            with pytest.raises(SystemExit) as err:
+                main(["build", demo, "--epsilon", value])
+            assert err.value.code == 2
+            assert "error: argument --epsilon: epsilon must be finite" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
         with pytest.raises(SystemExit) as err:
-            main(["build", demo, "--epsilon", "-1"])
+            main(["verify", demo, "--seed", "-1", *FAST])
         assert err.value.code == 2
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -1,7 +1,5 @@
 """Tests for the pointwise compatible-triple construction."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -50,32 +48,33 @@ def blockdiag(*blocks):
     return out
 
 
-def split_for(g, omega, epsilon):
-    endo = associated_endomorphism(g, omega)
-    spectrum = paired_spectrum(endo, g)
-    return endo, split_spaces(spectrum, epsilon)
+def frame_for(g, omega, epsilon):
+    """(spectral paired frame rows, V eigenvalues): the V pairs, then the spectral complement."""
+    spectrum = paired_spectrum(associated_endomorphism(g, omega), g)
+    m = split_spaces(spectrum, epsilon)
+    return spectrum.basis.copy(), spectrum.eigenvalues[:m]
 
 
 def congruences(w, epsilon, complement=None):
-    """(split, J, g_J, Omega) from the identity metric."""
-    g = MetricTensor.identity(w.dim)
-    _, split = split_for(g, w, epsilon)
+    """(frame, m, J, g_J, Omega) from the identity metric."""
+    frame, v_eigenvalues = frame_for(MetricTensor.identity(w.dim), w, epsilon)
+    m = len(v_eigenvalues)
     if complement is not None:
-        split = replace(split, perp_basis=Frame(np.array(complement)))
-    p, p_inv, d = paired_frame(split)
+        frame[2 * m :] = complement
+    p, p_inv, d = paired_frame(frame, v_eigenvalues)
     return (
-        split,
+        frame,
+        m,
         almost_complex_structure(p, p_inv),
         compatible_metric(p_inv, d),
-        assemble_calibration(p_inv, d, split.m),
+        assemble_calibration(p_inv, d, m),
     )
 
 
 class TestPairedFrame:
     def test_identity_case(self):
         g = MetricTensor.identity(4)
-        _, split = split_for(g, TwoForm.standard_symplectic(4), 1.0)
-        p, p_inv, d = paired_frame(split)
+        p, p_inv, d = paired_frame(*frame_for(g, TwoForm.standard_symplectic(4), 1.0))
         np.testing.assert_allclose(p.T @ p, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(p_inv, p.T, atol=1e-12)
         np.testing.assert_allclose(d, np.ones(4), atol=1e-12)
@@ -83,14 +82,13 @@ class TestPairedFrame:
     def test_scaled_blocks(self):
         g = MetricTensor.identity(4)
         w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
-        _, split = split_for(g, w, 0.25)
-        _, _, d = paired_frame(split)
+        _, _, d = paired_frame(*frame_for(g, w, 0.25))
         np.testing.assert_allclose(d, [1, 1, 0.5, 0.5], atol=1e-12)
 
     def test_two_dims(self):
         g = MetricTensor.identity(2)
-        _, split = split_for(g, TwoForm.from_pairs(2, {(0, 1): 1.0}), 1.0)
-        np.testing.assert_allclose(paired_frame(split)[2], np.ones(2), atol=1e-12)
+        frame = frame_for(g, TwoForm.from_pairs(2, {(0, 1): 1.0}), 1.0)
+        np.testing.assert_allclose(paired_frame(*frame)[2], np.ones(2), atol=1e-12)
 
     def test_pairing_blocks(self):
         # in the paired frame A is sqrt(lambda_i) times a rotation on each V
@@ -102,12 +100,12 @@ class TestPairedFrame:
             w = unit_comass_form(g, random_two_form(rng, n))
             endo = associated_endomorphism(g, w)
             spectrum = paired_spectrum(endo, g)
-            split = split_spaces(spectrum, spectrum.eigenvalues[-1])
-            p, p_inv, d = paired_frame(split)
-            m2 = 2 * split.m
+            m = split_spaces(spectrum, spectrum.eigenvalues[-1])
+            p, p_inv, d = paired_frame(spectrum.basis, spectrum.eigenvalues[:m])
+            m2 = 2 * m
             av = (p_inv @ endo.matrix @ p)[:m2, :m2]
             q = np.diag(d[:m2])
-            blocks = blockdiag(*[J2] * split.m)
+            blocks = blockdiag(*[J2] * m)
             assert np.abs(av - q @ blocks).max() <= 1e-10
             assert np.abs(q @ q + av @ av).max() <= 1e-10
             assert np.abs(q @ av - av @ q).max() <= 1e-10
@@ -116,17 +114,17 @@ class TestPairedFrame:
 class TestAlmostComplexStructure:
     def test_scaled_blocks(self):
         w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
-        _, j, _, _ = congruences(w, 0.25)
+        _, _, j, _, _ = congruences(w, 0.25)
         np.testing.assert_allclose(j.matrix, blockdiag(J2, J2), atol=1e-12)
 
     def test_two_dims_identity_q(self):
-        _, j, _, _ = congruences(TwoForm.from_pairs(2, {(0, 1): 1.0}), 1.0)
+        _, _, j, _, _ = congruences(TwoForm.from_pairs(2, {(0, 1): 1.0}), 1.0)
         np.testing.assert_allclose(j.matrix, J2, atol=1e-12)
 
     def test_complement_extension_rule(self):
         # V = span(e1, e2); J rotates the complement frame pairs
-        split, j, _, _ = congruences(TwoForm.from_pairs(4, {(0, 1): 1.0}), 1.0)
-        t1, t2 = split.perp_basis[0], split.perp_basis[1]
+        frame, m, j, _, _ = congruences(TwoForm.from_pairs(4, {(0, 1): 1.0}), 1.0)
+        t1, t2 = frame[2 * m], frame[2 * m + 1]
         np.testing.assert_allclose(j.matrix @ t1, t2, atol=1e-12)
         np.testing.assert_allclose(j.matrix @ t2, -t1, atol=1e-12)
 
@@ -164,14 +162,14 @@ class TestCompatibleMetric:
         g = random_pd_metric(rng, 6)
         w, _ = planted_form(rng, g, blocks=1, rest_comass=0.0)
         pc = construct_point(g, w)
-        for v in pc.split.v_basis:
-            for t in pc.split.perp_basis:
+        for v in pc.frame[: 2 * pc.m]:
+            for t in pc.frame[2 * pc.m :]:
                 assert abs(v @ pc.g_j.entries @ t) <= 1e-10
 
 
-def assert_paired_blocks(split, w, total, atol):
+def assert_paired_blocks(frame, m, w, total, atol):
     """Omega in the paired frame: omega on V, zero across, dt_2i^dt_2i+1 on the complement."""
-    bv, bc = split.v_basis.vectors, split.perp_basis.vectors
+    bv, bc = frame[: 2 * m], frame[2 * m :]
     om = total.entries
     np.testing.assert_allclose(bv @ om @ bv.T, bv @ w.entries @ bv.T, atol=atol)
     assert np.abs(bv @ om @ bc.T).max(initial=0.0) <= atol
@@ -185,20 +183,20 @@ class TestAssembleCalibration:
         g = MetricTensor.identity(4)
         w = TwoForm.standard_symplectic(4)
         pc = construct_point(g, w)
-        assert len(pc.split.perp_basis) == 0
+        assert len(pc.frame) - 2 * pc.m == 0
         np.testing.assert_allclose(pc.omega_total.entries, w.entries, atol=1e-12)
 
     def test_direct_assembly(self):
         w = TwoForm.from_pairs(4, {(0, 1): 1.0})
-        split, _, gj, total = congruences(w, 1.0, complement=[E4[2], E4[3]])
+        frame, m, _, gj, total = congruences(w, 1.0, complement=[E4[2], E4[3]])
         np.testing.assert_allclose(gj.entries, np.eye(4), atol=1e-12)
-        assert_paired_blocks(split, w, total, atol=1e-12)
+        assert_paired_blocks(frame, m, w, total, atol=1e-12)
         expected = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 1.0})
         np.testing.assert_allclose(total.entries, expected.entries, atol=1e-12)
 
     def test_frame_order_flips_sign(self):
         w = TwoForm.from_pairs(4, {(0, 1): 1.0})
-        _, _, _, total = congruences(w, 1.0, complement=[E4[3], E4[2]])
+        _, _, _, _, total = congruences(w, 1.0, complement=[E4[3], E4[2]])
         expected = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): -1.0})
         np.testing.assert_allclose(total.entries, expected.entries, atol=1e-12)
 
@@ -210,13 +208,13 @@ class TestAssembleCalibration:
         g = random_pd_metric(rng, 6)
         w, _ = planted_form(rng, g, blocks=1, rest_comass=0.0)
         pc = construct_point(g, w)
-        _, p_inv, d = paired_frame(pc.split)
+        _, p_inv, d = paired_frame(pc.frame, pc.spectrum.eigenvalues[: pc.m])
 
         def part(rows):
             q = p_inv[rows]
             return -q.T @ (d[rows, None] * (blockdiag(*[J2] * (len(q) // 2)) @ q))
 
-        nv = 2 * pc.split.m
+        nv = 2 * pc.m
         assert nv == 2
         np.testing.assert_array_equal(
             pc.omega_total.entries, TwoForm(part(slice(0, nv)) + part(slice(nv, None))).entries
@@ -227,8 +225,8 @@ class TestAssembleCalibration:
         g = random_pd_metric(rng, 6)
         w, _ = planted_form(rng, g, blocks=1, rest_comass=0.0)
         pc = construct_point(g, w)
-        assert len(pc.split.perp_basis) == 4
-        assert_paired_blocks(pc.split, w, pc.omega_total, atol=1e-10)
+        assert len(pc.frame) - 2 * pc.m == 4
+        assert_paired_blocks(pc.frame, pc.m, w, pc.omega_total, atol=1e-10)
 
 
 class TestConstructPoint:
@@ -251,7 +249,7 @@ class TestConstructPoint:
 
     def test_zero_form_degenerate(self):
         pc = construct_point(MetricTensor.identity(4), TwoForm.zero(4))
-        assert pc.split.m == 0
+        assert pc.m == 0
         np.testing.assert_allclose(
             pc.omega_total.entries, TwoForm.standard_symplectic(4).entries, atol=1e-12
         )
@@ -331,15 +329,21 @@ class TestConstructPoint:
         w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.1})
         # eigenvalues {1, 0.01}: with epsilon=1 the small pair joins the complement
         pc = construct_point(g, w, epsilon=1.0)
-        assert pc.split.m == 1
+        assert pc.m == 1
         assert pc.epsilon == 1.0
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.1})
+        with pytest.raises(ValueError, match="finite"):
+            construct_point(MetricTensor.identity(4), w, epsilon=epsilon)
 
     def test_tframe_hint_alignment(self):
         g = MetricTensor.identity(4)
         w = TwoForm.from_pairs(4, {(0, 1): 1.0})
         hint = Frame(np.array([E4[3], E4[2]]))
         pc = construct_point(g, w, tframe_hint=hint)
-        np.testing.assert_allclose(pc.split.perp_basis.vectors, hint.vectors, atol=1e-12)
+        np.testing.assert_allclose(pc.frame[2 * pc.m :], hint.vectors, atol=1e-12)
         # invariants hold regardless of the frame choice
         assert max(abs(v) for v in pc.residuals.values()) <= 1e-10
 

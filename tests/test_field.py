@@ -39,7 +39,7 @@ def jumps(cf, matrix):
 
 
 def frames(pc):
-    return pc.split.perp_basis.vectors
+    return pc.frame[2 * pc.m :]
 
 
 def omegas(pc):
@@ -168,7 +168,7 @@ class TestProcessField:
         grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "0 0 0 0 0 0", 2))
         cf = process_field(grid, FieldConfig(epsilon=1.0))
         assert all(o.gap_ok for o in cf.outcomes)
-        assert cf.outcomes[0].construction.split.m == 0
+        assert cf.outcomes[0].construction.m == 0
 
     def test_odd_dimension_lifted(self):
         grid = parse_calfield(constant_field_text(3, "1 0 0 1 0 1", "1 0 0", 3))

@@ -94,20 +94,21 @@ class TestPairedSpectrum:
         g = MetricTensor.identity(4)
         a = Endomorphism(blockdiag(J2, J2))
         s = paired_spectrum(a, g)
-        np.testing.assert_allclose(s.all_eigenvalues(), [1, 1, 1, 1], atol=1e-14)
-        assert s.kernel_vectors.shape == (0, 4)
+        np.testing.assert_allclose(s.values, [1, 1, 1, 1], atol=1e-14)
+        assert s.basis[2 * s.npairs :].shape == (0, 4)
 
     def test_scaled_blocks(self):
         g = MetricTensor.identity(4)
         s = paired_spectrum(Endomorphism(blockdiag(J2, 0.5 * J2)), g)
-        np.testing.assert_allclose(s.all_eigenvalues(), [1, 1, 0.25, 0.25], atol=1e-14)
+        np.testing.assert_allclose(s.values, [1, 1, 0.25, 0.25], atol=1e-14)
 
     def test_kernel(self):
         g = MetricTensor.identity(4)
         s = paired_spectrum(Endomorphism(blockdiag(J2, np.zeros((2, 2)))), g)
         np.testing.assert_allclose(s.eigenvalues, [1.0], atol=1e-14)
-        assert s.kernel_vectors.shape == (2, 4)
-        span = np.abs(s.kernel_vectors[:, :2]).max()
+        kernel = s.basis[2 * s.npairs :]
+        assert kernel.shape == (2, 4)
+        span = np.abs(kernel[:, :2]).max()
         assert span < 1e-12  # kernel is exactly span(e3, e4)
 
     def test_pairs_shape(self):
@@ -116,10 +117,11 @@ class TestPairedSpectrum:
         w = random_two_form(rng, 6)
         a = associated_endomorphism(g, w)
         s = paired_spectrum(a, g)
-        assert 2 * s.npairs + s.kernel_vectors.shape[0] == 6
+        assert s.basis.shape == (6, 6) and s.values.shape == (6,)
         for i in range(s.npairs):
-            v, u = s.pair(i)
+            v, u = s.basis[2 * i], s.basis[2 * i + 1]
             lam = s.eigenvalues[i]
+            assert s.values[2 * i] == s.values[2 * i + 1] == lam
             # u is A v / sqrt(lambda)
             np.testing.assert_allclose(a.matrix @ v, np.sqrt(lam) * u, atol=1e-10)
 
@@ -130,13 +132,12 @@ class TestPairedSpectrum:
             g = random_pd_metric(rng, n)
             a = associated_endomorphism(g, random_two_form(rng, n))
             s = paired_spectrum(a, g)
-            basis = s.basis()
+            basis = s.basis
             gram = basis @ g.entries @ basis.T
             assert np.abs(gram - np.eye(n)).max() <= 1e-10
             m2 = -(a.matrix @ a.matrix)
-            for lam, pair in zip(s.eigenvalues, s.pair_vectors):
-                for v in pair:
-                    assert np.abs(m2 @ v - lam * v).max() <= 1e-10 * max(np.abs(m2).max(), 1.0)
+            for lam, v in zip(s.values[: 2 * s.npairs], basis[: 2 * s.npairs]):
+                assert np.abs(m2 @ v - lam * v).max() <= 1e-10 * max(np.abs(m2).max(), 1.0)
 
     def test_pairing_closure(self):
         # A maps the span of each pair to itself
@@ -145,7 +146,7 @@ class TestPairedSpectrum:
         a = associated_endomorphism(g, random_two_form(rng, 8))
         s = paired_spectrum(a, g)
         for i in range(s.npairs):
-            v, u = s.pair(i)
+            v, u = s.basis[2 * i], s.basis[2 * i + 1]
             for x in (a.matrix @ v, a.matrix @ u):
                 residual = x - (g_inner(g, v, x) * v + g_inner(g, u, x) * u)
                 assert np.linalg.norm(residual) <= 1e-9 * max(np.linalg.norm(x), 1.0)
@@ -157,7 +158,7 @@ class TestPairedSpectrum:
             g = random_pd_metric(rng, n)
             w = unit_comass_form(g, random_two_form(rng, n))
             s = paired_spectrum(associated_endomorphism(g, w), g)
-            evs = s.all_eigenvalues()
+            evs = s.values
             assert evs.max() <= 1 + 1e-9
             assert evs.min() >= -1e-12
 
@@ -182,7 +183,7 @@ class TestPairedSpectrum:
             s = paired_spectrum(a, g)
             m2 = -(a.matrix @ a.matrix)
             recon = np.zeros((n, n))
-            for lam, (v, u) in zip(s.eigenvalues, s.pair_vectors):
+            for lam, v, u in zip(s.eigenvalues, s.basis[0::2], s.basis[1::2]):
                 recon += lam * (np.outer(v, v) + np.outer(u, u)) @ g.entries
             assert np.abs(recon - m2).max() <= 1e-9 * max(np.abs(m2).max(), 1.0)
 
@@ -190,7 +191,7 @@ class TestPairedSpectrum:
         g = MetricTensor.identity(4)
         s = paired_spectrum(Endomorphism(np.zeros((4, 4))), g)
         assert s.npairs == 0
-        assert s.kernel_vectors.shape == (4, 4)
+        assert s.basis[2 * s.npairs :].shape == (4, 4)
         assert infer_epsilon(s) is None
 
     def test_rejects_non_skew(self):
@@ -204,41 +205,33 @@ class TestPairedSpectrum:
         a = associated_endomorphism(g, random_two_form(rng, 6))
         s1 = paired_spectrum(a, g)
         s2 = paired_spectrum(a, g)
-        np.testing.assert_array_equal(s1.pair_vectors, s2.pair_vectors)
-        np.testing.assert_array_equal(s1.kernel_vectors, s2.kernel_vectors)
+        np.testing.assert_array_equal(s1.basis, s2.basis)
+        np.testing.assert_array_equal(s1.values, s2.values)
 
 
 def spectrum_from_eigenvalues(pairs, kernel_dim=0):
     """Synthetic PairedSpectrum on R^{2p + k} with prescribed pair eigenvalues."""
     n = 2 * len(pairs) + kernel_dim
-    vectors = np.zeros((len(pairs), 2, n))
-    for i in range(len(pairs)):
-        vectors[i, 0, 2 * i] = 1.0
-        vectors[i, 1, 2 * i + 1] = 1.0
-    kernel = np.zeros((kernel_dim, n))
-    for j in range(kernel_dim):
-        kernel[j, 2 * len(pairs) + j] = 1.0
     return PairedSpectrum(
-        eigenvalues=np.array(pairs, dtype=float),
-        pair_vectors=vectors,
-        kernel_vectors=kernel,
-        kernel_eigenvalues=np.zeros(kernel_dim),
+        basis=np.eye(n),
+        values=np.concatenate([np.repeat(np.array(pairs, dtype=float), 2), np.zeros(kernel_dim)]),
+        npairs=len(pairs),
     )
 
 
 class TestSplitSpaces:
     def test_all_in_v(self):
         s = spectrum_from_eigenvalues([1.0, 0.25])
-        split = split_spaces(s, 0.25)
-        assert split.m == 2
-        assert len(split.v_basis) == 4 and len(split.perp_basis) == 0
+        m = split_spaces(s, 0.25)
+        assert m == 2
+        assert len(s.basis[: 2 * m]) == 4 and len(s.basis[2 * m :]) == 0
 
     def test_two_bands(self):
         s = spectrum_from_eigenvalues([1.0, 0.01])
-        split = split_spaces(s, 1.0)
-        assert split.m == 1
-        assert len(split.perp_basis) == 2
-        np.testing.assert_array_equal(split.v_eigenvalues, [1.0])
+        m = split_spaces(s, 1.0)
+        assert m == 1
+        assert len(s.basis[2 * m :]) == 2
+        np.testing.assert_array_equal(s.eigenvalues[:m], [1.0])
 
     def test_gap_violation(self):
         s = spectrum_from_eigenvalues([1.0, 0.3])
@@ -249,20 +242,20 @@ class TestSplitSpaces:
 
     def test_kernel_goes_to_perp(self):
         s = spectrum_from_eigenvalues([1.0], kernel_dim=2)
-        split = split_spaces(s, 1.0)
-        assert split.m == 1
-        assert len(split.perp_basis) == 2
+        m = split_spaces(s, 1.0)
+        assert m == 1
+        assert len(s.basis[2 * m :]) == 2
 
     def test_band_slack_keeps_edge_values(self):
         # the bands are widened by 1e-8 times the largest eigenvalue
         s = spectrum_from_eigenvalues([1.0, 0.5 - 1e-12])
-        split = split_spaces(s, 1.0)
-        assert split.m == 2
+        assert split_spaces(s, 1.0) == 2
 
     def test_rejects_bad_epsilon(self):
         s = spectrum_from_eigenvalues([1.0])
-        with pytest.raises(ValueError):
-            split_spaces(s, 0.0)
+        for epsilon in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                split_spaces(s, epsilon)
 
     def test_infer_epsilon(self):
         s = spectrum_from_eigenvalues([1.0, 0.25, 0.04])
