@@ -2,20 +2,22 @@
 
     python bench/comass_stages.py --label change [--src DIR] [-o BENCH_comass.json]
 
-Times ``comass_bruteforce`` at n = 8 for p = 1, 2 and 3 with FieldConfig's
-default samples and restarts, split into frame sampling
-(``_orthonormal_frames``), sample ranking (``_abs_values``, or
-``_frame_values`` of older trees) and ascent (the Stiefel polish
-``_polish``, or the random ascent ``_ascend`` of older trees; the rest, mostly
-the chunk merge and the final Gram-Schmidt pass, is ``other``), and
-``semicalib verify --power 2 --power 3`` on a one-point n = 8 field.  Stages
+Times ``comass_bruteforce`` at n = 8 for p = 1, 2 and 3 with the
+``semicalib comass`` default of 20 000 samples and FieldConfig's default
+restarts, split into frame sampling (``_orthonormal_frames``), sample ranking
+(``_abs_values``, or ``_frame_values`` of older trees) and ascent (the Stiefel
+polish ``_polish``, or the random ascent ``_ascend`` of older trees; the rest,
+mostly the chunk merge and the final Gram-Schmidt pass, is ``other``).  Stages
 are timed by wrapping the oracle's private stage functions, so the numbers
-are only as stable as those names.  ``--src`` chooses the source tree to
-import, so one copy of this script times two commits on the same machine;
-each invocation appends one run under ``--label`` and refreshes that label's
-medians.  A run is refused when the file's recorded machine or setup differs
-from the current one, so every label in one file is comparable.  BLAS runs
-on one thread, as in the benchmark.
+are only as stable as those names.  Two end-to-end ``semicalib verify`` runs
+at verify's default sampling follow: ``--power 2 --power 3`` on a one-point
+n = 8 field, and no ``--power`` on a seeded N = 1000, n = 8 smooth field from
+``perfbench/inputs.py`` (imported, never changed).  ``--src`` chooses the
+source tree to import, so one copy of this script times two commits on the
+same machine; each invocation appends one run under ``--label`` and refreshes
+that label's medians.  A run is refused when the file's recorded machine or
+setup differs from the current one, so every label in one file is
+comparable.  BLAS runs on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ PAIR_VALUES = (1.0, 0.7, 0.4)  # the last pair of R^8 is kernel
 POWERS = (1, 2, 3)
 SEEDS = (0, 1, 2)
 REPEATS = 3  # oracle passes per run; each stage keeps the median
+ORACLE_SAMPLES = 20_000  # semicalib comass's default
+FIELD_POINTS = 1000
+FIELD_SEED = 1
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 
 
 def planted_point(seed: int = 8):
@@ -53,6 +59,17 @@ def planted_point(seed: int = 8):
         a, b = G @ frame[:, 2 * i], G @ frame[:, 2 * i + 1]
         W += mu * (np.outer(a, b) - np.outer(b, a))
     return G, W
+
+
+def smooth_field_text() -> str:
+    """CALFIELD text of the seeded FIELD_POINTS-point smooth field at n = N, without gap violations."""
+    sys.path.insert(0, os.path.abspath(PERFBENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    rng = np.random.default_rng(FIELD_SEED)
+    return inputs.smooth_field(rng, "verify-field", N, FIELD_POINTS, 0).text
 
 
 def field_text(G, W) -> str:
@@ -118,7 +135,7 @@ def time_oracle(G, W) -> dict:
         for seed in SEEDS:
             with StageTimer(comass) as timer:
                 start = time.perf_counter()
-                comass_bruteforce(g, PowerForm(w, p), samples=config.samples,
+                comass_bruteforce(g, PowerForm(w, p), samples=ORACLE_SAMPLES,
                                   restarts=config.restarts, seed=seed)
                 call = time.perf_counter() - start
             row = {f"{stage}_s": t for stage, t in timer.seconds.items()}
@@ -133,24 +150,29 @@ def _median_rows(rows: list[dict]) -> dict:
     return {key: float(np.median([r[key] for r in rows])) for key in rows[0]}
 
 
-def time_verify(G, W) -> float:
+def time_verify(text: str, extra=()) -> float:
+    """Seconds of one in-process ``semicalib verify`` on the CALFIELD ``text``."""
     from semicalib import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        src, dst = os.path.join(tmp, "point.calfield"), os.path.join(tmp, "verify.json")
+        src, dst = os.path.join(tmp, "field.calfield"), os.path.join(tmp, "verify.json")
         with open(src, "w") as handle:
-            handle.write(field_text(G, W))
+            handle.write(text)
         start = time.perf_counter()
-        code = cli.main(["verify", src, "-o", dst, "--power", "2", "--power", "3"])
+        code = cli.main(["verify", src, "-o", dst, *extra])
         elapsed = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"verify exited {code}")
     return elapsed
 
 
+VERIFY_ROWS = ("verify_power_2_3_s", "verify_field_n1000_s")
+
+
 def summarize(runs: list[dict]) -> dict:
     med = {p: _median_rows([r["comass"][p] for r in runs]) for p in runs[0]["comass"]}
-    med["verify_power_2_3_s"] = float(np.median([r["verify_power_2_3_s"] for r in runs]))
+    for key in VERIFY_ROWS:
+        med[key] = float(np.median([r[key] for r in runs]))
     return med
 
 
@@ -166,8 +188,12 @@ def main(argv=None) -> int:
         "script": "bench/comass_stages.py",
         "n": N, "pair_values": list(PAIR_VALUES), "powers": list(POWERS), "seeds": list(SEEDS),
         "repeats": REPEATS,
-        "oracle": "comass_bruteforce with FieldConfig defaults; stage times are medians over seeds, then over repeats",
+        "oracle_samples": ORACLE_SAMPLES,
+        "oracle": "comass_bruteforce with oracle_samples and FieldConfig's default restarts; "
+                  "stage times are medians over seeds, then over repeats",
         "verify": "semicalib verify --power 2 --power 3, one point, in process",
+        "verify_field": f"semicalib verify, perfbench/inputs.py smooth_field with seed {FIELD_SEED}, "
+                        f"N={FIELD_POINTS}, n={N}, no gap points, in process",
     }
     machine = {
         "platform": platform.platform(), "python": platform.python_version(),
@@ -184,11 +210,14 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, os.path.abspath(args.src))
     G, W = planted_point()
-    time_verify(G, W)  # warm-up: imports, LAPACK initialisation
+    point = field_text(G, W)
+    powers = ["--power", "2", "--power", "3"]
+    time_verify(point, powers)  # warm-up: imports, LAPACK initialisation
     passes = [time_oracle(G, W) for _ in range(REPEATS)]
     run = {
         "comass": {p: _median_rows([x[p] for x in passes]) for p in passes[0]},
-        "verify_power_2_3_s": time_verify(G, W),
+        "verify_power_2_3_s": time_verify(point, powers),
+        "verify_field_n1000_s": time_verify(smooth_field_text()),
     }
     entry = data.setdefault("results", {}).setdefault(args.label, {"runs": []})
     entry["runs"].append(run)

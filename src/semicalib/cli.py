@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -37,6 +38,9 @@ from .jsonio import dumps
 
 _TOLERANCE_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
 _DEFAULTS = FieldConfig()
+# `comass` searches raw forms and their powers, whose pair values can be
+# near-double or below 1, so it keeps many more starts than verify's run.
+_COMASS_SAMPLES = 20_000
 
 
 def _tol_arg(text: str):
@@ -50,9 +54,19 @@ def _tol_arg(text: str):
         parsed = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse tolerance value {value!r}")
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError("tolerances must be positive")
+    if not (math.isfinite(parsed) and parsed > 0):
+        raise argparse.ArgumentTypeError("tolerances must be finite and positive")
     return name, parsed
+
+
+def _plane_tol_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse calibration tolerance {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("calibration tolerance must be finite and non-negative")
+    return value
 
 
 def _epsilon_arg(text: str):
@@ -67,7 +81,13 @@ def _epsilon_arg(text: str):
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every ``main`` call.
+
+    Sharing is safe: parsing never mutates the parser, and the ``append``
+    actions copy their list defaults before appending.
+    """
     parser = argparse.ArgumentParser(
         prog="semicalib",
         description="Construct almost complex structures and compatible "
@@ -75,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_sampling: bool):
+    def common(p, samples: int | None):
         p.add_argument("input", help="CALFIELD input file")
         p.add_argument("-o", "--output", help="write the report here instead of stdout")
         p.add_argument("--epsilon", type=_epsilon_arg, default=None,
@@ -86,22 +106,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_tol_arg, action="append", default=[],
                        metavar="NAME=VALUE",
                        help=f"override a tolerance ({', '.join(_TOLERANCE_NAMES)}); repeatable")
-        if with_sampling:
-            p.add_argument("--samples", type=int, default=_DEFAULTS.samples,
-                           help=f"random frames per sampled comass run (default {_DEFAULTS.samples})")
+        if samples is not None:
+            p.add_argument("--samples", type=int, default=samples,
+                           help=f"random frames per sampled comass run (default {samples})")
             p.add_argument("--restarts", type=int, default=_DEFAULTS.restarts,
                            help=f"best sampled frames to polish (default {_DEFAULTS.restarts})")
 
     p_build = sub.add_parser("build", help="run the construction and emit the report")
-    common(p_build, with_sampling=False)
+    common(p_build, samples=None)
 
     p_verify = sub.add_parser("verify", help="build, then verify every guarantee")
-    common(p_verify, with_sampling=True)
+    common(p_verify, samples=_DEFAULTS.samples)
     p_verify.add_argument("--power", type=int, action="append", default=[],
                           help="also check the normalized power of this order (repeatable)")
 
     p_comass = sub.add_parser("comass", help="per-point comass table (exact + sampled)")
-    common(p_comass, with_sampling=True)
+    common(p_comass, samples=_COMASS_SAMPLES)
     p_comass.add_argument("--power", type=int, default=1,
                           help="comass of the normalized power of this order (default 1)")
 
@@ -111,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plane.add_argument("--point", type=int, default=0, help="point index (default 0)")
     p_plane.add_argument("--power", type=int, default=1,
                          help="test against the normalized power of this order (default 1)")
-    p_plane.add_argument("--tol", type=float, default=1e-9,
-                         help="calibration tolerance (default 1e-9)")
+    p_plane.add_argument("--tol", type=_plane_tol_arg, default=1e-9,
+                         help="calibration tolerance, finite and non-negative (default 1e-9)")
     p_plane.add_argument("--vectors", type=float, nargs="+", required=True,
                          help="2p*n reals, row-major: the frame spanning the plane")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import semicalib.field
+from semicalib import cli
 from semicalib.cli import main
 from semicalib.errors import ConstructionError
 from helpers import constant_field_text, ramp_field_text
@@ -40,7 +41,7 @@ class TestDemoAndBuild:
         main(["demo", "--name", "scaled", "-o", demo])
         assert main(["build", demo]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["format_version"] == 4
+        assert data["format_version"] == 5
         assert data["points"][0]["m"] == 2
 
     def test_demo_residuals_tiny(self, tmp_path):
@@ -149,6 +150,15 @@ class TestExitCodes:
             main(["build", "x", "--tol", "bogus=1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("override", ["zero=nan", "pd=inf", "zero=-inf"])
+    def test_non_finite_tolerance_override_rejected(self, override, tmp_path, capsys):
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        with pytest.raises(SystemExit) as err:
+            main(["build", demo, "--tol", override])
+        assert err.value.code == 2
+        assert "tolerances must be finite and positive" in capsys.readouterr().err
+
     def test_removed_cluster_tolerance_rejected(self):
         with pytest.raises(SystemExit) as err:
             main(["build", "x", "--tol", "cluster=1e-6"])
@@ -201,6 +211,15 @@ class TestComassCommand:
             assert row["exact"] == 0.5
             assert row["sampled"] == pytest.approx(0.5, abs=1e-6)
 
+    def test_default_samples(self, tmp_path):
+        # comass keeps its own default, independent of verify's smaller run
+        demo = str(tmp_path / "standard.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        out = str(tmp_path / "c.json")
+        assert main(["comass", demo, "-o", out]) == 0
+        table = json.loads(open(out).read())
+        assert [row["samples"] for row in table["points"]] == [20000] * 3
+
     def test_excessive_power_rejected(self, tmp_path, capsys):
         demo = str(tmp_path / "d.calfield")
         main(["demo", "--name", "standard", "-o", demo])
@@ -249,6 +268,17 @@ class TestPlaneTest:
         assert main(["plane-test", demo, "--power", power, "--vectors", *vectors]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_out_of_range_tolerance_rejected(self, tol, tmp_path, capsys):
+        # -1 would report the calibrated standard plane as not calibrated
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        vectors = ["1", "0", "0", "0", "0", "1", "0", "0"]
+        with pytest.raises(SystemExit) as err:
+            main(["plane-test", demo, "--tol", tol, "--vectors", *vectors])
+        assert err.value.code == 2
+        assert "finite and non-negative" in capsys.readouterr().err
+
     def test_degenerate_frame(self, tmp_path, capsys):
         demo = str(tmp_path / "d.calfield")
         main(["demo", "--name", "standard", "-o", demo])
@@ -270,3 +300,14 @@ class TestDeterminism:
             assert main(["verify", demo, "--seed", "0", *FAST, "-o", str(v)]) == 0
             outs.append((b.read_bytes(), v.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestSharedParser:
+    def test_list_flags_do_not_leak_between_calls(self, monkeypatch):
+        # every main call parses with the one cached parser
+        seen = []
+        monkeypatch.setitem(cli._DISPATCH, "verify", lambda args: seen.append(args) or 0)
+        assert main(["verify", "x", "--power", "2", "--tol", "zero=1e-9"]) == 0
+        assert main(["verify", "x"]) == 0
+        assert seen[0].power == [2] and seen[0].tol == [("zero", 1e-9)]
+        assert seen[1].power == [] and seen[1].tol == []

@@ -446,8 +446,9 @@ class TestSampledVersusExactInvariant:
 
 # comass_bruteforce values recorded before the search switched to |Pf| =
 # sqrt(det) ranking and the active-only ascent: n = 8, one planted unit block
-# (pair values 1, 0.5, 0.132..., 0.0172...), FieldConfig's default samples
-# and restarts.  Keyed by (p, seed).
+# (pair values 1, 0.5, 0.132..., 0.0172...), 20 000 samples (FieldConfig's
+# default when they were recorded) and FieldConfig's default restarts.
+# Keyed by (p, seed).
 GOLDEN_SAMPLED = {
     (1, 0): 0.9999999999993229,
     (1, 1): 0.9999999999992617,
@@ -474,7 +475,7 @@ class TestSampledGolden:
     def test_matches_recorded_value(self, case, p, seed):
         g, w, mu = case
         config = FieldConfig()
-        est = comass_bruteforce(g, PowerForm(w, p), samples=config.samples,
+        est = comass_bruteforce(g, PowerForm(w, p), samples=20_000,
                                 restarts=config.restarts, seed=seed)
         recorded = GOLDEN_SAMPLED[(p, seed)]
         exact = float(np.prod(mu[:p]))

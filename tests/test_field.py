@@ -1,5 +1,7 @@
 """Tests for CALFIELD parsing, field processing, and verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,17 @@ from semicalib import (
     process_field,
     verify_field,
 )
+from semicalib.field import _verify_point
 from semicalib.jsonio import dumps
-from helpers import constant_field_text, ramp_field_text, rotating_plane_field_text
+from semicalib.spectral import associated_endomorphism, paired_spectrum
+from helpers import (
+    constant_field_text,
+    dual_wedge,
+    planted_form,
+    ramp_field_text,
+    random_pd_metric,
+    rotating_plane_field_text,
+)
 
 MINIMAL = """CALFIELD 1
 DIM 4
@@ -341,6 +352,57 @@ class TestVerifyField:
         assert report.passed  # excluded point is reported, not failed
         flagged = [p for p in report.data["points"] if not p["gap_ok"]]
         assert len(flagged) == 1 and flagged[0]["m"] is None
+
+
+class TestSampledRunTwoSided:
+    """verify's one sampled run, at FieldConfig defaults, catches an Omega that
+    is too small as well as one that is too large."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        rng = np.random.default_rng(5)
+        g = random_pd_metric(rng, 8)
+        w, _ = planted_form(rng, g, blocks=1)
+        text = constant_field_text(
+            8,
+            " ".join(repr(float(x)) for x in g.entries[np.triu_indices(8)]),
+            " ".join(repr(float(x)) for x in w.entries[np.triu_indices(8, 1)]),
+            1,
+        )
+        grid = parse_calfield(text)
+        return process_field(grid).outcomes[0], grid.points[0]
+
+    @staticmethod
+    def checks(built, omega=None):
+        outcome, point = built
+        if omega is not None:
+            pc = dataclasses.replace(outcome.construction, omega_total=TwoForm(omega))
+            outcome = dataclasses.replace(outcome, construction=pc)
+        return _verify_point(outcome, point, FieldConfig())
+
+    def test_construction_passes_both_sides(self, built):
+        checks = self.checks(built)
+        assert checks["Omega_comass_sampled_bound"]["pass"] is True
+        assert checks["Omega_comass_sampled_attained"]["pass"] is True
+        assert checks["Omega_comass_sampled_attained"]["threshold"] == 1e-6
+
+    def test_shrunk_omega_fails_attained(self, built):
+        omega = built[0].construction.omega_total.entries
+        checks = self.checks(built, 0.99 * omega)
+        assert checks["Omega_comass_sampled_bound"]["pass"] is True
+        assert checks["Omega_comass_sampled_attained"]["value"] == pytest.approx(0.01, rel=1e-9)
+        assert checks["Omega_comass_sampled_attained"]["pass"] is False
+
+    def test_inflated_pair_fails_bound(self, built):
+        # Omega grown by 1e-6 on one g_J-orthonormal pair has comass 1 + 1e-6
+        pc = built[0].construction
+        omega = pc.omega_total.entries
+        b0, b1 = paired_spectrum(associated_endomorphism(pc.g_j, pc.omega_total), pc.g_j).basis[:2]
+        inflated = omega + 1e-6 * (b0 @ omega @ b1) * dual_wedge(pc.g_j, b0, b1)
+        checks = self.checks(built, inflated)
+        assert checks["Omega_comass_sampled_bound"]["value"] > 1 + 1e-8
+        assert checks["Omega_comass_sampled_bound"]["pass"] is False
+        assert checks["Omega_comass_sampled_attained"]["pass"] is True
 
 
 class TestDeterminism:
