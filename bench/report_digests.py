@@ -40,7 +40,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
-import scipy.linalg  # noqa: E402
 
 DEMOS = ("odd3", "rank-deficient", "scaled", "standard")
 FIELD_DIMS = (4, 7, 8, 16)
@@ -53,45 +52,6 @@ TESTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "test
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def planted_field_text(n: int, seed: int) -> str:
-    """Smooth n-dim field along a path; the smallest pair value ramps 0.3 -> 0.05.
-
-    The other pair values are 1, 0.9, 0.8, ...; odd n keeps one kernel
-    direction.  With the automatic epsilon (0.09, from the base point) pair
-    values in (0.15, 0.212) violate the gap, with ``FIXED_EPSILON`` those in
-    (0.1, 0.141): both runs see V pairs, complement pairs and excluded points.
-    """
-    from helpers import dual_wedge
-
-    from semicalib import MetricTensor
-
-    rng = np.random.default_rng(seed)
-    npairs = n // 2
-    s0 = rng.standard_normal((n, n))
-    s1 = rng.standard_normal((n, n))
-    g0 = s0 @ s0.T / n + np.eye(n)
-    g1 = (s1 + s1.T) / (4 * n)
-    k = rng.standard_normal((n, n))
-    turn = (k - k.T) / 4
-    z0, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    iu, su = np.triu_indices(n), np.triu_indices(n, 1)
-    lines = ["CALFIELD 1", f"DIM {n}", f"POINTS {FIELD_POINTS}"]
-    for i in range(FIELD_POINTS):
-        t = i / (FIELD_POINTS - 1)
-        g = MetricTensor(g0 + np.sin(np.pi * t) * g1)
-        z = scipy.linalg.expm(t * turn) @ z0
-        frame = np.linalg.solve(np.linalg.cholesky(g.entries).T, z).T
-        mu = [1.0 - 0.1 * j for j in range(npairs - 1)] + [0.3 - 0.25 * t]
-        w = sum(m * dual_wedge(g, frame[2 * j], frame[2 * j + 1]) for j, m in enumerate(mu))
-        lines += [
-            f"P {i}",
-            "X " + " ".join(repr(float(x)) for x in [t] + [0.0] * (n - 1)),
-            "G " + " ".join(repr(float(x)) for x in g.entries[iu]),
-            "W " + " ".join(repr(float(x)) for x in w[su]),
-        ]
-    return "\n".join(lines) + "\n"
 
 
 def run_cli(argv: list[str], tmp: str) -> list:
@@ -136,6 +96,8 @@ def near_double_digest() -> list:
 
 
 def digests() -> dict:
+    from helpers import planted_field_text
+
     from semicalib import demo_calfield
 
     out = {}
@@ -150,7 +112,7 @@ def digests() -> dict:
         for n in FIELD_DIMS:
             path = os.path.join(tmp, f"n{n}.calfield")
             with open(path, "w") as handle:
-                handle.write(planted_field_text(n, seed=n))
+                handle.write(planted_field_text(n, seed=n, points=FIELD_POINTS))
             out[f"field/n{n}/auto"] = run_cli(["build", path], tmp)
             out[f"field/n{n}/eps"] = run_cli(["build", path, "--epsilon", FIXED_EPSILON], tmp)
             if n == 8:

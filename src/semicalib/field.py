@@ -3,11 +3,14 @@
 A field is an ordered list of sample points, each carrying a metric and a
 2-form; the file's coordinates are checked but not kept.  Point 0 is the
 designated base point: the automatic gap parameter epsilon is read off its
-spectrum and shared by every point.  The construction runs pointwise in index
-order, propagating the complement frame from one point to the next by
-orthogonal Procrustes alignment so the output fields stay continuous; points
-whose spectrum violates the band gap are flagged and excluded rather than
-fatal.
+spectrum and shared by every point.  The construction's spectral stage runs
+point by point in index order, propagating the complement frame from one
+point to the next by orthogonal Procrustes alignment so the output fields
+stay continuous; points whose spectrum violates the band gap are flagged and
+excluded rather than fatal.  The included points are then assembled in
+batches of points sharing (n, m); a point's results do not depend on its batch.
+Parsing likewise reads the records first and then converts every number and
+checks every metric of the field at once.
 
 CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
 
@@ -22,27 +25,43 @@ CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# comass_exact, associated_endomorphism and paired_spectrum are not called
-# here; perfbench/workloads.py traces them by patching these names in this
-# module, so they stay imported.
+# construct_point, comass_exact, associated_endomorphism and paired_spectrum
+# are not called here; perfbench/workloads.py traces them by patching these
+# names in this module, so they stay imported.
 from .comass import _exact_powers, comass_bruteforce, comass_exact  # noqa: F401
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .construction import PointConstruction, construct_point, lift_odd
-from .errors import (
-    EpsilonInferenceError,
-    GapViolation,
-    NotPositiveDefiniteError,
-    ParseError,
+from .construction import (  # noqa: F401
+    PointConstruction,
+    _assemble,
+    _Spectral,
+    _spectral_stage,
+    construct_point,
+    lift_odd,
 )
-from .forms import Frame, MetricTensor, TwoForm
+from .errors import EpsilonInferenceError, GapViolation, ParseError
+from .forms import (
+    Frame,
+    MetricTensor,
+    TwoForm,
+    _first_fault,
+    _metric_stack,
+    _triu,
+    _trusted,
+    _two_form_stack,
+    _upper_stack,
+)
 from .spectral import associated_endomorphism, infer_epsilon, paired_spectrum  # noqa: F401
 
 FORMAT_VERSION = 5
+# Points per assembly batch: enough to share each stacked call's overhead,
+# few enough that a batch's temporaries stay small whatever the field size.
+_BATCH = 64
 
 # Thresholds applied by verify_field, per check.
 RESIDUAL_THRESHOLDS = {
@@ -171,8 +190,31 @@ class _Records:
         return self.pos >= len(self.records)
 
 
+def _floats(lines: list[tuple[int, list[str]]]) -> np.ndarray:
+    """Every token of these records as a float, in order; raises ValueError on a bad token."""
+    tokens = itertools.chain.from_iterable(tokens for _, tokens in lines)
+    return np.fromiter(map(float, tokens), float, count=sum(len(tokens) for _, tokens in lines))
+
+
+def _number_fault(lines: list[tuple[int, list[str]]]) -> tuple[int, ParseError] | None:
+    """(position in ``lines``, error) of the first token that is not a finite number."""
+    for k, (lineno, tokens) in enumerate(lines):
+        for token in tokens:
+            try:
+                _parse_number(token, lineno)
+            except ParseError as exc:
+                return k, exc
+    return None
+
+
 def parse_calfield(text: str) -> FieldGrid:
-    """Parse CALFIELD v1 text into a validated grid; errors carry line numbers."""
+    """Parse CALFIELD v1 text into a validated grid; errors carry line numbers.
+
+    The records are read in order first, then every number of the field is
+    converted and every metric checked at once.  Of several faults, the one
+    on the earliest line is raised: a metric that is not positive definite
+    counts on its ``G`` line.
+    """
     records = _Records(text)
 
     lineno, rest = records.take("CALFIELD", "header 'CALFIELD 1'")
@@ -193,42 +235,81 @@ def parse_calfield(text: str) -> FieldGrid:
 
     n_g = dim * (dim + 1) // 2
     n_w = dim * (dim - 1) // 2
-    points: list[FieldPoint] = []
-    for i in range(npoints):
-        if records.exhausted():
+    numeric: list[tuple[int, list[str]]] = []  # X, G and W records, in file order
+    g_lines: list[int] = []
+    fault: ParseError | None = None
+    try:
+        for i in range(npoints):
+            if records.exhausted():
+                raise ParseError(
+                    f"point count mismatch: expected {npoints} points, file ends after {i}",
+                    records.last_line,
+                )
+            lineno, rest = records.take("P", f"'P {i}'")
+            if len(rest) != 1 or _parse_int(rest[0], lineno, "point index") != i:
+                raise ParseError(f"expected point index {i}", lineno)
+            lineno, rest = records.take("X", "coordinates 'X ...'")
+            if len(rest) != dim:
+                raise ParseError(f"expected {dim} coordinates, got {len(rest)}", lineno)
+            numeric.append((lineno, rest))
+            lineno, rest = records.take("G", "metric 'G ...'")
+            if len(rest) != n_g:
+                raise ParseError(f"expected {n_g} metric coefficients, got {len(rest)}", lineno)
+            numeric.append((lineno, rest))
+            g_lines.append(lineno)
+            lineno, rest = records.take("W", "two-form 'W ...'")
+            if len(rest) != n_w:
+                raise ParseError(f"expected {n_w} form coefficients, got {len(rest)}", lineno)
+            numeric.append((lineno, rest))
+        if not records.exhausted():
+            lineno, tokens = records.records[records.pos]
             raise ParseError(
-                f"point count mismatch: expected {npoints} points, file ends after {i}",
-                records.last_line,
+                f"point count mismatch: trailing content {tokens[0]!r} after {npoints} points",
+                lineno,
             )
-        lineno, rest = records.take("P", f"'P {i}'")
-        if len(rest) != 1 or _parse_int(rest[0], lineno, "point index") != i:
-            raise ParseError(f"expected point index {i}", lineno)
-        lineno, rest = records.take("X", "coordinates 'X ...'")
-        if len(rest) != dim:
-            raise ParseError(f"expected {dim} coordinates, got {len(rest)}", lineno)
-        for t in rest:
-            _parse_number(t, lineno)
-        lineno, rest = records.take("G", "metric 'G ...'")
-        if len(rest) != n_g:
-            raise ParseError(f"expected {n_g} metric coefficients, got {len(rest)}", lineno)
-        g_coeffs = [_parse_number(t, lineno) for t in rest]
-        try:
-            g = MetricTensor.from_upper(dim, g_coeffs)
-        except NotPositiveDefiniteError as exc:
-            raise ParseError(f"metric not positive definite at point {i}: {exc}", lineno) from exc
-        lineno, rest = records.take("W", "two-form 'W ...'")
-        if len(rest) != n_w:
-            raise ParseError(f"expected {n_w} form coefficients, got {len(rest)}", lineno)
-        omega = TwoForm.from_upper(dim, [_parse_number(t, lineno) for t in rest])
-        points.append(FieldPoint(index=i, g=g, omega=omega))
+    except ParseError as exc:
+        fault = exc
 
-    if not records.exhausted():
-        lineno, tokens = records.records[records.pos]
-        raise ParseError(
-            f"point count mismatch: trailing content {tokens[0]!r} after {npoints} points",
-            lineno,
+    # Every record read so far precedes the structural fault, if any.  A bad
+    # number ends the records whose metrics are checked below.
+    try:
+        values = _floats(numeric)
+        finite = bool(np.isfinite(values).all())
+    except ValueError:
+        finite = False
+    if not finite:
+        k, fault = _number_fault(numeric)
+        numeric = numeric[:k]
+        values = _floats(numeric)
+
+    # One row per point whose G record was read (X, G, W); the last may lack W.
+    count = (len(numeric) + 1) // 3
+    stride = dim + n_g + n_w
+    if len(values) < count * stride:
+        values = np.concatenate([values, np.zeros(count * stride - len(values))])
+    table = values[: count * stride].reshape(count, stride)
+    upper = _upper_stack(dim, table[:, dim : dim + n_g], 0)
+    upper += _triu(upper, 1).mT
+    metrics, checks = _metric_stack(upper)
+    # The entries are finite and mirrored: only positive definiteness can fail.
+    metric_fault = _first_fault(checks)
+    if metric_fault is not None:
+        i, exc = metric_fault
+        raise ParseError(f"metric not positive definite at point {i}: {exc}", g_lines[i]) from exc
+    if fault is not None:
+        raise fault
+
+    upper = _upper_stack(dim, table[:, dim + n_g :], 1)
+    forms, _ = _two_form_stack(upper - upper.mT)
+    points = tuple(
+        FieldPoint(
+            index=i,
+            g=_trusted(MetricTensor, entries=metrics[i]),
+            omega=_trusted(TwoForm, entries=forms[i]),
         )
-    return FieldGrid(dim=dim, points=tuple(points))
+        for i in range(count)
+    )
+    return FieldGrid(dim=dim, points=points)
 
 
 def _lift_grid_point(point: FieldPoint) -> tuple[MetricTensor, TwoForm]:
@@ -243,7 +324,10 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
 
     Epsilon comes from the base point (automatic policy) or the config; gap
     violations flag and exclude the offending point.  Each point's complement
-    frame hint is the last successful point's frame.
+    frame hint is the last successful point's frame.  The spectral stage runs
+    point by point in index order; the assembly then runs on batches of up to
+    ``_BATCH`` included points sharing m.  When points fail, the error raised
+    is that of the lowest index, as if each point were constructed in turn.
     """
     if not grid.points:
         raise ValueError("grid is empty")
@@ -252,53 +336,67 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
 
     data = [(point, *_lift_grid_point(point)) for point in grid.points]
 
-    # Under the automatic policy (epsilon None) the base point's construction
-    # infers its own epsilon, which every later point then shares.
+    # Under the automatic policy (epsilon None) the base point's spectrum
+    # gives epsilon, which every later point then shares.
     epsilon = config.epsilon
-    outcomes: list[PointOutcome] = []
+    outcomes: dict[int, PointOutcome] = {}
+    groups: dict[int, list[tuple[int, _Spectral]]] = {}  # by m, in index order
+    # (index, rank, error): at one index an assembly fault (rank 0) comes first.
+    faults: list[tuple[int, int, Exception]] = []
     hint: Frame | None = None
     for point, g, omega in data:
         try:
-            pc = construct_point(
-                g,
-                omega,
-                epsilon=epsilon,
-                tframe_hint=hint if config.use_hints else None,
-                tol=config.tolerances,
+            stage = _spectral_stage(
+                g, omega, epsilon, hint if config.use_hints else None, config.tolerances
             )
         except GapViolation as exc:
             if epsilon is None:
                 epsilon = exc.epsilon
-            outcomes.append(
-                PointOutcome(
-                    index=point.index,
-                    construction=None,
-                    gap_ok=False,
-                    offending_eigenvalues=exc.offenders,
-                    eigenvalues=exc.eigenvalues,
-                )
+            outcomes[point.index] = PointOutcome(
+                index=point.index,
+                construction=None,
+                gap_ok=False,
+                offending_eigenvalues=exc.offenders,
+                eigenvalues=exc.eigenvalues,
             )
             continue
+        except Exception as exc:  # raised below, unless an earlier point's assembly fails
+            faults.append((point.index, 1, exc))
+            break
+        groups.setdefault(stage.m, []).append((point.index, stage))
         if epsilon is None:
-            epsilon = infer_epsilon(pc.spectrum)
+            epsilon = infer_epsilon(stage.spectrum)
             if epsilon is None:
-                raise EpsilonInferenceError(
+                faults.append((point.index, 1, EpsilonInferenceError(
                     "cannot infer epsilon: base point has no positive eigenvalue above threshold"
+                )))
+                break
+        if 2 * stage.m < dim:
+            hint = Frame(stage.frame[2 * stage.m :])
+
+    for members in groups.values():
+        for lo in range(0, len(members), _BATCH):
+            batch = members[lo : lo + _BATCH]
+            constructions, fault = _assemble([stage for _, stage in batch], config.tolerances)
+            if fault is not None:
+                faults.append((batch[fault[0]][0], 0, fault[1]))
+                break
+            for (index, _), pc in zip(batch, constructions):
+                outcomes[index] = PointOutcome(
+                    index=index,
+                    construction=pc,
+                    gap_ok=True,
+                    offending_eigenvalues=(),
+                    eigenvalues=tuple(pc.spectrum.values.tolist()),
                 )
-        outcomes.append(
-            PointOutcome(
-                index=point.index,
-                construction=pc,
-                gap_ok=True,
-                offending_eigenvalues=(),
-                eigenvalues=tuple(float(x) for x in pc.spectrum.values),
-            )
-        )
-        if 2 * pc.m < dim:
-            hint = Frame(pc.frame[2 * pc.m :])
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
 
     return ConstructionField(
-        epsilon=float(epsilon), dim=dim, lifted_from=lifted_from, outcomes=tuple(outcomes)
+        epsilon=float(epsilon),
+        dim=dim,
+        lifted_from=lifted_from,
+        outcomes=tuple(outcomes[point.index] for point in grid.points),
     )
 
 

@@ -11,6 +11,7 @@ function, so everything in this module is safe to use from multiple threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -42,6 +43,95 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@functools.lru_cache(maxsize=2 * MAX_DIM + 2)
+def _below(n: int, k: int) -> np.ndarray:
+    """Mask of the entries of an n x n matrix below its k-th diagonal."""
+    return _freeze(np.tri(n, n, k - 1, dtype=bool))
+
+
+def _triu(mats: np.ndarray, k: int = 0) -> np.ndarray:
+    """``np.triu`` of a stack, with the mask built once per (n, k)."""
+    return np.where(_below(mats.shape[-1], k), 0.0, mats)
+
+
+def _trusted(cls, **fields):
+    """An instance of a frozen value class around arrays that already passed its checks.
+
+    The batched stages check a whole stack with :func:`_metric_stack` or
+    :func:`_two_form_stack` and wrap each matrix without checking it again.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _freeze(value))
+    return obj
+
+
+def _upper_stack(dim: int, coeffs: np.ndarray, offset: int) -> np.ndarray:
+    """A stack of zero (dim, dim) matrices with row k of ``coeffs`` on matrix k's triangle.
+
+    The triangle is the upper one from diagonal ``offset`` on (0 keeps the
+    diagonal, 1 leaves it out), filled row-major.
+    """
+    mats = np.zeros((len(coeffs), dim, dim))
+    rows, cols = np.triu_indices(dim, offset)
+    mats[:, rows, cols] = coeffs
+    return mats
+
+
+def _first_fault(checks) -> tuple[int, Exception] | None:
+    """(index, error) of the first matrix of a stack that fails a check, or None.
+
+    ``checks`` are (failure mask, error for an index) in the order one
+    matrix is checked, so at that index the earliest failing check wins; a
+    later check's mask may be anything where an earlier one fails.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return next((i, error(i)) for mask, error in checks if mask[i])
+
+
+def _metric_stack(mats: np.ndarray, pd_tol: float = DEFAULT_TOLERANCES.pd):
+    """Canonical form of a (k, n, n) stack of metric matrices, and MetricTensor's checks on it.
+
+    The checks, in order: finite entries, symmetric storage (up to
+    ``_STORAGE_GUARD``), then positive definiteness.  The canonical form
+    mirrors the upper triangle, as every :class:`MetricTensor` stores it.
+    """
+    scale = np.abs(mats).max(axis=(1, 2))  # NaN or inf unless every entry is finite
+    finite = np.isfinite(scale)
+    asymmetric = np.abs(mats - mats.mT).max(axis=(1, 2)) > _STORAGE_GUARD * np.maximum(scale, 1.0)
+    upper = _triu(mats)
+    canonical = upper + _triu(upper, 1).mT
+    if not finite.all():  # eigvalsh may fail on NaN; those matrices fail the first check anyway
+        canonical = np.where(finite[:, None, None], canonical, np.eye(mats.shape[-1]))
+    eigmin = np.linalg.eigvalsh(canonical)[:, 0]
+    checks = [
+        (~finite, lambda i: ValueError("metric contains non-finite entries")),
+        (asymmetric, lambda i: ValueError("metric entries are not symmetric")),
+        (eigmin <= pd_tol * np.maximum(scale, _TINY), lambda i: NotPositiveDefiniteError(
+            f"metric is not positive definite (smallest eigenvalue {float(eigmin[i]):.6g})")),
+    ]
+    return canonical, checks
+
+
+def _two_form_stack(mats: np.ndarray):
+    """Canonical form of a (k, n, n) stack of 2-form matrices, and TwoForm's checks on it.
+
+    The checks, in order: finite entries, then antisymmetric storage (up to
+    ``_STORAGE_GUARD``).  The canonical form keeps the strict upper triangle.
+    """
+    scale = np.abs(mats).max(axis=(1, 2))
+    symmetric = np.abs(mats + mats.mT).max(axis=(1, 2)) > _STORAGE_GUARD * np.maximum(scale, 1.0)
+    upper = _triu(mats, 1)
+    checks = [
+        (~np.isfinite(scale), lambda i: ValueError("two-form contains non-finite entries")),
+        (symmetric, lambda i: ValueError("two-form entries are not antisymmetric")),
+    ]
+    return upper - upper.mT, checks
+
+
 @dataclass(frozen=True, eq=False)
 class MetricTensor:
     """Symmetric positive-definite matrix of a Riemannian metric at one point."""
@@ -50,18 +140,12 @@ class MetricTensor:
     pd_tol: InitVar[float] = DEFAULT_TOLERANCES.pd
 
     def __post_init__(self, pd_tol: float):
-        mat = _as_square(self.entries, "metric")
-        scale = float(np.abs(mat).max())
-        if np.abs(mat - mat.T).max() > _STORAGE_GUARD * max(scale, 1.0):
-            raise ValueError("metric entries are not symmetric")
-        upper = np.triu(mat)
-        mat = upper + np.triu(upper, 1).T
-        eigmin = float(np.linalg.eigvalsh(mat)[0])
-        if eigmin <= pd_tol * max(scale, _TINY):
-            raise NotPositiveDefiniteError(
-                f"metric is not positive definite (smallest eigenvalue {eigmin:.6g})"
-            )
-        object.__setattr__(self, "entries", _freeze(mat))
+        canonical, checks = _metric_stack(_as_square(self.entries, "metric")[None], pd_tol)
+        fault = _first_fault(checks)
+        if fault is not None:
+            raise fault[1]
+        # A copy: a view would keep the stack of one alive beside it.
+        object.__setattr__(self, "entries", _freeze(canonical[0].copy()))
 
     @property
     def dim(self) -> int:
@@ -82,8 +166,7 @@ class MetricTensor:
         expected = dim * (dim + 1) // 2
         if coeffs.shape != (expected,):
             raise ValueError(f"expected {expected} coefficients, got {coeffs.size}")
-        mat = np.zeros((dim, dim))
-        mat[np.triu_indices(dim)] = coeffs
+        mat = _upper_stack(dim, coeffs[None], 0)[0]
         return cls(mat + np.triu(mat, 1).T)
 
 
@@ -94,12 +177,11 @@ class TwoForm:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _as_square(self.entries, "two-form")
-        scale = float(np.abs(mat).max())
-        if np.abs(mat + mat.T).max() > _STORAGE_GUARD * max(scale, 1.0):
-            raise ValueError("two-form entries are not antisymmetric")
-        upper = np.triu(mat, 1)
-        object.__setattr__(self, "entries", _freeze(upper - upper.T))
+        canonical, checks = _two_form_stack(_as_square(self.entries, "two-form")[None])
+        fault = _first_fault(checks)
+        if fault is not None:
+            raise fault[1]
+        object.__setattr__(self, "entries", _freeze(canonical[0].copy()))
 
     @property
     def dim(self) -> int:
@@ -126,8 +208,7 @@ class TwoForm:
         expected = dim * (dim - 1) // 2
         if coeffs.shape != (expected,):
             raise ValueError(f"expected {expected} coefficients, got {coeffs.size}")
-        mat = np.zeros((dim, dim))
-        mat[np.triu_indices(dim, 1)] = coeffs
+        mat = _upper_stack(dim, coeffs[None], 1)[0]
         return cls(mat - mat.T)
 
     @classmethod

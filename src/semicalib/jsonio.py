@@ -3,10 +3,19 @@
 Keys are emitted sorted, floats with 17 significant decimal digits (exact
 round-trip for doubles), matrices as nested row-major lists.  Identical data
 always serializes to identical bytes, which the report formats rely on.
+
+A float64 ndarray whose entries are all finite is written in one step: one
+``%`` formatting of its entries against a template of its whole layout,
+cached per (shape, indent).  The template is built by the same layout rules
+as the general writer, and ``'%.17g' % x`` and ``format(x, '.17g')`` are the
+same conversion of a float, so the bytes are those of the general writer.
+Any other array, and one with a NaN or an infinity, goes through the general
+writer, which raises for the first non-finite entry.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -40,7 +49,24 @@ def _scalar(x) -> str:
     return _scalar(float(x))
 
 
+@functools.lru_cache(maxsize=256)
+def _template(shape: tuple[int, ...], indent: int) -> str:
+    """The JSON layout of a float array of this shape, one ``%.17g`` per entry."""
+    if not shape:
+        return "%.17g"
+    if shape[0] == 0:
+        return "[]"
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    pad = "  " * indent
+    row = pad + "  " + _template(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + pad + "]"
+
+
 def _write(obj, indent: int, out: list[str]) -> None:
+    if type(obj) is np.ndarray and obj.dtype == np.float64 and np.isfinite(obj).all():
+        out.append(_template(obj.shape, indent) % tuple(obj.ravel().tolist()))
+        return
     obj = _convert(obj)
     pad = "  " * indent
     if obj is None or isinstance(obj, (int, float)):

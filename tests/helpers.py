@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from semicalib import (
     Frame,
@@ -124,5 +125,41 @@ def constant_field_text(n: int, g_upper: str, w_upper: str, points: int) -> str:
             "X " + " ".join([str(k)] + ["0"] * (n - 1)),
             "G " + g_upper,
             "W " + w_upper,
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def planted_field_text(n: int, seed: int, points: int = 12) -> str:
+    """Smooth n-dim field along a path; the smallest pair value ramps 0.3 -> 0.05.
+
+    The other pair values are 1, 0.9, 0.8, ...; odd n keeps one kernel
+    direction.  With the automatic epsilon (0.09, from the base point) pair
+    values in (0.15, 0.212) violate the gap, with epsilon 0.04 those in
+    (0.1, 0.141): both runs see V pairs, complement pairs and excluded points,
+    and the complement grows by one pair along the path.
+    """
+    rng = np.random.default_rng(seed)
+    npairs = n // 2
+    s0 = rng.standard_normal((n, n))
+    s1 = rng.standard_normal((n, n))
+    g0 = s0 @ s0.T / n + np.eye(n)
+    g1 = (s1 + s1.T) / (4 * n)
+    k = rng.standard_normal((n, n))
+    turn = (k - k.T) / 4
+    z0, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    iu, su = np.triu_indices(n), np.triu_indices(n, 1)
+    lines = ["CALFIELD 1", f"DIM {n}", f"POINTS {points}"]
+    for i in range(points):
+        t = i / (points - 1)
+        g = MetricTensor(g0 + np.sin(np.pi * t) * g1)
+        z = scipy.linalg.expm(t * turn) @ z0
+        frame = np.linalg.solve(np.linalg.cholesky(g.entries).T, z).T
+        mu = [1.0 - 0.1 * j for j in range(npairs - 1)] + [0.3 - 0.25 * t]
+        w = sum(m * dual_wedge(g, frame[2 * j], frame[2 * j + 1]) for j, m in enumerate(mu))
+        lines += [
+            f"P {i}",
+            "X " + " ".join(repr(float(x)) for x in [t] + [0.0] * (n - 1)),
+            "G " + " ".join(repr(float(x)) for x in g.entries[iu]),
+            "W " + " ".join(repr(float(x)) for x in w[su]),
         ]
     return "\n".join(lines) + "\n"

@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-import semicalib.field
+import semicalib.construction
 from semicalib import cli
 from semicalib.cli import main
-from semicalib.errors import ConstructionError
 from helpers import constant_field_text, ramp_field_text
 
 FAST = ["--samples", "2000", "--restarts", "3"]
@@ -101,10 +100,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["build", "verify"])
     def test_construction_breakdown_is_4(self, command, tmp_path, capsys, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ConstructionError("compatible metric is not positive definite")
-
-        monkeypatch.setattr(semicalib.field, "construct_point", broken)
+        # A g_J that is not positive definite makes the batched assembly's
+        # own check raise ConstructionError.
+        metric = semicalib.construction.compatible_metric
+        monkeypatch.setattr(semicalib.construction, "compatible_metric",
+                            lambda *args: -metric(*args))
         demo = str(tmp_path / "d.calfield")
         main(["demo", "--name", "standard", "-o", demo])
         assert main([command, demo]) == 4

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from semicalib import (
     ConstructionError,
+    Endomorphism,
     Frame,
     MetricTensor,
     TwoForm,
@@ -24,9 +25,11 @@ from semicalib import (
     plane_area,
     split_spaces,
 )
-from semicalib.field import RESIDUAL_THRESHOLDS
+from semicalib.config import CALIBRATED_TOL
+from semicalib.field import RESIDUAL_THRESHOLDS, parse_calfield, process_field
 from helpers import (
     near_double_form,
+    planted_field_text,
     planted_form,
     random_pd_metric,
     random_two_form,
@@ -65,9 +68,9 @@ def congruences(w, epsilon, complement=None):
     return (
         frame,
         m,
-        almost_complex_structure(p, p_inv),
-        compatible_metric(p_inv, d),
-        assemble_calibration(p_inv, d, m),
+        Endomorphism(almost_complex_structure(p, p_inv)),
+        MetricTensor(compatible_metric(p_inv, d)),
+        TwoForm(assemble_calibration(p_inv, d, m)),
     )
 
 
@@ -346,6 +349,83 @@ class TestConstructPoint:
         np.testing.assert_allclose(pc.frame[2 * pc.m :], hint.vectors, atol=1e-12)
         # invariants hold regardless of the frame choice
         assert max(abs(v) for v in pc.residuals.values()) <= 1e-10
+
+
+def loop_reference(g, omega, pc):
+    """(J, g_J, Omega, residuals) from ``pc``'s paired frame, one point and one vector at a time.
+
+    The reference whose bits the batched assembly must match: every product
+    here is the per-matrix or per-vector call, so a batched route that rounds
+    differently shows.
+    """
+    n, m, spectrum, basis = g.dim, pc.m, pc.spectrum, pc.spectrum.basis
+    A, G, W = associated_endomorphism(g, omega).matrix, g.entries, omega.entries
+    nv, npv = 2 * m, 2 * spectrum.npairs
+    p = pc.frame.T
+    p_inv = np.linalg.inv(p)
+    d = np.concatenate([np.repeat(np.sqrt(spectrum.eigenvalues[:m]), 2), np.ones(n - nv)])
+
+    def j0(k):
+        return blockdiag(*[J2] * (k // 2)) if k else np.zeros((0, 0))
+
+    def part(rows):
+        q = p_inv[rows]
+        return -q.T @ (d[rows, None] * (j0(len(q)) @ q))
+
+    jm = p @ j0(n) @ p_inv
+    g_j = MetricTensor(p_inv.T @ (d[:, None] * p_inv))
+    wt = TwoForm(part(slice(0, nv)) + part(slice(nv, None))).entries
+    w_scale = max(float(np.abs(W).max()), 1.0)
+    res = {
+        "j_squared": float(np.abs(jm @ jm + np.eye(n)).max()),
+        "compatibility": float(np.abs(g_j.entries - wt @ jm).max()),
+        "j_invariance": float(np.abs(jm.T @ wt @ jm - wt).max()),
+        "definition": float(np.abs(A.T @ G - W).max()) / w_scale,
+        "skew_adjoint": float(np.abs(A.T @ G + G @ A).max()) / w_scale,
+        "pairing": float(np.abs(p_inv[:nv] @ A @ p[:, :nv] - d[:nv, None] * j0(nv)).max(initial=0.0)),
+        "basis_orthonormality": float(np.abs(basis @ G @ basis.T - np.eye(n)).max()),
+    }
+    M = -(A @ A)
+    rows = zip(spectrum.values[:npv], basis[:npv])
+    eig = max([float(np.abs(M @ v - lam * v).max()) for lam, v in rows], default=0.0)
+    res["eigen_residual"] = eig / max(float(np.abs(M).max()), 1e-300)
+    chol = np.linalg.cholesky(g_j.entries)
+    skew = np.linalg.solve(chol, np.linalg.solve(chol, wt).T)
+    res["calibration_unit_comass"] = abs(float(np.linalg.norm(skew, 2)) - 1.0)
+    ratios = [
+        abs(float(v @ wt @ w) / plane_area(g_j, v, w) - 1.0)
+        for lam, v, w in zip(spectrum.eigenvalues, basis[0:npv:2], basis[1:npv:2])
+        if abs(lam - 1.0) <= CALIBRATED_TOL
+    ]
+    res["preservation"] = max(ratios, default=0.0)
+    dom = basis[:nv] @ (G - g_j.entries) @ basis[:nv].T
+    res["metric_domination_min_eig"] = float(np.linalg.eigvalsh((dom + dom.T) / 2)[0]) if m else 0.0
+    return jm, g_j.entries, wt, res
+
+
+def assert_matches_loop_reference(g, omega, pc):
+    jm, g_j, wt, res = loop_reference(g, omega, pc)
+    for got, want in [(pc.j.matrix, jm), (pc.g_j.entries, g_j), (pc.omega_total.entries, wt)]:
+        assert got.tobytes() == want.tobytes()
+    assert list(pc.residuals) == list(res)
+    assert [x.hex() for x in pc.residuals.values()] == [x.hex() for x in res.values()]
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("n", [4, 7, 8, 16])
+    def test_field_matches(self, n):
+        grid = parse_calfield(planted_field_text(n, seed=n, points=16))
+        for point, outcome in zip(grid.points, process_field(grid).outcomes):
+            if outcome.construction is not None:
+                g, omega = (point.g, point.omega) if n % 2 == 0 else lift_odd(point.g, point.omega)
+                assert_matches_loop_reference(g, omega, outcome.construction)
+
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
+    def test_near_double_matches(self, cond):
+        rng = np.random.default_rng(1)
+        for sep in (1e-9, 1e-6, 1e-3):
+            g, omega = near_double_form(rng, cond=cond, sep=sep)
+            assert_matches_loop_reference(g, omega, construct_point(g, omega))
 
 
 class TestNearDoubleIllConditioned:

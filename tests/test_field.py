@@ -9,11 +9,17 @@ import semicalib.comass
 import semicalib.construction
 import semicalib.field
 from semicalib import (
+    ConstructionError,
     EpsilonInferenceError,
     FieldConfig,
+    Frame,
+    GapViolation,
+    MetricTensor,
     ParseError,
     TwoForm,
     build_report,
+    construct_point,
+    lift_odd,
     demo_calfield,
     parse_calfield,
     process_field,
@@ -25,6 +31,7 @@ from semicalib.spectral import associated_endomorphism, paired_spectrum
 from helpers import (
     constant_field_text,
     dual_wedge,
+    planted_field_text,
     planted_form,
     ramp_field_text,
     random_pd_metric,
@@ -112,6 +119,196 @@ class TestParser:
         text = MINIMAL.replace("W 1 0 0 0 0 1", "W 1 0 junk 0 0 1")
         with pytest.raises(ParseError, match=r"line 7"):
             parse_calfield(text)
+
+
+def two_faults(kinds):
+    """(A 4-point field with faults of ``kinds`` at points 1 and 2, the same field with the first only)."""
+
+    def text(faults):
+        lines = constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 0.5", 4).splitlines()
+        for point, kind in faults:
+            row = 3 + 4 * point  # the point's P line
+            if kind == "bad token":
+                lines[row + 2] = lines[row + 2].replace("G 1 0", "G 1 1_0x", 1)
+            elif kind == "non-finite":
+                lines[row + 3] = "W 1 0 0 0 nan 0.5"
+            elif kind == "wrong count":
+                lines[row + 1] = "X 0 0 0"
+            elif kind == "non-PD metric":
+                lines[row + 2] = "G 1 0 0 0 -1 0 0 1 0 1"
+        return "\n".join(lines) + "\n"
+
+    return text(list(zip((1, 2), kinds))), text([(1, kinds[0])])
+
+
+FAULTS = ("bad token", "non-finite", "wrong count", "non-PD metric")
+
+
+class TestParseOrder:
+    @pytest.mark.parametrize("kinds", [(a, b) for a in FAULTS for b in FAULTS])
+    def test_earlier_line_reported(self, kinds):
+        both, first = two_faults(kinds)
+        with pytest.raises(ParseError) as expected:
+            parse_calfield(first)
+        with pytest.raises(ParseError) as raised:
+            parse_calfield(both)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.line == expected.value.line
+
+    @pytest.mark.parametrize(
+        "later", ["W 1 0 0 0 junk 0.5", "W 1 0 0 0 inf 0.5", "W 1 0 0 0 0", "P 5"]
+    )
+    def test_non_pd_metric_before_a_later_fault_on_its_point(self, later):
+        lines = MINIMAL.splitlines()
+        lines[5] = "G 1 0 0 0 0 0 0 1 0 1"
+        lines[6 if later.startswith("W") else 7:] = [later]
+        with pytest.raises(ParseError, match=r"positive definite at point 0: .* \(line 6\)$"):
+            parse_calfield("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ("X 0 0 0 junk", "cannot parse number 'junk' (line 5)"),
+            ("G 1 0 0 0 1 0 0 1 0 -inf", "non-finite number '-inf' (line 6)"),
+            ("W 1 0 0 0 0", "expected 6 form coefficients, got 5 (line 7)"),
+            ("G 1 0 0 0 1 0 0 1 0 -1", "metric not positive definite at point 0: metric is not "
+             "positive definite (smallest eigenvalue -1) (line 6)"),
+        ],
+    )
+    def test_messages_and_line_numbers(self, line, message):
+        lines = MINIMAL.splitlines()
+        lines[4 + "XGW".index(line[0])] = line
+        with pytest.raises(ParseError) as raised:
+            parse_calfield("\n".join(lines) + "\n")
+        assert str(raised.value) == message
+
+    def test_python_float_spellings(self):
+        g_tokens = "1_0 +0 -0.0 .5 1E1 0 0 1e1 5. 1_0.0_1".split()
+        w_tokens = ["+1e3", "-1_0", "4.9e-324", "1e-320", "-.25", "1_0E-1_0"]
+        text = MINIMAL.replace("G 1 0 0 0 1 0 0 1 0 1", "G " + " ".join(g_tokens))
+        text = text.replace("W 1 0 0 0 0 1", "W " + " ".join(w_tokens))
+        point = parse_calfield(text).points[0]
+        g = MetricTensor.from_upper(4, [float(t) for t in g_tokens])
+        w = TwoForm.from_upper(4, [float(t) for t in w_tokens])
+        assert point.g.entries.tobytes() == g.entries.tobytes()
+        assert point.omega.entries.tobytes() == w.entries.tobytes()
+
+
+def pointwise(grid, config):
+    """process_field's outcomes as a construct_point loop: None for an excluded point."""
+    epsilon, hint, out = config.epsilon, None, []
+    for point in grid.points:
+        g, omega = (point.g, point.omega) if grid.dim % 2 == 0 else lift_odd(point.g, point.omega)
+        try:
+            hint_used = hint if config.use_hints else None
+            pc = construct_point(g, omega, epsilon, hint_used, config.tolerances)
+        except GapViolation as exc:
+            epsilon = exc.epsilon if epsilon is None else epsilon
+            out.append(None)
+            continue
+        epsilon = pc.epsilon if epsilon is None else epsilon
+        if 2 * pc.m < pc.dim:
+            hint = Frame(pc.frame[2 * pc.m :])
+        out.append(pc)
+    return out
+
+
+class TestBatchedAssembly:
+    @pytest.mark.parametrize("n", [4, 7, 8])
+    @pytest.mark.parametrize(
+        "config", [FieldConfig(), FieldConfig(use_hints=False), FieldConfig(epsilon=0.04)]
+    )
+    @pytest.mark.parametrize("batch", [3, semicalib.field._BATCH])
+    def test_bitwise_equal_to_pointwise(self, n, config, batch, monkeypatch):
+        monkeypatch.setattr(semicalib.field, "_BATCH", batch)
+        grid = parse_calfield(planted_field_text(n, seed=n, points=16))
+        cf = process_field(grid, config)
+        ms = [o.construction.m for o in cf.outcomes if o.gap_ok]
+        assert len(set(ms)) == 2 and not all(o.gap_ok for o in cf.outcomes)
+        for outcome, ref in zip(cf.outcomes, pointwise(grid, config), strict=True):
+            pc = outcome.construction
+            assert (pc is None) == (ref is None)
+            if pc is None:
+                continue
+            for got, want in [
+                (pc.frame, ref.frame),
+                (pc.j.matrix, ref.j.matrix),
+                (pc.g_j.entries, ref.g_j.entries),
+                (pc.omega_total.entries, ref.omega_total.entries),
+            ]:
+                assert got.tobytes() == want.tobytes()
+            assert list(pc.residuals) == list(ref.residuals)
+            assert [v.hex() for v in pc.residuals.values()] == [v.hex() for v in ref.residuals.values()]
+            assert outcome.eigenvalues == tuple(ref.spectrum.values.tolist())
+
+    @staticmethod
+    def breakdowns(monkeypatch, metric_faults=(), spectral_point=None):
+        """Break the construction of some points.
+
+        ``metric_faults[k]`` maps rows of the k-th assembled batch to a
+        factor f: that g_J becomes -f g_J, so its error names -f times its
+        largest eigenvalue.  The spectral stage raises at ``spectral_point``.
+        """
+        metric, batches = semicalib.construction.compatible_metric, []
+
+        def broken_metric(p_inv, d):
+            out = metric(p_inv, d)
+            faults = metric_faults[len(batches)] if len(batches) < len(metric_faults) else {}
+            batches.append(1)
+            for row, factor in faults.items():
+                if row < len(out):
+                    out[row] *= -factor
+            return out
+
+        spectrum, points = semicalib.construction.paired_spectrum, []
+
+        def broken_spectrum(*args, **kwargs):
+            if len(points) == spectral_point:
+                raise ValueError(f"spectral stage failed at point {spectral_point}")
+            points.append(1)
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(semicalib.construction, "compatible_metric", broken_metric)
+        monkeypatch.setattr(semicalib.construction, "paired_spectrum", broken_spectrum)
+
+    @staticmethod
+    def field(svals):
+        """Identity metric and omega = dx1^dx2 + s dx3^dx4.
+
+        At epsilon 0.2 a point with s = 0.9 has m = 2 and one with s = 1e-3 has m = 1.
+        """
+        return parse_calfield(ramp_field_text(svals))
+
+    CONFIG = FieldConfig(epsilon=0.2)
+
+    def test_earlier_construction_error_beats_later_spectral_error(self, monkeypatch):
+        self.breakdowns(monkeypatch, metric_faults=[{1: 2.0}], spectral_point=3)
+        with pytest.raises(ConstructionError, match=r"smallest eigenvalue -2\)$"):
+            process_field(self.field([0.9] * 5), self.CONFIG)
+
+    def test_earlier_spectral_error_beats_later_construction_error(self, monkeypatch):
+        self.breakdowns(monkeypatch, metric_faults=[{3: 2.0}], spectral_point=1)
+        with pytest.raises(ValueError, match="spectral stage failed at point 1"):
+            process_field(self.field([0.9] * 5), self.CONFIG)
+
+    def test_lowest_construction_error_in_a_batch(self, monkeypatch):
+        self.breakdowns(monkeypatch, metric_faults=[{3: 4.0, 2: 3.0}])
+        with pytest.raises(ConstructionError, match=r"smallest eigenvalue -3\)$"):
+            process_field(self.field([0.9] * 5), self.CONFIG)
+
+    def test_first_faulty_batch_of_a_group_wins(self, monkeypatch):
+        # Batches of two: points (0, 1), (2, 3), (4,); points 3 and 4 fail.
+        monkeypatch.setattr(semicalib.field, "_BATCH", 2)
+        self.breakdowns(monkeypatch, metric_faults=[{}, {1: 3.0}, {0: 2.0}])
+        with pytest.raises(ConstructionError, match=r"smallest eigenvalue -3\)$"):
+            process_field(self.field([0.9] * 5), self.CONFIG)
+
+    def test_lowest_construction_error_across_groups(self, monkeypatch):
+        # The m = 2 batch (points 0, 3, 4) is assembled first; its row 1 is
+        # point 3.  Row 0 of the m = 1 batch (points 1, 2) is point 1.
+        self.breakdowns(monkeypatch, metric_faults=[{1: 5.0}, {0: 7.0}])
+        with pytest.raises(ConstructionError, match=r"smallest eigenvalue -7\)$"):
+            process_field(self.field([0.9, 1e-3, 2e-3, 0.8, 0.7]), self.CONFIG)
 
 
 class TestProcessField:
