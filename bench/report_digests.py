@@ -22,7 +22,9 @@ CLI runs go through ``semicalib.cli.main`` in process; their digest is the
 sha256 of the report file (of nothing when the run wrote none).  ``--src``
 chooses the source tree to import, so one copy of this script checks that two
 commits give byte-identical reports: run it once per tree and compare the
-files.  BLAS runs on one thread.
+files.  ``bench/report_digests.json`` holds the digests of the current report
+format (``-o bench/report_digests.json`` rewrites it); a change that keeps
+reports byte-identical reproduces that file.  BLAS runs on one thread.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ _POLISH_MAX_ITER = 1000
 _PF_EXPANSION_MAX = 8
 
 _log = logging.getLogger("semicalib")
-# Every 2x2 Schur block is a pair, however small: a power's comass needs them all.
+# Every pair counts, however small its value t > 0: a power's comass needs them all.
 _EVERY_BLOCK = replace(DEFAULT_TOLERANCES, zero=0.0)
 
 

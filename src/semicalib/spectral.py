@@ -3,12 +3,13 @@
 The endomorphism ``A`` is defined by omega(v, w) = g(Av, w).  It is
 g-skew-adjoint, so ``-A^2`` is g-self-adjoint and positive semidefinite; its
 positive eigenvalues come in pairs and each eigenplane carries a g-orthonormal
-basis of the shape (v, Av/sqrt(lambda)).  The pairs are read off the real
-Schur form of the skew-symmetric matrix L^T A L^-T (g = L L^T), whose 2x2
-blocks are exactly these eigenplanes (Ward & Gray, ACM TOMS 4, 1978), so a
-double eigenvalue needs no special care.  Splitting the spectrum into a large
-band and a small band separates the tangent space into the non-degenerate
-subspace V and its g-orthogonal complement.
+basis of the shape (v, Av/sqrt(lambda)).  With g = L L^T the pairs are the
+eigenvectors of the Hermitian matrix i L^T A L^-T: the real and imaginary
+parts of one eigenvector span one eigenplane, so a double eigenvalue needs no
+special care, and numpy's ``eigh`` computes a whole stack of points in one
+call.  Splitting the spectrum into a large band and a small band separates
+the tangent space into the non-degenerate subspace V and its g-orthogonal
+complement.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GapViolation
-from .forms import MetricTensor, TwoForm, _freeze
+from .forms import MetricTensor, TwoForm, _first_fault, _freeze
 
 _TINY = 1e-300
 _BAND_SLACK = 1e-8  # relative to the largest eigenvalue
+_SKEW_LIMIT = 1e-8  # largest relative skew-adjointness defect paired_spectrum accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +53,10 @@ class PairedSpectrum:
 
     The rows of ``basis`` are the ``npairs`` pairs (v_i, A v_i / sqrt(lambda_i)),
     interleaved and by descending lambda_i, then a basis of the kernel of A.
-    ``values`` holds one eigenvalue per row: lambda_i twice for pair i, then
-    for each kernel row the square of its Schur block's value (t^2 of a 2x2
-    block below the zero threshold, or of a 1x1 block), for diagnostics.
+    ``values`` holds one eigenvalue per row: lambda_i twice for pair i, then,
+    for the kernel rows, the eigenvalues of -A^2 left below the zero
+    threshold, descending, for diagnostics (rounding-sized for an exact
+    kernel).
     """
 
     basis: np.ndarray    # (n, n) rows
@@ -78,73 +80,75 @@ def associated_endomorphism(g: MetricTensor, omega: TwoForm) -> Endomorphism:
     return Endomorphism(np.linalg.solve(g.entries, omega.entries.T))
 
 
+def _skew_defect(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Relative deviation of g(Av, w) + g(v, Aw) from zero, for one matrix pair or a stack."""
+    ga = g @ a
+    scale = np.maximum(np.abs(ga).max(axis=(-2, -1)), _TINY)
+    return np.abs(a.mT @ g + ga).max(axis=(-2, -1)) / scale
+
+
 def skew_adjoint_defect(endo: Endomorphism, g: MetricTensor) -> float:
     """Relative deviation of g(Av, w) + g(v, Aw) from zero."""
-    A, G = endo.matrix, g.entries
-    scale = max(float(np.abs(G @ A).max()), _TINY)
-    return float(np.abs(A.T @ G + G @ A).max()) / scale
+    return float(_skew_defect(endo.matrix, g.entries))
 
 
-def _sign_fix(rows: np.ndarray) -> np.ndarray:
-    """Deterministic sign: the first row's largest-magnitude component is made positive."""
-    idx = int(np.argmax(np.abs(rows[0])))
-    return -rows if rows[0, idx] < 0 else rows
+def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
+    """Stacked ``basis``, ``values`` and ``npairs`` of (k, n, n) finite A and g, and a skew check.
+
+    With g = L L^T, i S = i L^T A L^-T is Hermitian with eigenvalues +-t, and
+    an eigenvector x + iy of t > 0 gives S x = t y and S y = -t x: the pair
+    v = L^-T sqrt2 x, w = L^-T sqrt2 y has A v = t w and lambda = t^2.  Of the
+    n // 2 largest t, those with t^2 above ``tol.zero`` times the largest are
+    the pairs.  The other eigenvectors span the kernel; the leading right
+    singular vectors of their real and imaginary parts are a real orthonormal
+    basis of it.  The polar factor of all rows, in whitened coordinates,
+    restores the orthonormality that pairs of small t lose (about eps / t).
+    """
+    n = a.shape[-1]
+    defect = _skew_defect(a, g)
+    chol = np.linalg.cholesky(g)
+    # S^T = L^-1 (L^T A)^T, so S = L^T A L^-T needs one solve.
+    s_t = np.linalg.solve(chol, (chol.mT @ a).mT)
+    t, z = np.linalg.eigh(1j * ((s_t.mT - s_t) / 2))
+    t, z = t[:, ::-1], z[:, :, ::-1].mT  # descending; eigenvectors as rows
+    h, lam = n // 2, t * t
+    pair = (t[:, :h] > 0) & (lam[:, :h] > tol.zero * lam.max(axis=1)[:, None])
+    npairs = np.count_nonzero(pair, axis=1)  # t descends, so the pairs come first
+
+    rows, values = np.zeros(a.shape), np.zeros(t.shape)
+    rows[:, 0 : 2 * h : 2] = np.sqrt(2) * z[:, :h].real
+    rows[:, 1 : 2 * h : 2] = np.sqrt(2) * z[:, :h].imag
+    values[:, : 2 * h] = lam[:, :h].repeat(2, axis=1)
+    index = np.arange(n)
+    rest = (index >= npairs[:, None]) & (index < n - npairs[:, None])
+    z_rest = np.where(rest[:, :, None], z, 0.0)
+    parts = np.concatenate([z_rest.real, z_rest.imag], axis=1)
+    kernel = np.linalg.svd(parts, full_matrices=False)[2]
+    for i, p in enumerate(npairs):
+        rows[i, 2 * p :] = kernel[i, : n - 2 * p]
+        values[i, 2 * p :] = np.sort(lam[i, p : n - p])[::-1]
+    u, _, vt = np.linalg.svd(rows)
+    basis = np.ascontiguousarray(np.linalg.solve(chol.mT, (u @ vt).mT).mT)
+    checks = [(defect > _SKEW_LIMIT, lambda i: ValueError(
+        f"endomorphism is not g-skew-adjoint (relative defect {defect[i]:.3g})"))]
+    return basis, values, npairs, checks
 
 
 def paired_spectrum(
     endo: Endomorphism, g: MetricTensor, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> PairedSpectrum:
-    """Eigenvalues and paired g-orthonormal eigenbasis of -A^2.
+    """Eigenvalues and paired g-orthonormal eigenbasis of -A^2 (see :func:`_paired_stack`).
 
-    With g = L L^T, S = L^T A L^-T is skew-symmetric, and its real Schur form
-    S = Z T Z^T is block diagonal up to rounding.  A 2x2 block at (i, i+1)
-    with t = T[i+1, i] is one pair: v = L^-T z_i and w = sign(t) L^-T z_i+1
-    satisfy A v = |t| w, so lambda = t^2.  Pairs with lambda at or below
-    ``tol.zero`` relative to the largest one, and the 1x1 blocks, span the
-    kernel.
+    Pairs with lambda at or below ``tol.zero`` relative to the largest one
+    span the kernel with it.  Raises ValueError when A is not g-skew-adjoint.
     """
     if endo.dim != g.dim:
         raise ValueError("endomorphism and metric dimensions disagree")
-    defect = skew_adjoint_defect(endo, g)
-    if defect > 1e-8:
-        raise ValueError(f"endomorphism is not g-skew-adjoint (relative defect {defect:.3g})")
-    n = endo.dim
-    # S^T = L^-1 (L^T A)^T, so S = L^T A L^-T needs one triangular solve.
-    # Endomorphism and MetricTensor already reject non-finite entries.
-    chol = np.linalg.cholesky(g.entries)
-    s_t = scipy.linalg.solve_triangular(
-        chol, (chol.T @ endo.matrix).T, lower=True, check_finite=False
-    )
-    t, z = scipy.linalg.schur((s_t.T - s_t) / 2, output="real", check_finite=False)
-    # Row i is L^-T z_i.
-    basis = scipy.linalg.solve_triangular(chol, z, lower=True, trans="T", check_finite=False).T
-
-    blocks: list[tuple[float, np.ndarray]] = []  # (lambda, rows): (v, w) or one vector
-    i = 0
-    while i < n:
-        sub = t[i + 1, i] if i + 1 < n else 0.0
-        if sub:
-            blocks.append((float(sub * sub), np.array([basis[i], np.sign(sub) * basis[i + 1]])))
-            i += 2
-        else:
-            blocks.append((float(t[i, i] ** 2), basis[i : i + 1]))
-            i += 1
-    blocks.sort(key=lambda b: -b[0])
-
-    zero_thr = tol.zero * max((lam for lam, _ in blocks), default=0.0)
-    pairs = [(lam, _sign_fix(rows)) for lam, rows in blocks if len(rows) == 2 and lam > zero_thr]
-    kernel = [
-        (lam, _sign_fix(row[None])[0])
-        for lam, rows in blocks
-        if len(rows) == 1 or lam <= zero_thr
-        for row in rows
-    ]
-    ordered = [(lam, row) for lam, rows in pairs for row in rows] + kernel
-    return PairedSpectrum(
-        basis=np.array([row for _, row in ordered]),
-        values=np.array([lam for lam, _ in ordered]),
-        npairs=len(pairs),
-    )
+    basis, values, npairs, checks = _paired_stack(endo.matrix[None], g.entries[None], tol)
+    fault = _first_fault(checks)
+    if fault is not None:
+        raise fault[1]
+    return PairedSpectrum(basis=basis[0], values=values[0], npairs=int(npairs[0]))
 
 
 def infer_epsilon(spectrum: PairedSpectrum) -> float | None:

@@ -40,7 +40,7 @@ class TestDemoAndBuild:
         main(["demo", "--name", "scaled", "-o", demo])
         assert main(["build", demo]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["format_version"] == 5
+        assert data["format_version"] == 6
         assert data["points"][0]["m"] == 2
 
     def test_demo_residuals_tiny(self, tmp_path):

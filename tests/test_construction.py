@@ -359,7 +359,7 @@ def loop_reference(g, omega, pc):
     differently shows.
     """
     n, m, spectrum, basis = g.dim, pc.m, pc.spectrum, pc.spectrum.basis
-    A, G, W = associated_endomorphism(g, omega).matrix, g.entries, omega.entries
+    A, G = associated_endomorphism(g, omega).matrix, g.entries
     nv, npv = 2 * m, 2 * spectrum.npairs
     p = pc.frame.T
     p_inv = np.linalg.inv(p)
@@ -375,13 +375,10 @@ def loop_reference(g, omega, pc):
     jm = p @ j0(n) @ p_inv
     g_j = MetricTensor(p_inv.T @ (d[:, None] * p_inv))
     wt = TwoForm(part(slice(0, nv)) + part(slice(nv, None))).entries
-    w_scale = max(float(np.abs(W).max()), 1.0)
     res = {
         "j_squared": float(np.abs(jm @ jm + np.eye(n)).max()),
         "compatibility": float(np.abs(g_j.entries - wt @ jm).max()),
         "j_invariance": float(np.abs(jm.T @ wt @ jm - wt).max()),
-        "definition": float(np.abs(A.T @ G - W).max()) / w_scale,
-        "skew_adjoint": float(np.abs(A.T @ G + G @ A).max()) / w_scale,
         "pairing": float(np.abs(p_inv[:nv] @ A @ p[:, :nv] - d[:nv, None] * j0(nv)).max(initial=0.0)),
         "basis_orthonormality": float(np.abs(basis @ G @ basis.T - np.eye(n)).max()),
     }

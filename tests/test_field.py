@@ -121,11 +121,15 @@ class TestParser:
             parse_calfield(text)
 
 
-def two_faults(kinds):
-    """(A 4-point field with faults of ``kinds`` at points 1 and 2, the same field with the first only)."""
+def two_faults(kinds, at=(1, 2)):
+    """(A field with faults of ``kinds`` at points ``at``, the same field with the first only).
+
+    The field has two points after the last fault.
+    """
 
     def text(faults):
-        lines = constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 0.5", 4).splitlines()
+        points = at[-1] + 3
+        lines = constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 0.5", points).splitlines()
         for point, kind in faults:
             row = 3 + 4 * point  # the point's P line
             if kind == "bad token":
@@ -138,22 +142,42 @@ def two_faults(kinds):
                 lines[row + 2] = "G 1 0 0 0 -1 0 0 1 0 1"
         return "\n".join(lines) + "\n"
 
-    return text(list(zip((1, 2), kinds))), text([(1, kinds[0])])
+    return text(list(zip(at, kinds))), text([(at[0], kinds[0])])
 
 
 FAULTS = ("bad token", "non-finite", "wrong count", "non-PD metric")
 
 
+# Metrics are checked in slices of _BATCH points: faults on both sides of a boundary.
+SLICE_EDGE = (semicalib.field._BATCH - 1, semicalib.field._BATCH)
+
+
 class TestParseOrder:
-    @pytest.mark.parametrize("kinds", [(a, b) for a in FAULTS for b in FAULTS])
-    def test_earlier_line_reported(self, kinds):
-        both, first = two_faults(kinds)
+    @staticmethod
+    def assert_earlier_line_reported(kinds, at):
+        both, first = two_faults(kinds, at)
         with pytest.raises(ParseError) as expected:
             parse_calfield(first)
         with pytest.raises(ParseError) as raised:
             parse_calfield(both)
         assert str(raised.value) == str(expected.value)
         assert raised.value.line == expected.value.line
+
+    @pytest.mark.parametrize("kinds", [(a, b) for a in FAULTS for b in FAULTS])
+    def test_earlier_line_reported(self, kinds):
+        self.assert_earlier_line_reported(kinds, (1, 2))
+
+    @pytest.mark.parametrize("kinds", [(a, b) for a in FAULTS for b in FAULTS])
+    def test_earlier_line_reported_across_a_slice_boundary(self, kinds):
+        self.assert_earlier_line_reported(kinds, SLICE_EDGE)
+
+    @pytest.mark.parametrize("point", [semicalib.field._BATCH, 2 * semicalib.field._BATCH + 5])
+    def test_non_pd_metric_in_a_later_slice(self, point):
+        _, text = two_faults(("non-PD metric", "non-PD metric"), (point, point + 1))
+        with pytest.raises(ParseError) as raised:
+            parse_calfield(text)
+        assert str(raised.value).startswith(f"metric not positive definite at point {point}: ")
+        assert raised.value.line == 4 + 4 * point + 2
 
     @pytest.mark.parametrize(
         "later", ["W 1 0 0 0 junk 0.5", "W 1 0 0 0 inf 0.5", "W 1 0 0 0 0", "P 5"]
@@ -247,7 +271,7 @@ class TestBatchedAssembly:
 
         ``metric_faults[k]`` maps rows of the k-th assembled batch to a
         factor f: that g_J becomes -f g_J, so its error names -f times its
-        largest eigenvalue.  The spectral stage raises at ``spectral_point``.
+        largest eigenvalue.  The per-point band split raises at ``spectral_point``.
         """
         metric, batches = semicalib.construction.compatible_metric, []
 
@@ -260,16 +284,16 @@ class TestBatchedAssembly:
                     out[row] *= -factor
             return out
 
-        spectrum, points = semicalib.construction.paired_spectrum, []
+        split, points = semicalib.construction.split_spaces, []
 
-        def broken_spectrum(*args, **kwargs):
+        def broken_split(*args, **kwargs):
             if len(points) == spectral_point:
                 raise ValueError(f"spectral stage failed at point {spectral_point}")
             points.append(1)
-            return spectrum(*args, **kwargs)
+            return split(*args, **kwargs)
 
         monkeypatch.setattr(semicalib.construction, "compatible_metric", broken_metric)
-        monkeypatch.setattr(semicalib.construction, "paired_spectrum", broken_spectrum)
+        monkeypatch.setattr(semicalib.construction, "split_spaces", broken_split)
 
     @staticmethod
     def field(svals):
@@ -290,6 +314,28 @@ class TestBatchedAssembly:
         self.breakdowns(monkeypatch, metric_faults=[{3: 2.0}], spectral_point=1)
         with pytest.raises(ValueError, match="spectral stage failed at point 1"):
             process_field(self.field([0.9] * 5), self.CONFIG)
+
+    @staticmethod
+    def overflow(field, point):
+        """``field`` with g = 1e-300 I and omega of size 1e300 at ``point``: A overflows there."""
+        lines = field.splitlines()
+        lines[5 + 4 * point] = "G 1e-300 0 0 0 1e-300 0 0 1e-300 0 1e-300"
+        lines[6 + 4 * point] = "W 1e300 0 0 0 0 1e300"
+        return parse_calfield("\n".join(lines) + "\n")
+
+    def test_stacked_spectral_error_in_a_later_slice(self, monkeypatch):
+        # Spectra of slices of two points: point 3 fails in the second slice.
+        monkeypatch.setattr(semicalib.field, "_BATCH", 2)
+        with pytest.raises(ValueError, match="endomorphism contains non-finite entries"):
+            process_field(self.overflow(ramp_field_text([0.9] * 5), 3), self.CONFIG)
+        self.breakdowns(monkeypatch, metric_faults=[{1: 2.0}])
+        with pytest.raises(ConstructionError, match=r"smallest eigenvalue -2\)$"):
+            process_field(self.overflow(ramp_field_text([0.9] * 5), 3), self.CONFIG)
+
+    def test_stacked_spectral_error_beats_later_construction_error(self, monkeypatch):
+        self.breakdowns(monkeypatch, metric_faults=[{2: 2.0}])
+        with pytest.raises(ValueError, match="endomorphism contains non-finite entries"):
+            process_field(self.overflow(ramp_field_text([0.9] * 5), 2), self.CONFIG)
 
     def test_lowest_construction_error_in_a_batch(self, monkeypatch):
         self.breakdowns(monkeypatch, metric_faults=[{3: 4.0, 2: 3.0}])
@@ -348,13 +394,12 @@ class TestProcessField:
             process_field(grid)
 
     def test_one_spectrum_per_point(self, monkeypatch):
-        calls = []
-        for module in (semicalib.field, semicalib.construction):
-            spectrum = module.paired_spectrum
-            monkeypatch.setattr(module, "paired_spectrum",
-                                lambda *a, _f=spectrum, **k: calls.append(1) or _f(*a, **k))
+        rows = []
+        stack = semicalib.construction._paired_stack
+        monkeypatch.setattr(semicalib.construction, "_paired_stack",
+                            lambda a, *rest: rows.append(len(a)) or stack(a, *rest))
         process_field(parse_calfield(ramp_field_text(np.linspace(0.6, 1.0, 5))))
-        assert len(calls) == 5  # the base point's epsilon comes from its own construction
+        assert rows == [5]  # the base point's epsilon comes from its own construction
 
     def test_base_gap_violation_keeps_inferred_epsilon(self):
         # base pair values (1, 3e-8, 0.9e-8) in lambda: the last pair is kernel

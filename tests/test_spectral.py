@@ -1,9 +1,12 @@
 """Tests for the associated endomorphism and its paired spectrum."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from semicalib import (
+    DEFAULT_TOLERANCES,
     Endomorphism,
     GapViolation,
     MetricTensor,
@@ -18,7 +21,7 @@ from semicalib import (
     skew_adjoint_defect,
     split_spaces,
 )
-from helpers import random_pd_metric, random_two_form, unit_comass_form
+from helpers import dual_wedge, random_pd_metric, random_two_form, unit_comass_form
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -186,6 +189,22 @@ class TestPairedSpectrum:
             for lam, v, u in zip(s.eigenvalues, s.basis[0::2], s.basis[1::2]):
                 recon += lam * (np.outer(v, v) + np.outer(u, u)) @ g.entries
             assert np.abs(recon - m2).max() <= 1e-9 * max(np.abs(m2).max(), 1.0)
+
+    @pytest.mark.parametrize(("cond", "bound"), [(1.0, 1e-14), (1e2, 1e-14), (1e4, 1e-12)])
+    def test_every_pair_kept_with_an_exact_kernel(self, cond, bound):
+        # With zero = 0 every t > 0 is a pair, so the rounding-sized t of a
+        # 2-dimensional kernel can make one; the basis stays g-orthonormal.
+        rng = np.random.default_rng(10)
+        every = replace(DEFAULT_TOLERANCES, zero=0.0)
+        for _ in range(20):
+            u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+            g = MetricTensor((u * np.geomspace(1.0, cond, 8)) @ u.T)
+            z, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+            f = np.linalg.solve(np.linalg.cholesky(g.entries).T, z).T
+            w = sum(mu * dual_wedge(g, f[2 * i], f[2 * i + 1]) for i, mu in enumerate((1, 0.7, 0.3)))
+            s = paired_spectrum(associated_endomorphism(g, TwoForm(w)), g, every)
+            assert s.npairs >= 3 and np.abs(s.values[6:]).max() <= 1e-14
+            assert np.abs(s.basis @ g.entries @ s.basis.T - np.eye(8)).max() <= bound
 
     def test_zero_form(self):
         g = MetricTensor.identity(4)
