@@ -1,22 +1,19 @@
 """Construction of the compatible triple (J, g_J, calibration).
 
-Given a metric g and a 2-form omega at a point, the construction runs in
-three stages.  The endomorphisms and paired spectra are computed on a stack
-of points.  The frame stage is per point: band split -> paired frame P (the
-V pairs, then the complement frame, aligned to a hint when there is one).
-The assembly is batched again: one pass over a stack of points sharing
-(n, m).  In the paired frame J, g_J and the induced
-calibration are block diagonal: with d = sqrt(lambda_i) twice per V pair and
-1 on the complement, and J0 the 2x2 rotation blocks, J = P J0 P^-1,
-g_J = P^-T diag(d) P^-1 and Omega = -P^-T diag(d) J0 P^-1.  The same pass
-checks the stack as MetricTensor and TwoForm check one matrix and computes
-every residual.  ``construct_point`` is all three on a stack of one.
+A stack of points (g, omega) runs through four stages, each one routine on
+the whole stack: endomorphisms and paired spectra (``_spectra``), the band
+split (``spectral._split_stack``), complement frames that follow a chain of
+points (``_complement_frames``), and the assembly of points sharing (n, m)
+(``_assemble``).  In the paired frame P (the V pairs, then the complement
+frame) J = P J0 P^-1, g_J = P^-T diag(d) P^-1 and Omega = -P^-T diag(d) J0 P^-1,
+with J0 the 2x2 rotation blocks and d = sqrt(lambda_i) twice per V pair, 1 on
+the complement.  On V this is J = Q^-1 A with Q = sqrt(-A^2): a compatible
+triple, g_J(v, w) = Omega(v, J w) and J^2 = -Id, in which every plane
+calibrated by omega in (R^n, g) stays calibrated.  Each stage reports its
+failures as (mask, error) checks; the caller raises the lowest index's, as a
+ConstructionError.  ``construct_point`` is every stage on a stack of one.
 Stacked LAPACK and BLAS calls give each matrix the bits a call on it alone
 gives, so a point's construction does not depend on its batch.
-
-On V this is J = Q^-1 A with Q = sqrt(-A^2).  The result is a compatible
-triple: g_J(v, w) = Omega(v, J w), J^2 = -Id, and every plane calibrated by
-omega in (R^n, g) is calibrated by the induced form in (R^n, g_J).
 """
 
 from __future__ import annotations
@@ -33,24 +30,25 @@ from .forms import (
     Frame,
     MetricTensor,
     TwoForm,
-    _first_fault,
     _freeze,
     _metric_stack,
+    _placed,
+    _raise_first,
     _trusted,
     _two_form_stack,
-    gram_schmidt,
 )
-# perfbench/workloads.py traces associated_endomorphism and paired_spectrum by
-# patching these names in this module, so they stay imported, though unused.
-from .spectral import (  # noqa: F401
+from .spectral import (
     Endomorphism,
     PairedSpectrum,
     _paired_stack,
-    associated_endomorphism,
     infer_epsilon,
-    paired_spectrum,
     split_spaces,
 )
+
+# perfbench/workloads.py traces these names by patching them in this module,
+# so they stay importable here, though the construction calls none of them.
+from .forms import gram_schmidt  # noqa: E402, F401
+from .spectral import associated_endomorphism, paired_spectrum  # noqa: E402, F401
 
 _TINY = 1e-300
 
@@ -156,71 +154,76 @@ def lift_odd(g: MetricTensor, omega: TwoForm) -> tuple[MetricTensor, TwoForm]:
     return MetricTensor(G), TwoForm(W)
 
 
+def _polar(hints: np.ndarray, g: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """polar(hint G base^T) of stacks of frames as rows: the R with R base nearest the hint."""
+    u, _, vt = np.linalg.svd(hints @ g @ bases.mT)
+    return u @ vt
+
+
 def align_frame(hint: Frame, base: Frame, g: MetricTensor) -> Frame:
     """Rotate an orthonormal frame, inside its own span, closest to a hint.
 
-    Orthogonal Procrustes: the overlap matrix between hint and base is reduced
-    to its orthogonal polar factor, applied to the base rows, and the result
-    re-orthonormalized.
+    Orthogonal Procrustes, polar(hint G base^T) base: the step of
+    :func:`_complement_frames` on a stack of one.
     """
     if len(hint) != len(base):
         raise ValueError("hint and base frames have different sizes")
     if len(base) == 0:
         return base
-    overlap = hint.vectors @ g.entries @ base.vectors.T
-    u, _, vt = np.linalg.svd(overlap)
-    rotated = (u @ vt) @ base.vectors
-    return gram_schmidt(g, Frame(rotated))
+    rotation = _polar(hint.vectors[None], g.entries[None], base.vectors[None])[0]
+    return Frame(rotation @ base.vectors)
 
 
-@dataclass(frozen=True, eq=False)
-class _Spectral:
-    """One point's spectra and paired frame: everything the assembly reads."""
+def _complement_frames(basis, g, m, prev) -> np.ndarray:
+    """Paired frames of a stack whose complement rows B_i = ``basis[i, 2m_i:]`` follow a chain.
 
-    g: MetricTensor
-    endo: Endomorphism
-    spectrum: PairedSpectrum
-    epsilon: float
-    m: int
-    frame: np.ndarray
-
-
-def _spectra(points: list[tuple[MetricTensor, TwoForm]], tol: Tolerances) -> list:
-    """(endomorphism, paired spectrum) of each point of a stack of even dimension, in order.
-
-    At the first point whose endomorphism is not finite or not g-skew-adjoint
-    the list holds that error instead, and ends.
+    ``prev[i]`` is point i's predecessor, of the same m, or -1 where the chain
+    restarts with R = I; on a link R_i = R_prev polar(B_prev G_i B_i^T).  As
+    polar(R C) = R polar(C) for orthogonal R, R_i B_i is the rotation of B_i
+    closest to R_prev B_prev, and stays g-orthonormal.  The polar factors take
+    one stacked SVD per complement dimension; only k x k products run point by point.
     """
-    g = np.array([g.entries for g, _ in points])
-    a = np.linalg.solve(g, np.array([omega.entries for _, omega in points]).mT)
+    n = basis.shape[-1]
+    frames = basis.copy()
+    rotations: dict[int, np.ndarray] = {}  # polar factors, then R_i in index order
+    linked = prev >= 0
+    for k in set((n - 2 * m[linked]).tolist()):
+        rows = np.flatnonzero(linked & (n - 2 * m == k))
+        polar = _polar(basis[prev[rows], n - k :], g[rows], basis[rows, n - k :])
+        rotations.update(zip(rows.tolist(), polar))
+    for i in sorted(rotations):
+        if int(prev[i]) in rotations:  # else the predecessor restarted the chain, R_prev = I
+            rotations[i] = rotations[int(prev[i])] @ rotations[i]
+        frames[i, 2 * m[i] :] = rotations[i] @ basis[i, 2 * m[i] :]
+    return frames
+
+
+def _failures(checks) -> list:
+    """The checks with each error as a ConstructionError of the same message, chained to it."""
+
+    def failure(error, i: int) -> ConstructionError:
+        exc = error(i)
+        message = str(exc)
+        if isinstance(exc, NotPositiveDefiniteError):
+            message = f"compatible metric is not positive definite: {message}"
+        failed = ConstructionError(message)
+        failed.__cause__ = exc
+        return failed
+
+    return [(mask, functools.partial(failure, error)) for mask, error in checks]
+
+
+def _spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
+    """(a, basis, values, npairs, checks) of an even-dimensional (k, n, n) stack of (G, W).
+
+    A = G^-1 W^T, or zero where not finite; the checks: A finite, then g-skew-adjoint.
+    """
+    a = np.linalg.solve(g, w.mT)
     finite = np.isfinite(a).all(axis=(1, 2))
-    basis, values, npairs, checks = _paired_stack(np.where(finite[:, None, None], a, 0.0), g, tol)
+    a = np.where(finite[:, None, None], a, 0.0)
+    basis, values, npairs, checks = _paired_stack(a, g, tol)
     finite_check = (~finite, lambda i: ValueError("endomorphism contains non-finite entries"))
-    fault = _first_fault([finite_check, *checks])
-    out: list = [
-        (_trusted(Endomorphism, matrix=a[i]), PairedSpectrum(basis[i], values[i], int(npairs[i])))
-        for i in range(len(points) if fault is None else fault[0])
-    ]
-    return out if fault is None else [*out, fault[1]]
-
-
-def _frame_stage(g: MetricTensor, endo: Endomorphism, spectrum: PairedSpectrum,
-                 epsilon: float | None, tframe_hint: Frame | None) -> _Spectral:
-    """Band split and paired frame of one point."""
-    if epsilon is None:
-        # Degenerate all-kernel spectrum: any positive epsilon produces the
-        # same split, so a fixed sentinel keeps the output deterministic.
-        epsilon = infer_epsilon(spectrum) or 1.0
-    m = split_spaces(spectrum, epsilon)
-
-    frame = spectrum.basis.copy()
-    if 2 * m < len(frame):
-        base = Frame(frame[2 * m :])
-        if tframe_hint is not None and len(tframe_hint) == len(base):
-            frame[2 * m :] = align_frame(tframe_hint, base, g).vectors
-        else:
-            frame[2 * m :] = gram_schmidt(g, base).vectors
-    return _Spectral(g, endo, spectrum, float(epsilon), m, frame)
+    return a, basis, values, npairs, _failures([finite_check, *checks])
 
 
 def _abs_max(mats: np.ndarray) -> np.ndarray:
@@ -237,17 +240,12 @@ def _forms(mats: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((x[:, :, None, :] @ mats[:, None]) @ y[..., None])[..., 0, 0]
 
 
-def _residuals(points, m, p, p_inv, d, j, g_j, omega_total):
+def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total):
     """The residuals of a stack of constructions, one array per name, and their check.
 
     The check is ``plane_area``'s: a calibrated pair's Gram determinant
     under g_J must not be negative beyond rounding.
     """
-    g = np.array([s.g.entries for s in points])
-    a = np.array([s.endo.matrix for s in points])
-    basis = np.array([s.spectrum.basis for s in points])
-    values = np.array([s.spectrum.values for s in points])
-    npairs = np.array([s.spectrum.npairs for s in points])
     n = g.shape[-1]
     eye = np.eye(n)
 
@@ -290,7 +288,7 @@ def _residuals(points, m, p, p_inv, d, j, g_j, omega_total):
 
     dom = basis[:, :nv] @ (g - g_j) @ basis[:, :nv].mT
     res["metric_domination_min_eig"] = (
-        np.linalg.eigvalsh((dom + dom.mT) / 2)[:, 0] if m else np.zeros(len(points))
+        np.linalg.eigvalsh((dom + dom.mT) / 2)[:, 0] if m else np.zeros(len(g))
     )
 
     gram_check = (
@@ -302,54 +300,45 @@ def _residuals(points, m, p, p_inv, d, j, g_j, omega_total):
     return res, gram_check
 
 
-def _assemble(points: list[_Spectral], tol: Tolerances):
-    """The batched stage for points sharing (n, m): their constructions, or their first fault.
+def _assemble(g, a, basis, values, npairs, frames, m: int, epsilon: float, tol: Tolerances):
+    """The constructions of a stack of points sharing (n, m), and the checks on them.
 
-    Returns (constructions, None), or ([], (position, error)) for the first
-    point in ``points`` whose construction fails a check, the checks of one
-    point running in the order J, g_J, Omega, residuals.  Residuals are
-    computed for the points before the first assembly fault only, so a
-    residual check that fails earlier still wins.
+    The inputs are :func:`_spectra`'s stacks and the paired frames as rows;
+    the checks run J, g_J, Omega, then the residuals'.  The constructions
+    are built only when every check passes, else the list is empty.
     """
-    m = points[0].m
-    frames = np.array([s.frame for s in points])
-    p, p_inv, d = paired_frame(frames, np.array([s.spectrum.eigenvalues[:m] for s in points]))
+    p, p_inv, d = paired_frame(frames, values[:, : 2 * m : 2])
     j = almost_complex_structure(p, p_inv)
     g_j, metric_checks = _metric_stack(compatible_metric(p_inv, d), tol.pd)
     omega_total, form_checks = _two_form_stack(assemble_calibration(p_inv, d, m))
-    j_check = (
-        ~np.isfinite(j).all(axis=(1, 2)),
-        lambda i: ValueError("endomorphism contains non-finite entries"),
-    )
-    fault = _first_fault([j_check, *metric_checks, *form_checks])
-    if fault is not None and isinstance(fault[1], NotPositiveDefiniteError):
-        error = ConstructionError(f"compatible metric is not positive definite: {fault[1]}")
-        error.__cause__ = fault[1]
-        fault = (fault[0], error)
+    j_finite = np.isfinite(j).all(axis=(1, 2))
+    j_check = (~j_finite, lambda i: ValueError("endomorphism contains non-finite entries"))
+    checks = [j_check, *metric_checks, *form_checks]
 
-    k = len(points) if fault is None else fault[0]
-    if k:
-        res, gram_check = _residuals(
-            points[:k], m, p[:k], p_inv[:k], d[:k], j[:k], g_j[:k], omega_total[:k]
-        )
-        fault = _first_fault([gram_check]) or fault
-    if fault is not None:
-        return [], fault
+    # The residuals need a positive definite g_J: they are computed for the
+    # points that pass the checks above, all of them when the stack passes.
+    rows = np.flatnonzero(~np.logical_or.reduce([mask for mask, _ in checks]))
+    keep = slice(None) if len(rows) == len(g) else rows
+    stacks = (g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
+    res, gram_check = _residuals(m, *(x[keep] for x in stacks))
+    checks = _failures([*checks, *_placed([gram_check], rows, len(g))])
+    if len(rows) < len(g) or gram_check[0].any():
+        return [], checks
 
-    columns = {key: values.tolist() for key, values in res.items()}
+    columns = {key: column.tolist() for key, column in res.items()}
     return [
         PointConstruction(
-            frame=_freeze(s.frame),
+            frame=_freeze(frames[i]),
             m=m,
-            epsilon=s.epsilon,
+            epsilon=epsilon,
             j=_trusted(Endomorphism, matrix=j[i]),
             g_j=_trusted(MetricTensor, entries=g_j[i]),
             omega_total=_trusted(TwoForm, entries=omega_total[i]),
             residuals={key: column[i] for key, column in columns.items()},
-            spectrum=s.spectrum,
+            spectrum=PairedSpectrum(basis[i], values[i], int(npairs[i])),
         )
-        for i, s in enumerate(points)
-    ], None
+        for i in range(len(g))
+    ], checks
 
 
 def construct_point(
@@ -359,24 +348,31 @@ def construct_point(
     tframe_hint: Frame | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> PointConstruction:
-    """Run the full pointwise construction: the spectral stage, then the assembly on a batch of one.
+    """Run the construction at one point: every stage of the field's on a stack of one.
 
     ``epsilon=None`` uses the automatic policy: the smallest paired eigenvalue
-    of -A^2 at this point.  A spectrum with no positive eigenvalue (omega = 0)
-    is accepted as the degenerate case; the whole space goes to the complement
-    and the calibration is built purely from the complement frame.  A provided
-    ``tframe_hint`` is aligned to instead of the default spectral frame.
-
-    Raises :class:`GapViolation` when an eigenvalue falls between the bands.
+    of -A^2 at this point; with none (omega = 0) the whole space is the
+    complement.  A ``tframe_hint`` of the complement's size replaces the
+    spectral complement frame by :func:`align_frame`.  Raises
+    :class:`GapViolation` when an eigenvalue falls between the bands, and
+    :class:`ConstructionError` when a stage's check fails.
     """
     if g.dim != omega.dim:
         raise ValueError("metric and two-form dimensions disagree")
     if g.dim % 2:
         raise ValueError(f"dimension {g.dim} is odd; lift the data first")
-    (spectral,) = _spectra([(g, omega)], tol)
-    if isinstance(spectral, Exception):
-        raise spectral
-    constructions, fault = _assemble([_frame_stage(g, *spectral, epsilon, tframe_hint)], tol)
-    if fault is not None:
-        raise fault[1]
+    G = g.entries[None]
+    a, basis, values, npairs, checks = _spectra(G, omega.entries[None], tol)
+    _raise_first(checks)
+    spectrum = PairedSpectrum(basis[0], values[0], int(npairs[0]))
+    if epsilon is None:
+        # Degenerate all-kernel spectrum: any positive epsilon produces the
+        # same split, so a fixed sentinel keeps the output deterministic.
+        epsilon = infer_epsilon(spectrum) or 1.0
+    m = split_spaces(spectrum, epsilon)
+    frame = basis.copy()
+    if tframe_hint is not None and len(tframe_hint) == len(frame[0]) - 2 * m:
+        frame[0, 2 * m :] = align_frame(tframe_hint, Frame(frame[0, 2 * m :]), g).vectors
+    constructions, checks = _assemble(G, a, basis, values, npairs, frame, m, float(epsilon), tol)
+    _raise_first(checks)
     return constructions[0]

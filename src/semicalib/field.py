@@ -3,15 +3,15 @@
 A field is an ordered list of sample points, each carrying a metric and a
 2-form; the file's coordinates are checked but not kept.  Point 0 is the
 designated base point: the automatic gap parameter epsilon is read off its
-spectrum and shared by every point.  The spectra are computed on stacks of
-points; the band split and the complement frame then run point by point in
-index order, propagating the complement frame from one point to the next by
-orthogonal Procrustes alignment so the output fields stay continuous; points
-whose spectrum violates the band gap are flagged and excluded rather than
-fatal.  The included points are then assembled in batches of points sharing
-(n, m); a point's results do not depend on its batch.  Parsing likewise reads
-the records first, then converts every number of the field at once and
-checks the metrics in slices of points.
+spectrum and shared by every point.  Processing runs the construction's
+stages on the whole field, each one routine on a stack: spectra, band split,
+complement frames and assembly.  Points whose spectrum violates the band gap
+are flagged and excluded rather than fatal.  The complement frames follow a
+chain of points by orthogonal Procrustes rotations, so the output fields
+stay continuous; the assembly runs on batches of points sharing (n, m), and
+a point's results do not depend on its batch.  Parsing likewise reads the
+records first, then converts every number of the field at once and checks
+the metrics in slices of points.
 
 CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
 
@@ -40,27 +40,33 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .construction import (  # noqa: F401
     PointConstruction,
     _assemble,
-    _frame_stage,
-    _Spectral,
+    _complement_frames,
     _spectra,
     construct_point,
     lift_odd,
 )
-from .errors import EpsilonInferenceError, GapViolation, ParseError
+from .errors import EpsilonInferenceError, ParseError
 from .forms import (
-    Frame,
     MetricTensor,
     TwoForm,
     _first_fault,
     _metric_stack,
+    _placed,
+    _raise_first,
     _triu,
     _trusted,
     _two_form_stack,
     _upper_stack,
 )
-from .spectral import associated_endomorphism, infer_epsilon, paired_spectrum  # noqa: F401
+from .spectral import (  # noqa: F401
+    PairedSpectrum,
+    _split_stack,
+    associated_endomorphism,
+    infer_epsilon,
+    paired_spectrum,
+)
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 # Points per assembly batch: enough to share each stacked call's overhead,
 # few enough that a batch's temporaries stay small whatever the field size.
 _BATCH = 64
@@ -321,82 +327,66 @@ def _lift_grid_point(point: FieldPoint) -> tuple[MetricTensor, TwoForm]:
 
 
 def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> ConstructionField:
-    """Run the construction at every point with smooth frame propagation.
+    """Run the construction's stages on the whole field, with complement frames that follow it.
 
-    Epsilon comes from the base point (automatic policy) or the config; gap
-    violations flag and exclude the offending point.  Each point's complement
-    frame hint is the last successful point's frame.  Spectra are computed
-    on slices of ``_BATCH`` points, band split and frame point by point in
-    index order, and the assembly on batches of up to ``_BATCH`` included
-    points sharing m.  When points fail, the error raised is that of the
-    lowest index, as if each point were constructed in turn.
+    Spectra run on slices of ``_BATCH`` points and the assembly on batches of
+    up to ``_BATCH`` included points sharing m.  Epsilon comes from the base
+    point (automatic policy) or the config; gap violations flag and exclude
+    the offending point.  With ``use_hints`` the frame chain links each point
+    to the last included one with a complement of the same dimension.  Of
+    several faults the lowest index's is raised, as if each point were built
+    in turn: spectrum, epsilon at the base point, J, g_J, Omega, residuals.
     """
     if not grid.points:
         raise ValueError("grid is empty")
     lifted_from = grid.dim if grid.dim % 2 else None
     dim = grid.dim + 1 if lifted_from else grid.dim
-
-    data = [(point, *_lift_grid_point(point)) for point in grid.points]
+    size = len(grid.points)
+    pairs = [_lift_grid_point(point) for point in grid.points]
+    g = np.array([g.entries for g, _ in pairs])
+    w = np.array([omega.entries for _, omega in pairs])
 
     tol = config.tolerances
-    spectra = itertools.chain.from_iterable(
-        _spectra([(g, omega) for _, g, omega in data[lo : lo + _BATCH]], tol)
-        for lo in range(0, len(data), _BATCH)
-    )
+    parts, checks = [], []
+    for lo in range(0, size, _BATCH):
+        *arrays, part_checks = _spectra(g[lo : lo + _BATCH], w[lo : lo + _BATCH], tol)
+        parts.append(arrays)
+        checks += _placed(part_checks, np.arange(lo, lo + len(arrays[0])), size)
+    a, basis, values, npairs = map(np.concatenate, zip(*parts))
 
-    # Under the automatic policy (epsilon None) the base point's spectrum
-    # gives epsilon, which every later point then shares.
     epsilon = config.epsilon
-    outcomes: dict[int, PointOutcome] = {}
-    groups: dict[int, list[tuple[int, _Spectral]]] = {}  # by m, in index order
-    # (index, rank, error): at one index an assembly fault (rank 0) comes first.
-    faults: list[tuple[int, int, Exception]] = []
-    hint: Frame | None = None
-    for (point, g, omega), spectral in zip(data, spectra):
-        try:
-            if isinstance(spectral, Exception):
-                raise spectral
-            stage = _frame_stage(g, *spectral, epsilon, hint if config.use_hints else None)
-        except GapViolation as exc:
-            if epsilon is None:
-                epsilon = exc.epsilon
-            outcomes[point.index] = PointOutcome(
-                point.index, None, False, exc.offenders, exc.eigenvalues
-            )
-            continue
-        except Exception as exc:  # raised below, unless an earlier point's assembly fails
-            faults.append((point.index, 1, exc))
-            break
-        groups.setdefault(stage.m, []).append((point.index, stage))
-        if epsilon is None:
-            epsilon = infer_epsilon(stage.spectrum)
-            if epsilon is None:
-                faults.append((point.index, 1, EpsilonInferenceError(
-                    "cannot infer epsilon: base point has no positive eigenvalue above threshold"
-                )))
-                break
-        if 2 * stage.m < dim:
-            hint = Frame(stage.frame[2 * stage.m :])
+    if epsilon is None:
+        epsilon = infer_epsilon(PairedSpectrum(basis[0], values[0], int(npairs[0])))
+        no_epsilon = (np.arange(size) == 0) & (epsilon is None)
+        checks.append((no_epsilon, lambda i: EpsilonInferenceError(
+            "cannot infer epsilon: base point has no positive eigenvalue above threshold")))
+        epsilon = epsilon or 1.0
+    m, offending = _split_stack(values, npairs, epsilon)
+    included = ~offending.any(axis=1)
 
-    for members in groups.values():
+    chain = np.flatnonzero(included & (2 * m < dim))
+    prev = np.full(size, -1)
+    if config.use_hints:
+        linked = m[chain[1:]] == m[chain[:-1]]
+        prev[chain[1:][linked]] = chain[:-1][linked]
+    frames = _complement_frames(basis, g, m, prev)
+    stacks = (g, a, basis, values, npairs, frames)
+
+    constructions = {}
+    for mi in dict.fromkeys(m[included].tolist()):  # the m groups, in order of first appearance
+        members = np.flatnonzero(included & (m == mi))
         for lo in range(0, len(members), _BATCH):
-            batch = members[lo : lo + _BATCH]
-            constructions, fault = _assemble([stage for _, stage in batch], tol)
-            if fault is not None:
-                faults.append((batch[fault[0]][0], 0, fault[1]))
-                break
-            for (index, _), pc in zip(batch, constructions):
-                values = tuple(pc.spectrum.values.tolist())
-                outcomes[index] = PointOutcome(index, pc, True, (), values)
-    if faults:
-        raise min(faults, key=lambda fault: fault[:2])[2]
-
-    return ConstructionField(
-        epsilon=float(epsilon),
-        dim=dim,
-        lifted_from=lifted_from,
-        outcomes=tuple(outcomes[point.index] for point in grid.points),
+            rows = members[lo : lo + _BATCH]
+            built, batch_checks = _assemble(*(x[rows] for x in stacks), mi, float(epsilon), tol)
+            checks += _placed(batch_checks, rows, size)
+            constructions.update(zip(rows.tolist(), built))
+    _raise_first(checks)
+    outcomes = tuple(
+        PointOutcome(point.index, constructions.get(i), i in constructions,
+                     tuple(values[i][offending[i]].tolist()), tuple(values[i].tolist()))
+        for i, point in enumerate(grid.points)
     )
+    return ConstructionField(float(epsilon), dim, lifted_from, outcomes)
 
 
 def _point_entry(outcome: PointOutcome) -> dict:

@@ -12,7 +12,7 @@ function, so everything in this module is safe to use from multiple threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,6 +92,25 @@ def _first_fault(checks) -> tuple[int, Exception] | None:
     return next((i, error(i)) for mask, error in checks if mask[i])
 
 
+def _raise_first(checks) -> None:
+    """Raise the error of the first fault among a stack's checks, if there is one."""
+    fault = _first_fault(checks)
+    if fault is not None:
+        raise fault[1]
+
+
+def _placed(checks, rows: np.ndarray, size: int) -> list:
+    """A stack's checks as those of a larger one of ``size`` that holds it at ascending ``rows``."""
+    if len(rows) == size:  # then rows are 0, 1, ..., size - 1
+        return list(checks)
+    placed = []
+    for mask, error in checks:
+        full = np.zeros(size, dtype=bool)
+        full[rows] = mask
+        placed.append((full, lambda i, error=error: error(int(np.searchsorted(rows, i)))))
+    return placed
+
+
 def _metric_stack(mats: np.ndarray, pd_tol: float = DEFAULT_TOLERANCES.pd):
     """Canonical form of a (k, n, n) stack of metric matrices, and MetricTensor's checks on it.
 
@@ -137,13 +156,10 @@ class MetricTensor:
     """Symmetric positive-definite matrix of a Riemannian metric at one point."""
 
     entries: np.ndarray
-    pd_tol: InitVar[float] = DEFAULT_TOLERANCES.pd
 
-    def __post_init__(self, pd_tol: float):
-        canonical, checks = _metric_stack(_as_square(self.entries, "metric")[None], pd_tol)
-        fault = _first_fault(checks)
-        if fault is not None:
-            raise fault[1]
+    def __post_init__(self):
+        canonical, checks = _metric_stack(_as_square(self.entries, "metric")[None])
+        _raise_first(checks)
         # A copy: a view would keep the stack of one alive beside it.
         object.__setattr__(self, "entries", _freeze(canonical[0].copy()))
 
@@ -178,9 +194,7 @@ class TwoForm:
 
     def __post_init__(self):
         canonical, checks = _two_form_stack(_as_square(self.entries, "two-form")[None])
-        fault = _first_fault(checks)
-        if fault is not None:
-            raise fault[1]
+        _raise_first(checks)
         object.__setattr__(self, "entries", _freeze(canonical[0].copy()))
 
     @property
@@ -298,33 +312,42 @@ def plane_area(g: MetricTensor, v, w) -> float:
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def gram_schmidt(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:
-    """g-orthonormalize a frame, preserving the span and the first direction.
+def _orthonormalize(G: np.ndarray, vectors, rows: list, rank_tol: float, skip: bool) -> list:
+    """Append each vector to ``rows``, g-orthonormalized against them (modified Gram-Schmidt).
 
-    Modified Gram-Schmidt with a second orthogonalization pass.  Raises
-    :class:`RankDeficiencyError` when a vector's residual drops below
-    ``rank_tol`` relative to its original norm.
+    Two passes per vector.  A vector whose residual drops below ``rank_tol``
+    relative to its norm is skipped when ``skip`` (which stops once the rows
+    span the space), else it raises :class:`RankDeficiencyError`.
     """
-    if frame.dim != g.dim:
-        raise ValueError("frame and metric dimensions disagree")
-    G = g.entries
-    rows: list[np.ndarray] = []
-    for v in frame.vectors:
+    for v in vectors:
+        if skip and len(rows) == len(G):
+            break
         original = float(np.sqrt(max(v @ G @ v, 0.0)))
         u = v.copy()
         for _ in range(2):
             for b in rows:
                 u = u - (b @ G @ u) * b
         norm = float(np.sqrt(max(u @ G @ u, 0.0)))
-        if norm <= rank_tol * max(original, _TINY):
+        if norm > rank_tol * max(original, _TINY):
+            rows.append(u / norm)
+        elif not skip:
             raise RankDeficiencyError(
                 f"vector {len(rows)} is dependent on its predecessors "
                 f"(residual norm {norm:.6g})"
             )
-        rows.append(u / norm)
-    if not rows:
-        return Frame.empty(frame.dim)
-    return Frame(np.array(rows))
+    return rows
+
+
+def gram_schmidt(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:
+    """g-orthonormalize a frame, preserving the span and the first direction.
+
+    Raises :class:`RankDeficiencyError` when a vector's residual drops below
+    ``rank_tol`` relative to its original norm.
+    """
+    if frame.dim != g.dim:
+        raise ValueError("frame and metric dimensions disagree")
+    rows = _orthonormalize(g.entries, frame.vectors, [], rank_tol, skip=False)
+    return Frame(np.array(rows)) if rows else Frame.empty(frame.dim)
 
 
 def complement_basis(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:
@@ -336,24 +359,9 @@ def complement_basis(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL)
     if frame.dim != g.dim:
         raise ValueError("frame and metric dimensions disagree")
     n = g.dim
-    G = g.entries
-    rows = [np.asarray(v) for v in gram_schmidt(g, frame, rank_tol)] if len(frame) else []
+    rows = _orthonormalize(g.entries, frame.vectors, [], rank_tol, skip=False)
     k = len(rows)
-    for idx in range(n):
-        if len(rows) == n:
-            break
-        u = np.zeros(n)
-        u[idx] = 1.0
-        original = float(np.sqrt(max(G[idx, idx], 0.0)))
-        for _ in range(2):
-            for b in rows:
-                u = u - (b @ G @ u) * b
-        norm = float(np.sqrt(max(u @ G @ u, 0.0)))
-        if norm <= rank_tol * max(original, _TINY):
-            continue
-        rows.append(u / norm)
+    _orthonormalize(g.entries, np.eye(n), rows, rank_tol, skip=True)
     if len(rows) != n:
         raise RankDeficiencyError("could not complete the frame to a full basis")
-    if k == n:
-        return Frame.empty(n)
-    return Frame(np.array(rows[k:]))
+    return Frame(np.array(rows[k:])) if k < n else Frame.empty(n)

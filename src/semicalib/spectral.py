@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GapViolation
-from .forms import MetricTensor, TwoForm, _first_fault, _freeze
+from .forms import MetricTensor, TwoForm, _freeze, _raise_first
 
 _TINY = 1e-300
 _BAND_SLACK = 1e-8  # relative to the largest eigenvalue
@@ -145,9 +145,7 @@ def paired_spectrum(
     if endo.dim != g.dim:
         raise ValueError("endomorphism and metric dimensions disagree")
     basis, values, npairs, checks = _paired_stack(endo.matrix[None], g.entries[None], tol)
-    fault = _first_fault(checks)
-    if fault is not None:
-        raise fault[1]
+    _raise_first(checks)
     return PairedSpectrum(basis=basis[0], values=values[0], npairs=int(npairs[0]))
 
 
@@ -158,26 +156,33 @@ def infer_epsilon(spectrum: PairedSpectrum) -> float | None:
     return float(spectrum.eigenvalues[-1])
 
 
-def split_spaces(spectrum: PairedSpectrum, epsilon: float) -> int:
-    """Number m of pairs in the band [epsilon/2, inf); the rest lie in [0, epsilon/4].
+def _split_stack(values: np.ndarray, npairs: np.ndarray, epsilon: float):
+    """(m, offending) of a stack of spectra (``values``, ``npairs``) at one epsilon.
 
-    The V pairs are the first m, so rows ``2m:`` of ``spectrum.basis`` span the
-    complement.  Both bands are widened by ``_BAND_SLACK`` times the largest
-    eigenvalue so eigenvalues sitting exactly on a band edge are not rejected
-    for rounding dust.  Raises :class:`GapViolation` when any eigenvalue falls
-    strictly between the bands; it carries the full eigenvalue list so callers
-    need not recompute the spectrum.
+    ``m`` counts each spectrum's pairs in the band [epsilon/2, inf); ``offending``
+    masks the values strictly between the bands, each pair once.  The bands are
+    widened by ``_BAND_SLACK`` times the largest eigenvalue against rounding dust.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    lams = spectrum.eigenvalues
-    slack = _BAND_SLACK * float(lams[0]) if spectrum.npairs else 0.0
-    hi_edge = epsilon / 2 - slack
-    lo_edge = epsilon / 4 + slack
-    if hi_edge <= lo_edge:
-        hi_edge, lo_edge = epsilon / 2, epsilon / 4
-    kernel = spectrum.values[2 * spectrum.npairs :]
-    offenders = [float(l) for l in (*lams, *kernel) if lo_edge < l < hi_edge]
-    if offenders:
-        raise GapViolation(epsilon, offenders, spectrum.values)
-    return int(np.count_nonzero(lams >= hi_edge))
+    paired = np.arange(values.shape[-1]) < 2 * npairs[:, None]
+    slack = _BAND_SLACK * np.where(paired[:, :1], values[:, :1], 0.0)
+    slack *= epsilon / 2 - slack > epsilon / 4 + slack  # no slack where it would cross the edges
+    hi_edge, lo_edge = epsilon / 2 - slack, epsilon / 4 + slack
+    offending = (lo_edge < values) & (values < hi_edge)
+    offending[:, 1::2] &= ~paired[:, 1::2]  # a pair's value sits on two rows
+    m = (paired & (values >= hi_edge)).sum(axis=1) // 2
+    return m, offending
+
+
+def split_spaces(spectrum: PairedSpectrum, epsilon: float) -> int:
+    """Number m of pairs in the band [epsilon/2, inf): :func:`_split_stack` on a stack of one.
+
+    The V pairs are the first m, so rows ``2m:`` of ``spectrum.basis`` span the
+    complement.  Raises :class:`GapViolation`, with the full eigenvalue list,
+    when any eigenvalue falls strictly between the bands.
+    """
+    m, offending = _split_stack(spectrum.values[None], np.array([spectrum.npairs]), epsilon)
+    if offending.any():
+        raise GapViolation(epsilon, spectrum.values[offending[0]], spectrum.values)
+    return int(m[0])

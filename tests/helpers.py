@@ -66,12 +66,13 @@ def planted_form(rng, g: MetricTensor, blocks: int, rest_comass: float = 0.5):
     return TwoForm(w), planted
 
 
-def near_double_form(rng, cond: float, sep: float):
+def near_double_form(rng, cond: float, sep: float, kernel: bool = False):
     """(g, omega) at n = 8 with cond(g) = cond and near-double pair values.
 
     ``g = U diag(geomspace(1, cond, 8)) U^T``; omega has g-normal-form values
     ``(1, 1 - sep, 0.5, 0.5 (1 - sep))`` on a random g-orthonormal frame, so
-    it is valid input of comass 1 with no kernel.
+    it is valid input of comass 1 with no kernel.  With ``kernel`` the values
+    are ``(1, 1 - sep, 0, 0)``: a 4-dimensional kernel.
     """
     n = 8
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -80,7 +81,8 @@ def near_double_form(rng, cond: float, sep: float):
     z, _ = np.linalg.qr(rng.standard_normal((n, n)))
     frame = np.linalg.solve(np.linalg.cholesky(g.entries).T, z).T
     w = np.zeros((n, n))
-    for i, mu in enumerate((1.0, 1.0 - sep, 0.5, 0.5 * (1.0 - sep))):
+    lower = (0.0, 0.0) if kernel else (0.5, 0.5 * (1.0 - sep))
+    for i, mu in enumerate((1.0, 1.0 - sep, *lower)):
         w += mu * dual_wedge(g, frame[2 * i], frame[2 * i + 1])
     return g, TwoForm(w)
 

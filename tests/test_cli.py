@@ -40,7 +40,7 @@ class TestDemoAndBuild:
         main(["demo", "--name", "scaled", "-o", demo])
         assert main(["build", demo]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["format_version"] == 6
+        assert data["format_version"] == 7
         assert data["points"][0]["m"] == 2
 
     def test_demo_residuals_tiny(self, tmp_path):
@@ -109,6 +109,17 @@ class TestExitCodes:
         main(["demo", "--name", "standard", "-o", demo])
         assert main([command, demo]) == 4
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_endomorphism_is_4(self, tmp_path, capsys):
+        # Point 1 has G = 1e-300 I and W entries of 1e300: parse accepts it,
+        # and A = G^-1 W^T overflows.
+        lines = constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 1", 2).splitlines()
+        lines[9] = "G 1e-300 0 0 0 1e-300 0 0 1e-300 0 1e-300"
+        lines[10] = "W 1e300 0 0 0 0 1e300"
+        field = write(tmp_path, "overflow.calfield", "\n".join(lines) + "\n")
+        assert main(["build", field]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: construction failed: endomorphism contains non-finite entries\n"
 
     def test_non_base_gap_violation_still_builds(self, tmp_path):
         field = write(tmp_path, "ramp.calfield", ramp_field_text([0.6, 0.475, 0.35, 0.225, 0.1]))

@@ -1,6 +1,9 @@
 """Tests for CALFIELD parsing, field processing, and verification."""
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +15,19 @@ from semicalib import (
     ConstructionError,
     EpsilonInferenceError,
     FieldConfig,
+    FieldGrid,
+    FieldPoint,
     Frame,
     GapViolation,
     MetricTensor,
     ParseError,
     TwoForm,
+    align_frame,
     build_report,
     construct_point,
     lift_odd,
     demo_calfield,
+    gram_schmidt,
     parse_calfield,
     process_field,
     verify_field,
@@ -31,6 +38,7 @@ from semicalib.spectral import associated_endomorphism, paired_spectrum
 from helpers import (
     constant_field_text,
     dual_wedge,
+    near_double_form,
     planted_field_text,
     planted_form,
     ramp_field_text,
@@ -218,21 +226,45 @@ class TestParseOrder:
         assert point.omega.entries.tobytes() == w.entries.tobytes()
 
 
+def with_complement(g, omega, pc, complement, tol):
+    """``pc`` assembled again on a stack of one, with ``complement`` as its complement frame."""
+    frame = pc.frame[None].copy()
+    frame[0, 2 * pc.m :] = complement
+    s = pc.spectrum
+    a = associated_endomorphism(g, omega).matrix
+    stacks = (g.entries, a, s.basis, s.values, np.array(s.npairs))
+    stacks = (*(x[None] for x in stacks), frame)
+    built, _ = semicalib.construction._assemble(*stacks, pc.m, pc.epsilon, tol)
+    return built[0]
+
+
 def pointwise(grid, config):
-    """process_field's outcomes as a construct_point loop: None for an excluded point."""
-    epsilon, hint, out = config.epsilon, None, []
+    """process_field's outcomes one point at a time: None for an excluded point.
+
+    Without hints this is a construct_point loop.  With hints each complement
+    frame is the chain's step on a stack of one: R = R_prev polar(B_prev G B^T)
+    while the complement keeps its dimension, then the frame R B is assembled
+    on a stack of one.
+    """
+    epsilon, prev, rotation, out = config.epsilon, None, None, []
     for point in grid.points:
         g, omega = (point.g, point.omega) if grid.dim % 2 == 0 else lift_odd(point.g, point.omega)
         try:
-            hint_used = hint if config.use_hints else None
-            pc = construct_point(g, omega, epsilon, hint_used, config.tolerances)
+            pc = construct_point(g, omega, epsilon, None, config.tolerances)
         except GapViolation as exc:
             epsilon = exc.epsilon if epsilon is None else epsilon
             out.append(None)
             continue
         epsilon = pc.epsilon if epsilon is None else epsilon
-        if 2 * pc.m < pc.dim:
-            hint = Frame(pc.frame[2 * pc.m :])
+        base = pc.frame[2 * pc.m :]
+        if config.use_hints and len(base):
+            if prev is not None and len(prev) == len(base):
+                step = semicalib.construction._polar(prev[None], g.entries[None], base[None])[0]
+                rotation = step if rotation is None else rotation @ step
+                pc = with_complement(g, omega, pc, rotation @ base, config.tolerances)
+            else:
+                rotation = None
+            prev = base
         out.append(pc)
     return out
 
@@ -271,7 +303,7 @@ class TestBatchedAssembly:
 
         ``metric_faults[k]`` maps rows of the k-th assembled batch to a
         factor f: that g_J becomes -f g_J, so its error names -f times its
-        largest eigenvalue.  The per-point band split raises at ``spectral_point``.
+        largest eigenvalue.  The stacked spectra fail a check at ``spectral_point``.
         """
         metric, batches = semicalib.construction.compatible_metric, []
 
@@ -284,16 +316,18 @@ class TestBatchedAssembly:
                     out[row] *= -factor
             return out
 
-        split, points = semicalib.construction.split_spaces, []
+        stack, points = semicalib.construction._paired_stack, []
 
-        def broken_split(*args, **kwargs):
-            if len(points) == spectral_point:
-                raise ValueError(f"spectral stage failed at point {spectral_point}")
-            points.append(1)
-            return split(*args, **kwargs)
+        def broken_stack(a, *args):
+            basis, values, npairs, checks = stack(a, *args)
+            index = np.arange(len(points), len(points) + len(a))
+            points.extend(index)
+            message = f"spectral stage failed at point {spectral_point}"
+            failed = (index == spectral_point, lambda i: ValueError(message))
+            return basis, values, npairs, [*checks, failed]
 
         monkeypatch.setattr(semicalib.construction, "compatible_metric", broken_metric)
-        monkeypatch.setattr(semicalib.construction, "split_spaces", broken_split)
+        monkeypatch.setattr(semicalib.construction, "_paired_stack", broken_stack)
 
     @staticmethod
     def field(svals):
@@ -312,7 +346,7 @@ class TestBatchedAssembly:
 
     def test_earlier_spectral_error_beats_later_construction_error(self, monkeypatch):
         self.breakdowns(monkeypatch, metric_faults=[{3: 2.0}], spectral_point=1)
-        with pytest.raises(ValueError, match="spectral stage failed at point 1"):
+        with pytest.raises(ConstructionError, match="spectral stage failed at point 1"):
             process_field(self.field([0.9] * 5), self.CONFIG)
 
     @staticmethod
@@ -326,15 +360,21 @@ class TestBatchedAssembly:
     def test_stacked_spectral_error_in_a_later_slice(self, monkeypatch):
         # Spectra of slices of two points: point 3 fails in the second slice.
         monkeypatch.setattr(semicalib.field, "_BATCH", 2)
-        with pytest.raises(ValueError, match="endomorphism contains non-finite entries"):
+        with pytest.raises(ConstructionError, match="endomorphism contains non-finite entries"):
             process_field(self.overflow(ramp_field_text([0.9] * 5), 3), self.CONFIG)
         self.breakdowns(monkeypatch, metric_faults=[{1: 2.0}])
         with pytest.raises(ConstructionError, match=r"smallest eigenvalue -2\)$"):
             process_field(self.overflow(ramp_field_text([0.9] * 5), 3), self.CONFIG)
 
+    def test_construction_error_chained_to_the_check(self):
+        with pytest.raises(ConstructionError) as raised:
+            process_field(self.overflow(ramp_field_text([0.9] * 3), 1), self.CONFIG)
+        cause = raised.value.__cause__
+        assert type(cause) is ValueError and str(cause) == str(raised.value)
+
     def test_stacked_spectral_error_beats_later_construction_error(self, monkeypatch):
         self.breakdowns(monkeypatch, metric_faults=[{2: 2.0}])
-        with pytest.raises(ValueError, match="endomorphism contains non-finite entries"):
+        with pytest.raises(ConstructionError, match="endomorphism contains non-finite entries"):
             process_field(self.overflow(ramp_field_text([0.9] * 5), 2), self.CONFIG)
 
     def test_lowest_construction_error_in_a_batch(self, monkeypatch):
@@ -480,6 +520,80 @@ class TestFramePropagation:
             for key, chk in a["checks"].items():
                 other = b["checks"][key]
                 assert abs(chk["value"] - other["value"]) <= 1e-9
+
+
+def perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's seeded field generator, imported by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+def gram_schmidt_chain(grid, cf):
+    """{index: complement frame} by the Procrustes and Gram-Schmidt chain, one point at a time.
+
+    Each point's spectral complement is aligned to the previous frame of the
+    same size with :func:`align_frame`, then g-orthonormalized; a point
+    without such a predecessor is g-orthonormalized alone.
+    """
+    hint, out = None, {}
+    for point, outcome in zip(grid.points, cf.outcomes):
+        pc = outcome.construction
+        if pc is None or 2 * pc.m == pc.dim:
+            continue
+        base = Frame(pc.spectrum.basis[2 * pc.m :])
+        if hint is not None and len(hint) == len(base):
+            base = align_frame(hint, base, point.g)
+        hint = gram_schmidt(point.g, base)
+        out[outcome.index] = hint.vectors
+    return out
+
+
+def frame_defect(pc, g):
+    """max |F G F^T - I| of the complement frame F of a construction."""
+    f = pc.frame[2 * pc.m :]
+    return float(np.abs(f @ g.entries @ f.T - np.eye(len(f))).max())
+
+
+class TestComplementChain:
+    @pytest.fixture(scope="class", params=[8, 16])
+    def smooth(self, request):
+        n = request.param
+        field = perfbench_inputs().smooth_field(np.random.default_rng(1), f"n{n}", n, 1000, 0)
+        grid = parse_calfield(field.text)
+        return grid, process_field(grid)
+
+    def test_frames_match_gram_schmidt_chain(self, smooth):
+        grid, cf = smooth
+        reference = gram_schmidt_chain(grid, cf)
+        assert len(reference) == len(cf.outcomes)
+        for outcome in cf.outcomes:
+            pc = outcome.construction
+            frame = pc.frame[2 * pc.m :]
+            np.testing.assert_allclose(frame, reference[outcome.index], rtol=0, atol=1e-12)
+
+    def test_frames_g_orthonormal(self, smooth):
+        grid, cf = smooth
+        for point, outcome in zip(grid.points, cf.outcomes):
+            assert frame_defect(outcome.construction, point.g) <= 1e-13
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("sep", [1e-9, 1e-6, 1e-3])
+    def test_near_double_frame_defect_bounded_by_basis(self, cond, sep):
+        # Sixteen ill-conditioned points with a 4-dim kernel, chained.  An
+        # orthogonal k x k rotation of the basis' defect grows its largest
+        # entry by at most a factor k, so over the cell the frames' defect
+        # stays within k times the largest basis_orthonormality.
+        rng = np.random.default_rng(0)
+        pairs = [near_double_form(rng, cond, sep, kernel=True) for _ in range(16)]
+        grid = FieldGrid(8, tuple(FieldPoint(i, g, w) for i, (g, w) in enumerate(pairs)))
+        built = [o.construction for o in process_field(grid).outcomes]
+        assert all(2 * pc.m == 4 for pc in built)
+        worst_frame = max(frame_defect(pc, g) for pc, (g, _) in zip(built, pairs))
+        worst_basis = max(pc.residuals["basis_orthonormality"] for pc in built)
+        assert worst_frame <= 4 * worst_basis
 
 
 class TestFiniteDifferenceContinuity:
