@@ -7,9 +7,11 @@ Times ``comass_bruteforce`` at n = 8 for p = 1, 2 and 3 with the
 restarts, split into frame sampling (``_orthonormal_frames``), sample ranking
 (``_abs_values``, or ``_frame_values`` of older trees) and ascent (the Stiefel
 polish ``_polish``, or the random ascent ``_ascend`` of older trees; the rest,
-mostly the chunk merge and the final Gram-Schmidt pass, is ``other``).  Stages
-are timed by wrapping the oracle's private stage functions, so the numbers
-are only as stable as those names.  Two end-to-end ``semicalib verify`` runs
+mostly the chunk merge and the final re-orthonormalization, one stacked
+Gram-Schmidt pass over every restart, or one pass per restart in trees
+before format 8, is ``other``).  Stages are timed by wrapping the oracle's
+private stage functions, so the numbers are only as stable as those names;
+``tests/test_bench_targets.py`` checks that they resolve.  Two end-to-end ``semicalib verify`` runs
 at verify's default sampling follow: ``--power 2 --power 3`` on a one-point
 n = 8 field, and no ``--power`` on a seeded N = 1000, n = 8 smooth field from
 ``perfbench/inputs.py`` (imported, never changed).  ``--src`` chooses the

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import comass
 from . import field as field_mod
-from .comass import PowerForm, comass_bruteforce, comass_exact, test_calibrated
+from .comass import PowerForm, test_calibrated
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     ConstructionError,
@@ -212,24 +212,17 @@ def _cmd_comass(args) -> int:
     grid = parse_calfield(_read(args.input))
     _check_power(args.power, grid.dim)
     rows = []
-    for point in grid.points:
-        form = PowerForm(point.omega, args.power)
-        sampled = comass_bruteforce(
-            point.g,
-            form,
-            samples=args.samples,
-            restarts=args.restarts,
-            seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(point.index,)),
-        )
-        entry = {
-            "index": point.index,
-            "power": args.power,
-            "exact": comass_exact(point.g, form).value,
-            "sampled": sampled.value,
-            "samples": sampled.samples,
-            "restarts": sampled.restarts,
-        }
-        rows.append(entry)
+    for lo in range(0, len(grid.points), field_mod._BATCH):
+        points = grid.points[lo : lo + field_mod._BATCH]
+        g = np.array([point.g.entries for point in points])
+        w = np.array([point.omega.entries for point in points])
+        seeds = [np.random.SeedSequence(entropy=args.seed, spawn_key=(p.index,)) for p in points]
+        sampled = comass._sampled_stack(g, w, args.power, args.samples, args.restarts, seeds)
+        exact = comass._exact_powers(g, w, (args.power,))[0][args.power]
+        for point, estimate, value in zip(points, sampled, exact.tolist()):
+            rows.append({"index": point.index, "power": args.power, "exact": value,
+                         "sampled": estimate.value, "samples": estimate.samples,
+                         "restarts": estimate.restarts})
     _emit(dumps({"format_version": field_mod.FORMAT_VERSION, "seed": args.seed, "points": rows}),
           args.output)
     return 0
@@ -287,6 +280,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) < 1 or getattr(args, "restarts", 0) < 0:
         parser.error("--samples must be >= 1 and --restarts >= 0")
+    if args.command == "verify" and args.restarts < 1:
+        parser.error("verify needs --restarts >= 1: unpolished, its sampled run cannot attain comass 1")
     if getattr(args, "seed", 0) < 0:
         parser.error("--seed must be >= 0")
     try:

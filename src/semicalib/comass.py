@@ -5,13 +5,15 @@ product mu_1 ... mu_p of the p largest pair values mu_i = sqrt(lambda_i) of
 -A^2 (Wirtinger's inequality for p = 1; Harvey & Lawson, Acta Math. 148,
 1982).  The value of (1/p!) omega^p on a frame equals the Pfaffian of the
 frame's omega-Gram matrix, and the sampled oracle, an independent
-cross-check, maximizes it directly: it draws random metric-orthonormal
-frames in cache-sized chunks, vector-major, ranks them by the |Pf| of their
-Gram matrices, then polishes the best ones by a deterministic gradient
-ascent on the Stiefel manifold.
-The reported value is the signed Pfaffian of the best frame after it has
-been re-orthonormalized, so the sampled estimate stays a lower bound of the
-true comass by construction.
+cross-check, maximizes it directly.  Both run on stacks of points, and
+``comass_exact`` and ``comass_bruteforce`` are their stacks of one.  The
+sampled oracle draws random metric-orthonormal frames for each point from
+its own stream, in cache-sized chunks, vector-major, and ranks them by the
+|Pf| of their Gram matrices; one deterministic gradient ascent on the
+Stiefel manifold then polishes the best ones of every point at once.  The
+reported value is the signed Pfaffian of a point's best frame after one
+Gram-Schmidt pass over all of them has re-orthonormalized it, so the
+sampled estimate stays a lower bound of the true comass by construction.
 """
 
 from __future__ import annotations
@@ -23,8 +25,12 @@ import numpy as np
 
 from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES
 from .construction import PointConstruction
-from .forms import Frame, MetricTensor, TwoForm, gram_schmidt
-from .spectral import associated_endomorphism, paired_spectrum
+from .forms import Frame, MetricTensor, TwoForm, _gram_schmidt_stack, _raise_first, gram_schmidt
+from .spectral import _paired_stack
+
+# perfbench/workloads.py traces these names by patching them in this module,
+# so they stay importable here, though the oracles call neither of them.
+from .spectral import associated_endomorphism, paired_spectrum  # noqa: E402, F401
 
 # Frames per sampling chunk: each (chunk, n) temporary stays cache-sized.  The
 # sampled values do not depend on it.
@@ -175,9 +181,9 @@ def _form_data(form) -> tuple[TwoForm, int]:
     raise TypeError(f"expected TwoForm or PowerForm, got {type(form).__name__}")
 
 
-def _eval_rows(w: np.ndarray, rows: np.ndarray) -> float:
-    gram = rows @ w @ rows.T
-    return float(_pf_batch(gram[None])[0])
+def _signed_values(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Form values Pf(rows W rows^T) of frames (..., k, n), each with its own or a shared W."""
+    return _pf_batch(rows @ w @ rows.mT)
 
 
 def eval_power(power: PowerForm, frame: Frame) -> float:
@@ -186,37 +192,39 @@ def eval_power(power: PowerForm, frame: Frame) -> float:
         raise ValueError("frame and form dimensions disagree")
     if len(frame) != power.degree:
         raise ValueError(f"frame must have exactly {power.degree} vectors, got {len(frame)}")
-    return _eval_rows(power.base.entries, frame.vectors)
+    return float(_signed_values(power.base.entries, frame.vectors))
 
 
 def comass_exact(g: MetricTensor, form) -> ComassEstimate:
-    """Exact comass of omega or of (1/p!) omega^p: the product of the p largest pair values.
+    """Exact comass of omega or of (1/p!) omega^p: :func:`_exact_powers` on a stack of one.
 
-    The top p pairs attain it; no g-orthonormal 2p-frame exceeds it, because
+    It is the product of the p largest pair values.  The top p pairs attain it; no g-orthonormal 2p-frame exceeds it, because
     the pair values of a compression interlace those of the whole form.  A
     form of rank below 2p has comass 0 and an empty maximizer.
     """
     omega, p = _form_data(form)
-    value, rows = _exact_powers(g, omega, (p,))[p]
-    return ComassEstimate(value, Frame(rows), 0, 0, "exact")
+    if omega.dim != g.dim:
+        raise ValueError("metric and two-form dimensions disagree")
+    values, basis, npairs = _exact_powers(g.entries[None], omega.entries[None], (p,))
+    rows = basis[0, : 2 * p] if npairs[0] >= p else np.zeros((0, g.dim))
+    return ComassEstimate(float(values[p][0]), Frame(rows), 0, 0, "exact")
 
 
-def _exact_powers(g: MetricTensor, omega: TwoForm, powers) -> dict[int, tuple[float, np.ndarray]]:
-    """(comass, maximizer rows) of (1/p!) omega^p for every p in ``powers``, from one spectrum.
+def _exact_powers(G: np.ndarray, W: np.ndarray, powers):
+    """Comass of (1/p!) omega^p for every p in ``powers`` at (P, n, n) stacks G, W, one spectrum each.
 
-    Rows are empty when the form's rank is below 2p, and the comass is 0.
+    Returns ({p: (P,) comass}, paired bases, npairs): a point's maximizer for
+    p is the first 2p rows of its basis, none where ``npairs < p`` and the comass is 0.
     """
     for p in powers:
-        _check_power(p, omega.dim)
-    spectrum = paired_spectrum(associated_endomorphism(g, omega), g, _EVERY_BLOCK)
-    out = {}
-    for p in powers:
-        if spectrum.npairs < p:
-            out[p] = (0.0, np.zeros((0, g.dim)))
-        else:
-            value = float(np.prod(np.sqrt(spectrum.eigenvalues[:p])))
-            out[p] = (value, spectrum.basis[: 2 * p])
-    return out
+        _check_power(p, G.shape[-1])
+    a = np.linalg.solve(G, W.mT)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    basis, values, npairs, checks = _paired_stack(np.where(finite[:, None, None], a, 0.0), G,
+                                                  _EVERY_BLOCK)
+    _raise_first([(~finite, lambda i: ValueError("endomorphism contains non-finite entries")), *checks])
+    top = np.sqrt(values[:, ::2])  # the pair values, each once
+    return {p: np.where(npairs >= p, np.prod(top[:, :p], axis=1), 0.0) for p in powers}, basis, npairs
 
 
 def _orthonormal_frames(rng, G: np.ndarray, k: int, count: int):
@@ -226,28 +234,14 @@ def _orthonormal_frames(rng, G: np.ndarray, k: int, count: int):
     j-th vector of every frame as one contiguous block.  The normals are
     drawn frame-major, so the stream, and each frame, is the same for any
     layout or chunk size.  A draw is invalid when a vector's residual is
-    rounding-sized on the metric's own scale.
+    rounding-sized on the metric's own scale: its squared g-norm at most
+    1e-24 of the largest metric entry.
     """
-    n = G.shape[0]
-    tiny = 1e-24 * np.abs(G).max()
-    X = rng.standard_normal((count, k, n))
-    F = np.empty((k, count, n))
-    FG = np.empty((k, count, n))
-    valid = np.ones(count, dtype=bool)
-    for j in range(k):
-        v = X[:, j, :]  # a view: the draws are not read again, so reduce them in place
-        for _ in range(2):
-            for i in range(j):
-                coeff = np.einsum("cn,cn->c", FG[i], v)
-                v -= coeff[:, None] * F[i]
-        vg = v @ G
-        norm2 = np.einsum("cn,cn->c", vg, v)
-        bad = norm2 <= tiny
-        valid &= ~bad
-        norm = np.sqrt(np.where(bad, 1.0, norm2))[:, None]
-        np.divide(v, norm, out=F[j])
-        np.divide(vg, norm, out=FG[j])
-    return F, valid
+    floor = 1e-12 * np.sqrt(np.abs(G).max())
+    X = rng.standard_normal((count, k, G.shape[0]))
+    # a view: the draws are not read again, so they are reduced in place
+    frames, residual = _gram_schmidt_stack(G, X.transpose(1, 0, 2), floor)
+    return frames, (residual > floor).all(axis=0)
 
 
 def _abs_values(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -256,8 +250,7 @@ def _abs_values(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
     One GEMM per frame vector gives f_a W, and one row dot product per
     entry the strict upper triangle of gram = [omega(f_a, f_b)]; its
     Pfaffian is the value the final estimate reports.  The sign is lost, so
-    this serves the search only (ranking samples and finding singular frames
-    for the polish).
+    this serves the search only (ranking the samples).
     """
     k, count = frames.shape[:2]
     fw = frames @ w
@@ -270,126 +263,116 @@ def _abs_values(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
     return np.abs(_pf_batch(gram.transpose(2, 0, 1)))
 
 
-def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray):
-    """Deterministic ascent of |form value| over g-orthonormal frames, batched.
+def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray):
+    """Deterministic ascent of |form value| over g-orthonormal frames, every restart of a stack at once.
 
-    In whitened coordinates (G = L L^T, Y = F L, W_w = L^-1 W L^-T) the
-    frames are orthonormal rows and the value is Pf(M), M = Y W_w Y^T, whose
-    log-gradient is E = M^-1 Y W_w.  Each step maps Y to the polar factor of
-    E + s Y, a shifted power iteration on the Stiefel manifold (Edelman,
-    Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 1998); a restart stops
-    once the part of E normal to its rows, the Riemannian gradient, is at
-    most 1e-10.  Frames whose |Pf| is rounding-sized next to the form's
+    ``G`` and ``w`` are (P, n, n) stacks; restart j is the g-orthonormal
+    frame ``frames[j]`` at point ``point[j]``.  In whitened coordinates
+    (G = L L^T, Y = F L, W_w = L^-1 W L^-T) the frames are orthonormal rows
+    and the value is Pf(M), M = Y W_w Y^T, whose log-gradient is
+    E = M^-1 Y W_w.  Each step maps Y to the polar factor of E + s Y, a
+    shifted power iteration on the Stiefel manifold (Edelman, Arias & Smith,
+    SIAM J. Matrix Anal. Appl. 20, 1998).  A restart stops once the part of E
+    normal to its rows, the Riemannian gradient, is at most 1e-10 or no
+    smaller than at its previous step, the rounding floor of its point's
+    conditioning.  Frames whose |Pf| is rounding-sized next to the form's
     scale (the zero form, or rank below the degree) are left as they are.
-    Returns (frames, iterations, capped).
+    Returns (frames, iterations, capped), the last two per point: the steps
+    of its longest restart, and whether one still moved at the cap.
     """
     L = np.linalg.cholesky(G)
     L_inv = np.linalg.inv(L)
-    w_w = L_inv @ w @ L_inv.T
-    Y = frames @ L
-    k = frames.shape[1]
-    vals = _abs_values(w_w, Y.transpose(1, 0, 2))
-    act = np.flatnonzero(vals > _POLISH_SINGULAR * np.abs(w_w).max() ** (k // 2))
-    iterations = 0
-    while act.size and iterations < _POLISH_MAX_ITER:
-        iterations += 1
+    w_w = (L_inv @ w @ L_inv.mT)[point]
+    Y = frames @ L[point]
+    scale = np.abs(w_w).max(axis=(1, 2)) ** (frames.shape[1] // 2)
+    act = np.flatnonzero(np.abs(_signed_values(w_w, Y)) > _POLISH_SINGULAR * scale)
+    gradient = np.full(len(Y), np.inf)
+    iterations = np.zeros(len(G), dtype=int)
+    step = 0
+    while act.size and step < _POLISH_MAX_ITER:
+        step += 1
+        iterations[point[act]] = step
         Ya = Y[act]
-        YW = Ya @ w_w
-        E = np.linalg.solve(YW @ np.swapaxes(Ya, 1, 2), YW)
-        normal = E - (E @ np.swapaxes(Ya, 1, 2)) @ Ya
-        moving = np.linalg.norm(normal, axis=(1, 2)) > _POLISH_TOL
+        YW = Ya @ w_w[act]
+        E = np.linalg.solve(YW @ Ya.mT, YW)
+        size = np.linalg.norm(E - (E @ Ya.mT) @ Ya, axis=(1, 2))
+        moving = (size > _POLISH_TOL) & (size < gradient[act])
+        gradient[act] = size
         act = act[moving]
         u, _, vt = np.linalg.svd(E[moving] + _POLISH_SHIFT * Ya[moving], full_matrices=False)
         Y[act] = u @ vt
-    return Y @ L_inv, iterations, bool(act.size)
+    return Y @ L_inv[point], iterations, np.isin(np.arange(len(G)), point[act])
 
 
-def comass_bruteforce(
-    g: MetricTensor,
-    form,
-    samples: int = 100_000,
-    restarts: int = 20,
-    seed: int = 0,
-) -> ComassEstimate:
-    """Sampled comass: random orthonormal frames plus a deterministic polish.
+def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts: int, seeds) -> list:
+    """Sampled comass of (1/p!) omega^p at a stack of points (G, W), (P, n, n) each.
 
-    Deterministic given ``seed`` (PCG64 stream); the result is a lower bound
-    of the true comass, pair it with an exact or analytic upper bound.
-    Restart candidates are the best sampled frames; results merge by maximum
-    with a lexicographic frame tie-break.
+    Each point draws ``samples`` frames from its own stream,
+    ``default_rng(seeds[i])``, and keeps the ``restarts`` best by |Pf| (one
+    when ``restarts`` is 0).  One :func:`_polish` then runs every restart of
+    every point, unless ``restarts`` is 0; one Gram-Schmidt pass
+    re-orthonormalizes all of them, and each point reports its largest
+    signed value, the frame's first two vectors swapped where the sign is
+    negative, with a lexicographic frame tie-break.  A point's estimate is
+    the one it gets on a stack of one.  Returns one ComassEstimate per point.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    omega, p = _form_data(form)
-    w = omega.entries
-    k = 2 * p
-    if w.shape[0] != g.dim:
-        raise ValueError("form and metric dimensions disagree")
-    G = g.entries
-    rng = np.random.default_rng(seed)
-
-    top_frames = np.zeros((0, k, g.dim))
-    top_vals = np.zeros(0)
-    drawn = 0
-    while drawn < samples:
-        count = min(_CHUNK, samples - drawn)
-        frames, valid = _orthonormal_frames(rng, G, k, count)
-        vals = np.where(valid, _abs_values(w, frames), -np.inf)
-        keep = min(max(restarts, 1), count)
-        part = np.argpartition(-vals, keep - 1)[:keep]
-        top_frames = np.concatenate([top_frames, frames[:, part].transpose(1, 0, 2)])
-        top_vals = np.concatenate([top_vals, vals[part]])
-        if top_vals.size > max(restarts, 1):
-            order = np.argsort(-top_vals, kind="stable")[: max(restarts, 1)]
+    k, n, keep = 2 * p, G.shape[-1], max(restarts, 1)
+    starts = []
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        parts = []
+        for drawn in range(0, samples, _CHUNK):
+            frames, valid = _orthonormal_frames(rng, G[i], k, min(_CHUNK, samples - drawn))
+            vals = np.where(valid, _abs_values(W[i], frames), -np.inf)
+            part = np.argpartition(-vals, min(keep, len(vals)) - 1)[:keep]
+            parts.append((frames[:, part].transpose(1, 0, 2), vals[part]))
+        top_frames, top_vals = map(np.concatenate, zip(*parts))
+        if len(top_vals) > keep:  # the best of every chunk's best, earlier chunks first on ties
+            order = np.argsort(-top_vals, kind="stable")[:keep]
             top_frames, top_vals = top_frames[order], top_vals[order]
-        drawn += count
+        finite = np.isfinite(top_vals)
+        # every draw degenerate, impossible for a PD metric: polish the coordinate frame
+        starts.append(top_frames[finite] if finite.any() else
+                      _gram_schmidt_stack(G[i], np.eye(n)[:k, None].copy())[0].transpose(1, 0, 2))
+    point = np.repeat(np.arange(len(starts)), [len(f) for f in starts])
+    frames = np.concatenate(starts)
 
-    finite = np.isfinite(top_vals)
-    if not finite.any():
-        # all sampled frames degenerate (cannot happen for a PD metric); fall
-        # back to g-orthonormalized coordinate vectors so the estimate stays
-        # well-defined
-        top_frames = gram_schmidt(g, Frame(np.eye(g.dim)[:k])).vectors[None]
-    else:
-        top_frames = top_frames[finite]
-    n_restarts = top_frames.shape[0]
-
-    iterations, capped = 0, False
+    iterations, capped = np.zeros(len(starts), dtype=int), np.zeros(len(starts), dtype=bool)
     if restarts > 0:
-        frames, iterations, capped = _polish(G, w, top_frames)
-        if capped:
-            _log.warning(
-                "comass polish stopped at the %d-iteration cap before converging "
-                "(degree %d, n=%d); the sampled value is still a lower bound",
-                _POLISH_MAX_ITER, k, g.dim,
-            )
-    else:
-        frames = top_frames
+        frames, iterations, capped = _polish(G, W, frames, point)
+        for _ in np.flatnonzero(capped):
+            _log.warning("comass polish stopped at the %d-iteration cap before converging (degree %d, "
+                         "n=%d); the sampled value is still a lower bound", _POLISH_MAX_ITER, k, n)
 
-    best_val = -np.inf
-    best_rows: np.ndarray | None = None
-    for i in range(frames.shape[0]):
-        polished = gram_schmidt(g, Frame(frames[i]))
-        rows = np.array(polished.vectors)
-        value = _eval_rows(w, rows)
-        if value < 0:
-            rows[[0, 1]] = rows[[1, 0]]
-            value = -value
-        if value > best_val or (
-            value == best_val
-            and best_rows is not None
-            and tuple(rows.ravel()) < tuple(best_rows.ravel())
-        ):
-            best_val, best_rows = value, rows
-    return ComassEstimate(
-        value=float(best_val),
-        maximizer=Frame(best_rows),
-        samples=drawn,
-        restarts=n_restarts,
-        mode="sampled",
-        ascent_iterations=iterations,
-        ascent_capped=capped,
-    )
+    rows = _gram_schmidt_stack(G[point], frames.transpose(1, 0, 2).copy())[0].transpose(1, 0, 2)
+    values = _signed_values(W[point], rows)
+    negative = values < 0
+    rows[negative, :2] = rows[negative, 1::-1]
+    values[negative] = -values[negative]
+    # per point: the largest value, then the lexicographically smallest frame, then the first restart
+    order = np.lexsort((*rows.reshape(len(rows), -1).T[::-1], -values, point))
+    best = order[np.searchsorted(point[order], np.arange(len(starts)))]
+    return [
+        ComassEstimate(float(values[j]), Frame(rows[j]), samples, len(starts[i]), "sampled",
+                       int(iterations[i]), bool(capped[i]))
+        for i, j in enumerate(best)
+    ]
+
+
+def comass_bruteforce(g: MetricTensor, form, samples: int = 100_000, restarts: int = 20,
+                      seed: int = 0) -> ComassEstimate:
+    """Sampled comass: random orthonormal frames plus a deterministic polish.
+
+    :func:`_sampled_stack` on a stack of one.  Deterministic given ``seed``
+    (PCG64 stream); the result is a lower bound of the true comass, pair it
+    with an exact or analytic upper bound.
+    """
+    omega, p = _form_data(form)
+    if omega.dim != g.dim:
+        raise ValueError("form and metric dimensions disagree")
+    return _sampled_stack(g.entries[None], omega.entries[None], p, samples, restarts, [seed])[0]
 
 
 def test_calibrated(g: MetricTensor, form, frame: Frame, tol: float = 1e-9) -> CalibrationVerdict:
@@ -404,8 +387,7 @@ def test_calibrated(g: MetricTensor, form, frame: Frame, tol: float = 1e-9) -> C
         raise ValueError(f"frame must have exactly {2 * p} vectors, got {len(frame)}")
     if frame.dim != w.shape[0]:
         raise ValueError("frame and form dimensions disagree")
-    onf = gram_schmidt(g, frame)
-    ratio = _eval_rows(w, onf.vectors)
+    ratio = float(_signed_values(w, gram_schmidt(g, frame).vectors))
     return CalibrationVerdict(ratio=ratio, calibrated=abs(ratio - 1.0) <= tol, tolerance=tol)
 
 

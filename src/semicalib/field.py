@@ -9,9 +9,10 @@ complement frames and assembly.  Points whose spectrum violates the band gap
 are flagged and excluded rather than fatal.  The complement frames follow a
 chain of points by orthogonal Procrustes rotations, so the output fields
 stay continuous; the assembly runs on batches of points sharing (n, m), and
-a point's results do not depend on its batch.  Parsing likewise reads the
-records first, then converts every number of the field at once and checks
-the metrics in slices of points.
+a point's results do not depend on its batch.  Verification runs each comass
+oracle once per slice of points, sampled on (g_J, Omega) and exact on the
+powers.  Parsing likewise reads the records first, then converts every
+number of the field at once and checks the metrics in slices of points.
 
 CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
 
@@ -32,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# construct_point, comass_exact, associated_endomorphism and paired_spectrum
-# are not called here; perfbench/workloads.py traces them by patching these
-# names in this module, so they stay imported.
-from .comass import _exact_powers, comass_bruteforce, comass_exact  # noqa: F401
+# construct_point, lift_odd, comass_bruteforce, comass_exact,
+# associated_endomorphism and paired_spectrum are not called here;
+# perfbench/workloads.py traces them by patching these names in this module,
+# so they stay imported.
+from .comass import _exact_powers, _sampled_stack, comass_bruteforce, comass_exact  # noqa: F401
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .construction import (  # noqa: F401
     PointConstruction,
@@ -66,7 +68,7 @@ from .spectral import (  # noqa: F401
     paired_spectrum,
 )
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 # Points per assembly batch: enough to share each stacked call's overhead,
 # few enough that a batch's temporaries stay small whatever the field size.
 _BATCH = 64
@@ -319,11 +321,14 @@ def parse_calfield(text: str) -> FieldGrid:
     return FieldGrid(dim=dim, points=tuple(points))
 
 
-def _lift_grid_point(point: FieldPoint) -> tuple[MetricTensor, TwoForm]:
-    """The point's (g, omega), lifted to the next even dimension when odd."""
-    if point.g.dim % 2 == 0:
-        return point.g, point.omega
-    return lift_odd(point.g, point.omega)
+def _grid_stacks(grid: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's (N, n, n) metric and form stacks, padded as :func:`lift_odd` pads a point at odd n."""
+    g = np.array([point.g.entries for point in grid.points])
+    w = np.array([point.omega.entries for point in grid.points])
+    if grid.dim % 2:
+        g, w = (np.pad(x, ((0, 0), (0, 1), (0, 1))) for x in (g, w))
+        g[:, -1, -1] = 1.0
+    return g, w
 
 
 def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> ConstructionField:
@@ -342,9 +347,7 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     lifted_from = grid.dim if grid.dim % 2 else None
     dim = grid.dim + 1 if lifted_from else grid.dim
     size = len(grid.points)
-    pairs = [_lift_grid_point(point) for point in grid.points]
-    g = np.array([g.entries for g, _ in pairs])
-    w = np.array([omega.entries for _, omega in pairs])
+    g, w = _grid_stacks(grid)
 
     tol = config.tolerances
     parts, checks = [], []
@@ -446,15 +449,12 @@ def _check(value: float, threshold: float, ok: bool | None = None) -> dict:
     return {"value": value, "threshold": threshold, "pass": bool(passed)}
 
 
-def _verify_point(outcome: PointOutcome, point: FieldPoint, config: FieldConfig) -> dict:
+def _point_checks(outcome: PointOutcome, sampled: float, powers: dict) -> dict:
+    """A built point's checks; ``powers`` maps p to the exact comass of (input, output) p-th powers."""
     pc = outcome.construction
-    checks: dict[str, dict] = {}
-    for key, threshold in RESIDUAL_THRESHOLDS.items():
-        checks[key] = _check(float(pc.residuals[key]), threshold)
-
-    eigs = np.array(outcome.eigenvalues)
-    low = float(eigs.min()) if eigs.size else 0.0
-    high = float(eigs.max()) if eigs.size else 0.0
+    checks = {key: _check(float(pc.residuals[key]), threshold)
+              for key, threshold in RESIDUAL_THRESHOLDS.items()}
+    low, high = min(outcome.eigenvalues), max(outcome.eigenvalues)
     checks["input_eigenvalue_bound"] = _check(
         high, 1.0 + EIGENVALUE_UPPER, ok=(low >= EIGENVALUE_LOWER and high <= 1.0 + EIGENVALUE_UPPER)
     )
@@ -465,43 +465,47 @@ def _verify_point(outcome: PointOutcome, point: FieldPoint, config: FieldConfig)
 
     # The one sampled run: an independent lower bound on comass(Omega) = 1,
     # checked from both sides: not above 1, and attained.
-    sampled = comass_bruteforce(
-        pc.g_j,
-        pc.omega_total,
-        samples=config.samples,
-        restarts=config.restarts,
-        seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(outcome.index, 0)),
-    )
-    checks["Omega_comass_sampled_bound"] = _check(sampled.value, 1.0 + COMASS_SLACK)
-    checks["Omega_comass_sampled_attained"] = _check(1.0 - sampled.value, SAMPLED_TIGHTNESS)
-
-    powers = sorted(set(config.powers))
-    if powers:
-        power_in = _exact_powers(*_lift_grid_point(point), powers)
-        power_out = _exact_powers(pc.g_j, pc.omega_total, powers)
-        for p in powers:
-            checks[f"power_{p}_comass_bound"] = _check(power_in[p][0], 1.0 + COMASS_SLACK)
-            checks[f"power_{p}_calibration_bound"] = _check(power_out[p][0], 1.0 + COMASS_SLACK)
+    checks["Omega_comass_sampled_bound"] = _check(sampled, 1.0 + COMASS_SLACK)
+    checks["Omega_comass_sampled_attained"] = _check(1.0 - sampled, SAMPLED_TIGHTNESS)
+    for p, (comass_in, comass_out) in powers.items():
+        checks[f"power_{p}_comass_bound"] = _check(comass_in, 1.0 + COMASS_SLACK)
+        checks[f"power_{p}_calibration_bound"] = _check(comass_out, 1.0 + COMASS_SLACK)
     return checks
 
 
 def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = FieldConfig()) -> VerificationReport:
     """Check every included point against the construction guarantees.
 
-    Failures become report entries, not exceptions; gap-excluded points are
-    listed but do not fail verification (their exclusion is already recorded).
+    The comass checks run once per slice of ``_BATCH`` included points: the
+    sampled run on their ``(g_J, Omega)``, and with ``powers`` the exact
+    comass of the powers of the lifted input and of ``(g_J, Omega)``; a
+    point's values do not depend on its slice.  Failures become report
+    entries, not exceptions; gap-excluded points are listed but do not fail
+    verification.  Raises ValueError when ``config.restarts`` is below 1:
+    unpolished, the sampled run cannot attain comass 1.
     """
-    by_index = {p.index: p for p in grid.points}
+    if config.restarts < 1:
+        raise ValueError("verify needs restarts >= 1: unpolished, its sampled run cannot attain 1")
+    powers = sorted(set(config.powers))
+    g_in, w_in = _grid_stacks(grid)
     data = build_report(cf)
-    all_pass = True
-    for entry, outcome in zip(data["points"], cf.outcomes):
-        checks = {}
-        if outcome.construction is not None:
-            checks = _verify_point(outcome, by_index[outcome.index], config)
-            all_pass &= all(c["pass"] for c in checks.values())
-        entry["checks"] = checks
-    data["summary"]["pass"] = bool(all_pass)
-    return VerificationReport(data=data, passed=bool(all_pass))
+    for entry in data["points"]:
+        entry["checks"] = {}
+    outcomes = cf.outcomes
+    included = [i for i, o in enumerate(outcomes) if o.construction is not None]
+    for lo in range(0, len(included), _BATCH):
+        rows = included[lo : lo + _BATCH]
+        g_j = np.array([outcomes[i].construction.g_j.entries for i in rows])
+        omega = np.array([outcomes[i].construction.omega_total.entries for i in rows])
+        seeds = [np.random.SeedSequence(config.seed, spawn_key=(outcomes[i].index, 0)) for i in rows]
+        sampled = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds)
+        comass_in = _exact_powers(g_in[rows], w_in[rows], powers)[0] if powers else {}
+        comass_out = _exact_powers(g_j, omega, powers)[0] if powers else {}
+        for b, i in enumerate(rows):
+            by_power = {p: (float(comass_in[p][b]), float(comass_out[p][b])) for p in powers}
+            data["points"][i]["checks"] = _point_checks(outcomes[i], sampled[b].value, by_power)
+    data["summary"]["pass"] = all(c["pass"] for e in data["points"] for c in e["checks"].values())
+    return VerificationReport(data=data, passed=data["summary"]["pass"])
 
 
 _DEMO_SPECS = {

@@ -312,30 +312,50 @@ def plane_area(g: MetricTensor, v, w) -> float:
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def _orthonormalize(G: np.ndarray, vectors, rows: list, rank_tol: float, skip: bool) -> list:
-    """Append each vector to ``rows``, g-orthonormalized against them (modified Gram-Schmidt).
+def _gram_schmidt_stack(G: np.ndarray, X: np.ndarray, floor=0.0):
+    """Two-pass modified Gram-Schmidt of a vector-major stack of frames X (k, count, n), in place.
 
-    Two passes per vector.  A vector whose residual drops below ``rank_tol``
-    relative to its norm is skipped when ``skip`` (which stops once the rows
-    span the space), else it raises :class:`RankDeficiencyError`.
+    ``G`` is one (n, n) metric for every frame, or a (count, n, n) stack.  A
+    vector whose residual norm is at most its ``floor`` (broadcast to (k,
+    count)) is dropped: it comes out zero and no later vector is projected
+    on it.  Returns the frames, kept vectors g-orthonormal, and the residual norms (k, count).
     """
-    for v in vectors:
-        if skip and len(rows) == len(G):
-            break
-        original = float(np.sqrt(max(v @ G @ v, 0.0)))
-        u = v.copy()
+    k, count, n = X.shape
+    floor = np.broadcast_to(floor, (k, count))
+    F = np.empty((k, count, n))
+    FG = np.empty((k, count, n))
+    residual = np.empty((k, count))
+    for j in range(k):
+        v = X[j]
         for _ in range(2):
-            for b in rows:
-                u = u - (b @ G @ u) * b
-        norm = float(np.sqrt(max(u @ G @ u, 0.0)))
-        if norm > rank_tol * max(original, _TINY):
-            rows.append(u / norm)
-        elif not skip:
-            raise RankDeficiencyError(
-                f"vector {len(rows)} is dependent on its predecessors "
-                f"(residual norm {norm:.6g})"
-            )
-    return rows
+            for i in range(j):
+                coeff = np.einsum("cn,cn->c", FG[i], v)
+                v -= coeff[:, None] * F[i]
+        vg = v @ G if G.ndim == 2 else (v[:, None] @ G)[:, 0]
+        residual[j] = np.sqrt(np.maximum(np.einsum("cn,cn->c", vg, v), 0.0))
+        norm = np.where(residual[j] > floor[j], residual[j], np.inf)[:, None]
+        np.divide(v, norm, out=F[j])
+        np.divide(vg, norm, out=FG[j])
+    return F, residual
+
+
+def _orthonormal_rows(g: MetricTensor, vectors: np.ndarray, strict: int, rank_tol: float) -> np.ndarray:
+    """The g-orthonormalized rows of one frame: :func:`_gram_schmidt_stack` on a stack of one.
+
+    A vector with residual at most ``rank_tol`` of its own norm is dropped,
+    or among the first ``strict`` raises :class:`RankDeficiencyError`.
+    """
+    X = np.array(vectors, dtype=float)
+    original = np.sqrt(np.maximum(np.einsum("kn,kn->k", X @ g.entries, X), 0.0))
+    floor = rank_tol * np.maximum(original, _TINY)
+    F, residual = _gram_schmidt_stack(g.entries, X[:, None], floor[:, None])
+    kept = residual[:, 0] > floor
+    if not kept[:strict].all():
+        j = int(np.argmin(kept))
+        raise RankDeficiencyError(
+            f"vector {j} is dependent on its predecessors (residual norm {residual[j, 0]:.6g})"
+        )
+    return F[kept, 0]
 
 
 def gram_schmidt(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:
@@ -346,22 +366,19 @@ def gram_schmidt(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> 
     """
     if frame.dim != g.dim:
         raise ValueError("frame and metric dimensions disagree")
-    rows = _orthonormalize(g.entries, frame.vectors, [], rank_tol, skip=False)
-    return Frame(np.array(rows)) if rows else Frame.empty(frame.dim)
+    return Frame(_orthonormal_rows(g, frame.vectors, len(frame), rank_tol))
 
 
 def complement_basis(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:
     """Deterministic g-orthonormal basis of the g-orthogonal complement of a frame.
 
     Seeds Gram-Schmidt with the frame itself, then sweeps the coordinate
-    vectors, skipping dependent candidates.
+    vectors, skipping dependent candidates, until the rows span the space.
     """
     if frame.dim != g.dim:
         raise ValueError("frame and metric dimensions disagree")
-    n = g.dim
-    rows = _orthonormalize(g.entries, frame.vectors, [], rank_tol, skip=False)
-    k = len(rows)
-    _orthonormalize(g.entries, np.eye(n), rows, rank_tol, skip=True)
+    n, k = g.dim, len(frame)
+    rows = _orthonormal_rows(g, np.concatenate([frame.vectors, np.eye(n)]), k, rank_tol)[:n]
     if len(rows) != n:
         raise RankDeficiencyError("could not complete the frame to a full basis")
-    return Frame(np.array(rows[k:])) if k < n else Frame.empty(n)
+    return Frame(rows[k:])

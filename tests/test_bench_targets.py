@@ -1,13 +1,17 @@
-"""The names and fields that perfbench's tracer and checks read from the library.
+"""The names and fields that perfbench's tracer and checks, and the bench scripts, read from the library.
 
 ``perfbench/run.py --trace`` patches every ``TRACE_TARGETS`` name in the
-module that calls it, and the adversarial workload reads ``J``, ``g_J``,
-``Omega`` and the residuals off ``construct_point``'s result.  A renamed
-function or field breaks the benchmark only when it runs; these tests catch
-it in the tier-1 suite.  ``perfbench/workloads.py`` is imported, never changed.
+module that calls it, the adversarial workload reads ``J``, ``g_J``,
+``Omega`` and the residuals off ``construct_point``'s result, and
+``bench/comass_stages.py`` wraps the sampled oracle's stage functions.  A
+renamed function or field breaks the benchmark only when it runs; these
+tests catch it in the tier-1 suite.  ``perfbench/workloads.py`` is imported,
+never changed.
 """
 
 import importlib
+import importlib.util
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,6 +24,7 @@ from semicalib.field import RESIDUAL_THRESHOLDS
 from helpers import planted_form, random_pd_metric
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 _SIBLINGS = ("check", "inputs", "tracing", "workloads")
 
 
@@ -42,6 +47,24 @@ def test_trace_targets_resolve(workloads):
     for module, attribute, _, _ in workloads.TRACE_TARGETS:
         target = getattr(importlib.import_module(module), attribute, None)
         assert callable(target), f"{module}.{attribute} is missing or not callable"
+
+
+def test_comass_stage_names_resolve():
+    """``bench/comass_stages.py`` times the oracle by wrapping these stage functions by name."""
+    spec = importlib.util.spec_from_file_location("comass_stages", BENCH / "comass_stages.py")
+    stages = importlib.util.module_from_spec(spec)
+    saved = dict(os.environ)
+    try:
+        spec.loader.exec_module(stages)
+    finally:  # the script pins BLAS threads for its own runs
+        os.environ.clear()
+        os.environ.update(saved)
+    import semicalib.comass as comass
+
+    names = stages.StageTimer(comass).names
+    assert set(names) == {"_orthonormal_frames", "_abs_values", "_polish"}
+    for name in names:
+        assert callable(getattr(comass, name, None)), f"semicalib.comass.{name} is missing"
 
 
 def test_construction_has_what_perfbench_reads(workloads):

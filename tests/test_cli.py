@@ -40,7 +40,7 @@ class TestDemoAndBuild:
         main(["demo", "--name", "scaled", "-o", demo])
         assert main(["build", demo]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["format_version"] == 7
+        assert data["format_version"] == 8
         assert data["points"][0]["m"] == 2
 
     def test_demo_residuals_tiny(self, tmp_path):
@@ -186,6 +186,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main([command, "x", *flag])
         assert err.value.code == 2
+
+    def test_verify_without_restarts_is_a_usage_error(self, tmp_path, capsys):
+        # unpolished, verify's sampled run cannot attain comass 1; comass still takes 0
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        with pytest.raises(SystemExit) as err:
+            main(["verify", demo, "--restarts", "0"])
+        assert err.value.code == 2
+        assert "--restarts" in capsys.readouterr().err
+        assert main(["comass", demo, "--restarts", "0", "-o", str(tmp_path / "c.json")]) == 0
+        table = json.loads(open(tmp_path / "c.json").read())
+        assert [row["restarts"] for row in table["points"]] == [1] * 3
 
     @pytest.mark.parametrize("power", ["0", "3"])
     def test_invalid_verify_power_is_2(self, power, tmp_path, capsys):

@@ -543,6 +543,74 @@ class TestAscentCap:
         assert est.ascent_iterations == 0 and not est.ascent_capped
 
 
+class TestStackedOracle:
+    """The stacked oracle gives every point of a stack what comass_bruteforce gives it alone."""
+
+    @staticmethod
+    def assert_alone(points, p, restarts):
+        seeds = [np.random.SeedSequence(7, spawn_key=(i,)) for i in range(len(points))]
+        g = np.array([metric.entries for metric, _ in points])
+        w = np.array([form.entries for _, form in points])
+        stacked = comass_module._sampled_stack(g, w, p, 256, restarts, seeds)
+        assert len(stacked) == len(points)
+        for (metric, form), seed, est in zip(points, seeds, stacked):
+            alone = comass_bruteforce(metric, PowerForm(form, p), samples=256, restarts=restarts, seed=seed)
+            assert est.value.hex() == alone.value.hex()
+            assert est.maximizer.vectors.tobytes() == alone.maximizer.vectors.tobytes()
+            assert (est.ascent_iterations, est.ascent_capped, est.restarts, est.samples) == (
+                alone.ascent_iterations, alone.ascent_capped, alone.restarts, alone.samples)
+        return stacked
+
+    @staticmethod
+    def points(count):
+        rng = np.random.default_rng(count)
+        points = [(random_pd_metric(rng, 8), random_two_form(rng, 8)) for _ in range(count)]
+        points[1] = (points[1][0], TwoForm.zero(8))
+        return points
+
+    @pytest.mark.parametrize("count", [3, 64])
+    @pytest.mark.parametrize("restarts", [0, 10])
+    def test_bit_identical_to_a_stack_of_one(self, count, restarts):
+        stacked = self.assert_alone(self.points(count), 1, restarts)
+        assert stacked[1].value == 0.0 and stacked[1].ascent_iterations == 0
+        assert all(est.ascent_iterations > 0 for est in stacked[2:]) == (restarts > 0)
+
+    def test_powers_bit_identical_to_a_stack_of_one(self):
+        self.assert_alone(self.points(3), 3, 10)
+
+    def test_one_capped_point(self, monkeypatch, caplog):
+        monkeypatch.setattr(comass_module, "_POLISH_MAX_ITER", 50)
+        points = [
+            (MetricTensor.identity(8), TwoForm.standard_symplectic(8)),
+            normal_form(np.random.default_rng(13), 8, (1.0, 0.8, 0.5, 0.3)),
+            (MetricTensor.identity(8), TwoForm.zero(8)),
+        ]
+        with caplog.at_level(logging.WARNING, logger="semicalib"):
+            stacked = self.assert_alone(points, 2, 10)
+        assert [est.ascent_capped for est in stacked] == [False, True, False]
+        assert 0 < stacked[0].ascent_iterations < 50 == stacked[1].ascent_iterations
+        assert stacked[2].ascent_iterations == 0
+        # one warning from the stack, one from the capped point's stack of one
+        assert len([r for r in caplog.records if "cap" in r.getMessage()]) == 2
+
+
+class TestVerifyRunStopsAtItsFloor:
+    """verify's run on (g_J, Omega) at cond(g) = 1e8 stops at its gradient's
+    rounding floor instead of running to the step cap."""
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    @pytest.mark.parametrize("sep", [1e-9, 1e-6, 1e-3])
+    def test_not_capped(self, sep, kernel):
+        # with the old absolute 1e-10 stop rule every one of these ran to the cap
+        g, w = near_double_form(np.random.default_rng(0), 1e8, sep, kernel=kernel)
+        pc = construct_point(g, w)
+        config = FieldConfig()
+        est = comass_bruteforce(pc.g_j, pc.omega_total, samples=config.samples, restarts=config.restarts,
+                                seed=np.random.SeedSequence(0, spawn_key=(0, 0)))
+        assert not est.ascent_capped and est.ascent_iterations < 100
+        assert 1 - 1e-6 <= est.value <= 1 + 1e-9
+
+
 class TestNearDoublePolish:
     """Pair values (1, 1 - sep, 0.5, 0.5 (1 - sep)) at cond(g) 1e2 and 1e4.
 

@@ -32,7 +32,6 @@ from semicalib import (
     process_field,
     verify_field,
 )
-from semicalib.field import _verify_point
 from semicalib.jsonio import dumps
 from semicalib.spectral import associated_endomorphism, paired_spectrum
 from helpers import (
@@ -615,6 +614,21 @@ class TestFiniteDifferenceContinuity:
 
 
 class TestVerifyField:
+    def test_slice_size_does_not_change_the_report(self, monkeypatch):
+        text = planted_field_text(8, seed=8, points=12)
+        grid = parse_calfield(text)
+        cfg = FieldConfig(powers=(2, 3))
+        cf = process_field(grid, cfg)
+        reference = dumps(verify_field(cf, grid, cfg).data)
+        monkeypatch.setattr(semicalib.field, "_BATCH", 3)
+        assert dumps(verify_field(cf, grid, cfg).data) == reference
+
+    def test_restarts_below_one_raise(self):
+        grid = parse_calfield(MINIMAL)
+        cfg = FieldConfig(restarts=0)
+        with pytest.raises(ValueError, match="restarts"):
+            verify_field(process_field(grid, cfg), grid, cfg)
+
     def test_constant_standard_passes(self):
         grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 1", 3))
         cf = process_field(grid, FAST)
@@ -660,18 +674,21 @@ class TestVerifyField:
         assert checks["power_2_calibration_bound"]["pass"] is True
 
     def test_one_sampled_run_per_point(self, monkeypatch):
-        calls = []
-        sampled = semicalib.field.comass_bruteforce
+        # one stacked sampled run over the slice's points, on Omega (p = 1),
+        # and one stacked spectrum per form, (g, omega) and (g_J, Omega), for all powers
+        calls, spectra = [], []
+        sampled, exact = semicalib.field._sampled_stack, semicalib.field._exact_powers
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return sampled(*args, **kwargs)
+        def counting(g, w, p, *args):
+            calls.append((len(g), p))
+            return sampled(g, w, p, *args)
 
-        monkeypatch.setattr(semicalib.field, "comass_bruteforce", counting)
-        spectra = []
-        spectrum = semicalib.comass.paired_spectrum
-        monkeypatch.setattr(semicalib.comass, "paired_spectrum",
-                            lambda *a, **k: spectra.append(1) or spectrum(*a, **k))
+        def counting_exact(g, w, powers):
+            spectra.append((len(g), tuple(powers)))
+            return exact(g, w, powers)
+
+        monkeypatch.setattr(semicalib.field, "_sampled_stack", counting)
+        monkeypatch.setattr(semicalib.field, "_exact_powers", counting_exact)
         iu = np.triu_indices(8, 1)
         w = np.zeros((8, 8))
         w[0, 1], w[2, 3], w[4, 5] = 1.0, 0.7, 0.4
@@ -680,9 +697,8 @@ class TestVerifyField:
         cfg = FieldConfig(samples=500, restarts=2, powers=(2, 3))
         report = verify_field(process_field(grid, cfg), grid, cfg)
         assert report.passed
-        assert len(calls) == 3
-        assert all(isinstance(form, TwoForm) for form in calls)  # on Omega, not a power
-        assert len(spectra) == 2 * 3  # one per form, (g, omega) and (g_J, Omega), for all powers
+        assert calls == [(3, 1)]
+        assert spectra == [(3, (2, 3))] * 2
         checks = report.data["points"][0]["checks"]
         assert checks["power_3_comass_bound"]["value"] == pytest.approx(0.28, rel=1e-12)
 
@@ -726,15 +742,16 @@ class TestSampledRunTwoSided:
             1,
         )
         grid = parse_calfield(text)
-        return process_field(grid).outcomes[0], grid.points[0]
+        return process_field(grid), grid
 
     @staticmethod
     def checks(built, omega=None):
-        outcome, point = built
+        cf, grid = built
         if omega is not None:
+            outcome = cf.outcomes[0]
             pc = dataclasses.replace(outcome.construction, omega_total=TwoForm(omega))
-            outcome = dataclasses.replace(outcome, construction=pc)
-        return _verify_point(outcome, point, FieldConfig())
+            cf = dataclasses.replace(cf, outcomes=(dataclasses.replace(outcome, construction=pc),))
+        return verify_field(cf, grid, FieldConfig()).data["points"][0]["checks"]
 
     def test_construction_passes_both_sides(self, built):
         checks = self.checks(built)
@@ -743,7 +760,7 @@ class TestSampledRunTwoSided:
         assert checks["Omega_comass_sampled_attained"]["threshold"] == 1e-6
 
     def test_shrunk_omega_fails_attained(self, built):
-        omega = built[0].construction.omega_total.entries
+        omega = built[0].outcomes[0].construction.omega_total.entries
         checks = self.checks(built, 0.99 * omega)
         assert checks["Omega_comass_sampled_bound"]["pass"] is True
         assert checks["Omega_comass_sampled_attained"]["value"] == pytest.approx(0.01, rel=1e-9)
@@ -751,7 +768,7 @@ class TestSampledRunTwoSided:
 
     def test_inflated_pair_fails_bound(self, built):
         # Omega grown by 1e-6 on one g_J-orthonormal pair has comass 1 + 1e-6
-        pc = built[0].construction
+        pc = built[0].outcomes[0].construction
         omega = pc.omega_total.entries
         b0, b1 = paired_spectrum(associated_endomorphism(pc.g_j, pc.omega_total), pc.g_j).basis[:2]
         inflated = omega + 1e-6 * (b0 @ omega @ b1) * dual_wedge(pc.g_j, b0, b1)

@@ -173,6 +173,25 @@ class TestGramSchmidt:
         with pytest.raises(RankDeficiencyError):
             gram_schmidt(g, Frame(np.array([[1.0, 0, 0], [2.0, 0, 0]])))
 
+    def test_rank_error_names_the_first_dependent_vector(self):
+        g = random_pd_metric(np.random.default_rng(12), 4)
+        vecs = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [1.0, -2.0, 0, 0], [0, 0, 1.0, 0]])
+        with pytest.raises(RankDeficiencyError, match="vector 2 is dependent on its predecessors"):
+            gram_schmidt(g, Frame(vecs))
+
+    def test_orientation_preserved(self):
+        # each output vector is its input minus a combination of the earlier
+        # inputs, rescaled by a positive factor: the change of basis is
+        # triangular with a positive diagonal, so every leading flag keeps its orientation
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            g = random_pd_metric(rng, 6)
+            vecs = rng.standard_normal((4, 6))
+            out = gram_schmidt(g, Frame(vecs)).vectors
+            change = out @ g.entries @ vecs.T  # coefficients of the inputs on the output basis
+            assert np.abs(np.tril(change, -1)).max() <= 1e-12 * np.abs(change).max()
+            assert (np.diag(change) > 0).all()
+
     def test_orthonormal_output(self):
         rng = np.random.default_rng(7)
         g = random_pd_metric(rng, 7)
