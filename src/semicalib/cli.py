@@ -181,9 +181,8 @@ def _check_power(power: int, dim: int) -> None:
 def _process(grid, config: FieldConfig):
     """process_field; a gap violation at the base point is raised (exit 3)."""
     cf = process_field(grid, config)
-    base = cf.outcomes[0]
-    if not base.gap_ok:
-        raise GapViolation(cf.epsilon, base.offending_eigenvalues, base.eigenvalues)
+    if not cf.built[0]:
+        raise GapViolation(cf.epsilon, cf.values[0][cf.offending[0]], cf.values[0])
     return cf
 
 

@@ -4,14 +4,16 @@ A stack of points (g, omega) runs through four stages, each one routine on
 the whole stack: endomorphisms and paired spectra (``_spectra``), the band
 split (``spectral._split_stack``), complement frames that follow a chain of
 points (``_complement_frames``), and the assembly of points sharing (n, m)
-(``_assemble``).  In the paired frame P (the V pairs, then the complement
+(``_assemble``), which returns J, g_J and Omega as stacks and one array per
+residual.  In the paired frame P (the V pairs, then the complement
 frame) J = P J0 P^-1, g_J = P^-T diag(d) P^-1 and Omega = -P^-T diag(d) J0 P^-1,
 with J0 the 2x2 rotation blocks and d = sqrt(lambda_i) twice per V pair, 1 on
 the complement.  On V this is J = Q^-1 A with Q = sqrt(-A^2): a compatible
 triple, g_J(v, w) = Omega(v, J w) and J^2 = -Id, in which every plane
 calibrated by omega in (R^n, g) stays calibrated.  Each stage reports its
 failures as (mask, error) checks; the caller raises the lowest index's, as a
-ConstructionError.  ``construct_point`` is every stage on a stack of one.
+ConstructionError.  ``construct_point`` is every stage on a stack of one,
+and ``_point_construction`` reads its result off one row of the stacks.
 Stacked LAPACK and BLAS calls give each matrix the bits a call on it alone
 gives, so a point's construction does not depend on its batch.
 """
@@ -300,12 +302,13 @@ def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
     return res, gram_check
 
 
-def _assemble(g, a, basis, values, npairs, frames, m: int, epsilon: float, tol: Tolerances):
-    """The constructions of a stack of points sharing (n, m), and the checks on them.
+def _assemble(g, a, basis, values, npairs, frames, m: int, tol: Tolerances):
+    """The stacks (J, g_J, Omega, residuals) of points sharing (n, m), and the checks on them.
 
     The inputs are :func:`_spectra`'s stacks and the paired frames as rows;
-    the checks run J, g_J, Omega, then the residuals'.  The constructions
-    are built only when every check passes, else the list is empty.
+    the checks run J, g_J, Omega, then the residuals'.  ``residuals`` maps
+    each name to one value per point.  The stacks are returned only when
+    every check passes, else None.
     """
     p, p_inv, d = paired_frame(frames, values[:, : 2 * m : 2])
     j = almost_complex_structure(p, p_inv)
@@ -323,22 +326,23 @@ def _assemble(g, a, basis, values, npairs, frames, m: int, epsilon: float, tol: 
     res, gram_check = _residuals(m, *(x[keep] for x in stacks))
     checks = _failures([*checks, *_placed([gram_check], rows, len(g))])
     if len(rows) < len(g) or gram_check[0].any():
-        return [], checks
+        return None, checks
+    return (j, g_j, omega_total, res), checks
 
-    columns = {key: column.tolist() for key, column in res.items()}
-    return [
-        PointConstruction(
-            frame=_freeze(frames[i]),
-            m=m,
-            epsilon=epsilon,
-            j=_trusted(Endomorphism, matrix=j[i]),
-            g_j=_trusted(MetricTensor, entries=g_j[i]),
-            omega_total=_trusted(TwoForm, entries=omega_total[i]),
-            residuals={key: column[i] for key, column in columns.items()},
-            spectrum=PairedSpectrum(basis[i], values[i], int(npairs[i])),
-        )
-        for i in range(len(g))
-    ], checks
+
+def _point_construction(i: int, m: int, epsilon: float, basis, values, npairs, frames, assembled):
+    """Row ``i`` of :func:`_spectra`'s stacks, the frames and :func:`_assemble`'s as a PointConstruction."""
+    j, g_j, omega_total, residuals = assembled
+    return PointConstruction(
+        frame=_freeze(frames[i]),
+        m=m,
+        epsilon=epsilon,
+        j=_trusted(Endomorphism, matrix=j[i]),
+        g_j=_trusted(MetricTensor, entries=g_j[i]),
+        omega_total=_trusted(TwoForm, entries=omega_total[i]),
+        residuals={key: float(column[i]) for key, column in residuals.items()},
+        spectrum=PairedSpectrum(basis[i], values[i], int(npairs[i])),
+    )
 
 
 def construct_point(
@@ -373,6 +377,6 @@ def construct_point(
     frame = basis.copy()
     if tframe_hint is not None and len(tframe_hint) == len(frame[0]) - 2 * m:
         frame[0, 2 * m :] = align_frame(tframe_hint, Frame(frame[0, 2 * m :]), g).vectors
-    constructions, checks = _assemble(G, a, basis, values, npairs, frame, m, float(epsilon), tol)
+    assembled, checks = _assemble(G, a, basis, values, npairs, frame, m, tol)
     _raise_first(checks)
-    return constructions[0]
+    return _point_construction(0, m, float(epsilon), basis, values, npairs, frame, assembled)

@@ -9,9 +9,12 @@ complement frames and assembly.  Points whose spectrum violates the band gap
 are flagged and excluded rather than fatal.  The complement frames follow a
 chain of points by orthogonal Procrustes rotations, so the output fields
 stay continuous; the assembly runs on batches of points sharing (n, m), and
-a point's results do not depend on its batch.  Verification runs each comass
-oracle once per slice of points, sampled on (g_J, Omega) and exact on the
-powers.  Parsing likewise reads the records first, then converts every
+a point's results do not depend on its batch.  The result, a
+ConstructionField, keeps the stacks the stages compute as columns, one row
+per point; the report and verification read those columns, and its
+``outcomes`` are a per-point view built on demand.  Verification runs each
+comass oracle once per slice of points, sampled on (g_J, Omega) and exact on
+the powers.  Parsing likewise reads the records first, then converts every
 number of the field at once and checks the metrics in slices of points.
 
 CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
@@ -27,6 +30,7 @@ CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +47,7 @@ from .construction import (  # noqa: F401
     PointConstruction,
     _assemble,
     _complement_frames,
+    _point_construction,
     _spectra,
     construct_point,
     lift_odd,
@@ -52,6 +57,7 @@ from .forms import (
     MetricTensor,
     TwoForm,
     _first_fault,
+    _freeze,
     _metric_stack,
     _placed,
     _raise_first,
@@ -60,13 +66,7 @@ from .forms import (
     _two_form_stack,
     _upper_stack,
 )
-from .spectral import (  # noqa: F401
-    PairedSpectrum,
-    _split_stack,
-    associated_endomorphism,
-    infer_epsilon,
-    paired_spectrum,
-)
+from .spectral import _split_stack, associated_endomorphism, paired_spectrum  # noqa: F401
 
 FORMAT_VERSION = 8
 # Points per assembly batch: enough to share each stacked call's overhead,
@@ -129,7 +129,7 @@ class FieldConfig:
 
 @dataclass(frozen=True, eq=False)
 class PointOutcome:
-    """One point's construction, or the gap diagnostics when it was excluded."""
+    """One point's construction, or its gap diagnostics if excluded: a row of a ConstructionField."""
 
     index: int
     construction: PointConstruction | None
@@ -140,12 +140,45 @@ class PointOutcome:
 
 @dataclass(frozen=True, eq=False)
 class ConstructionField:
-    """Per-point constructions plus the shared epsilon."""
+    """The field's construction as columns, one row per point, plus the shared epsilon.
+
+    ``values``, ``basis`` and ``npairs`` are the paired spectra, ``offending``
+    masks the eigenvalues inside the forbidden band, ``m`` counts the V pairs
+    and ``frames`` holds the paired frames as rows.  ``built`` marks the
+    points outside the band; their rows of ``J``, ``g_J``, ``Omega`` and of
+    each ``residuals`` column hold the construction, the other rows NaN.
+    """
 
     epsilon: float
     dim: int
     lifted_from: int | None
-    outcomes: tuple[PointOutcome, ...]
+    values: np.ndarray     # (N, n)
+    offending: np.ndarray  # (N, n) bool
+    built: np.ndarray      # (N,) bool
+    m: np.ndarray          # (N,)
+    basis: np.ndarray      # (N, n, n)
+    npairs: np.ndarray     # (N,)
+    frames: np.ndarray     # (N, n, n)
+    J: np.ndarray          # (N, n, n)
+    g_J: np.ndarray        # (N, n, n)
+    Omega: np.ndarray      # (N, n, n)
+    residuals: dict        # name -> (N,)
+
+    def __post_init__(self):  # the per-point view's value objects are views of these rows
+        for value in (*vars(self).values(), *self.residuals.values()):
+            if isinstance(value, np.ndarray):
+                _freeze(value)
+
+    @functools.cached_property
+    def outcomes(self) -> tuple[PointOutcome, ...]:
+        """The columns as one PointOutcome per point, built on first use."""
+        spectra, assembled = (self.basis, self.values, self.npairs), (self.J, self.g_J, self.Omega, self.residuals)
+        rows = zip(self.built.tolist(), self.m.tolist(), self.values, self.offending)
+        return tuple(
+            PointOutcome(i, _point_construction(i, m, self.epsilon, *spectra, self.frames, assembled) if ok else None,
+                         ok, tuple(values[offending].tolist()), tuple(values.tolist()))
+            for i, (ok, m, values, offending) in enumerate(rows)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +368,8 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     """Run the construction's stages on the whole field, with complement frames that follow it.
 
     Spectra run on slices of ``_BATCH`` points and the assembly on batches of
-    up to ``_BATCH`` included points sharing m.  Epsilon comes from the base
+    up to ``_BATCH`` included points sharing m, each written into the
+    field's columns at its rows.  Epsilon comes from the base
     point (automatic policy) or the config; gap violations flag and exclude
     the offending point.  With ``use_hints`` the frame chain links each point
     to the last included one with a complement of the same dimension.  Of
@@ -358,8 +392,8 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     a, basis, values, npairs = map(np.concatenate, zip(*parts))
 
     epsilon = config.epsilon
-    if epsilon is None:
-        epsilon = infer_epsilon(PairedSpectrum(basis[0], values[0], int(npairs[0])))
+    if epsilon is None:  # infer_epsilon of the base point: its smallest paired eigenvalue
+        epsilon = float(values[0, 2 * npairs[0] - 2]) if npairs[0] else None
         no_epsilon = (np.arange(size) == 0) & (epsilon is None)
         checks.append((no_epsilon, lambda i: EpsilonInferenceError(
             "cannot infer epsilon: base point has no positive eigenvalue above threshold")))
@@ -375,56 +409,43 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     frames = _complement_frames(basis, g, m, prev)
     stacks = (g, a, basis, values, npairs, frames)
 
-    constructions = {}
+    matrices, residuals = np.full((3, size, dim, dim), np.nan), {}
     for mi in dict.fromkeys(m[included].tolist()):  # the m groups, in order of first appearance
         members = np.flatnonzero(included & (m == mi))
         for lo in range(0, len(members), _BATCH):
             rows = members[lo : lo + _BATCH]
-            built, batch_checks = _assemble(*(x[rows] for x in stacks), mi, float(epsilon), tol)
+            assembled, batch_checks = _assemble(*(x[rows] for x in stacks), mi, tol)
             checks += _placed(batch_checks, rows, size)
-            constructions.update(zip(rows.tolist(), built))
+            if assembled is not None:
+                matrices[:, rows] = assembled[:3]
+                for key, column in assembled[3].items():
+                    residuals.setdefault(key, np.full(size, np.nan))[rows] = column
     _raise_first(checks)
-    outcomes = tuple(
-        PointOutcome(point.index, constructions.get(i), i in constructions,
-                     tuple(values[i][offending[i]].tolist()), tuple(values[i].tolist()))
-        for i, point in enumerate(grid.points)
-    )
-    return ConstructionField(float(epsilon), dim, lifted_from, outcomes)
+    return ConstructionField(float(epsilon), dim, lifted_from, values, offending, included, m,
+                             basis, npairs, frames, *matrices, residuals)
 
 
-def _point_entry(outcome: PointOutcome) -> dict:
-    entry: dict = {
-        "index": outcome.index,
-        "gap_ok": outcome.gap_ok,
-        "eigenvalues": list(outcome.eigenvalues),
-        "offending_eigenvalues": list(outcome.offending_eigenvalues),
-    }
-    pc = outcome.construction
-    if pc is None:
-        entry.update({"m": None, "J": None, "gJ": None, "Omega": None, "residuals": {}})
-    else:
-        entry.update(
-            {
-                "m": pc.m,
-                "J": pc.j.matrix,
-                "gJ": pc.g_j.entries,
-                "Omega": pc.omega_total.entries,
-                "residuals": dict(pc.residuals),
-            }
-        )
-    return entry
+def _point_entries(cf: ConstructionField) -> list[dict]:
+    """One report entry per point, read from the columns; its arrays are float64 rows."""
+    keys, residuals = list(cf.residuals), list(zip(*(c.tolist() for c in cf.residuals.values())))
+    rows = zip(cf.built.tolist(), cf.m.tolist(), cf.values, cf.offending, cf.J, cf.g_J, cf.Omega)
+    entries = []
+    for i, (ok, m, values, offending, j, g_j, omega) in enumerate(rows):
+        entry = {"index": i, "gap_ok": ok, "eigenvalues": values, "offending_eigenvalues": values[offending],
+                 "m": None, "J": None, "gJ": None, "Omega": None, "residuals": {}}
+        if ok:
+            entry.update({"m": m, "J": j, "gJ": g_j, "Omega": omega, "residuals": dict(zip(keys, residuals[i]))})
+        entries.append(entry)
+    return entries
 
 
-def _max_residuals(outcomes) -> dict:
-    tables = [o.construction.residuals for o in outcomes if o.construction is not None]
-    return {key: max(abs(t[key]) for t in tables) for key in sorted(set().union(*tables))}
+def _max_residuals(cf: ConstructionField) -> dict:
+    return {key: float(np.abs(cf.residuals[key][cf.built]).max()) for key in sorted(cf.residuals)}
 
 
 def _notes(cf: ConstructionField) -> list[str]:
-    notes = []
-    if cf.lifted_from:
-        notes.append(f"lifted from {cf.lifted_from} to {cf.dim}")
-    excluded = [o.index for o in cf.outcomes if not o.gap_ok]
+    notes = [f"lifted from {cf.lifted_from} to {cf.dim}"] if cf.lifted_from else []
+    excluded = np.flatnonzero(~cf.built).tolist()
     if excluded:
         notes.append(f"excluded gap-violating points: {excluded}")
     return notes
@@ -436,10 +457,10 @@ def build_report(cf: ConstructionField) -> dict:
         "format_version": FORMAT_VERSION,
         "epsilon": cf.epsilon,
         "notes": _notes(cf),
-        "points": [_point_entry(o) for o in cf.outcomes],
+        "points": _point_entries(cf),
         "summary": {
-            "max_residuals": _max_residuals(cf.outcomes),
-            "pass": all(o.gap_ok for o in cf.outcomes),
+            "max_residuals": _max_residuals(cf),
+            "pass": bool(cf.built.all()),
         },
     }
 
@@ -449,18 +470,17 @@ def _check(value: float, threshold: float, ok: bool | None = None) -> dict:
     return {"value": value, "threshold": threshold, "pass": bool(passed)}
 
 
-def _point_checks(outcome: PointOutcome, sampled: float, powers: dict) -> dict:
-    """A built point's checks; ``powers`` maps p to the exact comass of (input, output) p-th powers."""
-    pc = outcome.construction
-    checks = {key: _check(float(pc.residuals[key]), threshold)
+def _point_checks(cf: ConstructionField, i: int, sampled: float, powers: dict) -> dict:
+    """Built point i's checks; ``powers`` maps p to the exact comass of (input, output) p-th powers."""
+    checks = {key: _check(float(cf.residuals[key][i]), threshold)
               for key, threshold in RESIDUAL_THRESHOLDS.items()}
-    low, high = min(outcome.eigenvalues), max(outcome.eigenvalues)
+    low, high = float(cf.values[i].min()), float(cf.values[i].max())
     checks["input_eigenvalue_bound"] = _check(
         high, 1.0 + EIGENVALUE_UPPER, ok=(low >= EIGENVALUE_LOWER and high <= 1.0 + EIGENVALUE_UPPER)
     )
 
-    g_scale = max(float(np.abs(pc.g_j.entries).max()), 1.0)
-    dom = float(pc.residuals["metric_domination_min_eig"])
+    g_scale = max(float(np.abs(cf.g_J[i]).max()), 1.0)
+    dom = float(cf.residuals["metric_domination_min_eig"][i])
     checks["metric_domination"] = _check(-dom, METRIC_DOMINATION_SLACK * g_scale)
 
     # The one sampled run: an independent lower bound on comass(Omega) = 1,
@@ -477,12 +497,12 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
     """Check every included point against the construction guarantees.
 
     The comass checks run once per slice of ``_BATCH`` included points: the
-    sampled run on their ``(g_J, Omega)``, and with ``powers`` the exact
-    comass of the powers of the lifted input and of ``(g_J, Omega)``; a
-    point's values do not depend on its slice.  Failures become report
-    entries, not exceptions; gap-excluded points are listed but do not fail
-    verification.  Raises ValueError when ``config.restarts`` is below 1:
-    unpolished, the sampled run cannot attain comass 1.
+    sampled run on their rows of ``g_J`` and ``Omega``, and with ``powers``
+    the exact comass of the powers of the lifted input and of ``(g_J,
+    Omega)``; a point's values do not depend on its slice.  Failures become
+    report entries, not exceptions; gap-excluded points are listed but do not
+    fail verification.  Raises ValueError when ``config.restarts`` is below
+    1: unpolished, the sampled run cannot attain comass 1.
     """
     if config.restarts < 1:
         raise ValueError("verify needs restarts >= 1: unpolished, its sampled run cannot attain 1")
@@ -491,49 +511,29 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
     data = build_report(cf)
     for entry in data["points"]:
         entry["checks"] = {}
-    outcomes = cf.outcomes
-    included = [i for i, o in enumerate(outcomes) if o.construction is not None]
+    included = np.flatnonzero(cf.built)
     for lo in range(0, len(included), _BATCH):
         rows = included[lo : lo + _BATCH]
-        g_j = np.array([outcomes[i].construction.g_j.entries for i in rows])
-        omega = np.array([outcomes[i].construction.omega_total.entries for i in rows])
-        seeds = [np.random.SeedSequence(config.seed, spawn_key=(outcomes[i].index, 0)) for i in rows]
+        g_j, omega = cf.g_J[rows], cf.Omega[rows]
+        seeds = [np.random.SeedSequence(config.seed, spawn_key=(i, 0)) for i in rows.tolist()]
         sampled = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds)
         comass_in = _exact_powers(g_in[rows], w_in[rows], powers)[0] if powers else {}
         comass_out = _exact_powers(g_j, omega, powers)[0] if powers else {}
-        for b, i in enumerate(rows):
+        for b, i in enumerate(rows.tolist()):
             by_power = {p: (float(comass_in[p][b]), float(comass_out[p][b])) for p in powers}
-            data["points"][i]["checks"] = _point_checks(outcomes[i], sampled[b].value, by_power)
+            data["points"][i]["checks"] = _point_checks(cf, i, sampled[b].value, by_power)
     data["summary"]["pass"] = all(c["pass"] for e in data["points"] for c in e["checks"].values())
     return VerificationReport(data=data, passed=data["summary"]["pass"])
 
 
+# name: (description, dimension, W line); every demo has 3 points and the identity metric.
 _DEMO_SPECS = {
-    "standard": {
-        "description": "compatible triple already: identity metric, standard symplectic form",
-        "dim": 4,
-        "w": lambda k: ["1", "0", "0", "0", "0", "1"],
-        "points": 3,
-    },
-    "scaled": {
-        "description": "unit block plus a 0.5-scaled block; rank 2, comass 1",
-        "dim": 4,
-        "w": lambda k: ["1", "0", "0", "0", "0", "0.5"],
-        "points": 3,
-    },
-    "rank-deficient": {
-        "description": "single unit block; rank 1, two kernel directions",
-        "dim": 4,
-        "w": lambda k: ["1", "0", "0", "0", "0", "0"],
-        "points": 3,
-    },
-    "odd3": {
-        "description": "odd ambient dimension; processing lifts every point to dimension 4",
-        "dim": 3,
-        "w": lambda k: ["1", "0", "0"],
-        "points": 3,
-    },
+    "standard": ("compatible triple already: identity metric, standard symplectic form", 4, "1 0 0 0 0 1"),
+    "scaled": ("unit block plus a 0.5-scaled block; rank 2, comass 1", 4, "1 0 0 0 0 0.5"),
+    "rank-deficient": ("single unit block; rank 1, two kernel directions", 4, "1 0 0 0 0 0"),
+    "odd3": ("odd ambient dimension; processing lifts every point to dimension 4", 3, "1 0 0"),
 }
+_DEMO_POINTS = 3
 
 DEMO_NAMES = tuple(sorted(_DEMO_SPECS))
 
@@ -542,21 +542,16 @@ def demo_calfield(name: str) -> str:
     """Generate a documented CALFIELD file for one of the built-in demos."""
     if name not in _DEMO_SPECS:
         raise ValueError(f"unknown demo {name!r}; choose one of {', '.join(DEMO_NAMES)}")
-    spec = _DEMO_SPECS[name]
-    dim = spec["dim"]
+    description, dim, w_line = _DEMO_SPECS[name]
     lines = [
-        f"# demo '{name}': {spec['description']}",
+        f"# demo '{name}': {description}",
         "# G is the upper triangle (incl. diagonal) of the metric, row-major;",
         "# W is the strict upper triangle of the 2-form, row-major.",
         "CALFIELD 1",
         f"DIM {dim}",
-        f"POINTS {spec['points']}",
+        f"POINTS {_DEMO_POINTS}",
     ]
-    identity_upper = ["1" if i == j else "0" for i in range(dim) for j in range(i, dim)]
-    for k in range(spec["points"]):
-        coords = [str(k)] + ["0"] * (dim - 1)
-        lines.append(f"P {k}")
-        lines.append("X " + " ".join(coords))
-        lines.append("G " + " ".join(identity_upper))
-        lines.append("W " + " ".join(spec["w"](k)))
+    identity_upper = " ".join("1" if i == j else "0" for i in range(dim) for j in range(i, dim))
+    for k in range(_DEMO_POINTS):
+        lines += [f"P {k}", "X " + " ".join([str(k)] + ["0"] * (dim - 1)), "G " + identity_upper, "W " + w_line]
     return "\n".join(lines) + "\n"

@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semicalib import construct_point
-from semicalib.field import RESIDUAL_THRESHOLDS
-from helpers import planted_form, random_pd_metric
+from semicalib import GapViolation, construct_point, lift_odd
+from semicalib.field import RESIDUAL_THRESHOLDS, build_report, parse_calfield, process_field
+from semicalib.jsonio import dumps
+from helpers import planted_field_text, planted_form, random_pd_metric
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -78,3 +79,24 @@ def test_construction_has_what_perfbench_reads(workloads):
     counts = Counter()
     workloads._count_residuals(counts, (g, omega), {}, pc)
     assert counts["construction.residual_over_threshold"] == 0
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_tracer_hooks_read_a_field(workloads, n):
+    """The traced run counts gap-excluded points off process_field's result and bytes off dumps'."""
+    grid = parse_calfield(planted_field_text(n, seed=n, points=12))
+    cf = process_field(grid)
+    excluded = 0
+    for point in grid.points:
+        g, omega = (point.g, point.omega) if n % 2 == 0 else lift_odd(point.g, point.omega)
+        try:
+            construct_point(g, omega, cf.epsilon)
+        except GapViolation:
+            excluded += 1
+    assert excluded > 0
+    counts = Counter()
+    workloads._count_excluded(counts, (grid,), {}, cf)
+    assert counts["field.points_excluded"] == excluded
+    text = dumps(build_report(cf))
+    workloads._count_bytes(counts, (), {}, text)
+    assert counts["jsonio.bytes"] == len(text)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import semicalib.construction
-from semicalib import cli
+from semicalib import cli, spectral
 from semicalib.cli import main
-from helpers import constant_field_text, ramp_field_text
+from semicalib.construction import PointConstruction
+from semicalib.field import PointOutcome, parse_calfield, process_field
+from helpers import constant_field_text, planted_field_text, ramp_field_text
 
 FAST = ["--samples", "2000", "--restarts", "3"]
 
@@ -334,3 +336,34 @@ class TestSharedParser:
         assert main(["verify", "x"]) == 0
         assert seen[0].power == [2] and seen[0].tol == [("zero", 1e-9)]
         assert seen[1].power == [] and seen[1].tol == []
+
+
+class TestColumnarPipeline:
+    """build, verify and comass read the construction's stacks and make no per-point object."""
+
+    COMMANDS = (["build"], ["verify", "--power", "2", *FAST], ["comass", *FAST])
+
+    def test_same_bytes_without_per_point_wrappers(self, tmp_path, monkeypatch):
+        text = planted_field_text(8, seed=8, points=12)
+        path = write(tmp_path, "field.calfield", text)
+
+        def run():
+            results = []
+            for k, (command, *flags) in enumerate(self.COMMANDS):
+                out = tmp_path / f"{k}.json"
+                code = main([command, path, *flags, "-o", str(out)])
+                results.append((code, out.read_bytes()))
+            return results
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-point wrapper was constructed")
+
+        before = run()
+        monkeypatch.setattr(PointConstruction, "__init__", refuse)
+        monkeypatch.setattr(PointOutcome, "__init__", refuse)
+        monkeypatch.setattr(spectral.PairedSpectrum, "__post_init__", refuse)
+        assert run() == before
+        cf = process_field(parse_calfield(text))
+        assert not cf.built.all()  # gap-excluded points take the report's other branch
+        with pytest.raises(AssertionError, match="per-point wrapper"):
+            cf.outcomes  # the per-point view is built on demand only

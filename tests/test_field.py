@@ -233,8 +233,8 @@ def with_complement(g, omega, pc, complement, tol):
     a = associated_endomorphism(g, omega).matrix
     stacks = (g.entries, a, s.basis, s.values, np.array(s.npairs))
     stacks = (*(x[None] for x in stacks), frame)
-    built, _ = semicalib.construction._assemble(*stacks, pc.m, pc.epsilon, tol)
-    return built[0]
+    assembled, _ = semicalib.construction._assemble(*stacks, pc.m, tol)
+    return semicalib.construction._point_construction(0, pc.m, pc.epsilon, *stacks[2:5], frame, assembled)
 
 
 def pointwise(grid, config):
@@ -426,6 +426,23 @@ class TestProcessField:
         bad = next(o for o in cf.outcomes if not o.gap_ok)
         assert bad.offending_eigenvalues == pytest.approx((0.1225,), abs=1e-12)
         assert bad.construction is None
+
+    def test_columns_and_their_per_point_view(self):
+        grid = parse_calfield(ramp_field_text(np.linspace(0.6, 0.1, 5)))
+        cf = process_field(grid)
+        assert cf.built.tolist() == [o.gap_ok for o in cf.outcomes]
+        assert cf.outcomes is cf.outcomes  # built once, on first use
+        for i, o in enumerate(cf.outcomes):
+            assert o.eigenvalues == tuple(cf.values[i].tolist())
+            if o.construction is None:  # an excluded point's construction rows are NaN
+                assert np.isnan(cf.J[i]).all() and np.isnan(cf.residuals["j_squared"][i])
+                continue
+            assert o.construction.j.matrix.tobytes() == cf.J[i].tobytes()
+            assert o.construction.omega_total.entries.tobytes() == cf.Omega[i].tobytes()
+            assert o.construction.residuals == {key: float(c[i]) for key, c in cf.residuals.items()}
+        for column in (cf.values, cf.built, cf.frames, cf.J, cf.g_J, cf.Omega, *cf.residuals.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
 
     def test_base_epsilon_inference_failure(self):
         grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "0 0 0 0 0 0", 2))
@@ -748,9 +765,7 @@ class TestSampledRunTwoSided:
     def checks(built, omega=None):
         cf, grid = built
         if omega is not None:
-            outcome = cf.outcomes[0]
-            pc = dataclasses.replace(outcome.construction, omega_total=TwoForm(omega))
-            cf = dataclasses.replace(cf, outcomes=(dataclasses.replace(outcome, construction=pc),))
+            cf = dataclasses.replace(cf, Omega=TwoForm(omega).entries[None])
         return verify_field(cf, grid, FieldConfig()).data["points"][0]["checks"]
 
     def test_construction_passes_both_sides(self, built):
