@@ -13,6 +13,13 @@ Writes ``{name: [exit code, sha256]}`` as JSON, one entry per run:
 - ``field/n8/verify-p2-p3``: ``verify --power 2 --power 3`` on the n = 8 field,
   and ``field/n8/auto-no-hints``: its ``build --no-hints`` (the demos' fields
   are constant, so hints change nothing there);
+- ``demo/scaled/comass``: ``comass`` at ``--power 1`` and the default
+  sampling; ``field/n8/comass-p2``: ``comass --power 2`` on the n = 8 field
+  with ``--samples 500``; ``field/n7/comass``: ``comass`` on the odd n = 7
+  field, which it does not lift, with ``--samples 2000``;
+- ``demo/standard/plane-test`` and ``demo/standard/plane-test-p2``:
+  ``plane-test`` at point 2 of the standard demo, on a plane whose frame is
+  not orthonormal (power 1) and on a 4-frame (power 2);
 - ``construct_point/near-double``: one digest over ``J``, ``g_J``, ``Omega``
   and the residuals of ``construct_point`` on 256 near-double n = 8 inputs,
   cond(G) from 1 to 1e6 and pair separation from 1e-9 to 1e-3; its first
@@ -111,6 +118,14 @@ def digests() -> dict:
             out[f"demo/{name}/build"] = run_cli(["build", path], tmp)
             out[f"demo/{name}/verify-p2"] = run_cli(["verify", path, "--power", "2"], tmp)
             out[f"demo/{name}/build-no-hints"] = run_cli(["build", path, "--no-hints"], tmp)
+            if name == "scaled":
+                out["demo/scaled/comass"] = run_cli(["comass", path], tmp)
+            if name == "standard":
+                plane = ["plane-test", path, "--point", "2", "--vectors"]
+                out["demo/standard/plane-test"] = run_cli(plane + "1 0 1 0 0 1 0 1".split(), tmp)
+                out["demo/standard/plane-test-p2"] = run_cli(
+                    plane + "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1".split() + ["--power", "2"], tmp
+                )
         for n in FIELD_DIMS:
             path = os.path.join(tmp, f"n{n}.calfield")
             with open(path, "w") as handle:
@@ -122,6 +137,11 @@ def digests() -> dict:
                     ["verify", path, "--power", "2", "--power", "3"], tmp
                 )
                 out["field/n8/auto-no-hints"] = run_cli(["build", path, "--no-hints"], tmp)
+                out["field/n8/comass-p2"] = run_cli(
+                    ["comass", path, "--power", "2", "--samples", "500"], tmp
+                )
+            if n == 7:
+                out["field/n7/comass"] = run_cli(["comass", path, "--samples", "2000"], tmp)
     out["construct_point/near-double"] = near_double_digest()
     return out
 

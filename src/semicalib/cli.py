@@ -33,7 +33,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .field import FieldConfig, build_report, demo_calfield, parse_calfield, process_field, verify_field
-from .forms import Frame
+from .forms import Frame, MetricTensor, TwoForm
 from .jsonio import dumps
 
 _TOLERANCE_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
@@ -211,17 +211,15 @@ def _cmd_comass(args) -> int:
     grid = parse_calfield(_read(args.input))
     _check_power(args.power, grid.dim)
     rows = []
-    for lo in range(0, len(grid.points), field_mod._BATCH):
-        points = grid.points[lo : lo + field_mod._BATCH]
-        g = np.array([point.g.entries for point in points])
-        w = np.array([point.omega.entries for point in points])
-        seeds = [np.random.SeedSequence(entropy=args.seed, spawn_key=(p.index,)) for p in points]
-        sampled = comass._sampled_stack(g, w, args.power, args.samples, args.restarts, seeds)
+    for lo in range(0, len(grid.g), field_mod._BATCH):
+        g, w = grid.g[lo : lo + field_mod._BATCH], grid.w[lo : lo + field_mod._BATCH]
+        indices = range(lo, lo + len(g))
+        seeds = [np.random.SeedSequence(entropy=args.seed, spawn_key=(i,)) for i in indices]
+        values, _, used, _, _ = comass._sampled_stack(g, w, args.power, args.samples, args.restarts, seeds)
         exact = comass._exact_powers(g, w, (args.power,))[0][args.power]
-        for point, estimate, value in zip(points, sampled, exact.tolist()):
-            rows.append({"index": point.index, "power": args.power, "exact": value,
-                         "sampled": estimate.value, "samples": estimate.samples,
-                         "restarts": estimate.restarts})
+        for i, value, sampled, restarts in zip(indices, exact.tolist(), values.tolist(), used.tolist()):
+            rows.append({"index": i, "power": args.power, "exact": value, "sampled": sampled,
+                         "samples": args.samples, "restarts": restarts})
     _emit(dumps({"format_version": field_mod.FORMAT_VERSION, "seed": args.seed, "points": rows}),
           args.output)
     return 0
@@ -229,7 +227,7 @@ def _cmd_comass(args) -> int:
 
 def _cmd_plane_test(args) -> int:
     grid = parse_calfield(_read(args.input))
-    if not 0 <= args.point < len(grid.points):
+    if not 0 <= args.point < len(grid.g):
         raise _UsageError(f"point index {args.point} out of range")
     _check_power(args.power, grid.dim)
     k = 2 * args.power
@@ -238,11 +236,10 @@ def _cmd_plane_test(args) -> int:
             f"expected {k * grid.dim} reals for a {k}-frame in dimension {grid.dim}, "
             f"got {len(args.vectors)}"
         )
-    point = grid.points[args.point]
+    g, form = MetricTensor(grid.g[args.point]), PowerForm(TwoForm(grid.w[args.point]), args.power)
     frame = Frame(np.array(args.vectors).reshape(k, grid.dim))
-    form = point.omega if args.power == 1 else PowerForm(point.omega, args.power)
     try:
-        verdict = test_calibrated(point.g, form, frame, tol=args.tol)
+        verdict = test_calibrated(g, form, frame, tol=args.tol)
     except RankDeficiencyError as exc:
         raise _UsageError(f"degenerate frame: {exc}") from exc
     _emit(

@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES
-from .construction import PointConstruction
+from .construction import PointConstruction, _form_spectra
 from .forms import Frame, MetricTensor, TwoForm, _gram_schmidt_stack, _raise_first, gram_schmidt
-from .spectral import _paired_stack
 
 # perfbench/workloads.py traces these names by patching them in this module,
 # so they stay importable here, though the oracles call neither of them.
@@ -83,7 +82,7 @@ class CalibrationVerdict:
 
 @dataclass(frozen=True, eq=False)
 class ComassEstimate:
-    """Comass value with the frame that attains it.
+    """Comass value with the frame that attains it: one row of a stacked oracle's columns.
 
     ``mode`` is "exact" (spectral) or "sampled" (maximization;
     a lower bound of the true comass).  ``ascent_iterations`` counts the
@@ -218,11 +217,8 @@ def _exact_powers(G: np.ndarray, W: np.ndarray, powers):
     """
     for p in powers:
         _check_power(p, G.shape[-1])
-    a = np.linalg.solve(G, W.mT)
-    finite = np.isfinite(a).all(axis=(1, 2))
-    basis, values, npairs, checks = _paired_stack(np.where(finite[:, None, None], a, 0.0), G,
-                                                  _EVERY_BLOCK)
-    _raise_first([(~finite, lambda i: ValueError("endomorphism contains non-finite entries")), *checks])
+    _, basis, values, npairs, checks = _form_spectra(G, W, _EVERY_BLOCK)
+    _raise_first(checks)
     top = np.sqrt(values[:, ::2])  # the pair values, each once
     return {p: np.where(npairs >= p, np.prod(top[:, :p], axis=1), 0.0) for p in powers}, basis, npairs
 
@@ -304,8 +300,8 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray)
     return Y @ L_inv[point], iterations, np.isin(np.arange(len(G)), point[act])
 
 
-def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts: int, seeds) -> list:
-    """Sampled comass of (1/p!) omega^p at a stack of points (G, W), (P, n, n) each.
+def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts: int, seeds):
+    """Sampled comass of (1/p!) omega^p at a stack of points (G, W), (P, n, n) each, as columns.
 
     Each point draws ``samples`` frames from its own stream,
     ``default_rng(seeds[i])``, and keeps the ``restarts`` best by |Pf| (one
@@ -313,8 +309,9 @@ def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts:
     every point, unless ``restarts`` is 0; one Gram-Schmidt pass
     re-orthonormalizes all of them, and each point reports its largest
     signed value, the frame's first two vectors swapped where the sign is
-    negative, with a lexicographic frame tie-break.  A point's estimate is
-    the one it gets on a stack of one.  Returns one ComassEstimate per point.
+    negative, with a lexicographic frame tie-break.  Returns the columns
+    (values, best frames, restarts used, ascent iterations, capped), one row
+    per point: the row it gets on a stack of one.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -336,7 +333,8 @@ def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts:
         # every draw degenerate, impossible for a PD metric: polish the coordinate frame
         starts.append(top_frames[finite] if finite.any() else
                       _gram_schmidt_stack(G[i], np.eye(n)[:k, None].copy())[0].transpose(1, 0, 2))
-    point = np.repeat(np.arange(len(starts)), [len(f) for f in starts])
+    used = np.array([len(f) for f in starts])
+    point = np.repeat(np.arange(len(starts)), used)
     frames = np.concatenate(starts)
 
     iterations, capped = np.zeros(len(starts), dtype=int), np.zeros(len(starts), dtype=bool)
@@ -354,11 +352,7 @@ def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts:
     # per point: the largest value, then the lexicographically smallest frame, then the first restart
     order = np.lexsort((*rows.reshape(len(rows), -1).T[::-1], -values, point))
     best = order[np.searchsorted(point[order], np.arange(len(starts)))]
-    return [
-        ComassEstimate(float(values[j]), Frame(rows[j]), samples, len(starts[i]), "sampled",
-                       int(iterations[i]), bool(capped[i]))
-        for i, j in enumerate(best)
-    ]
+    return values[best], rows[best], used, iterations, capped
 
 
 def comass_bruteforce(g: MetricTensor, form, samples: int = 100_000, restarts: int = 20,
@@ -372,7 +366,10 @@ def comass_bruteforce(g: MetricTensor, form, samples: int = 100_000, restarts: i
     omega, p = _form_data(form)
     if omega.dim != g.dim:
         raise ValueError("form and metric dimensions disagree")
-    return _sampled_stack(g.entries[None], omega.entries[None], p, samples, restarts, [seed])[0]
+    columns = _sampled_stack(g.entries[None], omega.entries[None], p, samples, restarts, [seed])
+    value, frame, used, iterations, capped = (column[0] for column in columns)
+    return ComassEstimate(float(value), Frame(frame), samples, int(used), "sampled",
+                          int(iterations), bool(capped))
 
 
 def test_calibrated(g: MetricTensor, form, frame: Frame, tol: float = 1e-9) -> CalibrationVerdict:

@@ -144,16 +144,21 @@ def lift_odd(g: MetricTensor, omega: TwoForm) -> tuple[MetricTensor, TwoForm]:
     The added direction is g-orthonormal to everything and the form does not
     see it.
     """
-    n = g.dim
     if g.dim != omega.dim:
         raise ValueError("metric and two-form dimensions disagree")
-    if n % 2 == 0:
-        raise ValueError(f"dimension {n} is already even; nothing to lift")
-    G = np.eye(n + 1)
-    G[:n, :n] = g.entries
-    W = np.zeros((n + 1, n + 1))
-    W[:n, :n] = omega.entries
-    return MetricTensor(G), TwoForm(W)
+    if g.dim % 2 == 0:
+        raise ValueError(f"dimension {g.dim} is already even; nothing to lift")
+    G, W = _lift_stack(g.entries[None], omega.entries[None])
+    return MetricTensor(G[0]), TwoForm(W[0])
+
+
+def _lift_stack(g: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lift_odd` of (k, n, n) stacks: zero padding, then 1 at the new metric corner; even n as is."""
+    if g.shape[-1] % 2 == 0:
+        return g, w
+    g, w = (np.pad(x, ((0, 0), (0, 1), (0, 1))) for x in (g, w))
+    g[:, -1, -1] = 1.0
+    return g, w
 
 
 def _polar(hints: np.ndarray, g: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -215,17 +220,20 @@ def _failures(checks) -> list:
     return [(mask, functools.partial(failure, error)) for mask, error in checks]
 
 
-def _spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
-    """(a, basis, values, npairs, checks) of an even-dimensional (k, n, n) stack of (G, W).
-
-    A = G^-1 W^T, or zero where not finite; the checks: A finite, then g-skew-adjoint.
-    """
+def _form_spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
+    """(a, basis, values, npairs, raw checks) of a stack of (G, W); A = G^-1 W^T, or 0 where not finite."""
     a = np.linalg.solve(g, w.mT)
     finite = np.isfinite(a).all(axis=(1, 2))
     a = np.where(finite[:, None, None], a, 0.0)
     basis, values, npairs, checks = _paired_stack(a, g, tol)
     finite_check = (~finite, lambda i: ValueError("endomorphism contains non-finite entries"))
-    return a, basis, values, npairs, _failures([finite_check, *checks])
+    return a, basis, values, npairs, [finite_check, *checks]
+
+
+def _spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
+    """:func:`_form_spectra` of an even-dimensional stack, its checks as ConstructionErrors."""
+    *arrays, checks = _form_spectra(g, w, tol)
+    return *arrays, _failures(checks)
 
 
 def _abs_max(mats: np.ndarray) -> np.ndarray:

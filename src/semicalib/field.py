@@ -1,21 +1,21 @@
 """Grid-level orchestration: CALFIELD parsing, field processing, verification.
 
-A field is an ordered list of sample points, each carrying a metric and a
-2-form; the file's coordinates are checked but not kept.  Point 0 is the
-designated base point: the automatic gap parameter epsilon is read off its
-spectrum and shared by every point.  Processing runs the construction's
-stages on the whole field, each one routine on a stack: spectra, band split,
-complement frames and assembly.  Points whose spectrum violates the band gap
-are flagged and excluded rather than fatal.  The complement frames follow a
-chain of points by orthogonal Procrustes rotations, so the output fields
-stay continuous; the assembly runs on batches of points sharing (n, m), and
-a point's results do not depend on its batch.  The result, a
-ConstructionField, keeps the stacks the stages compute as columns, one row
-per point; the report and verification read those columns, and its
-``outcomes`` are a per-point view built on demand.  Verification runs each
-comass oracle once per slice of points, sampled on (g_J, Omega) and exact on
-the powers.  Parsing likewise reads the records first, then converts every
-number of the field at once and checks the metrics in slices of points.
+A field is an ordered list of sample points, each a metric and a 2-form; a
+FieldGrid holds them as the columns ``g`` and ``w``, and the file's
+coordinates are checked but not kept.  Point 0 is the base point: the
+automatic epsilon is read off its spectrum and shared by every point.
+Processing runs the construction's stages on the whole field, each one
+routine on a stack: spectra, band split, complement frames and assembly.
+Points whose spectrum violates the band gap are excluded rather than fatal.
+The complement frames follow a chain of points by orthogonal Procrustes
+rotations, so the output fields stay continuous; the assembly runs on
+batches of points sharing (n, m), and a point's results do not depend on
+its batch.  The result, a ConstructionField, keeps the stacks the stages
+compute as columns, one row per point.  The report and verification read
+the columns of the grid, the result and the comass oracles, each run once
+per slice of points; ``grid.points`` and ``cf.outcomes`` are per-point
+views built on demand.  Parsing likewise reads the records first, then
+converts every number of the field at once and checks the metrics in slices.
 
 CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
 
@@ -47,6 +47,7 @@ from .construction import (  # noqa: F401
     PointConstruction,
     _assemble,
     _complement_frames,
+    _lift_stack,
     _point_construction,
     _spectra,
     construct_point,
@@ -56,6 +57,7 @@ from .errors import EpsilonInferenceError, ParseError
 from .forms import (
     MetricTensor,
     TwoForm,
+    _checked,
     _first_fault,
     _freeze,
     _metric_stack,
@@ -100,10 +102,23 @@ class FieldPoint:
 
 @dataclass(frozen=True, eq=False)
 class FieldGrid:
-    """Validated sample points in traversal order (row-major by index)."""
+    """Validated sample points as read-only (N, n, n) stacks ``g`` and ``w``, one row per point."""
 
     dim: int
-    points: tuple[FieldPoint, ...]
+    g: np.ndarray  # (N, n, n)
+    w: np.ndarray  # (N, n, n)
+
+    def __post_init__(self):
+        object.__setattr__(self, "g", _checked(self.g, "metric", _metric_stack, stacked=True))
+        object.__setattr__(self, "w", _checked(self.w, "two-form", _two_form_stack, stacked=True))
+        if self.w.shape != self.g.shape or self.g.shape[-1] != self.dim:
+            raise ValueError(f"metric and two-form stacks must share one shape (N, {self.dim}, {self.dim})")
+
+    @functools.cached_property
+    def points(self) -> tuple[FieldPoint, ...]:
+        """One FieldPoint per row, built on first use; its matrices are views of the rows."""
+        return tuple(FieldPoint(i, _trusted(MetricTensor, entries=g), _trusted(TwoForm, entries=w))
+                     for i, (g, w) in enumerate(zip(self.g, self.w)))
 
 
 @dataclass(frozen=True)
@@ -331,37 +346,22 @@ def parse_calfield(text: str) -> FieldGrid:
     table = values[: count * stride].reshape(count, stride)
     # Slices of _BATCH points keep the temporaries small; stacked eigvalsh
     # gives each metric the bits it gives the metric alone.
-    points: list[FieldPoint] = []
+    g, w = np.empty((2, count, dim, dim))
     for lo in range(0, count, _BATCH):
         rows = table[lo : lo + _BATCH]
         upper = _upper_stack(dim, rows[:, dim : dim + n_g], 0)
         upper += _triu(upper, 1).mT
-        metrics, checks = _metric_stack(upper)
+        g[lo : lo + _BATCH], checks = _metric_stack(upper)
         # The entries are finite and mirrored: only positive definiteness can fail.
         metric_fault = _first_fault(checks)
         if metric_fault is not None:
             i, exc = lo + metric_fault[0], metric_fault[1]
-            message = f"metric not positive definite at point {i}: {exc}"
-            raise ParseError(message, g_lines[i]) from exc
+            raise ParseError(f"metric not positive definite at point {i}: {exc}", g_lines[i]) from exc
         upper = _upper_stack(dim, rows[:, dim + n_g :], 1)
-        forms, _ = _two_form_stack(upper - upper.mT)
-        points += [
-            FieldPoint(lo + i, _trusted(MetricTensor, entries=g), _trusted(TwoForm, entries=w))
-            for i, (g, w) in enumerate(zip(metrics, forms))
-        ]
+        w[lo : lo + _BATCH] = upper - upper.mT  # as TwoForm stores it: finite and antisymmetric
     if fault is not None:
         raise fault
-    return FieldGrid(dim=dim, points=tuple(points))
-
-
-def _grid_stacks(grid: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's (N, n, n) metric and form stacks, padded as :func:`lift_odd` pads a point at odd n."""
-    g = np.array([point.g.entries for point in grid.points])
-    w = np.array([point.omega.entries for point in grid.points])
-    if grid.dim % 2:
-        g, w = (np.pad(x, ((0, 0), (0, 1), (0, 1))) for x in (g, w))
-        g[:, -1, -1] = 1.0
-    return g, w
+    return _trusted(FieldGrid, dim=dim, g=g, w=w)  # every row passed FieldGrid's checks above
 
 
 def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> ConstructionField:
@@ -376,12 +376,11 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     several faults the lowest index's is raised, as if each point were built
     in turn: spectrum, epsilon at the base point, J, g_J, Omega, residuals.
     """
-    if not grid.points:
+    g, w = _lift_stack(grid.g, grid.w)
+    size, dim = g.shape[:2]
+    if not size:
         raise ValueError("grid is empty")
-    lifted_from = grid.dim if grid.dim % 2 else None
-    dim = grid.dim + 1 if lifted_from else grid.dim
-    size = len(grid.points)
-    g, w = _grid_stacks(grid)
+    lifted_from = grid.dim if dim > grid.dim else None
 
     tol = config.tolerances
     parts, checks = [], []
@@ -507,7 +506,7 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
     if config.restarts < 1:
         raise ValueError("verify needs restarts >= 1: unpolished, its sampled run cannot attain 1")
     powers = sorted(set(config.powers))
-    g_in, w_in = _grid_stacks(grid)
+    g_in, w_in = _lift_stack(grid.g, grid.w)
     data = build_report(cf)
     for entry in data["points"]:
         entry["checks"] = {}
@@ -516,12 +515,12 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
         rows = included[lo : lo + _BATCH]
         g_j, omega = cf.g_J[rows], cf.Omega[rows]
         seeds = [np.random.SeedSequence(config.seed, spawn_key=(i, 0)) for i in rows.tolist()]
-        sampled = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds)
+        sampled = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds)[0].tolist()
         comass_in = _exact_powers(g_in[rows], w_in[rows], powers)[0] if powers else {}
         comass_out = _exact_powers(g_j, omega, powers)[0] if powers else {}
         for b, i in enumerate(rows.tolist()):
             by_power = {p: (float(comass_in[p][b]), float(comass_out[p][b])) for p in powers}
-            data["points"][i]["checks"] = _point_checks(cf, i, sampled[b].value, by_power)
+            data["points"][i]["checks"] = _point_checks(cf, i, sampled[b], by_power)
     data["summary"]["pass"] = all(c["pass"] for e in data["points"] for c in e["checks"].values())
     return VerificationReport(data=data, passed=data["summary"]["pass"])
 

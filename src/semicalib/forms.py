@@ -26,16 +26,20 @@ _RANK_TOL = 1e-10  # linear independence, relative to the vectors' own scale
 _STORAGE_GUARD = 1e-8
 
 
-def _as_square(entries, what: str) -> np.ndarray:
-    mat = np.array(entries, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"{what} dimension must be in [1, {MAX_DIM}], got {n}")
-    if not np.isfinite(mat).all():
+def _checked(entries, what: str, stack, stacked: bool = False) -> np.ndarray:
+    """Read-only canonical form of a matrix or (k, n, n) stack; raises the first fault of its checks."""
+    mats = np.array(entries, dtype=float)
+    if stacked and mats.ndim != 3:
+        raise ValueError(f"{what} stack must have shape (N, n, n), got {mats.shape}")
+    if mats.ndim != 2 + stacked or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"{what} must be a square matrix, got shape {mats.shape[stacked:]}")
+    if not 1 <= mats.shape[-1] <= MAX_DIM:
+        raise ValueError(f"{what} dimension must be in [1, {MAX_DIM}], got {mats.shape[-1]}")
+    if not np.isfinite(mats).all():
         raise ValueError(f"{what} contains non-finite entries")
-    return mat
+    canonical, checks = stack(mats if stacked else mats[None])
+    _raise_first(checks)
+    return _freeze(canonical if stacked else canonical[0].copy())  # a view would keep the stack of one alive
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -55,14 +59,14 @@ def _triu(mats: np.ndarray, k: int = 0) -> np.ndarray:
 
 
 def _trusted(cls, **fields):
-    """An instance of a frozen value class around arrays that already passed its checks.
+    """An instance of a frozen value class around values that already passed its checks.
 
     The batched stages check a whole stack with :func:`_metric_stack` or
-    :func:`_two_form_stack` and wrap each matrix without checking it again.
+    :func:`_two_form_stack` and wrap it, or each matrix, without checking it again.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
-        object.__setattr__(obj, name, _freeze(value))
+        object.__setattr__(obj, name, _freeze(value) if isinstance(value, np.ndarray) else value)
     return obj
 
 
@@ -158,10 +162,7 @@ class MetricTensor:
     entries: np.ndarray
 
     def __post_init__(self):
-        canonical, checks = _metric_stack(_as_square(self.entries, "metric")[None])
-        _raise_first(checks)
-        # A copy: a view would keep the stack of one alive beside it.
-        object.__setattr__(self, "entries", _freeze(canonical[0].copy()))
+        object.__setattr__(self, "entries", _checked(self.entries, "metric", _metric_stack))
 
     @property
     def dim(self) -> int:
@@ -193,9 +194,7 @@ class TwoForm:
     entries: np.ndarray
 
     def __post_init__(self):
-        canonical, checks = _two_form_stack(_as_square(self.entries, "two-form")[None])
-        _raise_first(checks)
-        object.__setattr__(self, "entries", _freeze(canonical[0].copy()))
+        object.__setattr__(self, "entries", _checked(self.entries, "two-form", _two_form_stack))
 
     @property
     def dim(self) -> int:

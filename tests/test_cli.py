@@ -8,8 +8,10 @@ import pytest
 import semicalib.construction
 from semicalib import cli, spectral
 from semicalib.cli import main
+from semicalib.comass import ComassEstimate
 from semicalib.construction import PointConstruction
-from semicalib.field import PointOutcome, parse_calfield, process_field
+from semicalib.field import FieldPoint, PointOutcome, parse_calfield, process_field
+from semicalib.forms import Frame, MetricTensor, TwoForm
 from helpers import constant_field_text, planted_field_text, ramp_field_text
 
 FAST = ["--samples", "2000", "--restarts", "3"]
@@ -367,3 +369,29 @@ class TestColumnarPipeline:
         assert not cf.built.all()  # gap-excluded points take the report's other branch
         with pytest.raises(AssertionError, match="per-point wrapper"):
             cf.outcomes  # the per-point view is built on demand only
+
+    def test_no_per_point_inputs_or_estimates(self, tmp_path, monkeypatch):
+        # the grid's and the sampled oracle's columns are read as they are:
+        # no point, value object or estimate is constructed on these paths
+        path = write(tmp_path, "field.calfield", planted_field_text(8, seed=8, points=12))
+        built = []
+
+        def counting(cls, method):
+            original = getattr(cls, method)
+
+            def count(self, *args, **kwargs):
+                built.append(cls.__name__)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, count)
+
+        counting(FieldPoint, "__init__")
+        counting(ComassEstimate, "__init__")
+        for cls in (Frame, MetricTensor, TwoForm):
+            counting(cls, "__post_init__")
+        for k, (command, *flags) in enumerate(self.COMMANDS):
+            assert main([command, path, *flags, "-o", str(tmp_path / f"{k}.json")]) == 0
+        assert built == []
+        grid = parse_calfield(open(path).read())
+        grid.points  # the per-point view does build them, one per point
+        assert built == ["FieldPoint"] * 12

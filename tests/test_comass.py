@@ -552,14 +552,15 @@ class TestStackedOracle:
         g = np.array([metric.entries for metric, _ in points])
         w = np.array([form.entries for _, form in points])
         stacked = comass_module._sampled_stack(g, w, p, 256, restarts, seeds)
-        assert len(stacked) == len(points)
-        for (metric, form), seed, est in zip(points, seeds, stacked):
+        assert all(len(column) == len(points) for column in stacked)
+        for (metric, form), seed, *row in zip(points, seeds, *stacked):
+            value, frame, used, iterations, capped = row
             alone = comass_bruteforce(metric, PowerForm(form, p), samples=256, restarts=restarts, seed=seed)
-            assert est.value.hex() == alone.value.hex()
-            assert est.maximizer.vectors.tobytes() == alone.maximizer.vectors.tobytes()
-            assert (est.ascent_iterations, est.ascent_capped, est.restarts, est.samples) == (
-                alone.ascent_iterations, alone.ascent_capped, alone.restarts, alone.samples)
-        return stacked
+            assert float(value).hex() == alone.value.hex()
+            assert frame.tobytes() == alone.maximizer.vectors.tobytes()
+            assert (int(iterations), bool(capped), int(used)) == (
+                alone.ascent_iterations, alone.ascent_capped, alone.restarts)
+        return dict(zip(("value", "frame", "restarts", "iterations", "capped"), stacked))
 
     @staticmethod
     def points(count):
@@ -572,8 +573,8 @@ class TestStackedOracle:
     @pytest.mark.parametrize("restarts", [0, 10])
     def test_bit_identical_to_a_stack_of_one(self, count, restarts):
         stacked = self.assert_alone(self.points(count), 1, restarts)
-        assert stacked[1].value == 0.0 and stacked[1].ascent_iterations == 0
-        assert all(est.ascent_iterations > 0 for est in stacked[2:]) == (restarts > 0)
+        assert stacked["value"][1] == 0.0 and stacked["iterations"][1] == 0
+        assert all(stacked["iterations"][2:] > 0) == (restarts > 0)
 
     def test_powers_bit_identical_to_a_stack_of_one(self):
         self.assert_alone(self.points(3), 3, 10)
@@ -587,9 +588,9 @@ class TestStackedOracle:
         ]
         with caplog.at_level(logging.WARNING, logger="semicalib"):
             stacked = self.assert_alone(points, 2, 10)
-        assert [est.ascent_capped for est in stacked] == [False, True, False]
-        assert 0 < stacked[0].ascent_iterations < 50 == stacked[1].ascent_iterations
-        assert stacked[2].ascent_iterations == 0
+        assert stacked["capped"].tolist() == [False, True, False]
+        assert 0 < stacked["iterations"][0] < 50 == stacked["iterations"][1]
+        assert stacked["iterations"][2] == 0
         # one warning from the stack, one from the capped point's stack of one
         assert len([r for r in caplog.records if "cap" in r.getMessage()]) == 2
 

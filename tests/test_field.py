@@ -159,6 +159,66 @@ FAULTS = ("bad token", "non-finite", "wrong count", "non-PD metric")
 SLICE_EDGE = (semicalib.field._BATCH - 1, semicalib.field._BATCH)
 
 
+def _bad_rows():
+    """(name, metric, form, the value class whose check the pair fails) of faulty matrices."""
+    eye, omega = np.eye(4), TwoForm.standard_symplectic(4).entries
+    asymmetric = eye.copy()
+    asymmetric[0, 1] = 0.5
+    non_finite = omega.copy()
+    non_finite[0, 1], non_finite[1, 0] = np.inf, -np.inf
+    return [
+        ("not-pd", np.diag([-1.0, 1, 1, 1]), omega, MetricTensor),
+        ("asymmetric-metric", asymmetric, omega, MetricTensor),
+        ("non-finite-metric", np.where(eye == 1, np.nan, 0.0), omega, MetricTensor),
+        ("non-finite-form", eye, non_finite, TwoForm),
+        ("symmetric-form", eye, np.abs(omega), TwoForm),
+    ]
+
+
+class TestFieldGrid:
+    """A grid's columns: the checks of the value classes on every row, and the per-point view."""
+
+    @pytest.mark.parametrize("name, g, w, cls", _bad_rows(), ids=[row[0] for row in _bad_rows()])
+    def test_stack_rejects_what_the_value_class_rejects(self, name, g, w, cls):
+        with pytest.raises(Exception) as alone:
+            cls(g if cls is MetricTensor else w)
+        gs, ws = np.array([np.eye(4)] * 3), np.array([TwoForm.standard_symplectic(4).entries] * 3)
+        gs[1], ws[1] = g, w
+        with pytest.raises(type(alone.value)) as stacked:
+            FieldGrid(4, gs, ws)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_misshaped_stack_rejected_as_its_matrix(self):
+        with pytest.raises(ValueError) as alone:
+            MetricTensor(np.zeros((4, 3)))
+        with pytest.raises(ValueError) as stacked:
+            FieldGrid(4, np.zeros((2, 4, 3)), np.zeros((2, 4, 4)))
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(ValueError, match="stack must have shape"):
+            FieldGrid(4, np.eye(4), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="share one shape"):
+            FieldGrid(4, np.array([np.eye(4)]), np.zeros((1, 6, 6)))
+
+    def test_points_are_read_only_views_of_the_rows(self):
+        grid = parse_calfield(planted_field_text(7, seed=7, points=5))
+        assert len(grid.points) == len(grid.g) == len(grid.w) == 5
+        for i, point in enumerate(grid.points):
+            assert isinstance(point, FieldPoint) and point.index == i
+            for entries, row in ((point.g.entries, grid.g[i]), (point.omega.entries, grid.w[i])):
+                assert entries.tobytes() == row.tobytes()
+                assert not entries.flags.writeable and not row.flags.writeable
+        assert grid.points is grid.points  # built once
+
+    def test_parsed_grid_is_canonical(self):
+        # a grid rebuilt from a parsed grid's stacks is the same grid, and
+        # building one leaves the caller's arrays writable
+        grid = parse_calfield(planted_field_text(8, seed=8, points=5))
+        g, w = grid.g.copy(), grid.w.copy()
+        rebuilt = FieldGrid(8, g, w)
+        assert rebuilt.g.tobytes() == grid.g.tobytes() and rebuilt.w.tobytes() == grid.w.tobytes()
+        assert g.flags.writeable and w.flags.writeable
+
+
 class TestParseOrder:
     @staticmethod
     def assert_earlier_line_reported(kinds, at):
@@ -502,7 +562,7 @@ class TestProcessField:
         import semicalib
 
         with pytest.raises(ValueError, match="empty"):
-            process_field(semicalib.FieldGrid(dim=4, points=()))
+            process_field(semicalib.FieldGrid(dim=4, g=np.zeros((0, 4, 4)), w=np.zeros((0, 4, 4))))
 
 
 class TestFramePropagation:
@@ -604,7 +664,7 @@ class TestComplementChain:
         # stays within k times the largest basis_orthonormality.
         rng = np.random.default_rng(0)
         pairs = [near_double_form(rng, cond, sep, kernel=True) for _ in range(16)]
-        grid = FieldGrid(8, tuple(FieldPoint(i, g, w) for i, (g, w) in enumerate(pairs)))
+        grid = FieldGrid(8, np.array([g.entries for g, _ in pairs]), np.array([w.entries for _, w in pairs]))
         built = [o.construction for o in process_field(grid).outcomes]
         assert all(2 * pc.m == 4 for pc in built)
         worst_frame = max(frame_defect(pc, g) for pc, (g, _) in zip(built, pairs))

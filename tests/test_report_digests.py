@@ -1,7 +1,7 @@
 """Reports stay byte-identical: ``bench/report_digests.py`` reproduces its committed digests.
 
-The script runs 23 seeded ``build``, ``verify`` and ``construct_point`` runs
-in process and hashes their output; ``bench/report_digests.json`` holds the
+The script runs 28 seeded ``build``, ``verify``, ``comass``, ``plane-test``
+and ``construct_point`` runs in process and hashes their output; ``bench/report_digests.json`` holds the
 digests of the current report format.  They are digests of this toolchain
 (numpy and its LAPACK and BLAS): a change that keeps reports byte-identical
 reproduces them, and the file is re-recorded with ``-o`` only when
