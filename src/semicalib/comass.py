@@ -10,7 +10,9 @@ cross-check, maximizes it directly.  Both run on stacks of points, and
 sampled oracle draws random metric-orthonormal frames for each point from
 its own stream, in cache-sized chunks, vector-major, and ranks them by the
 |Pf| of their Gram matrices; one deterministic gradient ascent on the
-Stiefel manifold then polishes the best ones of every point at once.  The
+Stiefel manifold then polishes the best ones of every point at once.  For
+2-frames (p = 1, every ``verify`` run) the ascent's solve and polar factor are
+closed forms on 2x2 matrices, with no LAPACK call per step.  The
 reported value is the signed Pfaffian of a point's best frame after one
 Gram-Schmidt pass over all of them has re-orthonormalized it, so the
 sampled estimate stays a lower bound of the true comass by construction.
@@ -39,6 +41,7 @@ _POLISH_TOL = 1e-10
 _POLISH_SINGULAR = 1e-12
 _POLISH_MAX_ITER = 1000
 _PF_EXPANSION_MAX = 8
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 _log = logging.getLogger("semicalib")
 # Every pair counts, however small its value t > 0: a power's comass needs them all.
@@ -259,6 +262,32 @@ def _abs_values(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
     return np.abs(_pf_batch(gram.transpose(2, 0, 1)))
 
 
+def _solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """M^-1 R for a stack of k x k M: the 2x2 adjugate, adj(M) R / det M, at k = 2, LAPACK above."""
+    if M.shape[-1] != 2:
+        return np.linalg.solve(M, R)
+    adj = M.mT[:, ::-1, ::-1] * _ADJ_SIGN
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    return adj @ R / det[:, None, None]
+
+
+def _polar(B: np.ndarray) -> np.ndarray:
+    """Polar factor (B B^T)^-1/2 B of a stack of full-rank (c, k, n) B.
+
+    At k = 2 it is a closed form (Higham, SIAM J. Sci. Stat. Comput. 7, 1986):
+    with a = B B^T, sigma = sqrt(det a) and tau^2 = tr a + 2 sigma, the square
+    root of a is (a + sigma I) / tau, so the factor is
+    ((tau^2 - sigma) B - a B) / (sigma tau).  Above k = 2 it is U V^T of the SVD.
+    """
+    if B.shape[-2] != 2:
+        u, _, vt = np.linalg.svd(B, full_matrices=False)
+        return u @ vt
+    a = B @ B.mT
+    sigma = np.sqrt(a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0])
+    tau2 = a[:, 0, 0] + a[:, 1, 1] + 2.0 * sigma
+    return ((tau2 - sigma)[:, None, None] * B - a @ B) / (sigma * np.sqrt(tau2))[:, None, None]
+
+
 def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray):
     """Deterministic ascent of |form value| over g-orthonormal frames, every restart of a stack at once.
 
@@ -268,13 +297,16 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray)
     and the value is Pf(M), M = Y W_w Y^T, whose log-gradient is
     E = M^-1 Y W_w.  Each step maps Y to the polar factor of E + s Y, a
     shifted power iteration on the Stiefel manifold (Edelman, Arias & Smith,
-    SIAM J. Matrix Anal. Appl. 20, 1998).  A restart stops once the part of E
-    normal to its rows, the Riemannian gradient, is at most 1e-10 or no
-    smaller than at its previous step, the rounding floor of its point's
-    conditioning.  Frames whose |Pf| is rounding-sized next to the form's
-    scale (the zero form, or rank below the degree) are left as they are.
-    Returns (frames, iterations, capped), the last two per point: the steps
-    of its longest restart, and whether one still moved at the cap.
+    SIAM J. Matrix Anal. Appl. 20, 1998).  At k = 2 the solve and the polar
+    factor are 2x2 closed forms (:func:`_solve`, :func:`_polar`) and need no
+    rank guard: E Y^T = M^-1 M = I, so B = E + s Y has B Y^T = (1 + s) I and,
+    Y^T Y being a projection, B B^T >= (1 + s)^2 I = 2.25 I.  A restart stops
+    once the part of E normal to its rows, the Riemannian gradient, is at
+    most 1e-10 or no smaller than at its previous step, the rounding floor of
+    its point's conditioning.  Frames whose |Pf| is rounding-sized next to
+    the form's scale (the zero form, or rank below the degree) are left as
+    they are.  Returns (frames, iterations, capped), the last two per point:
+    the steps of its longest restart, and whether one still moved at the cap.
     """
     L = np.linalg.cholesky(G)
     L_inv = np.linalg.inv(L)
@@ -290,13 +322,12 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray)
         iterations[point[act]] = step
         Ya = Y[act]
         YW = Ya @ w_w[act]
-        E = np.linalg.solve(YW @ Ya.mT, YW)
+        E = _solve(YW @ Ya.mT, YW)
         size = np.linalg.norm(E - (E @ Ya.mT) @ Ya, axis=(1, 2))
         moving = (size > _POLISH_TOL) & (size < gradient[act])
         gradient[act] = size
         act = act[moving]
-        u, _, vt = np.linalg.svd(E[moving] + _POLISH_SHIFT * Ya[moving], full_matrices=False)
-        Y[act] = u @ vt
+        Y[act] = _polar(E[moving] + _POLISH_SHIFT * Ya[moving])
     return Y @ L_inv[point], iterations, np.isin(np.arange(len(G)), point[act])
 
 

@@ -70,7 +70,7 @@ from .forms import (
 )
 from .spectral import _split_stack, associated_endomorphism, paired_spectrum  # noqa: F401
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 # Points per assembly batch: enough to share each stacked call's overhead,
 # few enough that a batch's temporaries stay small whatever the field size.
 _BATCH = 64
@@ -497,8 +497,9 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
 
     The comass checks run once per slice of ``_BATCH`` included points: the
     sampled run on their rows of ``g_J`` and ``Omega``, and with ``powers``
-    the exact comass of the powers of the lifted input and of ``(g_J,
-    Omega)``; a point's values do not depend on its slice.  Failures become
+    one spectrum call over the lifted input's rows followed by those of
+    ``(g_J, Omega)``, which gives the exact comass of every power of both;
+    a point's values do not depend on its slice.  Failures become
     report entries, not exceptions; gap-excluded points are listed but do not
     fail verification.  Raises ValueError when ``config.restarts`` is below
     1: unpolished, the sampled run cannot attain comass 1.
@@ -516,10 +517,12 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
         g_j, omega = cf.g_J[rows], cf.Omega[rows]
         seeds = [np.random.SeedSequence(config.seed, spawn_key=(i, 0)) for i in rows.tolist()]
         sampled = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds)[0].tolist()
-        comass_in = _exact_powers(g_in[rows], w_in[rows], powers)[0] if powers else {}
-        comass_out = _exact_powers(g_j, omega, powers)[0] if powers else {}
+        comass = {}
+        if powers:  # input rows first, so the first fault raised is an input's
+            comass = _exact_powers(np.concatenate([g_in[rows], g_j]), np.concatenate([w_in[rows], omega]),
+                                   powers)[0]
         for b, i in enumerate(rows.tolist()):
-            by_power = {p: (float(comass_in[p][b]), float(comass_out[p][b])) for p in powers}
+            by_power = {p: (float(comass[p][b]), float(comass[p][len(rows) + b])) for p in powers}
             data["points"][i]["checks"] = _point_checks(cf, i, sampled[b], by_power)
     data["summary"]["pass"] = all(c["pass"] for e in data["points"] for c in e["checks"].values())
     return VerificationReport(data=data, passed=data["summary"]["pass"])

@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import block_diag
 
 import semicalib.comass as comass_module
@@ -36,6 +37,7 @@ from helpers import (
 from oracles import wedge_power_value
 
 E4 = np.eye(4)
+EPS = np.finfo(float).eps
 
 
 def _random_skew(rng, k: int) -> np.ndarray:
@@ -593,6 +595,39 @@ class TestStackedOracle:
         assert stacked["iterations"][2] == 0
         # one warning from the stack, one from the capped point's stack of one
         assert len([r for r in caplog.records if "cap" in r.getMessage()]) == 2
+
+
+class TestClosedForms:
+    """The polish's 2x2 solve and polar factor agree with LAPACK's on stacks of 2-frames in R^n."""
+
+    @staticmethod
+    def frames(seed, c, n):
+        rng = np.random.default_rng(seed)
+        return rng, np.linalg.qr(rng.standard_normal((c, n, 2)))[0].mT
+
+    @given(c=st.integers(1, 64), n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1))
+    def test_polar_factor(self, c, n, seed):
+        rng, Y = self.frames(seed, c, n)
+        z = rng.standard_normal((c, 2, n))
+        E = Y + z - (z @ Y.mT) @ Y  # E Y^T = I, as for the polish's log-gradient
+        B = E + 0.5 * Y
+        polar = comass_module._polar(B)
+        u, _, vt = np.linalg.svd(B, full_matrices=False)
+        assert np.abs(polar - u @ vt).max() <= 1e-14
+        # an entry of P P^T is an n-term dot product; LAPACK's factor reads up to 2.5 n eps here
+        assert np.abs(polar @ polar.mT - np.eye(2)).max() <= 4 * n * EPS
+        # B Y^T = 1.5 I keeps B B^T away from singular: no rank guard is needed
+        assert np.linalg.eigvalsh(B @ B.mT)[:, 0].min() >= 2.25 * (1 - 1e-12)
+
+    @given(c=st.integers(1, 64), n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1))
+    def test_solve(self, c, n, seed):
+        rng, Y = self.frames(seed, c, n)
+        x = rng.standard_normal((c, n, n))
+        YW = Y @ (x - x.mT)
+        solved = comass_module._solve(YW @ Y.mT, YW)
+        lapack = np.linalg.solve(YW @ Y.mT, YW)
+        size = np.linalg.norm(lapack, axis=(1, 2))
+        assert (np.linalg.norm(solved - lapack, axis=(1, 2)) <= 1e-14 * size).all()
 
 
 class TestVerifyRunStopsAtItsFloor:

@@ -750,9 +750,9 @@ class TestVerifyField:
         assert checks["power_2_comass_bound"]["pass"] is False
         assert checks["power_2_calibration_bound"]["pass"] is True
 
-    def test_one_sampled_run_per_point(self, monkeypatch):
-        # one stacked sampled run over the slice's points, on Omega (p = 1),
-        # and one stacked spectrum per form, (g, omega) and (g_J, Omega), for all powers
+    @staticmethod
+    def counted_run(monkeypatch, powers):
+        """verify_field on a 3-point n = 8 field: its report, sampled runs and spectrum calls."""
         calls, spectra = [], []
         sampled, exact = semicalib.field._sampled_stack, semicalib.field._exact_powers
 
@@ -771,13 +771,24 @@ class TestVerifyField:
         w[0, 1], w[2, 3], w[4, 5] = 1.0, 0.7, 0.4
         g_upper = " ".join(str(x) for x in np.eye(8)[np.triu_indices(8)])
         grid = parse_calfield(constant_field_text(8, g_upper, " ".join(str(x) for x in w[iu]), 3))
-        cfg = FieldConfig(samples=500, restarts=2, powers=(2, 3))
-        report = verify_field(process_field(grid, cfg), grid, cfg)
+        cfg = FieldConfig(samples=500, restarts=2, powers=powers)
+        return verify_field(process_field(grid, cfg), grid, cfg), calls, spectra
+
+    def test_one_sampled_run_per_point(self, monkeypatch):
+        # one stacked sampled run over the slice's points, on Omega (p = 1), and
+        # one stacked spectrum over the rows of (g, omega) and (g_J, Omega), for all powers
+        report, calls, spectra = self.counted_run(monkeypatch, (2, 3))
         assert report.passed
         assert calls == [(3, 1)]
-        assert spectra == [(3, (2, 3))] * 2
+        assert spectra == [(6, (2, 3))]
         checks = report.data["points"][0]["checks"]
         assert checks["power_3_comass_bound"]["value"] == pytest.approx(0.28, rel=1e-12)
+
+    def test_no_spectrum_without_powers(self, monkeypatch):
+        report, calls, spectra = self.counted_run(monkeypatch, ())
+        assert report.passed
+        assert calls == [(3, 1)]
+        assert spectra == []
 
     def test_invalid_power_raises(self):
         grid = parse_calfield(MINIMAL)
