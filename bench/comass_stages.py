@@ -5,8 +5,7 @@
 Times ``comass_bruteforce`` at n = 8 for p = 1, 2 and 3 with the
 ``semicalib comass`` default of 20 000 samples and FieldConfig's default
 restarts, split into frame sampling (``_orthonormal_frames``), sample ranking
-(``_abs_values``, or ``_frame_values`` of older trees) and ascent (the Stiefel
-polish ``_polish``, or the random ascent ``_ascend`` of older trees; the rest,
+(``_abs_values``) and ascent (the Stiefel polish ``_polish``; the rest,
 mostly the chunk merge and the final re-orthonormalization, one stacked
 Gram-Schmidt pass over every restart, or one pass per restart in trees
 before format 8, is ``other``).  Stages are timed by wrapping the oracle's
@@ -90,9 +89,7 @@ class StageTimer:
 
     def __init__(self, module):
         self.module = module
-        ranking = "_abs_values" if hasattr(module, "_abs_values") else "_frame_values"
-        ascent = "_polish" if hasattr(module, "_polish") else "_ascend"
-        self.names = {"_orthonormal_frames": "sampling", ranking: "ranking", ascent: "ascent"}
+        self.names = {"_orthonormal_frames": "sampling", "_abs_values": "ranking", "_polish": "ascent"}
         self.seconds = dict.fromkeys(self.names.values(), 0.0)
         self.in_ascent = False
         self.saved = {}

@@ -5,17 +5,19 @@ the whole stack: endomorphisms and paired spectra (``_spectra``), the band
 split (``spectral._split_stack``), complement frames that follow a chain of
 points (``_complement_frames``), and the assembly of points sharing (n, m)
 (``_assemble``), which returns J, g_J and Omega as stacks and one array per
-residual.  In the paired frame P (the V pairs, then the complement
-frame) J = P J0 P^-1, g_J = P^-T diag(d) P^-1 and Omega = -P^-T diag(d) J0 P^-1,
-with J0 the 2x2 rotation blocks and d = sqrt(lambda_i) twice per V pair, 1 on
-the complement.  On V this is J = Q^-1 A with Q = sqrt(-A^2): a compatible
+residual.  In the paired frame P (the V pairs, then the complement frame)
+each output is one congruence, computed as it reads: J = P J0 P^-1,
+g_J = P^-T diag(d) P^-1 and Omega = -P^-T diag(d) J0 P^-1, with J0 the 2x2
+rotation blocks and d = sqrt(lambda_i) twice per V pair, 1 on the
+complement.  On V this is J = Q^-1 A with Q = sqrt(-A^2): a compatible
 triple, g_J(v, w) = Omega(v, J w) and J^2 = -Id, in which every plane
 calibrated by omega in (R^n, g) stays calibrated.  Each stage reports its
 failures as (mask, error) checks; the caller raises the lowest index's, as a
 ConstructionError.  ``construct_point`` is every stage on a stack of one,
 and ``_point_construction`` reads its result off one row of the stacks.
-Stacked LAPACK and BLAS calls give each matrix the bits a call on it alone
-gives, so a point's construction does not depend on its batch.
+Every product, the residuals' M v and x^T M y included, is one BLAS or
+LAPACK call per matrix of a stack, which gives each matrix the bits a call
+on it alone gives: a point's construction does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -120,22 +122,13 @@ def compatible_metric(p_inv: np.ndarray, d: np.ndarray) -> np.ndarray:
     return p_inv.mT @ (d[..., :, None] * p_inv)
 
 
-def assemble_calibration(p_inv: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
-    """Omega = -P^-T diag(d) J0 P^-1, summed as its V part plus its complement part.
+def assemble_calibration(p_inv: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Omega = -P^-T diag(d) J0 P^-1, one congruence over V and the complement alike.
 
-    The V part agrees with omega on the V pairs and vanishes on the
-    complement; the complement part wedges the g_J-dual covectors of
-    consecutive complement frame vectors, in frame order.  The parts are
-    added as arrays: one product over all rows rounds differently, and the
-    reports' bytes depend on this rounding.
+    Omega agrees with omega on V; on the complement it wedges the g_J-dual
+    covectors of consecutive complement frame vectors, in frame order.
     """
-
-    def part(rows: slice) -> np.ndarray:
-        rows_inv = p_inv[..., rows, :]
-        blocks = _rotation_blocks(rows_inv.shape[-2])
-        return -rows_inv.mT @ (d[..., rows, None] * (blocks @ rows_inv))
-
-    return part(slice(0, 2 * m)) + part(slice(2 * m, None))
+    return -p_inv.mT @ (d[..., :, None] * (_rotation_blocks(p_inv.shape[-1]) @ p_inv))
 
 
 def lift_odd(g: MetricTensor, omega: TwoForm) -> tuple[MetricTensor, TwoForm]:
@@ -187,8 +180,10 @@ def _complement_frames(basis, g, m, prev) -> np.ndarray:
     ``prev[i]`` is point i's predecessor, of the same m, or -1 where the chain
     restarts with R = I; on a link R_i = R_prev polar(B_prev G_i B_i^T).  As
     polar(R C) = R polar(C) for orthogonal R, R_i B_i is the rotation of B_i
-    closest to R_prev B_prev, and stays g-orthonormal.  The polar factors take
-    one stacked SVD per complement dimension; only k x k products run point by point.
+    closest to R_prev B_prev, and stays g-orthonormal.  Each product takes one
+    Newton-Schulz step R <- 1.5 R - 0.5 R R^T R, so the rounding of a long
+    chain's products does not pile up in R.  The polar factors take one
+    stacked SVD per complement dimension; only k x k products run point by point.
     """
     n = basis.shape[-1]
     frames = basis.copy()
@@ -200,7 +195,8 @@ def _complement_frames(basis, g, m, prev) -> np.ndarray:
         rotations.update(zip(rows.tolist(), polar))
     for i in sorted(rotations):
         if int(prev[i]) in rotations:  # else the predecessor restarted the chain, R_prev = I
-            rotations[i] = rotations[int(prev[i])] @ rotations[i]
+            r = rotations[int(prev[i])] @ rotations[i]
+            rotations[i] = 1.5 * r - 0.5 * (r @ r.T @ r)
         frames[i, 2 * m[i] :] = rotations[i] @ basis[i, 2 * m[i] :]
     return frames
 
@@ -240,16 +236,6 @@ def _abs_max(mats: np.ndarray) -> np.ndarray:
     return np.abs(mats).max(axis=(-2, -1))
 
 
-def _forms(mats: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x_k^T M y_k for each matrix M of a stack and each row pair (x_k, y_k).
-
-    Evaluated as (x_k @ M) @ y_k, a matrix-vector product and a dot per row,
-    which is how one vector at a time rounds: one matrix product over all
-    rows rounds differently, and the reports' bytes depend on this rounding.
-    """
-    return ((x[:, :, None, :] @ mats[:, None]) @ y[..., None])[..., 0, 0]
-
-
 def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total):
     """The residuals of a stack of constructions, one array per name, and their check.
 
@@ -266,16 +252,13 @@ def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
     # The closed form assumes A acts on each V pair as sqrt(lambda_i) J0.
     nv = 2 * m
     av = p_inv[:, :nv] @ a @ p[:, :, :nv]
-    res["pairing"] = np.abs(av - d[:, :nv, None] * _rotation_blocks(nv)).max(
-        axis=(1, 2), initial=0.0
-    )
+    res["pairing"] = np.abs(av - d[:, :nv, None] * _rotation_blocks(nv)).max(axis=(1, 2), initial=0.0)
 
     res["basis_orthonormality"] = _abs_max(basis @ g @ basis.mT - eye)
 
     M = -(a @ a)
     m_scale = np.maximum(_abs_max(M), _TINY)
-    # M v one row at a time (gemv): M @ basis^T (gemm) rounds differently.
-    eig = np.abs((M[:, None] @ basis[..., None])[..., 0] - values[..., None] * basis).max(axis=-1)
+    eig = np.abs(basis @ M.mT - values[..., None] * basis).max(axis=-1)
     paired = np.arange(n) < 2 * npairs[:, None]
     res["eigen_residual"] = np.where(paired, eig, 0.0).max(axis=-1) / m_scale
 
@@ -290,23 +273,18 @@ def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
     v, u = basis[:, 0::2], basis[:, 1::2]
     calibrated = np.arange(n // 2) < npairs[:, None]
     calibrated &= np.abs(values[:, 0::2] - 1.0) <= CALIBRATED_TOL
-    gvv, guu, gvu = _forms(g_j, v, v), _forms(g_j, u, u), _forms(g_j, v, u)
+    gv, gu = v @ g_j, u @ g_j
+    gvv, guu, gvu = (gv * v).sum(-1), (gu * u).sum(-1), (gv * u).sum(-1)
     radicand = gvv * guu - gvu * gvu
     negative = calibrated & (radicand < -_RANK_TOL * np.maximum(np.abs(gvv * guu), _TINY))
-    ratio = _forms(omega_total, v, u) / np.sqrt(np.maximum(radicand, 0.0))
+    ratio = ((v @ omega_total) * u).sum(-1) / np.sqrt(np.maximum(radicand, 0.0))
     res["preservation"] = np.where(calibrated, np.abs(ratio - 1.0), 0.0).max(axis=-1)
 
     dom = basis[:, :nv] @ (g - g_j) @ basis[:, :nv].mT
-    res["metric_domination_min_eig"] = (
-        np.linalg.eigvalsh((dom + dom.mT) / 2)[:, 0] if m else np.zeros(len(g))
-    )
+    res["metric_domination_min_eig"] = np.linalg.eigvalsh((dom + dom.mT) / 2)[:, 0] if m else np.zeros(len(g))
 
-    gram_check = (
-        negative.any(axis=-1),
-        lambda i: ValueError(
-            f"negative Gram determinant {float(radicand[i][negative[i]][0]):.6g}; metric is not PSD"
-        ),
-    )
+    gram_check = (negative.any(axis=-1), lambda i: ValueError(
+        f"negative Gram determinant {float(radicand[i][negative[i]][0]):.6g}; metric is not PSD"))
     return res, gram_check
 
 
@@ -321,7 +299,7 @@ def _assemble(g, a, basis, values, npairs, frames, m: int, tol: Tolerances):
     p, p_inv, d = paired_frame(frames, values[:, : 2 * m : 2])
     j = almost_complex_structure(p, p_inv)
     g_j, metric_checks = _metric_stack(compatible_metric(p_inv, d), tol.pd)
-    omega_total, form_checks = _two_form_stack(assemble_calibration(p_inv, d, m))
+    omega_total, form_checks = _two_form_stack(assemble_calibration(p_inv, d))
     j_finite = np.isfinite(j).all(axis=(1, 2))
     j_check = (~j_finite, lambda i: ValueError("endomorphism contains non-finite entries"))
     checks = [j_check, *metric_checks, *form_checks]

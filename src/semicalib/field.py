@@ -70,7 +70,7 @@ from .forms import (
 )
 from .spectral import _split_stack, associated_endomorphism, paired_spectrum  # noqa: F401
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 # Points per assembly batch: enough to share each stacked call's overhead,
 # few enough that a batch's temporaries stay small whatever the field size.
 _BATCH = 64

@@ -221,7 +221,7 @@ class TestComassExactPower:
             assert len(est.maximizer) == 0
 
     def test_rank_below_2p_in_a_random_frame_is_rounding(self):
-        # the kernel's Schur blocks carry rounding-sized values, never more
+        # eigh gives the kernel's pair values at rounding size, never more
         rng = np.random.default_rng(3)
         g, w = normal_form(rng, 8, (1.0, 0.5))
         assert comass_exact(g, PowerForm(w, 2)).value == pytest.approx(0.5, rel=1e-10)

@@ -1,5 +1,7 @@
 """Tests for the pointwise compatible-triple construction."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -70,7 +72,7 @@ def congruences(w, epsilon, complement=None):
         m,
         Endomorphism(almost_complex_structure(p, p_inv)),
         MetricTensor(compatible_metric(p_inv, d)),
-        TwoForm(assemble_calibration(p_inv, d, m)),
+        TwoForm(assemble_calibration(p_inv, d)),
     )
 
 
@@ -203,25 +205,17 @@ class TestAssembleCalibration:
         expected = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): -1.0})
         np.testing.assert_allclose(total.entries, expected.entries, atol=1e-12)
 
-    def test_sum_exact(self):
-        # Omega is the V rows' congruence plus the complement rows', added as
-        # arrays and canonicalized once; one product over all rows rounds
-        # differently, and the reports' bytes depend on this rounding.
+    def test_single_congruence_exact(self):
+        # Omega is one congruence of the whole block-diagonal matrix, over
+        # the V rows and the complement rows alike, canonicalized once.
         rng = np.random.default_rng(3)
         g = random_pd_metric(rng, 6)
         w, _ = planted_form(rng, g, blocks=1, rest_comass=0.0)
         pc = construct_point(g, w)
         _, p_inv, d = paired_frame(pc.frame, pc.spectrum.eigenvalues[: pc.m])
-
-        def part(rows):
-            q = p_inv[rows]
-            return -q.T @ (d[rows, None] * (blockdiag(*[J2] * (len(q) // 2)) @ q))
-
-        nv = 2 * pc.m
-        assert nv == 2
-        np.testing.assert_array_equal(
-            pc.omega_total.entries, TwoForm(part(slice(0, nv)) + part(slice(nv, None))).entries
-        )
+        assert 0 < 2 * pc.m < len(p_inv)
+        congruence = -p_inv.T @ (d[:, None] * (blockdiag(*[J2] * 3) @ p_inv))
+        assert pc.omega_total.entries.tobytes() == TwoForm(congruence).entries.tobytes()
 
     def test_blocks_in_paired_frame(self):
         rng = np.random.default_rng(4)
@@ -352,11 +346,11 @@ class TestConstructPoint:
 
 
 def loop_reference(g, omega, pc):
-    """(J, g_J, Omega, residuals) from ``pc``'s paired frame, one point and one vector at a time.
+    """(J, g_J, Omega, residuals) from ``pc``'s paired frame, one point at a time.
 
     The reference whose bits the batched assembly must match: every product
-    here is the per-matrix or per-vector call, so a batched route that rounds
-    differently shows.
+    here is the per-matrix call, so a batched route that rounds differently
+    shows.
     """
     n, m, spectrum, basis = g.dim, pc.m, pc.spectrum, pc.spectrum.basis
     A, G = associated_endomorphism(g, omega).matrix, g.entries
@@ -368,36 +362,46 @@ def loop_reference(g, omega, pc):
     def j0(k):
         return blockdiag(*[J2] * (k // 2)) if k else np.zeros((0, 0))
 
-    def part(rows):
-        q = p_inv[rows]
-        return -q.T @ (d[rows, None] * (j0(len(q)) @ q))
-
     jm = p @ j0(n) @ p_inv
-    g_j = MetricTensor(p_inv.T @ (d[:, None] * p_inv))
-    wt = TwoForm(part(slice(0, nv)) + part(slice(nv, None))).entries
+    g_j = MetricTensor(p_inv.T @ (d[:, None] * p_inv)).entries
+    wt = TwoForm(-p_inv.T @ (d[:, None] * (j0(n) @ p_inv))).entries
     res = {
         "j_squared": float(np.abs(jm @ jm + np.eye(n)).max()),
-        "compatibility": float(np.abs(g_j.entries - wt @ jm).max()),
+        "compatibility": float(np.abs(g_j - wt @ jm).max()),
         "j_invariance": float(np.abs(jm.T @ wt @ jm - wt).max()),
         "pairing": float(np.abs(p_inv[:nv] @ A @ p[:, :nv] - d[:nv, None] * j0(nv)).max(initial=0.0)),
         "basis_orthonormality": float(np.abs(basis @ G @ basis.T - np.eye(n)).max()),
     }
     M = -(A @ A)
-    rows = zip(spectrum.values[:npv], basis[:npv])
-    eig = max([float(np.abs(M @ v - lam * v).max()) for lam, v in rows], default=0.0)
-    res["eigen_residual"] = eig / max(float(np.abs(M).max()), 1e-300)
-    chol = np.linalg.cholesky(g_j.entries)
+    eig = np.abs(basis @ M.T - spectrum.values[:, None] * basis)[:npv]
+    res["eigen_residual"] = float(eig.max(initial=0.0)) / max(float(np.abs(M).max()), 1e-300)
+    chol = np.linalg.cholesky(g_j)
     skew = np.linalg.solve(chol, np.linalg.solve(chol, wt).T)
     res["calibration_unit_comass"] = abs(float(np.linalg.norm(skew, 2)) - 1.0)
+    v, u = basis[0::2], basis[1::2]
+    gvv, guu, gvu = ((v @ g_j) * v).sum(-1), ((u @ g_j) * u).sum(-1), ((v @ g_j) * u).sum(-1)
+    ratios = ((v @ wt) * u).sum(-1) / np.sqrt(np.maximum(gvv * guu - gvu * gvu, 0.0))
+    calibrated = (np.arange(n // 2) < spectrum.npairs) & (np.abs(spectrum.values[0::2] - 1.0) <= CALIBRATED_TOL)
+    res["preservation"] = float(np.abs(ratios - 1.0)[calibrated].max(initial=0.0))
+    dom = basis[:nv] @ (G - g_j) @ basis[:nv].T
+    res["metric_domination_min_eig"] = float(np.linalg.eigvalsh((dom + dom.T) / 2)[0]) if m else 0.0
+    return jm, g_j, wt, res
+
+
+def vector_reference(g, omega, pc):
+    """(eigen_residual, preservation) of ``pc``'s spectrum with ``M @ v`` and ``plane_area``, one vector at a time."""
+    spectrum, basis, npv = pc.spectrum, pc.spectrum.basis, 2 * pc.spectrum.npairs
+    A = associated_endomorphism(g, omega).matrix
+    M = -(A @ A)
+    rows = zip(spectrum.values[:npv], basis[:npv])
+    eig = max([float(np.abs(M @ v - lam * v).max()) for lam, v in rows], default=0.0)
+    wt = pc.omega_total.entries
     ratios = [
-        abs(float(v @ wt @ w) / plane_area(g_j, v, w) - 1.0)
+        abs(float(v @ wt @ w) / plane_area(pc.g_j, v, w) - 1.0)
         for lam, v, w in zip(spectrum.eigenvalues, basis[0:npv:2], basis[1:npv:2])
         if abs(lam - 1.0) <= CALIBRATED_TOL
     ]
-    res["preservation"] = max(ratios, default=0.0)
-    dom = basis[:nv] @ (G - g_j.entries) @ basis[:nv].T
-    res["metric_domination_min_eig"] = float(np.linalg.eigvalsh((dom + dom.T) / 2)[0]) if m else 0.0
-    return jm, g_j.entries, wt, res
+    return eig / max(float(np.abs(M).max()), 1e-300), max(ratios, default=0.0)
 
 
 def assert_matches_loop_reference(g, omega, pc):
@@ -408,28 +412,57 @@ def assert_matches_loop_reference(g, omega, pc):
     assert [x.hex() for x in pc.residuals.values()] == [x.hex() for x in res.values()]
 
 
+def field_cases(n):
+    """(g, omega, construction) of each built point of the planted n-dimensional field, lifted if odd."""
+    grid = parse_calfield(planted_field_text(n, seed=n, points=16))
+    for point, outcome in zip(grid.points, process_field(grid).outcomes):
+        if outcome.construction is not None:
+            g, omega = (point.g, point.omega) if n % 2 == 0 else lift_odd(point.g, point.omega)
+            yield g, omega, outcome.construction
+
+
+def near_double_cases(cond):
+    """(g, omega, construct_point) of near-double inputs at cond(g) = cond, sep 1e-9, 1e-6 and 1e-3."""
+    rng = np.random.default_rng(1)
+    for sep in (1e-9, 1e-6, 1e-3):
+        g, omega = near_double_form(rng, cond=cond, sep=sep)
+        yield g, omega, construct_point(g, omega)
+
+
 class TestLoopReference:
     @pytest.mark.parametrize("n", [4, 7, 8, 16])
     def test_field_matches(self, n):
-        grid = parse_calfield(planted_field_text(n, seed=n, points=16))
-        for point, outcome in zip(grid.points, process_field(grid).outcomes):
-            if outcome.construction is not None:
-                g, omega = (point.g, point.omega) if n % 2 == 0 else lift_odd(point.g, point.omega)
-                assert_matches_loop_reference(g, omega, outcome.construction)
+        for case in field_cases(n):
+            assert_matches_loop_reference(*case)
 
     @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
     def test_near_double_matches(self, cond):
-        rng = np.random.default_rng(1)
-        for sep in (1e-9, 1e-6, 1e-3):
-            g, omega = near_double_form(rng, cond=cond, sep=sep)
-            assert_matches_loop_reference(g, omega, construct_point(g, omega))
+        for case in near_double_cases(cond):
+            assert_matches_loop_reference(*case)
+
+
+VECTOR_CASES = {
+    **{f"field-n{n}": functools.partial(field_cases, n) for n in (4, 7, 8, 16)},
+    **{f"near-double-cond{cond:g}": functools.partial(near_double_cases, cond) for cond in (1.0, 1e3)},
+}
+
+
+class TestVectorReference:
+    # The stacked products round differently from one vector at a time, so
+    # these residuals agree with the per-vector references to rounding only.
+    @pytest.mark.parametrize("cases", VECTOR_CASES.values(), ids=list(VECTOR_CASES))
+    def test_spectral_residuals_agree(self, cases):
+        for g, omega, pc in cases():
+            eig, preservation = vector_reference(g, omega, pc)
+            assert pc.residuals["eigen_residual"] == pytest.approx(eig, abs=1e-15)
+            assert pc.residuals["preservation"] == pytest.approx(preservation, abs=1e-14)
 
 
 class TestNearDoubleIllConditioned:
     def test_triple_residuals_within_verify_thresholds(self):
-        # Pairs split by sep under an ill-conditioned g: the Schur blocks give
-        # each pair directly, so every residual verify checks stays within
-        # its threshold, the spectral ones included.
+        # Pairs split by sep under an ill-conditioned g: eigh of the
+        # g-symmetrized form gives each pair directly, so every residual
+        # verify checks stays within its threshold, the spectral ones included.
         for cond in (1e2, 1e3, 1e4):
             for sep in (1e-9, 1e-6, 1e-3):
                 rng = np.random.default_rng(0)

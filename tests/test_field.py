@@ -301,9 +301,9 @@ def pointwise(grid, config):
     """process_field's outcomes one point at a time: None for an excluded point.
 
     Without hints this is a construct_point loop.  With hints each complement
-    frame is the chain's step on a stack of one: R = R_prev polar(B_prev G B^T)
-    while the complement keeps its dimension, then the frame R B is assembled
-    on a stack of one.
+    frame is the chain's step on a stack of one: R = R_prev polar(B_prev G B^T),
+    with one Newton-Schulz step R <- 1.5 R - 0.5 R R^T R, while the complement
+    keeps its dimension, then the frame R B is assembled on a stack of one.
     """
     epsilon, prev, rotation, out = config.epsilon, None, None, []
     for point in grid.points:
@@ -319,7 +319,11 @@ def pointwise(grid, config):
         if config.use_hints and len(base):
             if prev is not None and len(prev) == len(base):
                 step = semicalib.construction._polar(prev[None], g.entries[None], base[None])[0]
-                rotation = step if rotation is None else rotation @ step
+                if rotation is None:
+                    rotation = step
+                else:
+                    r = rotation @ step
+                    rotation = 1.5 * r - 0.5 * (r @ r.T @ r)
                 pc = with_complement(g, omega, pc, rotation @ base, config.tolerances)
             else:
                 rotation = None
@@ -655,6 +659,15 @@ class TestComplementChain:
         for point, outcome in zip(grid.points, cf.outcomes):
             assert frame_defect(outcome.construction, point.g) <= 1e-13
 
+    @staticmethod
+    def chained_defects(pairs):
+        """(largest frame defect, largest basis_orthonormality) of the chained field of kernel points ``pairs``."""
+        grid = FieldGrid(8, np.array([g.entries for g, _ in pairs]), np.array([w.entries for _, w in pairs]))
+        built = [o.construction for o in process_field(grid).outcomes]
+        assert all(2 * pc.m == 4 for pc in built)
+        worst_frame = max(frame_defect(pc, g) for pc, (g, _) in zip(built, pairs))
+        return worst_frame, max(pc.residuals["basis_orthonormality"] for pc in built)
+
     @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
     @pytest.mark.parametrize("sep", [1e-9, 1e-6, 1e-3])
     def test_near_double_frame_defect_bounded_by_basis(self, cond, sep):
@@ -663,12 +676,17 @@ class TestComplementChain:
         # entry by at most a factor k, so over the cell the frames' defect
         # stays within k times the largest basis_orthonormality.
         rng = np.random.default_rng(0)
-        pairs = [near_double_form(rng, cond, sep, kernel=True) for _ in range(16)]
-        grid = FieldGrid(8, np.array([g.entries for g, _ in pairs]), np.array([w.entries for _, w in pairs]))
-        built = [o.construction for o in process_field(grid).outcomes]
-        assert all(2 * pc.m == 4 for pc in built)
-        worst_frame = max(frame_defect(pc, g) for pc, (g, _) in zip(built, pairs))
-        worst_basis = max(pc.residuals["basis_orthonormality"] for pc in built)
+        worst_frame, worst_basis = self.chained_defects(
+            [near_double_form(rng, cond, sep, kernel=True) for _ in range(16)])
+        assert worst_frame <= 4 * worst_basis
+
+    def test_long_chain_frame_defect_bounded_by_basis(self):
+        # Two hundred links: without the Newton-Schulz step on each product
+        # the rounding of the rotations piles up, past 6 times the basis'
+        # defect on this chain.
+        rng = np.random.default_rng(0)
+        worst_frame, worst_basis = self.chained_defects(
+            [near_double_form(rng, 1e2, 10 ** rng.uniform(-9, -3), kernel=True) for _ in range(200)])
         assert worst_frame <= 4 * worst_basis
 
 
