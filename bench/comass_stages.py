@@ -10,9 +10,10 @@ mostly the chunk merge and the final re-orthonormalization, one stacked
 Gram-Schmidt pass over every restart, or one pass per restart in trees
 before format 8, is ``other``).  Stages are timed by wrapping the oracle's
 private stage functions, so the numbers are only as stable as those names;
-``tests/test_bench_targets.py`` checks that they resolve.  Two end-to-end ``semicalib verify`` runs
+``tests/test_bench_targets.py`` checks that they resolve.  Two end-to-end ``semicalib verify`` timings
 at verify's default sampling follow: ``--power 2 --power 3`` on a one-point
-n = 8 field, and no ``--power`` on a seeded N = 1000, n = 8 smooth field from
+n = 8 field, the median of VERIFY_CALLS calls of a few ms each, and one
+call without ``--power`` on a seeded N = 1000, n = 8 smooth field from
 ``perfbench/inputs.py`` (imported, never changed).  ``--src`` chooses the
 source tree to import, so one copy of this script times two commits on the
 same machine; each invocation appends one run under ``--label`` and refreshes
@@ -42,6 +43,7 @@ POWERS = (1, 2, 3)
 SEEDS = (0, 1, 2)
 REPEATS = 3  # oracle passes per run; each stage keeps the median
 ORACLE_SAMPLES = 20_000  # semicalib comass's default
+VERIFY_CALLS = 21  # one-point verify calls per run; one call alone varies by half its time
 FIELD_POINTS = 1000
 FIELD_SEED = 1
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
@@ -190,7 +192,8 @@ def main(argv=None) -> int:
         "oracle_samples": ORACLE_SAMPLES,
         "oracle": "comass_bruteforce with oracle_samples and FieldConfig's default restarts; "
                   "stage times are medians over seeds, then over repeats",
-        "verify": "semicalib verify --power 2 --power 3, one point, in process",
+        "verify": f"semicalib verify --power 2 --power 3, one point, in process, "
+                  f"median of {VERIFY_CALLS} calls",
         "verify_field": f"semicalib verify, perfbench/inputs.py smooth_field with seed {FIELD_SEED}, "
                         f"N={FIELD_POINTS}, n={N}, no gap points, in process",
     }
@@ -215,7 +218,7 @@ def main(argv=None) -> int:
     passes = [time_oracle(G, W) for _ in range(REPEATS)]
     run = {
         "comass": {p: _median_rows([x[p] for x in passes]) for p in passes[0]},
-        "verify_power_2_3_s": time_verify(point, powers),
+        "verify_power_2_3_s": float(np.median([time_verify(point, powers) for _ in range(VERIFY_CALLS)])),
         "verify_field_n1000_s": time_verify(smooth_field_text()),
     }
     entry = data.setdefault("results", {}).setdefault(args.label, {"runs": []})

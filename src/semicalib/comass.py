@@ -288,7 +288,8 @@ def _polar(B: np.ndarray) -> np.ndarray:
     return ((tau2 - sigma)[:, None, None] * B - a @ B) / (sigma * np.sqrt(tau2))[:, None, None]
 
 
-def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray):
+def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray,
+            shift: float = _POLISH_SHIFT):
     """Deterministic ascent of |form value| over g-orthonormal frames, every restart of a stack at once.
 
     ``G`` and ``w`` are (P, n, n) stacks; restart j is the g-orthonormal
@@ -297,10 +298,14 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray)
     and the value is Pf(M), M = Y W_w Y^T, whose log-gradient is
     E = M^-1 Y W_w.  Each step maps Y to the polar factor of E + s Y, a
     shifted power iteration on the Stiefel manifold (Edelman, Arias & Smith,
-    SIAM J. Matrix Anal. Appl. 20, 1998).  At k = 2 the solve and the polar
-    factor are 2x2 closed forms (:func:`_solve`, :func:`_polar`) and need no
-    rank guard: E Y^T = M^-1 M = I, so B = E + s Y has B Y^T = (1 + s) I and,
-    Y^T Y being a projection, B B^T >= (1 + s)^2 I = 2.25 I.  A restart stops
+    SIAM J. Matrix Anal. Appl. 20, 1998), with s = ``shift``: the default
+    ``_POLISH_SHIFT`` = 0.5 for generic forms (``comass_bruteforce``,
+    ``semicalib comass``), and 1 for ``verify``'s run on a calibration whose
+    pair values are all 1 (see ``field._VERIFY_POLISH_SHIFT``).  At k = 2 the
+    solve and the polar factor are 2x2 closed forms (:func:`_solve`,
+    :func:`_polar`) and need no rank guard for any s >= 0: E Y^T = M^-1 M = I,
+    so B = E + s Y has B Y^T = (1 + s) I and, Y^T Y being a projection,
+    B B^T >= (1 + s)^2 I.  A restart stops
     once the part of E normal to its rows, the Riemannian gradient, is at
     most 1e-10 or no smaller than at its previous step, the rounding floor of
     its point's conditioning.  Frames whose |Pf| is rounding-sized next to
@@ -327,17 +332,18 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray)
         moving = (size > _POLISH_TOL) & (size < gradient[act])
         gradient[act] = size
         act = act[moving]
-        Y[act] = _polar(E[moving] + _POLISH_SHIFT * Ya[moving])
+        Y[act] = _polar(E[moving] + shift * Ya[moving])
     return Y @ L_inv[point], iterations, np.isin(np.arange(len(G)), point[act])
 
 
-def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts: int, seeds):
+def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts: int, seeds,
+                   shift: float = _POLISH_SHIFT):
     """Sampled comass of (1/p!) omega^p at a stack of points (G, W), (P, n, n) each, as columns.
 
     Each point draws ``samples`` frames from its own stream,
     ``default_rng(seeds[i])``, and keeps the ``restarts`` best by |Pf| (one
-    when ``restarts`` is 0).  One :func:`_polish` then runs every restart of
-    every point, unless ``restarts`` is 0; one Gram-Schmidt pass
+    when ``restarts`` is 0).  One :func:`_polish` with ``shift`` then runs
+    every restart of every point, unless ``restarts`` is 0; one Gram-Schmidt pass
     re-orthonormalizes all of them, and each point reports its largest
     signed value, the frame's first two vectors swapped where the sign is
     negative, with a lexicographic frame tie-break.  Returns the columns
@@ -370,7 +376,7 @@ def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts:
 
     iterations, capped = np.zeros(len(starts), dtype=int), np.zeros(len(starts), dtype=bool)
     if restarts > 0:
-        frames, iterations, capped = _polish(G, W, frames, point)
+        frames, iterations, capped = _polish(G, W, frames, point, shift)
         for _ in np.flatnonzero(capped):
             _log.warning("comass polish stopped at the %d-iteration cap before converging (degree %d, "
                          "n=%d); the sampled value is still a lower bound", _POLISH_MAX_ITER, k, n)

@@ -70,7 +70,7 @@ from .forms import (
 )
 from .spectral import _split_stack, associated_endomorphism, paired_spectrum  # noqa: F401
 
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 # Points per assembly batch: enough to share each stacked call's overhead,
 # few enough that a batch's temporaries stay small whatever the field size.
 _BATCH = 64
@@ -91,6 +91,15 @@ EIGENVALUE_UPPER = 1e-9       # slack above 1
 COMASS_SLACK = 1e-9           # comass bounds, sampled and exact
 SAMPLED_TIGHTNESS = 1e-6      # the sampled run on Omega must reach 1 - this
 METRIC_DOMINATION_SLACK = 1e-9
+# The polish shift s of the sampled run on (g_J, Omega).  A polish step is
+# Y <- polar(M^-1 Y W_w + s Y); linearised at a maximiser, it multiplies the
+# error off the maximiser set by (s - 1)/(s + 1) where the pair values are
+# equal, as all of Omega's are (1) under g_J.  At s = 1 that factor is 0 and
+# the run stops in about 4 steps; at s = 0.5 it is -1/3, about 23 steps.
+# Generic forms keep comass._POLISH_SHIFT = 0.5: with a pair-value ratio
+# r < 1 the factors are (s +- r)/(1 + s), so s = 1 is slower there, and s = 0
+# never converges on equal pair values.
+_VERIFY_POLISH_SHIFT = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,7 +525,8 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
         rows = included[lo : lo + _BATCH]
         g_j, omega = cf.g_J[rows], cf.Omega[rows]
         seeds = [np.random.SeedSequence(config.seed, spawn_key=(i, 0)) for i in rows.tolist()]
-        sampled = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds)[0].tolist()
+        sampled = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds,
+                                 _VERIFY_POLISH_SHIFT)[0].tolist()
         comass = {}
         if powers:  # input rows first, so the first fault raised is an input's
             comass = _exact_powers(np.concatenate([g_in[rows], g_j]), np.concatenate([w_in[rows], omega]),

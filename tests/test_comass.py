@@ -26,6 +26,7 @@ from semicalib import (
     pfaffian,
 )
 from semicalib import test_calibrated as check_calibrated
+from semicalib.field import _VERIFY_POLISH_SHIFT
 from helpers import (
     dual_wedge,
     near_double_form,
@@ -605,19 +606,21 @@ class TestClosedForms:
         rng = np.random.default_rng(seed)
         return rng, np.linalg.qr(rng.standard_normal((c, n, 2)))[0].mT
 
+    # the two shifts the polish runs with: comass's default and verify's
+    @pytest.mark.parametrize("shift", [comass_module._POLISH_SHIFT, _VERIFY_POLISH_SHIFT])
     @given(c=st.integers(1, 64), n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1))
-    def test_polar_factor(self, c, n, seed):
+    def test_polar_factor(self, shift, c, n, seed):
         rng, Y = self.frames(seed, c, n)
         z = rng.standard_normal((c, 2, n))
         E = Y + z - (z @ Y.mT) @ Y  # E Y^T = I, as for the polish's log-gradient
-        B = E + 0.5 * Y
+        B = E + shift * Y
         polar = comass_module._polar(B)
         u, _, vt = np.linalg.svd(B, full_matrices=False)
         assert np.abs(polar - u @ vt).max() <= 1e-14
         # an entry of P P^T is an n-term dot product; LAPACK's factor reads up to 2.5 n eps here
         assert np.abs(polar @ polar.mT - np.eye(2)).max() <= 4 * n * EPS
-        # B Y^T = 1.5 I keeps B B^T away from singular: no rank guard is needed
-        assert np.linalg.eigvalsh(B @ B.mT)[:, 0].min() >= 2.25 * (1 - 1e-12)
+        # B Y^T = (1 + s) I keeps B B^T away from singular: no rank guard is needed
+        assert np.linalg.eigvalsh(B @ B.mT)[:, 0].min() >= (1 + shift) ** 2 * (1 - 1e-12)
 
     @given(c=st.integers(1, 64), n=st.integers(4, 16), seed=st.integers(0, 2**32 - 1))
     def test_solve(self, c, n, seed):
@@ -630,21 +633,52 @@ class TestClosedForms:
         assert (np.linalg.norm(solved - lapack, axis=(1, 2)) <= 1e-14 * size).all()
 
 
+def verify_run(G, W, shift=_VERIFY_POLISH_SHIFT):
+    """verify_field's sampled run on the one point (G, W): (value, polish steps, capped)."""
+    config = FieldConfig()
+    seeds = [np.random.SeedSequence(0, spawn_key=(0, 0))]
+    value, _, _, steps, capped = comass_module._sampled_stack(G[None], W[None], 1, config.samples,
+                                                              config.restarts, seeds, shift)
+    return float(value[0]), int(steps[0]), bool(capped[0])
+
+
 class TestVerifyRunStopsAtItsFloor:
     """verify's run on (g_J, Omega) at cond(g) = 1e8 stops at its gradient's
-    rounding floor instead of running to the step cap."""
+    rounding floor within a few steps instead of running to the step cap."""
 
     @pytest.mark.parametrize("kernel", [False, True])
     @pytest.mark.parametrize("sep", [1e-9, 1e-6, 1e-3])
     def test_not_capped(self, sep, kernel):
-        # with the old absolute 1e-10 stop rule every one of these ran to the cap
+        # with the old absolute 1e-10 stop rule every one of these ran to the cap;
+        # on the near-double grid (cond 1e2 to 1e8) verify's run takes at most 10 steps
         g, w = near_double_form(np.random.default_rng(0), 1e8, sep, kernel=kernel)
         pc = construct_point(g, w)
-        config = FieldConfig()
-        est = comass_bruteforce(pc.g_j, pc.omega_total, samples=config.samples, restarts=config.restarts,
-                                seed=np.random.SeedSequence(0, spawn_key=(0, 0)))
-        assert not est.ascent_capped and est.ascent_iterations < 100
-        assert 1 - 1e-6 <= est.value <= 1 + 1e-9
+        value, steps, capped = verify_run(pc.g_j.entries, pc.omega_total.entries)
+        assert not capped and steps <= 12
+        assert 1 - 1e-6 <= value <= 1 + 1e-9
+
+
+class TestVerifyShift:
+    """On an exact calibration, every pair value 1, the polish's error factor
+    (s - 1)/(s + 1) is 0 at verify's shift 1 and -1/3 at the default 0.5."""
+
+    @staticmethod
+    def calibration(case):
+        if case == "standard":
+            return np.eye(8), TwoForm.standard_symplectic(8).entries
+        rng = np.random.default_rng(3)
+        g = random_pd_metric(rng, 8)
+        pc = construct_point(g, unit_comass_form(g, random_two_form(rng, 8)))
+        return pc.g_j.entries, pc.omega_total.entries
+
+    @pytest.mark.parametrize("case", ["standard", "construct_point"])
+    def test_shift_one_stops_within_five_steps(self, case):
+        G, W = self.calibration(case)
+        fast = verify_run(G, W)
+        slow = verify_run(G, W, comass_module._POLISH_SHIFT)
+        assert fast[1] <= 5 and slow[1] >= 15
+        for value, _, capped in (fast, slow):
+            assert not capped and 1 - 1e-12 <= value <= 1 + 1e-9
 
 
 class TestNearDoublePolish:
