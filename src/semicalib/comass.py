@@ -377,9 +377,9 @@ def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts:
     iterations, capped = np.zeros(len(starts), dtype=int), np.zeros(len(starts), dtype=bool)
     if restarts > 0:
         frames, iterations, capped = _polish(G, W, frames, point, shift)
-        for _ in np.flatnonzero(capped):
-            _log.warning("comass polish stopped at the %d-iteration cap before converging (degree %d, "
-                         "n=%d); the sampled value is still a lower bound", _POLISH_MAX_ITER, k, n)
+        if capped.any():
+            _log.warning("comass polish stopped at the %d-iteration cap at %d point(s) (degree %d, n=%d); "
+                         "their sampled values are still lower bounds", _POLISH_MAX_ITER, capped.sum(), k, n)
 
     rows = _gram_schmidt_stack(G[point], frames.transpose(1, 0, 2).copy())[0].transpose(1, 0, 2)
     values = _signed_values(W[point], rows)

@@ -31,6 +31,7 @@ from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES, MAX_DIM, Tolerances
 from .errors import ConstructionError, NotPositiveDefiniteError
 from .forms import (
     _RANK_TOL,
+    _TINY,
     Frame,
     MetricTensor,
     TwoForm,
@@ -53,8 +54,6 @@ from .spectral import (
 # so they stay importable here, though the construction calls none of them.
 from .forms import gram_schmidt  # noqa: E402, F401
 from .spectral import associated_endomorphism, paired_spectrum  # noqa: E402, F401
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True, eq=False)

@@ -473,32 +473,31 @@ def build_report(cf: ConstructionField) -> dict:
     }
 
 
-def _check(value: float, threshold: float, ok: bool | None = None) -> dict:
-    passed = value <= threshold if ok is None else ok
-    return {"value": value, "threshold": threshold, "pass": bool(passed)}
+def _check_columns(cf: ConstructionField, sampled: np.ndarray, powers: dict):
+    """The check names and their (checks, N) value, threshold and pass tables; built points' columns count.
 
-
-def _point_checks(cf: ConstructionField, i: int, sampled: float, powers: dict) -> dict:
-    """Built point i's checks; ``powers`` maps p to the exact comass of (input, output) p-th powers."""
-    checks = {key: _check(float(cf.residuals[key][i]), threshold)
-              for key, threshold in RESIDUAL_THRESHOLDS.items()}
-    low, high = float(cf.values[i].min()), float(cf.values[i].max())
-    checks["input_eigenvalue_bound"] = _check(
-        high, 1.0 + EIGENVALUE_UPPER, ok=(low >= EIGENVALUE_LOWER and high <= 1.0 + EIGENVALUE_UPPER)
-    )
-
-    g_scale = max(float(np.abs(cf.g_J[i]).max()), 1.0)
-    dom = float(cf.residuals["metric_domination_min_eig"][i])
-    checks["metric_domination"] = _check(-dom, METRIC_DOMINATION_SLACK * g_scale)
-
+    ``powers`` maps p to the (2, N) exact comass of the input's and the output's p-th powers.
+    """
+    if not cf.residuals:  # no point built: an empty table
+        return [], *np.zeros((3, 0, len(cf.built)), dtype=bool)
+    bounds = {key: (cf.residuals[key], threshold) for key, threshold in RESIDUAL_THRESHOLDS.items()}
+    bounds["input_eigenvalue_bound"] = cf.values.max(axis=1), 1.0 + EIGENVALUE_UPPER
+    slack = METRIC_DOMINATION_SLACK * np.maximum(np.abs(cf.g_J).max(axis=(1, 2)), 1.0)  # on |g_J|'s scale
+    bounds["metric_domination"] = -cf.residuals["metric_domination_min_eig"], slack
     # The one sampled run: an independent lower bound on comass(Omega) = 1,
     # checked from both sides: not above 1, and attained.
-    checks["Omega_comass_sampled_bound"] = _check(sampled, 1.0 + COMASS_SLACK)
-    checks["Omega_comass_sampled_attained"] = _check(1.0 - sampled, SAMPLED_TIGHTNESS)
+    bounds["Omega_comass_sampled_bound"] = sampled, 1.0 + COMASS_SLACK
+    bounds["Omega_comass_sampled_attained"] = 1.0 - sampled, SAMPLED_TIGHTNESS
     for p, (comass_in, comass_out) in powers.items():
-        checks[f"power_{p}_comass_bound"] = _check(comass_in, 1.0 + COMASS_SLACK)
-        checks[f"power_{p}_calibration_bound"] = _check(comass_out, 1.0 + COMASS_SLACK)
-    return checks
+        bounds[f"power_{p}_comass_bound"] = comass_in, 1.0 + COMASS_SLACK
+        bounds[f"power_{p}_calibration_bound"] = comass_out, 1.0 + COMASS_SLACK
+    value = np.array([column for column, _ in bounds.values()])
+    threshold = np.empty_like(value)
+    for k, (_, limit) in enumerate(bounds.values()):
+        threshold[k] = limit
+    ok = value <= threshold
+    ok[list(bounds).index("input_eigenvalue_bound")] &= cf.values.min(axis=1) >= EIGENVALUE_LOWER
+    return list(bounds), value, threshold, ok
 
 
 def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = FieldConfig()) -> VerificationReport:
@@ -516,25 +515,27 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
     if config.restarts < 1:
         raise ValueError("verify needs restarts >= 1: unpolished, its sampled run cannot attain 1")
     powers = sorted(set(config.powers))
-    g_in, w_in = _lift_stack(grid.g, grid.w)
-    data = build_report(cf)
-    for entry in data["points"]:
-        entry["checks"] = {}
+    g_in, w_in = _lift_stack(grid.g, grid.w) if powers else (None, None)
+    sampled = np.full(len(cf.built), np.nan)
+    comass = {p: np.full((2, len(cf.built)), np.nan) for p in powers}
     included = np.flatnonzero(cf.built)
     for lo in range(0, len(included), _BATCH):
         rows = included[lo : lo + _BATCH]
         g_j, omega = cf.g_J[rows], cf.Omega[rows]
         seeds = [np.random.SeedSequence(config.seed, spawn_key=(i, 0)) for i in rows.tolist()]
-        sampled = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds,
-                                 _VERIFY_POLISH_SHIFT)[0].tolist()
-        comass = {}
+        sampled[rows] = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds,
+                                       _VERIFY_POLISH_SHIFT)[0]
         if powers:  # input rows first, so the first fault raised is an input's
-            comass = _exact_powers(np.concatenate([g_in[rows], g_j]), np.concatenate([w_in[rows], omega]),
-                                   powers)[0]
-        for b, i in enumerate(rows.tolist()):
-            by_power = {p: (float(comass[p][b]), float(comass[p][len(rows) + b])) for p in powers}
-            data["points"][i]["checks"] = _point_checks(cf, i, sampled[b], by_power)
-    data["summary"]["pass"] = all(c["pass"] for e in data["points"] for c in e["checks"].values())
+            exact = _exact_powers(np.concatenate([g_in[rows], g_j]), np.concatenate([w_in[rows], omega]),
+                                  powers)[0]
+            for p in powers:
+                comass[p][:, rows] = exact[p].reshape(2, len(rows))
+    data = build_report(cf)
+    names, value, threshold, ok = _check_columns(cf, sampled, comass)
+    for entry, *row in zip(data["points"], value.T.tolist(), threshold.T.tolist(), ok.T.tolist()):
+        checks = zip(names, *row) if entry["gap_ok"] else ()
+        entry["checks"] = {name: {"value": v, "threshold": t, "pass": o} for name, v, t, o in checks}
+    data["summary"]["pass"] = bool(ok[:, cf.built].all())
     return VerificationReport(data=data, passed=data["summary"]["pass"])
 
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GapViolation
-from .forms import MetricTensor, TwoForm, _freeze, _raise_first
+from .forms import _TINY, MetricTensor, TwoForm, _freeze, _raise_first
 
-_TINY = 1e-300
 _BAND_SLACK = 1e-8  # relative to the largest eigenvalue
 _SKEW_LIMIT = 1e-8  # largest relative skew-adjointness defect paired_spectrum accepts
 

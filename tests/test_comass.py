@@ -597,6 +597,18 @@ class TestStackedOracle:
         # one warning from the stack, one from the capped point's stack of one
         assert len([r for r in caplog.records if "cap" in r.getMessage()]) == 2
 
+    def test_two_capped_points_one_warning(self, monkeypatch, caplog):
+        monkeypatch.setattr(comass_module, "_POLISH_MAX_ITER", 50)
+        points = [normal_form(np.random.default_rng(13), 8, (1.0, 0.8, 0.5, 0.3))] * 2
+        g = np.array([metric.entries for metric, _ in points])
+        w = np.array([form.entries for _, form in points])
+        seeds = [np.random.SeedSequence(7, spawn_key=(i,)) for i in range(2)]
+        with caplog.at_level(logging.WARNING, logger="semicalib"):
+            capped = comass_module._sampled_stack(g, w, 2, 256, 10, seeds)[4]
+        assert capped.tolist() == [True, True]
+        messages = [r.getMessage() for r in caplog.records if r.name == "semicalib"]
+        assert len(messages) == 1 and "cap at 2 point(s)" in messages[0]
+
 
 class TestClosedForms:
     """The polish's 2x2 solve and polar factor agree with LAPACK's on stacks of 2-frames in R^n."""

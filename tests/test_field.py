@@ -831,6 +831,35 @@ class TestVerifyField:
         flagged = [p for p in report.data["points"] if not p["gap_ok"]]
         assert len(flagged) == 1 and flagged[0]["m"] is None
 
+    def test_check_table_contract(self):
+        # metric c I with omega c (dx1^dx2 + s dx3^dx4): |g_J| scales with c; s = 0.35 is in the band
+        lines = ["CALFIELD 1", "DIM 4", "POINTS 4"]
+        for k, (c, s) in enumerate([(0.5, 0.6), (3.0, 0.6), (1.0, 0.35), (20.0, 0.6)]):
+            lines += [f"P {k}", f"X {k} 0 0 0", f"G {c} 0 0 0 {c} 0 0 {c} 0 {c}", f"W {c} 0 0 0 0 {c * s}"]
+        grid = parse_calfield("\n".join(lines) + "\n")
+        cfg = FieldConfig(samples=500, restarts=2, powers=(1, 2))
+        cf = process_field(grid, cfg)
+        points = verify_field(cf, grid, cfg).data["points"]
+        assert cf.built.tolist() == [True, True, False, True]
+        assert points[2]["checks"] == {}
+        thresholds = []
+        for i in (0, 1, 3):
+            checks = points[i]["checks"]
+            thresholds.append(checks["metric_domination"]["threshold"])
+            assert thresholds[-1] == 1e-9 * max(float(np.abs(cf.g_J[i]).max()), 1.0)
+            for check in checks.values():
+                assert type(check["value"]) is float and type(check["threshold"]) is float
+                assert type(check["pass"]) is bool
+        assert thresholds[0] == 1e-9 and 1e-9 < thresholds[1] < thresholds[2]
+
+    def test_every_point_excluded_passes_with_no_checks(self):
+        # epsilon 0.9 puts the second pair's eigenvalue 0.36 in the band (0.225, 0.45) at every point
+        grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 0.6", 2))
+        cfg = FieldConfig(epsilon=0.9, samples=200, restarts=1, powers=(2,))
+        report = verify_field(process_field(grid, cfg), grid, cfg)
+        assert report.passed and report.data["summary"]["pass"] is True
+        assert [p["checks"] for p in report.data["points"]] == [{}, {}]
+
 
 class TestSampledRunTwoSided:
     """verify's one sampled run, at FieldConfig defaults, catches an Omega that
