@@ -11,9 +11,11 @@ violations, each drawn from its own generator seeded with ``SEED``.  Each
 stage keeps the median of ``REPEATS`` passes.  ``--src`` chooses the source
 tree to import, so one copy of this script times two commits on the same
 machine; each invocation appends one run under ``--label`` and refreshes that
-label's medians.  A run is refused when the file's recorded machine or setup
-differs from the current one, so every label in one file is comparable.
-BLAS runs on one thread, as in the benchmark.
+label's medians and, beside them, its first and third quartiles (``q1``,
+``q3``), the spread a later run is compared against.  A run is refused when
+the file's recorded machine or setup differs from the current one, so every
+label in one file is comparable.  BLAS runs on one thread, as in the
+benchmark.
 """
 
 from __future__ import annotations
@@ -80,10 +82,14 @@ def time_stages(text: str) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    return {
-        field: {key: float(np.median([r[field][key] for r in runs])) for key in runs[0][field]}
-        for field in runs[0]
-    }
+    """The label's ``median``, ``q1`` and ``q3`` of every stage of every field over its runs."""
+    def percentile(q: float) -> dict:
+        return {
+            field: {key: float(np.percentile([r[field][key] for r in runs], q)) for key in runs[0][field]}
+            for field in runs[0]
+        }
+
+    return {"median": percentile(50), "q1": percentile(25), "q3": percentile(75)}
 
 
 def main(argv=None) -> int:
@@ -121,11 +127,12 @@ def main(argv=None) -> int:
     run = {name: time_stages(text) for name, text in texts.items()}
     entry = data.setdefault("results", {}).setdefault(args.label, {"runs": []})
     entry["runs"].append(run)
-    entry["median"] = summarize(entry["runs"])
+    entry.update(summarize(entry["runs"]))
     with open(args.output, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(json.dumps({args.label: entry["median"]}, indent=2, sort_keys=True))
+    print(json.dumps({args.label: {key: value for key, value in entry.items() if key != "runs"}},
+                     indent=2, sort_keys=True))
     return 0
 
 

@@ -17,9 +17,11 @@ call without ``--power`` on a seeded N = 1000, n = 8 smooth field from
 ``perfbench/inputs.py`` (imported, never changed).  ``--src`` chooses the
 source tree to import, so one copy of this script times two commits on the
 same machine; each invocation appends one run under ``--label`` and refreshes
-that label's medians.  A run is refused when the file's recorded machine or
-setup differs from the current one, so every label in one file is
-comparable.  BLAS runs on one thread, as in the benchmark.
+that label's medians and, beside them, its first and third quartiles (``q1``,
+``q3``), the spread a later run is compared against.  A run is refused when
+the file's recorded machine or setup differs from the current one, so every
+label in one file is comparable.  BLAS runs on one thread, as in the
+benchmark.
 """
 
 from __future__ import annotations
@@ -171,10 +173,13 @@ VERIFY_ROWS = ("verify_power_2_3_s", "verify_field_n1000_s")
 
 
 def summarize(runs: list[dict]) -> dict:
-    med = {p: _median_rows([r["comass"][p] for r in runs]) for p in runs[0]["comass"]}
-    for key in VERIFY_ROWS:
-        med[key] = float(np.median([r[key] for r in runs]))
-    return med
+    """The label's ``median``, ``q1`` and ``q3`` over its runs: each power's stages, then VERIFY_ROWS."""
+    def percentile(q: float) -> dict:
+        stages = {p: {key: float(np.percentile([r["comass"][p][key] for r in runs], q)) for key in stage}
+                  for p, stage in runs[0]["comass"].items()}
+        return {**stages, **{key: float(np.percentile([r[key] for r in runs], q)) for key in VERIFY_ROWS}}
+
+    return {"median": percentile(50), "q1": percentile(25), "q3": percentile(75)}
 
 
 def main(argv=None) -> int:
@@ -223,11 +228,12 @@ def main(argv=None) -> int:
     }
     entry = data.setdefault("results", {}).setdefault(args.label, {"runs": []})
     entry["runs"].append(run)
-    entry["median"] = summarize(entry["runs"])
+    entry.update(summarize(entry["runs"]))
     with open(args.output, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(json.dumps({args.label: entry["median"]}, indent=2, sort_keys=True))
+    print(json.dumps({args.label: {key: value for key, value in entry.items() if key != "runs"}},
+                     indent=2, sort_keys=True))
     return 0
 
 

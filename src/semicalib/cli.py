@@ -216,7 +216,7 @@ def _cmd_comass(args) -> int:
         indices = range(lo, lo + len(g))
         seeds = [np.random.SeedSequence(entropy=args.seed, spawn_key=(i,)) for i in indices]
         values, _, used, _, _ = comass._sampled_stack(g, w, args.power, args.samples, args.restarts, seeds)
-        exact = comass._exact_powers(g, w, (args.power,))[0][args.power]
+        exact = comass._exact_powers(g, w, (args.power,))[args.power]
         for i, value, sampled, restarts in zip(indices, exact.tolist(), values.tolist(), used.tolist()):
             rows.append({"index": i, "power": args.power, "exact": value, "sampled": sampled,
                          "samples": args.samples, "restarts": restarts})

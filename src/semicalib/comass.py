@@ -3,19 +3,20 @@
 The exact comass of omega, or of a normalized power (1/p!) omega^p, is the
 product mu_1 ... mu_p of the p largest pair values mu_i = sqrt(lambda_i) of
 -A^2 (Wirtinger's inequality for p = 1; Harvey & Lawson, Acta Math. 148,
-1982).  The value of (1/p!) omega^p on a frame equals the Pfaffian of the
-frame's omega-Gram matrix, and the sampled oracle, an independent
-cross-check, maximizes it directly.  Both run on stacks of points, and
-``comass_exact`` and ``comass_bruteforce`` are their stacks of one.  The
-sampled oracle draws random metric-orthonormal frames for each point from
-its own stream, in cache-sized chunks, vector-major, and ranks them by the
-|Pf| of their Gram matrices; one deterministic gradient ascent on the
-Stiefel manifold then polishes the best ones of every point at once.  For
-2-frames (p = 1, every ``verify`` run) the ascent's solve and polar factor are
-closed forms on 2x2 matrices, with no LAPACK call per step.  The
-reported value is the signed Pfaffian of a point's best frame after one
-Gram-Schmidt pass over all of them has re-orthonormalized it, so the
-sampled estimate stays a lower bound of the true comass by construction.
+1982); every exact value comes from one routine, ``spectral._pair_values``,
+and only ``comass_exact``'s maximizer needs the paired spectrum.  The value
+of (1/p!) omega^p on a frame is the Pfaffian of its omega-Gram matrix, and
+the sampled oracle, an independent cross-check, maximizes it directly.  Both
+run on stacks of points; ``comass_exact`` and ``comass_bruteforce`` are their
+stacks of one.  The sampled oracle draws random metric-orthonormal frames for
+each point from its own stream, in cache-sized chunks, vector-major, and
+ranks them by the |Pf| of their Gram matrices; one deterministic gradient
+ascent on the Stiefel manifold then polishes the best ones of every point at
+once.  For 2-frames (p = 1, every ``verify`` run) the ascent's solve and
+polar factor are closed forms on 2x2 matrices, with no LAPACK call per step.
+The reported value is the signed Pfaffian of a point's best frame after one
+Gram-Schmidt pass over all of them has re-orthonormalized it, so the sampled
+estimate stays a lower bound of the true comass by construction.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES
 from .construction import PointConstruction, _form_spectra
-from .forms import Frame, MetricTensor, TwoForm, _gram_schmidt_stack, _raise_first, gram_schmidt
+from .forms import Frame, MetricTensor, TwoForm, _gram_schmidt_stack, _polar_factor, _raise_first, gram_schmidt
+from .spectral import _pair_values
 
 # perfbench/workloads.py traces these names by patching them in this module,
 # so they stay importable here, though the oracles call neither of them.
@@ -44,7 +46,7 @@ _PF_EXPANSION_MAX = 8
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 _log = logging.getLogger("semicalib")
-# Every pair counts, however small its value t > 0: a power's comass needs them all.
+# Every pair counts, however small its value t > 0: a power's maximizer may need them all.
 _EVERY_BLOCK = replace(DEFAULT_TOLERANCES, zero=0.0)
 
 
@@ -200,30 +202,30 @@ def eval_power(power: PowerForm, frame: Frame) -> float:
 def comass_exact(g: MetricTensor, form) -> ComassEstimate:
     """Exact comass of omega or of (1/p!) omega^p: :func:`_exact_powers` on a stack of one.
 
-    It is the product of the p largest pair values.  The top p pairs attain it; no g-orthonormal 2p-frame exceeds it, because
+    The top p pairs of the paired spectrum attain it; no g-orthonormal 2p-frame exceeds it, because
     the pair values of a compression interlace those of the whole form.  A
-    form of rank below 2p has comass 0 and an empty maximizer.
+    form of rank below 2p has comass 0, up to rounding, and an empty maximizer.
     """
     omega, p = _form_data(form)
     if omega.dim != g.dim:
         raise ValueError("metric and two-form dimensions disagree")
-    values, basis, npairs = _exact_powers(g.entries[None], omega.entries[None], (p,))
+    _, basis, _, npairs, checks = _form_spectra(g.entries[None], omega.entries[None], _EVERY_BLOCK)
+    _raise_first(checks)
     rows = basis[0, : 2 * p] if npairs[0] >= p else np.zeros((0, g.dim))
-    return ComassEstimate(float(values[p][0]), Frame(rows), 0, 0, "exact")
+    value = _exact_powers(g.entries[None], omega.entries[None], (p,))[p][0]
+    return ComassEstimate(float(value), Frame(rows), 0, 0, "exact")
 
 
-def _exact_powers(G: np.ndarray, W: np.ndarray, powers):
-    """Comass of (1/p!) omega^p for every p in ``powers`` at (P, n, n) stacks G, W, one spectrum each.
+def _exact_powers(G: np.ndarray, W: np.ndarray, powers) -> dict:
+    """{p: (P,) comass of (1/p!) omega^p} for every p in ``powers`` at (P, n, n) stacks G, W.
 
-    Returns ({p: (P,) comass}, paired bases, npairs): a point's maximizer for
-    p is the first 2p rows of its basis, none where ``npairs < p`` and the comass is 0.
+    Each is the product of a point's p largest :func:`spectral._pair_values`,
+    one singular value decomposition per point for every power.
     """
     for p in powers:
         _check_power(p, G.shape[-1])
-    _, basis, values, npairs, checks = _form_spectra(G, W, _EVERY_BLOCK)
-    _raise_first(checks)
-    top = np.sqrt(values[:, ::2])  # the pair values, each once
-    return {p: np.where(npairs >= p, np.prod(top[:, :p], axis=1), 0.0) for p in powers}, basis, npairs
+    top = _pair_values(G, W)
+    return {p: np.prod(top[:, :p], axis=1) for p in powers}
 
 
 def _orthonormal_frames(rng, G: np.ndarray, k: int, count: int):
@@ -271,7 +273,7 @@ def _solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
     return adj @ R / det[:, None, None]
 
 
-def _polar(B: np.ndarray) -> np.ndarray:
+def _frame_polar(B: np.ndarray) -> np.ndarray:
     """Polar factor (B B^T)^-1/2 B of a stack of full-rank (c, k, n) B.
 
     At k = 2 it is a closed form (Higham, SIAM J. Sci. Stat. Comput. 7, 1986):
@@ -280,8 +282,7 @@ def _polar(B: np.ndarray) -> np.ndarray:
     ((tau^2 - sigma) B - a B) / (sigma tau).  Above k = 2 it is U V^T of the SVD.
     """
     if B.shape[-2] != 2:
-        u, _, vt = np.linalg.svd(B, full_matrices=False)
-        return u @ vt
+        return _polar_factor(B)
     a = B @ B.mT
     sigma = np.sqrt(a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0])
     tau2 = a[:, 0, 0] + a[:, 1, 1] + 2.0 * sigma
@@ -303,7 +304,7 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray,
     ``semicalib comass``), and 1 for ``verify``'s run on a calibration whose
     pair values are all 1 (see ``field._VERIFY_POLISH_SHIFT``).  At k = 2 the
     solve and the polar factor are 2x2 closed forms (:func:`_solve`,
-    :func:`_polar`) and need no rank guard for any s >= 0: E Y^T = M^-1 M = I,
+    :func:`_frame_polar`) and need no rank guard for any s >= 0: E Y^T = M^-1 M = I,
     so B = E + s Y has B Y^T = (1 + s) I and, Y^T Y being a projection,
     B B^T >= (1 + s)^2 I.  A restart stops
     once the part of E normal to its rows, the Riemannian gradient, is at
@@ -332,7 +333,7 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray,
         moving = (size > _POLISH_TOL) & (size < gradient[act])
         gradient[act] = size
         act = act[moving]
-        Y[act] = _polar(E[moving] + shift * Ya[moving])
+        Y[act] = _frame_polar(E[moving] + shift * Ya[moving])
     return Y @ L_inv[point], iterations, np.isin(np.arange(len(G)), point[act])
 
 

@@ -1,7 +1,7 @@
 """Construction of the compatible triple (J, g_J, calibration).
 
 A stack of points (g, omega) runs through four stages, each one routine on
-the whole stack: endomorphisms and paired spectra (``_spectra``), the band
+the whole stack: endomorphisms and paired spectra (``_form_spectra``), the band
 split (``spectral._split_stack``), complement frames that follow a chain of
 points (``_complement_frames``), and the assembly of points sharing (n, m)
 (``_assemble``), which returns J, g_J and Omega as stacks and one array per
@@ -38,6 +38,7 @@ from .forms import (
     _freeze,
     _metric_stack,
     _placed,
+    _polar_factor,
     _raise_first,
     _trusted,
     _two_form_stack,
@@ -45,6 +46,7 @@ from .forms import (
 from .spectral import (
     Endomorphism,
     PairedSpectrum,
+    _pair_values,
     _paired_stack,
     infer_epsilon,
     split_spaces,
@@ -153,12 +155,6 @@ def _lift_stack(g: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, w
 
 
-def _polar(hints: np.ndarray, g: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """polar(hint G base^T) of stacks of frames as rows: the R with R base nearest the hint."""
-    u, _, vt = np.linalg.svd(hints @ g @ bases.mT)
-    return u @ vt
-
-
 def align_frame(hint: Frame, base: Frame, g: MetricTensor) -> Frame:
     """Rotate an orthonormal frame, inside its own span, closest to a hint.
 
@@ -169,7 +165,7 @@ def align_frame(hint: Frame, base: Frame, g: MetricTensor) -> Frame:
         raise ValueError("hint and base frames have different sizes")
     if len(base) == 0:
         return base
-    rotation = _polar(hint.vectors[None], g.entries[None], base.vectors[None])[0]
+    rotation = _polar_factor(hint.vectors[None] @ g.entries[None] @ base.vectors[None].mT)[0]
     return Frame(rotation @ base.vectors)
 
 
@@ -190,7 +186,7 @@ def _complement_frames(basis, g, m, prev) -> np.ndarray:
     linked = prev >= 0
     for k in set((n - 2 * m[linked]).tolist()):
         rows = np.flatnonzero(linked & (n - 2 * m == k))
-        polar = _polar(basis[prev[rows], n - k :], g[rows], basis[rows, n - k :])
+        polar = _polar_factor(basis[prev[rows], n - k :] @ g[rows] @ basis[rows, n - k :].mT)
         rotations.update(zip(rows.tolist(), polar))
     for i in sorted(rotations):
         if int(prev[i]) in rotations:  # else the predecessor restarted the chain, R_prev = I
@@ -225,12 +221,6 @@ def _form_spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
     return a, basis, values, npairs, [finite_check, *checks]
 
 
-def _spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
-    """:func:`_form_spectra` of an even-dimensional stack, its checks as ConstructionErrors."""
-    *arrays, checks = _form_spectra(g, w, tol)
-    return *arrays, _failures(checks)
-
-
 def _abs_max(mats: np.ndarray) -> np.ndarray:
     return np.abs(mats).max(axis=(-2, -1))
 
@@ -261,12 +251,7 @@ def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
     paired = np.arange(n) < 2 * npairs[:, None]
     res["eigen_residual"] = np.where(paired, eig, 0.0).max(axis=-1) / m_scale
 
-    # With g_J = L L^T the comass of Omega is the largest pair value of the
-    # skew matrix L^-1 Omega L^-T, which is its spectral norm.
-    chol = np.linalg.cholesky(g_j)
-    skew = np.linalg.solve(chol, np.linalg.solve(chol, omega_total).mT)
-    comass = np.linalg.svd(skew, compute_uv=False).max(axis=-1)
-    res["calibration_unit_comass"] = np.abs(comass - 1.0)
+    res["calibration_unit_comass"] = np.abs(_pair_values(g_j, omega_total)[:, 0] - 1.0)  # comass of Omega under g_J
 
     # Omega / area_{g_J} on every calibrated pair (v, w) of the spectrum.
     v, u = basis[:, 0::2], basis[:, 1::2]
@@ -290,7 +275,7 @@ def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
 def _assemble(g, a, basis, values, npairs, frames, m: int, tol: Tolerances):
     """The stacks (J, g_J, Omega, residuals) of points sharing (n, m), and the checks on them.
 
-    The inputs are :func:`_spectra`'s stacks and the paired frames as rows;
+    The inputs are :func:`_form_spectra`'s stacks and the paired frames as rows;
     the checks run J, g_J, Omega, then the residuals'.  ``residuals`` maps
     each name to one value per point.  The stacks are returned only when
     every check passes, else None.
@@ -316,7 +301,7 @@ def _assemble(g, a, basis, values, npairs, frames, m: int, tol: Tolerances):
 
 
 def _point_construction(i: int, m: int, epsilon: float, basis, values, npairs, frames, assembled):
-    """Row ``i`` of :func:`_spectra`'s stacks, the frames and :func:`_assemble`'s as a PointConstruction."""
+    """Row ``i`` of :func:`_form_spectra`'s stacks, the frames and :func:`_assemble`'s as a PointConstruction."""
     j, g_j, omega_total, residuals = assembled
     return PointConstruction(
         frame=_freeze(frames[i]),
@@ -351,8 +336,8 @@ def construct_point(
     if g.dim % 2:
         raise ValueError(f"dimension {g.dim} is odd; lift the data first")
     G = g.entries[None]
-    a, basis, values, npairs, checks = _spectra(G, omega.entries[None], tol)
-    _raise_first(checks)
+    a, basis, values, npairs, checks = _form_spectra(G, omega.entries[None], tol)
+    _raise_first(_failures(checks))
     spectrum = PairedSpectrum(basis[0], values[0], int(npairs[0]))
     if epsilon is None:
         # Degenerate all-kernel spectrum: any positive epsilon produces the

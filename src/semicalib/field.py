@@ -47,9 +47,10 @@ from .construction import (  # noqa: F401
     PointConstruction,
     _assemble,
     _complement_frames,
+    _failures,
+    _form_spectra,
     _lift_stack,
     _point_construction,
-    _spectra,
     construct_point,
     lift_odd,
 )
@@ -70,7 +71,7 @@ from .forms import (
 )
 from .spectral import _split_stack, associated_endomorphism, paired_spectrum  # noqa: F401
 
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 # Points per assembly batch: enough to share each stacked call's overhead,
 # few enough that a batch's temporaries stay small whatever the field size.
 _BATCH = 64
@@ -394,9 +395,9 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     tol = config.tolerances
     parts, checks = [], []
     for lo in range(0, size, _BATCH):
-        *arrays, part_checks = _spectra(g[lo : lo + _BATCH], w[lo : lo + _BATCH], tol)
+        *arrays, part_checks = _form_spectra(g[lo : lo + _BATCH], w[lo : lo + _BATCH], tol)
         parts.append(arrays)
-        checks += _placed(part_checks, np.arange(lo, lo + len(arrays[0])), size)
+        checks += _placed(_failures(part_checks), np.arange(lo, lo + len(arrays[0])), size)
     a, basis, values, npairs = map(np.concatenate, zip(*parts))
 
     epsilon = config.epsilon
@@ -505,9 +506,10 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
 
     The comass checks run once per slice of ``_BATCH`` included points: the
     sampled run on their rows of ``g_J`` and ``Omega``, and with ``powers``
-    one spectrum call over the lifted input's rows followed by those of
-    ``(g_J, Omega)``, which gives the exact comass of every power of both;
-    a point's values do not depend on its slice.  Failures become
+    one :func:`comass._exact_powers` call over the lifted input's rows and
+    those of ``(g_J, Omega)``, whose pair values give the exact comass of
+    every power of both without a paired spectrum; a point's values do not
+    depend on its slice.  Failures become
     report entries, not exceptions; gap-excluded points are listed but do not
     fail verification.  Raises ValueError when ``config.restarts`` is below
     1: unpolished, the sampled run cannot attain comass 1.
@@ -525,9 +527,8 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
         seeds = [np.random.SeedSequence(config.seed, spawn_key=(i, 0)) for i in rows.tolist()]
         sampled[rows] = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds,
                                        _VERIFY_POLISH_SHIFT)[0]
-        if powers:  # input rows first, so the first fault raised is an input's
-            exact = _exact_powers(np.concatenate([g_in[rows], g_j]), np.concatenate([w_in[rows], omega]),
-                                  powers)[0]
+        if powers:
+            exact = _exact_powers(np.concatenate([g_in[rows], g_j]), np.concatenate([w_in[rows], omega]), powers)
             for p in powers:
                 comass[p][:, rows] = exact[p].reshape(2, len(rows))
     data = build_report(cf)

@@ -338,6 +338,12 @@ def _gram_schmidt_stack(G: np.ndarray, X: np.ndarray, floor=0.0):
     return F, residual
 
 
+def _polar_factor(mats: np.ndarray) -> np.ndarray:
+    """U V^T of the thin SVD of each (k, n) matrix of a stack, k <= n: its nearest orthonormal rows."""
+    u, _, vt = np.linalg.svd(mats, full_matrices=False)
+    return u @ vt
+
+
 def _orthonormal_rows(g: MetricTensor, vectors: np.ndarray, strict: int, rank_tol: float) -> np.ndarray:
     """The g-orthonormalized rows of one frame: :func:`_gram_schmidt_stack` on a stack of one.
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GapViolation
-from .forms import _TINY, MetricTensor, TwoForm, _freeze, _raise_first
+from .forms import _TINY, MetricTensor, TwoForm, _freeze, _polar_factor, _raise_first
 
 _BAND_SLACK = 1e-8  # relative to the largest eigenvalue
 _SKEW_LIMIT = 1e-8  # largest relative skew-adjointness defect paired_spectrum accepts
@@ -126,8 +126,7 @@ def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
     for i, p in enumerate(npairs):
         rows[i, 2 * p :] = kernel[i, : n - 2 * p]
         values[i, 2 * p :] = np.sort(lam[i, p : n - p])[::-1]
-    u, _, vt = np.linalg.svd(rows)
-    basis = np.ascontiguousarray(np.linalg.solve(chol.mT, (u @ vt).mT).mT)
+    basis = np.ascontiguousarray(np.linalg.solve(chol.mT, _polar_factor(rows).mT).mT)
     checks = [(defect > _SKEW_LIMIT, lambda i: ValueError(
         f"endomorphism is not g-skew-adjoint (relative defect {defect[i]:.3g})"))]
     return basis, values, npairs, checks
@@ -146,6 +145,13 @@ def paired_spectrum(
     basis, values, npairs, checks = _paired_stack(endo.matrix[None], g.entries[None], tol)
     _raise_first(checks)
     return PairedSpectrum(basis=basis[0], values=values[0], npairs=int(npairs[0]))
+
+
+def _pair_values(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The n // 2 descending pair values of stacks g, omega: every other singular value of L^-1 W L^-T, g = L L^T."""
+    chol = np.linalg.cholesky(g)
+    skew = np.linalg.solve(chol, np.linalg.solve(chol, w).mT)
+    return np.linalg.svd(skew, compute_uv=False)[:, : g.shape[-1] - 1 : 2]
 
 
 def infer_epsilon(spectrum: PairedSpectrum) -> float | None:

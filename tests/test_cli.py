@@ -44,7 +44,7 @@ class TestDemoAndBuild:
         main(["demo", "--name", "scaled", "-o", demo])
         assert main(["build", demo]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["format_version"] == 11
+        assert data["format_version"] == 12
         assert data["points"][0]["m"] == 2
 
     def test_demo_residuals_tiny(self, tmp_path):
@@ -369,6 +369,31 @@ class TestColumnarPipeline:
         assert not cf.built.all()  # gap-excluded points take the report's other branch
         with pytest.raises(AssertionError, match="per-point wrapper"):
             cf.outcomes  # the per-point view is built on demand only
+
+    def test_exact_comass_pairs_no_spectrum_outside_the_build(self, tmp_path, monkeypatch):
+        # verify's power checks and comass's exact column come from the pair values alone:
+        # every paired spectrum of these runs is process_field's
+        path = write(tmp_path, "field.calfield", planted_field_text(8, seed=8, points=12))
+        building, spectra = [], []
+        process, paired = cli.process_field, semicalib.construction._paired_stack
+
+        def counting_process(*args):
+            building.append(True)
+            try:
+                return process(*args)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(cli, "process_field", counting_process)
+        for module in (semicalib.construction, spectral):
+            monkeypatch.setattr(module, "_paired_stack", lambda a, *rest: spectra.append(bool(building))
+                                or paired(a, *rest))
+        verify = ["verify", path, "--power", "2", "--power", "3", *FAST, "-o", str(tmp_path / "v.json")]
+        assert main(verify) == 0
+        assert spectra and all(spectra)
+        spectra.clear()
+        assert main(["comass", path, "--power", "2", *FAST, "-o", str(tmp_path / "c.json")]) == 0
+        assert spectra == []
 
     def test_no_per_point_inputs_or_estimates(self, tmp_path, monkeypatch):
         # the grid's and the sampled oracle's columns are read as they are:

@@ -222,7 +222,7 @@ class TestComassExactPower:
             assert len(est.maximizer) == 0
 
     def test_rank_below_2p_in_a_random_frame_is_rounding(self):
-        # eigh gives the kernel's pair values at rounding size, never more
+        # the SVD gives the kernel's pair values at rounding size, never more
         rng = np.random.default_rng(3)
         g, w = normal_form(rng, 8, (1.0, 0.5))
         assert comass_exact(g, PowerForm(w, 2)).value == pytest.approx(0.5, rel=1e-10)
@@ -239,6 +239,20 @@ class TestComassExactPower:
         assert est.value == pytest.approx(1e-5, rel=1e-12)
         sampled = comass_bruteforce(g, PowerForm(w, 2), samples=2_000, restarts=3, seed=0)
         assert sampled.value <= est.value * (1 + 1e-9)
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
+    def test_exact_powers_match_the_paired_spectrum(self, cond, kernel):
+        # the whitened form's singular values give the pair values of the paired spectrum
+        rng = np.random.default_rng(int(cond))
+        for sep in (1e-9, 1e-6, 1e-3):
+            g, w = near_double_form(rng, cond, sep, kernel=kernel)
+            spectrum = paired_spectrum(associated_endomorphism(g, w), g, comass_module._EVERY_BLOCK)
+            top = np.sqrt(spectrum.eigenvalues)
+            exact = comass_module._exact_powers(g.entries[None], w.entries[None], (1, 2, 3, 4))
+            for p, value in exact.items():
+                expected = np.prod(top[:p]) if spectrum.npairs >= p else 0.0
+                assert value[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_first_power_is_the_two_form(self):
         rng = np.random.default_rng(9)
@@ -626,7 +640,7 @@ class TestClosedForms:
         z = rng.standard_normal((c, 2, n))
         E = Y + z - (z @ Y.mT) @ Y  # E Y^T = I, as for the polish's log-gradient
         B = E + shift * Y
-        polar = comass_module._polar(B)
+        polar = comass_module._frame_polar(B)
         u, _, vt = np.linalg.svd(B, full_matrices=False)
         assert np.abs(polar - u @ vt).max() <= 1e-14
         # an entry of P P^T is an n-term dot product; LAPACK's factor reads up to 2.5 n eps here

@@ -32,6 +32,7 @@ from semicalib import (
     process_field,
     verify_field,
 )
+from semicalib.forms import _polar_factor
 from semicalib.jsonio import dumps
 from semicalib.spectral import associated_endomorphism, paired_spectrum
 from helpers import (
@@ -318,7 +319,7 @@ def pointwise(grid, config):
         base = pc.frame[2 * pc.m :]
         if config.use_hints and len(base):
             if prev is not None and len(prev) == len(base):
-                step = semicalib.construction._polar(prev[None], g.entries[None], base[None])[0]
+                step = _polar_factor(prev[None] @ g.entries[None] @ base[None].mT)[0]
                 if rotation is None:
                     rotation = step
                 else:
@@ -770,43 +771,54 @@ class TestVerifyField:
 
     @staticmethod
     def counted_run(monkeypatch, powers):
-        """verify_field on a 3-point n = 8 field: its report, sampled runs and spectrum calls."""
-        calls, spectra = [], []
+        """verify_field on a 3-point n = 8 field: its report, sampled runs, exact-power calls,
+        pair-value calls and paired-spectrum calls, the last three as the rows of each call."""
+        calls, exact_rows, pair_rows, spectrum_rows = [], [], [], []
         sampled, exact = semicalib.field._sampled_stack, semicalib.field._exact_powers
+        pair_values, paired = semicalib.comass._pair_values, semicalib.construction._paired_stack
 
         def counting(g, w, p, *args):
             calls.append((len(g), p))
             return sampled(g, w, p, *args)
 
         def counting_exact(g, w, powers):
-            spectra.append((len(g), tuple(powers)))
+            exact_rows.append((len(g), tuple(powers)))
             return exact(g, w, powers)
 
-        monkeypatch.setattr(semicalib.field, "_sampled_stack", counting)
-        monkeypatch.setattr(semicalib.field, "_exact_powers", counting_exact)
         iu = np.triu_indices(8, 1)
         w = np.zeros((8, 8))
         w[0, 1], w[2, 3], w[4, 5] = 1.0, 0.7, 0.4
         g_upper = " ".join(str(x) for x in np.eye(8)[np.triu_indices(8)])
         grid = parse_calfield(constant_field_text(8, g_upper, " ".join(str(x) for x in w[iu]), 3))
         cfg = FieldConfig(samples=500, restarts=2, powers=powers)
-        return verify_field(process_field(grid, cfg), grid, cfg), calls, spectra
+        cf = process_field(grid, cfg)
+        monkeypatch.setattr(semicalib.field, "_sampled_stack", counting)
+        monkeypatch.setattr(semicalib.field, "_exact_powers", counting_exact)
+        monkeypatch.setattr(semicalib.comass, "_pair_values", lambda g, *rest: pair_rows.append(len(g))
+                            or pair_values(g, *rest))
+        for module in (semicalib.construction, semicalib.spectral):
+            monkeypatch.setattr(module, "_paired_stack", lambda a, *rest: spectrum_rows.append(len(a))
+                                or paired(a, *rest))
+        return verify_field(cf, grid, cfg), calls, exact_rows, pair_rows, spectrum_rows
 
     def test_one_sampled_run_per_point(self, monkeypatch):
         # one stacked sampled run over the slice's points, on Omega (p = 1), and
-        # one stacked spectrum over the rows of (g, omega) and (g_J, Omega), for all powers
-        report, calls, spectra = self.counted_run(monkeypatch, (2, 3))
+        # one stacked pair-value call over the rows of (g, omega) and (g_J, Omega),
+        # for all powers; no paired spectrum runs after the build
+        report, calls, exact_rows, pair_rows, spectrum_rows = self.counted_run(monkeypatch, (2, 3))
         assert report.passed
         assert calls == [(3, 1)]
-        assert spectra == [(6, (2, 3))]
+        assert exact_rows == [(6, (2, 3))]
+        assert pair_rows == [6]
+        assert spectrum_rows == []
         checks = report.data["points"][0]["checks"]
         assert checks["power_3_comass_bound"]["value"] == pytest.approx(0.28, rel=1e-12)
 
     def test_no_spectrum_without_powers(self, monkeypatch):
-        report, calls, spectra = self.counted_run(monkeypatch, ())
+        report, calls, exact_rows, pair_rows, spectrum_rows = self.counted_run(monkeypatch, ())
         assert report.passed
         assert calls == [(3, 1)]
-        assert spectra == []
+        assert exact_rows == pair_rows == spectrum_rows == []
 
     def test_invalid_power_raises(self):
         grid = parse_calfield(MINIMAL)
@@ -861,30 +873,51 @@ class TestVerifyField:
         assert [p["checks"] for p in report.data["points"]] == [{}, {}]
 
 
+def planted_point_field(seed: int):
+    """(construction, grid, planted pair) of a one-point n = 8 field whose form has one calibrated pair."""
+    rng = np.random.default_rng(seed)
+    g = random_pd_metric(rng, 8)
+    w, planted = planted_form(rng, g, blocks=1)
+    text = constant_field_text(
+        8,
+        " ".join(repr(float(x)) for x in g.entries[np.triu_indices(8)]),
+        " ".join(repr(float(x)) for x in w.entries[np.triu_indices(8, 1)]),
+        1,
+    )
+    grid = parse_calfield(text)
+    return process_field(grid), grid, planted.vectors
+
+
+def sampled_checks(cf, grid, omega=None, seed=0):
+    """verify_field's checks of a one-point field at FieldConfig defaults, Omega optionally replaced."""
+    if omega is not None:
+        cf = dataclasses.replace(cf, Omega=TwoForm(omega).entries[None])
+    return verify_field(cf, grid, FieldConfig(seed=seed)).data["points"][0]["checks"]
+
+
+def spectral_pair(cf):
+    """The first pair of the paired spectrum of a one-point field's (g_J, Omega)."""
+    g_j, omega = MetricTensor(cf.g_J[0]), TwoForm(cf.Omega[0])
+    return paired_spectrum(associated_endomorphism(g_j, omega), g_j).basis[:2]
+
+
+def inflated(cf, b0, b1, eps):
+    """Omega grown by eps on the g_J-orthonormal pair (b0, b1) it calibrates: comass 1 + eps."""
+    omega = cf.Omega[0]
+    return omega + eps * (b0 @ omega @ b1) * dual_wedge(MetricTensor(cf.g_J[0]), b0, b1)
+
+
 class TestSampledRunTwoSided:
     """verify's one sampled run, at FieldConfig defaults, catches an Omega that
     is too small as well as one that is too large."""
 
     @pytest.fixture(scope="class")
     def built(self):
-        rng = np.random.default_rng(5)
-        g = random_pd_metric(rng, 8)
-        w, _ = planted_form(rng, g, blocks=1)
-        text = constant_field_text(
-            8,
-            " ".join(repr(float(x)) for x in g.entries[np.triu_indices(8)]),
-            " ".join(repr(float(x)) for x in w.entries[np.triu_indices(8, 1)]),
-            1,
-        )
-        grid = parse_calfield(text)
-        return process_field(grid), grid
+        return planted_point_field(5)[:2]
 
     @staticmethod
     def checks(built, omega=None):
-        cf, grid = built
-        if omega is not None:
-            cf = dataclasses.replace(cf, Omega=TwoForm(omega).entries[None])
-        return verify_field(cf, grid, FieldConfig()).data["points"][0]["checks"]
+        return sampled_checks(*built, omega)
 
     def test_construction_passes_both_sides(self, built):
         checks = self.checks(built)
@@ -901,14 +934,41 @@ class TestSampledRunTwoSided:
 
     def test_inflated_pair_fails_bound(self, built):
         # Omega grown by 1e-6 on one g_J-orthonormal pair has comass 1 + 1e-6
-        pc = built[0].outcomes[0].construction
-        omega = pc.omega_total.entries
-        b0, b1 = paired_spectrum(associated_endomorphism(pc.g_j, pc.omega_total), pc.g_j).basis[:2]
-        inflated = omega + 1e-6 * (b0 @ omega @ b1) * dual_wedge(pc.g_j, b0, b1)
-        checks = self.checks(built, inflated)
+        checks = self.checks(built, inflated(built[0], *spectral_pair(built[0]), 1e-6))
         assert checks["Omega_comass_sampled_bound"]["value"] > 1 + 1e-8
         assert checks["Omega_comass_sampled_bound"]["pass"] is False
         assert checks["Omega_comass_sampled_attained"]["pass"] is True
+
+
+class TestSampledBoundDetection:
+    """How often verify's sampled run, at FieldConfig defaults, catches an Omega grown by eps on one pair.
+
+    One-point fields as TestSampledRunTwoSided builds its own, at rng seeds 0-5,
+    each verified with seeds 0-2: 18 runs per case.  ``planted`` grows the
+    input's calibrated pair, which stays g_J-orthonormal and calibrated by
+    Omega.  ``spectral`` grows the first pair of Omega's paired spectrum under
+    g_J, one arbitrary choice in an eigenspace where every pair value is 1;
+    at some seeds it lies where g_J is small against the coordinates, which
+    the sampler's draws, isotropic in the coordinates, rarely reach: there a
+    1e-6 excess can go unseen.  The counts are floors that a change to the
+    sampled run must keep; ``calibration_unit_comass`` is the exact check.
+    """
+
+    CAUGHT = {("planted", 1e-6): 18, ("planted", 1e-8): 18, ("spectral", 1e-6): 17, ("spectral", 1e-8): 10}
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        return [planted_point_field(seed) for seed in range(6)]
+
+    @pytest.mark.parametrize("pair, eps", list(CAUGHT))
+    def test_caught_at_defaults(self, fields, pair, eps):
+        caught = 0
+        for cf, grid, planted in fields:
+            b0, b1 = planted if pair == "planted" else spectral_pair(cf)
+            for seed in range(3):
+                checks = sampled_checks(cf, grid, inflated(cf, b0, b1, eps), seed)
+                caught += not checks["Omega_comass_sampled_bound"]["pass"]
+        assert caught >= self.CAUGHT[pair, eps]
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from semicalib import (
     gram_schmidt,
     plane_area,
 )
+from semicalib.forms import _polar_factor
 from helpers import random_pd_metric, random_two_form
 
 E4 = np.eye(4)
@@ -197,6 +198,18 @@ class TestGramSchmidt:
         g = random_pd_metric(rng, 7)
         out = gram_schmidt(g, Frame(rng.standard_normal((5, 7))))
         assert np.abs(out.vectors @ g.entries @ out.vectors.T - np.eye(5)).max() < 1e-12
+
+
+class TestPolarFactor:
+    @pytest.mark.parametrize("k, n", [(2, 2), (2, 8), (3, 5), (8, 8)])
+    def test_nearest_orthonormal_rows(self, k, n):
+        # B = H Q with H = (B B^T)^1/2: Q has orthonormal rows and B Q^T = H is symmetric positive definite
+        B = np.random.default_rng(k * n).standard_normal((20, k, n))
+        Q = _polar_factor(B)
+        assert np.abs(Q @ Q.mT - np.eye(k)).max() <= 1e-14
+        H = B @ Q.mT
+        assert np.abs(H - H.mT).max() <= 1e-13
+        assert np.linalg.eigvalsh((H + H.mT) / 2)[:, 0].min() > 0
 
 
 class TestFrame:

@@ -28,5 +28,5 @@ def test_digests_match_the_committed_file():
         os.environ.clear()
         os.environ.update(saved)
     committed = json.loads((BENCH / "report_digests.json").read_text())
-    assert FORMAT_VERSION == 11, "a new format_version needs re-recorded digests"
+    assert FORMAT_VERSION == 12, "a new format_version needs re-recorded digests"
     assert script.digests() == committed
