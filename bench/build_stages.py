@@ -7,15 +7,20 @@ CALFIELD text, ``process_field`` on the parsed grid, ``build_report`` on the
 construction and ``jsonio.dumps`` on the report.  The inputs are seeded
 ``smooth_field`` fields from ``perfbench/inputs.py`` (imported, never
 changed) at n = 4, 8 and 16 with N = 100 and N = 1000 points and no gap
-violations, each drawn from its own generator seeded with ``SEED``.  Each
-stage keeps the median of ``REPEATS`` passes.  ``--src`` chooses the source
-tree to import, so one copy of this script times two commits on the same
-machine; each invocation appends one run under ``--label`` and refreshes that
-label's medians and, beside them, its first and third quartiles (``q1``,
-``q3``), the spread a later run is compared against.  A run is refused when
-the file's recorded machine or setup differs from the current one, so every
-label in one file is comparable.  BLAS runs on one thread, as in the
-benchmark.
+violations, each drawn from its own generator seeded with ``SEED``.  Around
+every stage the host reference kernel of ``perfbench/workloads.py``
+(``HostReference``, imported, never changed) is timed too: the mean of the
+medians of three kernel runs before the stage and three after it.  Each stage
+and its kernel time keep the median of ``REPEATS`` passes.  ``--src`` chooses
+the source tree to import, so one copy of this script times two commits on
+the same machine; each invocation appends one run under ``--label`` and
+refreshes that label's medians and, beside them, its first and third
+quartiles (``q1``, ``q3``), the spread a later run is compared against.
+Under ``scaled`` the same three statistics are given for each stage divided
+by its kernel time, a measure that follows the code and not the host's
+drift.  A run is refused when the file's recorded machine or setup differs
+from the current one, so every label in one file is comparable.  BLAS runs
+on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import json
 import os
 import platform
 import sys
-import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -54,42 +58,67 @@ def field_texts() -> dict:
     }
 
 
-def time_stages(text: str) -> dict:
-    """Seconds of each build stage on one field, the median of REPEATS passes."""
+def host_reference():
+    """``around(fn)``: (fn's result, its seconds, the host reference kernel's seconds around it).
+
+    ``perfbench/workloads.py`` imports semicalib, so call this once the
+    measured tree is first on ``sys.path``.
+    """
+    sys.path.insert(0, os.path.abspath(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    host = workloads.HostReference()
+
+    def around(fn):
+        result, elapsed, slowdown = host.around(fn)
+        return result, elapsed, slowdown * workloads.REF_NOMINAL_S
+
+    return around
+
+
+def time_stages(text: str, around) -> dict:
+    """Seconds of each build stage on one field and of the kernel around it, the medians of REPEATS passes."""
     from semicalib.field import build_report, parse_calfield, process_field
     from semicalib.jsonio import dumps
 
+    steps = {"parse_calfield": lambda _: parse_calfield(text), "process_field": process_field,
+             "build_report": build_report, "dumps": dumps}
     rows = []
     for _ in range(REPEATS):
-        row = {}
-        start = time.perf_counter()
-        grid = parse_calfield(text)
-        row["parse_calfield"] = time.perf_counter() - start
-        start = time.perf_counter()
-        cf = process_field(grid)
-        row["process_field"] = time.perf_counter() - start
-        start = time.perf_counter()
-        report = build_report(cf)
-        row["build_report"] = time.perf_counter() - start
-        start = time.perf_counter()
-        out = dumps(report)
-        row["dumps"] = time.perf_counter() - start
+        row, value = {}, None
+        for stage, step in steps.items():
+            value, row[f"{stage}_s"], row[f"{stage}_ref_s"] = around(lambda: step(value))
         rows.append(row)
-    med = {f"{stage}_s": float(np.median([r[stage] for r in rows])) for stage in STAGES}
-    med["total_s"] = sum(med.values())
-    med["report_bytes"] = len(out)
+    med = {key: float(np.median([r[key] for r in rows])) for key in rows[0]}
+    med["total_s"] = sum(med[f"{stage}_s"] for stage in STAGES)
+    med["report_bytes"] = len(value)
     return med
 
 
 def summarize(runs: list[dict]) -> dict:
-    """The label's ``median``, ``q1`` and ``q3`` of every stage of every field over its runs."""
-    def percentile(q: float) -> dict:
+    """The label's ``median``, ``q1`` and ``q3`` of every stage of every field over its runs.
+
+    ``scaled`` holds the same for each stage divided by the kernel time
+    around it, and their sum as ``total``.
+    """
+    def percentiles(rows: list[dict]) -> dict:
         return {
-            field: {key: float(np.percentile([r[field][key] for r in runs], q)) for key in runs[0][field]}
-            for field in runs[0]
+            name: {
+                field: {key: float(np.percentile([r[field][key] for r in rows], q)) for key in rows[0][field]}
+                for field in rows[0]
+            }
+            for name, q in (("median", 50), ("q1", 25), ("q3", 75))
         }
 
-    return {"median": percentile(50), "q1": percentile(25), "q3": percentile(75)}
+    scaled = []
+    for run in runs:
+        scaled.append({})
+        for field, row in run.items():
+            stages = {stage: row[f"{stage}_s"] / row[f"{stage}_ref_s"] for stage in STAGES}
+            scaled[-1][field] = {**stages, "total": sum(stages.values())}
+    return {**percentiles(runs), "scaled": percentiles(scaled)}
 
 
 def main(argv=None) -> int:
@@ -107,6 +136,8 @@ def main(argv=None) -> int:
                   "one numpy default_rng(seed) per field",
         "stages": "parse_calfield, process_field (default FieldConfig), build_report, jsonio.dumps; "
                   "each the median over repeats, in process",
+        "host_reference": "perfbench/workloads.py HostReference.around each stage: the mean of the medians "
+                          "of 3 kernel runs before and 3 after; scaled = stage seconds / kernel seconds",
     }
     machine = {
         "platform": platform.platform(), "python": platform.python_version(),
@@ -123,8 +154,9 @@ def main(argv=None) -> int:
 
     texts = field_texts()
     sys.path.insert(0, os.path.abspath(args.src))
-    time_stages(texts[f"n{DIMS[0]}_N{SIZES[0]}"])  # warm-up: imports, LAPACK initialisation
-    run = {name: time_stages(text) for name, text in texts.items()}
+    around = host_reference()
+    time_stages(texts[f"n{DIMS[0]}_N{SIZES[0]}"], around)  # warm-up: imports, LAPACK initialisation
+    run = {name: time_stages(text, around) for name, text in texts.items()}
     entry = data.setdefault("results", {}).setdefault(args.label, {"runs": []})
     entry["runs"].append(run)
     entry.update(summarize(entry["runs"]))

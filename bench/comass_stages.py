@@ -14,13 +14,20 @@ private stage functions, so the numbers are only as stable as those names;
 at verify's default sampling follow: ``--power 2 --power 3`` on a one-point
 n = 8 field, the median of VERIFY_CALLS calls of a few ms each, and one
 call without ``--power`` on a seeded N = 1000, n = 8 smooth field from
-``perfbench/inputs.py`` (imported, never changed).  ``--src`` chooses the
+``perfbench/inputs.py`` (imported, never changed).  Around every oracle
+call and every ``verify`` call the host reference kernel of
+``perfbench/workloads.py`` (``HostReference``, imported, never changed) is
+timed too: the mean of the medians of three kernel runs before the call and
+three after it; each row keeps the median kernel time of its calls as
+``ref_s`` (``<row>_ref_s`` for the ``verify`` rows).  ``--src`` chooses the
 source tree to import, so one copy of this script times two commits on the
 same machine; each invocation appends one run under ``--label`` and refreshes
 that label's medians and, beside them, its first and third quartiles (``q1``,
-``q3``), the spread a later run is compared against.  A run is refused when
-the file's recorded machine or setup differs from the current one, so every
-label in one file is comparable.  BLAS runs on one thread, as in the
+``q3``), the spread a later run is compared against.  Under ``scaled`` the
+same three statistics are given for each time divided by its kernel time, a
+measure that follows the code and not the host's drift.  A run is refused
+when the file's recorded machine or setup differs from the current one, so
+every label in one file is comparable.  BLAS runs on one thread, as in the
 benchmark.
 """
 
@@ -126,7 +133,27 @@ class StageTimer:
             setattr(self.module, name, fn)
 
 
-def time_oracle(G, W) -> dict:
+def host_reference():
+    """``around(fn)``: (fn's result, its seconds, the host reference kernel's seconds around it).
+
+    ``perfbench/workloads.py`` imports semicalib, so call this once the
+    measured tree is first on ``sys.path``.
+    """
+    sys.path.insert(0, os.path.abspath(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    host = workloads.HostReference()
+
+    def around(fn):
+        result, elapsed, slowdown = host.around(fn)
+        return result, elapsed, slowdown * workloads.REF_NOMINAL_S
+
+    return around
+
+
+def time_oracle(G, W, around) -> dict:
     import semicalib.comass as comass
     from semicalib import FieldConfig, MetricTensor, PowerForm, TwoForm, comass_bruteforce
 
@@ -137,13 +164,12 @@ def time_oracle(G, W) -> dict:
         rows = []
         for seed in SEEDS:
             with StageTimer(comass) as timer:
-                start = time.perf_counter()
-                comass_bruteforce(g, PowerForm(w, p), samples=ORACLE_SAMPLES,
-                                  restarts=config.restarts, seed=seed)
-                call = time.perf_counter() - start
+                _, call, ref = around(lambda: comass_bruteforce(g, PowerForm(w, p), samples=ORACLE_SAMPLES,
+                                                                restarts=config.restarts, seed=seed))
             row = {f"{stage}_s": t for stage, t in timer.seconds.items()}
             row["other_s"] = call - sum(row.values())
             row["call_s"] = call
+            row["ref_s"] = ref
             rows.append(row)
         out[f"p{p}"] = _median_rows(rows)
     return out
@@ -153,33 +179,46 @@ def _median_rows(rows: list[dict]) -> dict:
     return {key: float(np.median([r[key] for r in rows])) for key in rows[0]}
 
 
-def time_verify(text: str, extra=()) -> float:
-    """Seconds of one in-process ``semicalib verify`` on the CALFIELD ``text``."""
+def time_verify(text: str, around, extra=()) -> tuple[float, float]:
+    """(seconds of one in-process ``semicalib verify`` on the CALFIELD ``text``, kernel seconds around it)."""
     from semicalib import cli
 
     with tempfile.TemporaryDirectory() as tmp:
         src, dst = os.path.join(tmp, "field.calfield"), os.path.join(tmp, "verify.json")
         with open(src, "w") as handle:
             handle.write(text)
-        start = time.perf_counter()
-        code = cli.main(["verify", src, "-o", dst, *extra])
-        elapsed = time.perf_counter() - start
+        code, elapsed, ref = around(lambda: cli.main(["verify", src, "-o", dst, *extra]))
     if code != 0:
         raise SystemExit(f"verify exited {code}")
-    return elapsed
+    return elapsed, ref
 
 
-VERIFY_ROWS = ("verify_power_2_3_s", "verify_field_n1000_s")
+VERIFY_ROWS = ("verify_power_2_3", "verify_field_n1000")
 
 
 def summarize(runs: list[dict]) -> dict:
-    """The label's ``median``, ``q1`` and ``q3`` over its runs: each power's stages, then VERIFY_ROWS."""
-    def percentile(q: float) -> dict:
-        stages = {p: {key: float(np.percentile([r["comass"][p][key] for r in runs], q)) for key in stage}
-                  for p, stage in runs[0]["comass"].items()}
-        return {**stages, **{key: float(np.percentile([r[key] for r in runs], q)) for key in VERIFY_ROWS}}
+    """The label's ``median``, ``q1`` and ``q3`` over its runs: each power's stages, then VERIFY_ROWS.
 
-    return {"median": percentile(50), "q1": percentile(25), "q3": percentile(75)}
+    ``scaled`` holds the same for each time divided by the kernel time around it.
+    """
+    def percentiles(rows: list[dict]) -> dict:
+        def percentile(q: float) -> dict:
+            stages = {p: {key: float(np.percentile([r["comass"][p][key] for r in rows], q)) for key in stage}
+                      for p, stage in rows[0]["comass"].items()}
+            return {**stages, **{key: float(np.percentile([r[key] for r in rows], q))
+                                 for key in rows[0] if key != "comass"}}
+
+        return {"median": percentile(50), "q1": percentile(25), "q3": percentile(75)}
+
+    scaled = [
+        {
+            "comass": {p: {key[:-2]: t / row["ref_s"] for key, t in row.items() if key != "ref_s"}
+                       for p, row in run["comass"].items()},
+            **{key: run[f"{key}_s"] / run[f"{key}_ref_s"] for key in VERIFY_ROWS},
+        }
+        for run in runs
+    ]
+    return {**percentiles(runs), "scaled": percentiles(scaled)}
 
 
 def main(argv=None) -> int:
@@ -201,6 +240,8 @@ def main(argv=None) -> int:
                   f"median of {VERIFY_CALLS} calls",
         "verify_field": f"semicalib verify, perfbench/inputs.py smooth_field with seed {FIELD_SEED}, "
                         f"N={FIELD_POINTS}, n={N}, no gap points, in process",
+        "host_reference": "perfbench/workloads.py HostReference.around each oracle and verify call: the mean "
+                          "of the medians of 3 kernel runs before and 3 after; scaled = seconds / kernel seconds",
     }
     machine = {
         "platform": platform.platform(), "python": platform.python_version(),
@@ -216,15 +257,20 @@ def main(argv=None) -> int:
                                  "write to a new file")
 
     sys.path.insert(0, os.path.abspath(args.src))
+    around = host_reference()
     G, W = planted_point()
     point = field_text(G, W)
     powers = ["--power", "2", "--power", "3"]
-    time_verify(point, powers)  # warm-up: imports, LAPACK initialisation
-    passes = [time_oracle(G, W) for _ in range(REPEATS)]
+    time_verify(point, around, powers)  # warm-up: imports, LAPACK initialisation
+    passes = [time_oracle(G, W, around) for _ in range(REPEATS)]
+    calls = np.array([time_verify(point, around, powers) for _ in range(VERIFY_CALLS)])
+    field_s, field_ref_s = time_verify(smooth_field_text(), around)
     run = {
         "comass": {p: _median_rows([x[p] for x in passes]) for p in passes[0]},
-        "verify_power_2_3_s": float(np.median([time_verify(point, powers) for _ in range(VERIFY_CALLS)])),
-        "verify_field_n1000_s": time_verify(smooth_field_text()),
+        "verify_power_2_3_s": float(np.median(calls[:, 0])),
+        "verify_power_2_3_ref_s": float(np.median(calls[:, 1])),
+        "verify_field_n1000_s": field_s,
+        "verify_field_n1000_ref_s": field_ref_s,
     }
     entry = data.setdefault("results", {}).setdefault(args.label, {"runs": []})
     entry["runs"].append(run)

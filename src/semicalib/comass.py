@@ -289,8 +289,7 @@ def _frame_polar(B: np.ndarray) -> np.ndarray:
     return ((tau2 - sigma)[:, None, None] * B - a @ B) / (sigma * np.sqrt(tau2))[:, None, None]
 
 
-def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray,
-            shift: float = _POLISH_SHIFT):
+def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray, shift: float, max_iter: int):
     """Deterministic ascent of |form value| over g-orthonormal frames, every restart of a stack at once.
 
     ``G`` and ``w`` are (P, n, n) stacks; restart j is the g-orthonormal
@@ -302,7 +301,9 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray,
     SIAM J. Matrix Anal. Appl. 20, 1998), with s = ``shift``: the default
     ``_POLISH_SHIFT`` = 0.5 for generic forms (``comass_bruteforce``,
     ``semicalib comass``), and 1 for ``verify``'s run on a calibration whose
-    pair values are all 1 (see ``field._VERIFY_POLISH_SHIFT``).  At k = 2 the
+    pair values are all 1 (see ``field._VERIFY_POLISH_SHIFT``).  It stops
+    after ``max_iter`` steps: ``_POLISH_MAX_ITER`` = 1000 for generic forms,
+    and ``field._VERIFY_POLISH_MAX_ITER`` = 50 for ``verify``'s run.  At k = 2 the
     solve and the polar factor are 2x2 closed forms (:func:`_solve`,
     :func:`_frame_polar`) and need no rank guard for any s >= 0: E Y^T = M^-1 M = I,
     so B = E + s Y has B Y^T = (1 + s) I and, Y^T Y being a projection,
@@ -323,7 +324,7 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray,
     gradient = np.full(len(Y), np.inf)
     iterations = np.zeros(len(G), dtype=int)
     step = 0
-    while act.size and step < _POLISH_MAX_ITER:
+    while act.size and step < max_iter:
         step += 1
         iterations[point[act]] = step
         Ya = Y[act]
@@ -338,13 +339,14 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray,
 
 
 def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts: int, seeds,
-                   shift: float = _POLISH_SHIFT):
+                   shift: float = _POLISH_SHIFT, max_iter: int | None = None):
     """Sampled comass of (1/p!) omega^p at a stack of points (G, W), (P, n, n) each, as columns.
 
     Each point draws ``samples`` frames from its own stream,
     ``default_rng(seeds[i])``, and keeps the ``restarts`` best by |Pf| (one
-    when ``restarts`` is 0).  One :func:`_polish` with ``shift`` then runs
-    every restart of every point, unless ``restarts`` is 0; one Gram-Schmidt pass
+    when ``restarts`` is 0).  One :func:`_polish` with ``shift`` and the step
+    cap ``max_iter`` (``_POLISH_MAX_ITER`` when None) then runs every restart
+    of every point, unless ``restarts`` is 0; one Gram-Schmidt pass
     re-orthonormalizes all of them, and each point reports its largest
     signed value, the frame's first two vectors swapped where the sign is
     negative, with a lexicographic frame tie-break.  Returns the columns
@@ -377,10 +379,11 @@ def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts:
 
     iterations, capped = np.zeros(len(starts), dtype=int), np.zeros(len(starts), dtype=bool)
     if restarts > 0:
-        frames, iterations, capped = _polish(G, W, frames, point, shift)
+        max_iter = _POLISH_MAX_ITER if max_iter is None else max_iter
+        frames, iterations, capped = _polish(G, W, frames, point, shift, max_iter)
         if capped.any():
             _log.warning("comass polish stopped at the %d-iteration cap at %d point(s) (degree %d, n=%d); "
-                         "their sampled values are still lower bounds", _POLISH_MAX_ITER, capped.sum(), k, n)
+                         "their sampled values are still lower bounds", max_iter, capped.sum(), k, n)
 
     rows = _gram_schmidt_stack(G[point], frames.transpose(1, 0, 2).copy())[0].transpose(1, 0, 2)
     values = _signed_values(W[point], rows)

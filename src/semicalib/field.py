@@ -101,6 +101,11 @@ METRIC_DOMINATION_SLACK = 1e-9
 # r < 1 the factors are (s +- r)/(1 + s), so s = 1 is slower there, and s = 0
 # never converges on equal pair values.
 _VERIFY_POLISH_SHIFT = 1.0
+# The step cap of that run, 5x the largest count of valid input (10 steps on
+# the near-double grid).  Where Omega exceeds comass 1 by a small eps on one
+# pair, a step contracts toward that pair only by about 1 - eps/2, so the
+# polish runs to its cap; generic forms keep comass._POLISH_MAX_ITER = 1000.
+_VERIFY_POLISH_MAX_ITER = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,7 +531,7 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
         g_j, omega = cf.g_J[rows], cf.Omega[rows]
         seeds = [np.random.SeedSequence(config.seed, spawn_key=(i, 0)) for i in rows.tolist()]
         sampled[rows] = _sampled_stack(g_j, omega, 1, config.samples, config.restarts, seeds,
-                                       _VERIFY_POLISH_SHIFT)[0]
+                                       _VERIFY_POLISH_SHIFT, _VERIFY_POLISH_MAX_ITER)[0]
         if powers:
             exact = _exact_powers(np.concatenate([g_in[rows], g_j]), np.concatenate([w_in[rows], omega]), powers)
             for p in powers:

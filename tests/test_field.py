@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import logging
 import sys
 from pathlib import Path
 
@@ -969,6 +970,44 @@ class TestSampledBoundDetection:
                 checks = sampled_checks(cf, grid, inflated(cf, b0, b1, eps), seed)
                 caught += not checks["Omega_comass_sampled_bound"]["pass"]
         assert caught >= self.CAUGHT[pair, eps]
+
+
+class TestVerifyPolishCap:
+    """verify's sampled run stops at its own step cap, not comass_bruteforce's 1000."""
+
+    @staticmethod
+    def recorded_run(monkeypatch, omega_of):
+        """(checks, sampled columns) of verify on rng seed 1's one-point field, Omega replaced by omega_of(cf, pair)."""
+        columns = []
+        sampled_stack = semicalib.field._sampled_stack
+
+        def recorded(*args):
+            columns.append(sampled_stack(*args))
+            return columns[-1]
+
+        monkeypatch.setattr(semicalib.field, "_sampled_stack", recorded)
+        cf, grid, planted = planted_point_field(1)
+        checks = sampled_checks(cf, grid, omega_of(cf, planted))
+        (column,) = columns
+        return checks, column
+
+    def test_planted_excess_stops_at_the_cap_and_is_caught(self, monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger="semicalib"):
+            checks, (_, _, _, iterations, capped) = self.recorded_run(
+                monkeypatch, lambda cf, pair: inflated(cf, *pair, 1e-6))
+        assert semicalib.field._VERIFY_POLISH_MAX_ITER == 50
+        assert iterations.tolist() == [50] and capped.tolist() == [True]
+        assert checks["Omega_comass_sampled_bound"]["pass"] is False
+        assert checks["Omega_comass_sampled_bound"]["value"] > 1 + 5e-7
+        messages = [r.getMessage() for r in caplog.records if r.name == "semicalib"]
+        assert len(messages) == 1 and "the 50-iteration cap at 1 point(s)" in messages[0]
+
+    def test_valid_point_converges_far_below_the_cap(self, monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger="semicalib"):
+            checks, (_, _, _, iterations, capped) = self.recorded_run(monkeypatch, lambda cf, pair: None)
+        assert 0 < iterations[0] <= 10 and not capped[0]
+        assert checks["Omega_comass_sampled_bound"]["pass"] is True
+        assert not caplog.records
 
 
 class TestDeterminism:
