@@ -7,75 +7,43 @@ CALFIELD text, ``process_field`` on the parsed grid, ``build_report`` on the
 construction and ``jsonio.dumps`` on the report.  The inputs are seeded
 ``smooth_field`` fields from ``perfbench/inputs.py`` (imported, never
 changed) at n = 4, 8 and 16 with N = 100 and N = 1000 points and no gap
-violations, each drawn from its own generator seeded with ``SEED``.  Around
-every stage the host reference kernel of ``perfbench/workloads.py``
-(``HostReference``, imported, never changed) is timed too: the mean of the
-medians of three kernel runs before the stage and three after it.  Each stage
-and its kernel time keep the median of ``REPEATS`` passes.  ``--src`` chooses
-the source tree to import, so one copy of this script times two commits on
-the same machine; each invocation appends one run under ``--label`` and
-refreshes that label's medians and, beside them, its first and third
-quartiles (``q1``, ``q3``), the spread a later run is compared against.
-Under ``scaled`` the same three statistics are given for each stage divided
-by its kernel time, a measure that follows the code and not the host's
-drift.  A run is refused when the file's recorded machine or setup differs
-from the current one, so every label in one file is comparable.  BLAS runs
-on one thread, as in the benchmark.
+violations, each drawn from its own generator seeded with ``SEED``.  Each
+stage and the host reference kernel around it (``bench/harness.py``) keep the
+median of ``REPEATS`` passes; ``scaled`` divides each stage by its kernel
+time and adds the quotients up as ``total``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
+import harness  # first: pins BLAS to one thread before numpy loads
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 DIMS = (4, 8, 16)
 SIZES = (100, 1000)
 SEED = 1
 REPEATS = 3
 STAGES = ("parse_calfield", "process_field", "build_report", "dumps")
-PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+SETUP = {
+    "script": "bench/build_stages.py",
+    "dims": list(DIMS), "sizes": list(SIZES), "seed": SEED, "repeats": REPEATS,
+    "fields": "perfbench/inputs.py smooth_field, default pair values, no gap points, "
+              "one numpy default_rng(seed) per field",
+    "stages": "parse_calfield, process_field (default FieldConfig), build_report, jsonio.dumps; "
+              "each the median over repeats, in process",
+    "host_reference": "perfbench/workloads.py HostReference.around each stage: the mean of the medians "
+                      "of 3 kernel runs before and 3 after; scaled = stage seconds / kernel seconds",
+}
 
 
 def field_texts() -> dict:
     """{"n<n>_N<N>": CALFIELD text} of the seeded smooth fields."""
-    sys.path.insert(0, os.path.abspath(PERFBENCH))
-    try:
-        import inputs
-    finally:
-        sys.path.pop(0)
+    inputs = harness.sibling("perfbench", "inputs")
     return {
         f"n{n}_N{size}": inputs.smooth_field(np.random.default_rng(SEED), f"n{n}", n, size, 0).text
         for n in DIMS
         for size in SIZES
     }
-
-
-def host_reference():
-    """``around(fn)``: (fn's result, its seconds, the host reference kernel's seconds around it).
-
-    ``perfbench/workloads.py`` imports semicalib, so call this once the
-    measured tree is first on ``sys.path``.
-    """
-    sys.path.insert(0, os.path.abspath(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    host = workloads.HostReference()
-
-    def around(fn):
-        result, elapsed, slowdown = host.around(fn)
-        return result, elapsed, slowdown * workloads.REF_NOMINAL_S
-
-    return around
 
 
 def time_stages(text: str, around) -> dict:
@@ -97,74 +65,25 @@ def time_stages(text: str, around) -> dict:
     return med
 
 
-def summarize(runs: list[dict]) -> dict:
-    """The label's ``median``, ``q1`` and ``q3`` of every stage of every field over its runs.
+def scaled(run: dict) -> dict:
+    """Each field's stages divided by the kernel time around them, and their sum as ``total``."""
+    out = {}
+    for field, row in run.items():
+        stages = {stage: row[f"{stage}_s"] / row[f"{stage}_ref_s"] for stage in STAGES}
+        out[field] = {**stages, "total": sum(stages.values())}
+    return out
 
-    ``scaled`` holds the same for each stage divided by the kernel time
-    around it, and their sum as ``total``.
-    """
-    def percentiles(rows: list[dict]) -> dict:
-        return {
-            name: {
-                field: {key: float(np.percentile([r[field][key] for r in rows], q)) for key in rows[0][field]}
-                for field in rows[0]
-            }
-            for name, q in (("median", 50), ("q1", 25), ("q3", 75))
-        }
 
-    scaled = []
-    for run in runs:
-        scaled.append({})
-        for field, row in run.items():
-            stages = {stage: row[f"{stage}_s"] / row[f"{stage}_ref_s"] for stage in STAGES}
-            scaled[-1][field] = {**stages, "total": sum(stages.values())}
-    return {**percentiles(runs), "scaled": percentiles(scaled)}
+def measure() -> dict:
+    texts = field_texts()
+    around = harness.host_reference()
+    time_stages(texts[f"n{DIMS[0]}_N{SIZES[0]}"], around)  # warm-up: imports, LAPACK initialisation
+    return {name: time_stages(text, around) for name, text in texts.items()}
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="name of the measured tree, e.g. parent or change")
-    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
-                        help="source tree holding the semicalib package (default: this checkout)")
-    parser.add_argument("-o", "--output", default="BENCH_build.json")
-    args = parser.parse_args(argv)
-
-    setup = {
-        "script": "bench/build_stages.py",
-        "dims": list(DIMS), "sizes": list(SIZES), "seed": SEED, "repeats": REPEATS,
-        "fields": "perfbench/inputs.py smooth_field, default pair values, no gap points, "
-                  "one numpy default_rng(seed) per field",
-        "stages": "parse_calfield, process_field (default FieldConfig), build_report, jsonio.dumps; "
-                  "each the median over repeats, in process",
-        "host_reference": "perfbench/workloads.py HostReference.around each stage: the mean of the medians "
-                          "of 3 kernel runs before and 3 after; scaled = stage seconds / kernel seconds",
-    }
-    machine = {
-        "platform": platform.platform(), "python": platform.python_version(),
-        "numpy": np.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
-    }
-    data = {"setup": setup, "machine": machine}
-    if os.path.exists(args.output):
-        with open(args.output) as handle:
-            data = json.load(handle)
-        for key, current in (("setup", setup), ("machine", machine)):
-            if data.get(key) != current:
-                raise SystemExit(f"{args.output} records another {key}: {data.get(key)} != {current}; "
-                                 "write to a new file")
-
-    texts = field_texts()
-    sys.path.insert(0, os.path.abspath(args.src))
-    around = host_reference()
-    time_stages(texts[f"n{DIMS[0]}_N{SIZES[0]}"], around)  # warm-up: imports, LAPACK initialisation
-    run = {name: time_stages(text, around) for name, text in texts.items()}
-    entry = data.setdefault("results", {}).setdefault(args.label, {"runs": []})
-    entry["runs"].append(run)
-    entry.update(summarize(entry["runs"]))
-    with open(args.output, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps({args.label: {key: value for key, value in entry.items() if key != "runs"}},
-                     indent=2, sort_keys=True))
+    args = harness.parse_args(__doc__, argv, label=True, output="BENCH_build.json")
+    harness.record(args.output, args.label, SETUP, measure, scaled)
     return 0
 
 

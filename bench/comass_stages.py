@@ -14,37 +14,21 @@ private stage functions, so the numbers are only as stable as those names;
 at verify's default sampling follow: ``--power 2 --power 3`` on a one-point
 n = 8 field, the median of VERIFY_CALLS calls of a few ms each, and one
 call without ``--power`` on a seeded N = 1000, n = 8 smooth field from
-``perfbench/inputs.py`` (imported, never changed).  Around every oracle
-call and every ``verify`` call the host reference kernel of
-``perfbench/workloads.py`` (``HostReference``, imported, never changed) is
-timed too: the mean of the medians of three kernel runs before the call and
-three after it; each row keeps the median kernel time of its calls as
-``ref_s`` (``<row>_ref_s`` for the ``verify`` rows).  ``--src`` chooses the
-source tree to import, so one copy of this script times two commits on the
-same machine; each invocation appends one run under ``--label`` and refreshes
-that label's medians and, beside them, its first and third quartiles (``q1``,
-``q3``), the spread a later run is compared against.  Under ``scaled`` the
-same three statistics are given for each time divided by its kernel time, a
-measure that follows the code and not the host's drift.  A run is refused
-when the file's recorded machine or setup differs from the current one, so
-every label in one file is comparable.  BLAS runs on one thread, as in the
-benchmark.
+``perfbench/inputs.py`` (imported, never changed).  Every oracle call and
+every ``verify`` call is timed with the host reference kernel around it
+(``bench/harness.py``); each ``p<p>`` row keeps the median kernel time of its
+calls as ``ref_s``, each ``verify`` row as ``<row>_ref_s``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
-import sys
 import tempfile
 import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import harness  # first: pins BLAS to one thread before numpy loads
 
-import numpy as np  # noqa: E402
+import numpy as np
 
 N = 8
 PAIR_VALUES = (1.0, 0.7, 0.4)  # the last pair of R^8 is kernel
@@ -55,7 +39,21 @@ ORACLE_SAMPLES = 20_000  # semicalib comass's default
 VERIFY_CALLS = 21  # one-point verify calls per run; one call alone varies by half its time
 FIELD_POINTS = 1000
 FIELD_SEED = 1
-PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+VERIFY_ROWS = ("verify_power_2_3", "verify_field_n1000")
+SETUP = {
+    "script": "bench/comass_stages.py",
+    "n": N, "pair_values": list(PAIR_VALUES), "powers": list(POWERS), "seeds": list(SEEDS),
+    "repeats": REPEATS,
+    "oracle_samples": ORACLE_SAMPLES,
+    "oracle": "comass_bruteforce with oracle_samples and FieldConfig's default restarts; "
+              "stage times are medians over seeds, then over repeats",
+    "verify": f"semicalib verify --power 2 --power 3, one point, in process, "
+              f"median of {VERIFY_CALLS} calls",
+    "verify_field": f"semicalib verify, perfbench/inputs.py smooth_field with seed {FIELD_SEED}, "
+                    f"N={FIELD_POINTS}, n={N}, no gap points, in process",
+    "host_reference": "perfbench/workloads.py HostReference.around each oracle and verify call: the mean "
+                      "of the medians of 3 kernel runs before and 3 after; scaled = seconds / kernel seconds",
+}
 
 
 def planted_point(seed: int = 8):
@@ -75,11 +73,7 @@ def planted_point(seed: int = 8):
 
 def smooth_field_text() -> str:
     """CALFIELD text of the seeded FIELD_POINTS-point smooth field at n = N, without gap violations."""
-    sys.path.insert(0, os.path.abspath(PERFBENCH))
-    try:
-        import inputs
-    finally:
-        sys.path.pop(0)
+    inputs = harness.sibling("perfbench", "inputs")
     rng = np.random.default_rng(FIELD_SEED)
     return inputs.smooth_field(rng, "verify-field", N, FIELD_POINTS, 0).text
 
@@ -96,29 +90,23 @@ def field_text(G, W) -> str:
 
 
 class StageTimer:
-    """Wraps the oracle's stage functions; ranking inside the ascent counts as ascent."""
+    """Wraps the oracle's stage functions and adds up the seconds spent in each."""
 
     def __init__(self, module):
         self.module = module
         self.names = {"_orthonormal_frames": "sampling", "_abs_values": "ranking", "_polish": "ascent"}
         self.seconds = dict.fromkeys(self.names.values(), 0.0)
-        self.in_ascent = False
         self.saved = {}
 
     def _wrap(self, name, stage):
         fn = getattr(self.module, name)
 
         def timed(*args, **kwargs):
-            if stage == "ranking" and self.in_ascent:
-                return fn(*args, **kwargs)
-            self.in_ascent = stage == "ascent"
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 self.seconds[stage] += time.perf_counter() - start
-                if stage == "ascent":
-                    self.in_ascent = False
 
         return timed
 
@@ -131,26 +119,6 @@ class StageTimer:
     def __exit__(self, *exc):
         for name, fn in self.saved.items():
             setattr(self.module, name, fn)
-
-
-def host_reference():
-    """``around(fn)``: (fn's result, its seconds, the host reference kernel's seconds around it).
-
-    ``perfbench/workloads.py`` imports semicalib, so call this once the
-    measured tree is first on ``sys.path``.
-    """
-    sys.path.insert(0, os.path.abspath(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    host = workloads.HostReference()
-
-    def around(fn):
-        result, elapsed, slowdown = host.around(fn)
-        return result, elapsed, slowdown * workloads.REF_NOMINAL_S
-
-    return around
 
 
 def time_oracle(G, W, around) -> dict:
@@ -193,71 +161,17 @@ def time_verify(text: str, around, extra=()) -> tuple[float, float]:
     return elapsed, ref
 
 
-VERIFY_ROWS = ("verify_power_2_3", "verify_field_n1000")
-
-
-def summarize(runs: list[dict]) -> dict:
-    """The label's ``median``, ``q1`` and ``q3`` over its runs: each power's stages, then VERIFY_ROWS.
-
-    ``scaled`` holds the same for each time divided by the kernel time around it.
-    """
-    def percentiles(rows: list[dict]) -> dict:
-        def percentile(q: float) -> dict:
-            stages = {p: {key: float(np.percentile([r["comass"][p][key] for r in rows], q)) for key in stage}
-                      for p, stage in rows[0]["comass"].items()}
-            return {**stages, **{key: float(np.percentile([r[key] for r in rows], q))
-                                 for key in rows[0] if key != "comass"}}
-
-        return {"median": percentile(50), "q1": percentile(25), "q3": percentile(75)}
-
-    scaled = [
-        {
-            "comass": {p: {key[:-2]: t / row["ref_s"] for key, t in row.items() if key != "ref_s"}
-                       for p, row in run["comass"].items()},
-            **{key: run[f"{key}_s"] / run[f"{key}_ref_s"] for key in VERIFY_ROWS},
-        }
-        for run in runs
-    ]
-    return {**percentiles(runs), "scaled": percentiles(scaled)}
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="name of the measured tree, e.g. parent or change")
-    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
-                        help="source tree holding the semicalib package (default: this checkout)")
-    parser.add_argument("-o", "--output", default="BENCH_comass.json")
-    args = parser.parse_args(argv)
-
-    setup = {
-        "script": "bench/comass_stages.py",
-        "n": N, "pair_values": list(PAIR_VALUES), "powers": list(POWERS), "seeds": list(SEEDS),
-        "repeats": REPEATS,
-        "oracle_samples": ORACLE_SAMPLES,
-        "oracle": "comass_bruteforce with oracle_samples and FieldConfig's default restarts; "
-                  "stage times are medians over seeds, then over repeats",
-        "verify": f"semicalib verify --power 2 --power 3, one point, in process, "
-                  f"median of {VERIFY_CALLS} calls",
-        "verify_field": f"semicalib verify, perfbench/inputs.py smooth_field with seed {FIELD_SEED}, "
-                        f"N={FIELD_POINTS}, n={N}, no gap points, in process",
-        "host_reference": "perfbench/workloads.py HostReference.around each oracle and verify call: the mean "
-                          "of the medians of 3 kernel runs before and 3 after; scaled = seconds / kernel seconds",
+def scaled(run: dict) -> dict:
+    """Each power's times and each VERIFY_ROWS time divided by the kernel time around it."""
+    return {
+        **{f"p{p}": {key[:-2]: t / run[f"p{p}"]["ref_s"] for key, t in run[f"p{p}"].items() if key != "ref_s"}
+           for p in POWERS},
+        **{key: run[f"{key}_s"] / run[f"{key}_ref_s"] for key in VERIFY_ROWS},
     }
-    machine = {
-        "platform": platform.platform(), "python": platform.python_version(),
-        "numpy": np.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
-    }
-    data = {"setup": setup, "machine": machine}
-    if os.path.exists(args.output):
-        with open(args.output) as handle:
-            data = json.load(handle)
-        for key, current in (("setup", setup), ("machine", machine)):
-            if data.get(key) != current:
-                raise SystemExit(f"{args.output} records another {key}: {data.get(key)} != {current}; "
-                                 "write to a new file")
 
-    sys.path.insert(0, os.path.abspath(args.src))
-    around = host_reference()
+
+def measure() -> dict:
+    around = harness.host_reference()
     G, W = planted_point()
     point = field_text(G, W)
     powers = ["--power", "2", "--power", "3"]
@@ -265,21 +179,18 @@ def main(argv=None) -> int:
     passes = [time_oracle(G, W, around) for _ in range(REPEATS)]
     calls = np.array([time_verify(point, around, powers) for _ in range(VERIFY_CALLS)])
     field_s, field_ref_s = time_verify(smooth_field_text(), around)
-    run = {
-        "comass": {p: _median_rows([x[p] for x in passes]) for p in passes[0]},
+    return {
+        **{p: _median_rows([x[p] for x in passes]) for p in passes[0]},
         "verify_power_2_3_s": float(np.median(calls[:, 0])),
         "verify_power_2_3_ref_s": float(np.median(calls[:, 1])),
         "verify_field_n1000_s": field_s,
         "verify_field_n1000_ref_s": field_ref_s,
     }
-    entry = data.setdefault("results", {}).setdefault(args.label, {"runs": []})
-    entry["runs"].append(run)
-    entry.update(summarize(entry["runs"]))
-    with open(args.output, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps({args.label: {key: value for key, value in entry.items() if key != "runs"}},
-                     indent=2, sort_keys=True))
+
+
+def main(argv=None) -> int:
+    args = harness.parse_args(__doc__, argv, label=True, output="BENCH_comass.json")
+    harness.record(args.output, args.label, SETUP, measure, scaled)
     return 0
 
 

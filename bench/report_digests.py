@@ -31,12 +31,11 @@ chooses the source tree to import, so one copy of this script checks that two
 commits give byte-identical reports: run it once per tree and compare the
 files.  ``bench/report_digests.json`` holds the digests of the current report
 format (``-o bench/report_digests.json`` rewrites it); a change that keeps
-reports byte-identical reproduces that file.  BLAS runs on one thread.
+reports byte-identical reproduces that file.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -45,10 +44,9 @@ import os
 import sys
 import tempfile
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import harness  # first: pins BLAS to one thread before numpy loads
 
-import numpy as np  # noqa: E402
+import numpy as np
 
 DEMOS = ("odd3", "rank-deficient", "scaled", "standard")
 FIELD_DIMS = (4, 7, 8, 16)
@@ -56,7 +54,6 @@ FIELD_POINTS = 12
 FIXED_EPSILON = "0.04"  # forbidden band: pair values in (0.1, 0.141)
 NEAR_DOUBLE_CONDS = np.geomspace(1.0, 1e6, 16)
 NEAR_DOUBLE_SEPS = np.geomspace(1e-9, 1e-3, 16)
-TESTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests")
 
 
 def _sha256(data: bytes) -> str:
@@ -81,9 +78,9 @@ def run_cli(argv: list[str], tmp: str) -> list:
 
 def near_double_digest() -> list:
     """[failures, sha256] over construct_point's outputs on the near-double grid."""
-    from helpers import near_double_form
-
     from semicalib import construct_point
+
+    near_double_form = harness.sibling("tests", "helpers").near_double_form
 
     rng = np.random.default_rng(2024)
     digest = hashlib.sha256()
@@ -105,9 +102,9 @@ def near_double_digest() -> list:
 
 
 def digests() -> dict:
-    from helpers import planted_field_text
-
     from semicalib import demo_calfield
+
+    planted_field_text = harness.sibling("tests", "helpers").planted_field_text
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -147,14 +144,8 @@ def digests() -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
-                        help="source tree holding the semicalib package (default: this checkout)")
-    parser.add_argument("-o", "--output", help="write the digests here instead of stdout")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(TESTS_DIR))
-    sys.path.insert(0, os.path.abspath(args.src))
+    args = harness.parse_args(__doc__, argv, label=False, output=None,
+                              output_help="write the digests here instead of stdout")
     text = json.dumps(digests(), indent=2, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w") as handle:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg
 
@@ -165,3 +170,21 @@ def planted_field_text(n: int, seed: int, points: int = 12) -> str:
             "W " + " ".join(repr(float(x)) for x in w[su]),
         ]
     return "\n".join(lines) + "\n"
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_script(name: str):
+    """``bench/<name>.py`` as a module; ``sys.path`` and ``os.environ`` are left as they were."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = dict(os.environ)
+    sys.path.insert(0, str(BENCH))  # for the scripts' ``import harness``
+    try:
+        spec.loader.exec_module(module)
+    finally:  # harness pins BLAS threads for the scripts' own runs
+        sys.path.remove(str(BENCH))
+        os.environ.clear()
+        os.environ.update(saved)
+    return module

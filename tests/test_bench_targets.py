@@ -2,16 +2,17 @@
 
 ``perfbench/run.py --trace`` patches every ``TRACE_TARGETS`` name in the
 module that calls it, the adversarial workload reads ``J``, ``g_J``,
-``Omega`` and the residuals off ``construct_point``'s result, and
-``bench/comass_stages.py`` wraps the sampled oracle's stage functions.  A
-renamed function or field breaks the benchmark only when it runs; these
-tests catch it in the tier-1 suite.  ``perfbench/workloads.py`` is imported,
-never changed.
+``Omega`` and the residuals off ``construct_point``'s result,
+``bench/comass_stages.py`` wraps the sampled oracle's stage functions and
+``bench/build_stages.py`` chains the four build stages.  A renamed function
+or field breaks the benchmark only when it runs; these tests catch it in the
+tier-1 suite.  ``perfbench/workloads.py`` is imported, never changed.  The
+BENCH record of ``bench/harness.py`` is checked on stored and tmp files,
+without timing anything.
 """
 
 import importlib
-import importlib.util
-import os
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -22,10 +23,9 @@ import pytest
 from semicalib import GapViolation, construct_point, lift_odd
 from semicalib.field import RESIDUAL_THRESHOLDS, build_report, parse_calfield, process_field
 from semicalib.jsonio import dumps
-from helpers import planted_field_text, planted_form, random_pd_metric
+from helpers import BENCH, load_bench_script, planted_field_text, planted_form, random_pd_metric
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+PERFBENCH = BENCH.parent / "perfbench"
 _SIBLINGS = ("check", "inputs", "tracing", "workloads")
 
 
@@ -52,20 +52,83 @@ def test_trace_targets_resolve(workloads):
 
 def test_comass_stage_names_resolve():
     """``bench/comass_stages.py`` times the oracle by wrapping these stage functions by name."""
-    spec = importlib.util.spec_from_file_location("comass_stages", BENCH / "comass_stages.py")
-    stages = importlib.util.module_from_spec(spec)
-    saved = dict(os.environ)
-    try:
-        spec.loader.exec_module(stages)
-    finally:  # the script pins BLAS threads for its own runs
-        os.environ.clear()
-        os.environ.update(saved)
+    stages = load_bench_script("comass_stages")
     import semicalib.comass as comass
 
     names = stages.StageTimer(comass).names
     assert set(names) == {"_orthonormal_frames", "_abs_values", "_polish"}
     for name in names:
         assert callable(getattr(comass, name, None)), f"semicalib.comass.{name} is missing"
+
+
+@pytest.fixture(scope="module")
+def build_stages():
+    return load_bench_script("build_stages")
+
+
+def test_build_stages_resolve(build_stages):
+    """``time_stages`` chains parse_calfield, process_field, build_report and dumps; no time is taken."""
+    text = planted_field_text(4, seed=4, points=3)
+    row = build_stages.time_stages(text, lambda fn: (fn(), 1.0, 2.0))
+    assert set(row) == {f"{stage}{suffix}" for stage in build_stages.STAGES for suffix in ("_s", "_ref_s")} | {
+        "total_s", "report_bytes"}
+    assert row["report_bytes"] > 0
+    assert build_stages.scaled({"f": row})["f"] == {**dict.fromkeys(build_stages.STAGES, 0.5), "total": 2.0}
+
+
+def test_stored_bench_summary_is_reproduced(build_stages):
+    """The shared statistics re-summarize ``BENCH_report_writer.json``'s stored runs exactly."""
+    data = json.loads((BENCH.parent / "BENCH_report_writer.json").read_text())
+    assert data["setup"] == build_stages.SETUP
+    assert sum(len(entry["runs"]) for entry in data["results"].values()) == 10
+    for entry in data["results"].values():
+        summary = build_stages.harness.summarize(entry["runs"], build_stages.scaled)
+        assert summary == {key: entry[key] for key in ("median", "q1", "q3", "scaled")}
+
+
+def _one_run(value: float) -> dict:
+    return {"f": {"a_s": value, "a_ref_s": 2 * value}}
+
+
+def _scaled(run: dict) -> dict:
+    return {"a": run["f"]["a_s"] / run["f"]["a_ref_s"]}
+
+
+def test_record_appends_one_run(build_stages, tmp_path, capsys):
+    path = str(tmp_path / "BENCH.json")
+    setup = {"script": "test"}
+    build_stages.harness.record(path, "parent", setup, lambda: _one_run(1.0), _scaled)
+    build_stages.harness.record(path, "change", setup, lambda: _one_run(2.0), _scaled)
+    capsys.readouterr()
+    build_stages.harness.record(path, "change", setup, lambda: _one_run(4.0), _scaled)
+    data = json.loads(Path(path).read_text())
+    assert data["setup"] == setup and data["machine"]["blas_threads"] == 1
+    assert data["results"]["parent"]["runs"] == [_one_run(1.0)]
+    change = data["results"]["change"]
+    assert change["runs"] == [_one_run(2.0), _one_run(4.0)]
+    assert change["median"] == {"f": {"a_s": 3.0, "a_ref_s": 6.0}}
+    assert change["q1"] == {"f": {"a_s": 2.5, "a_ref_s": 5.0}}
+    assert change["q3"] == {"f": {"a_s": 3.5, "a_ref_s": 7.0}}
+    assert change["scaled"] == {name: {"a": 0.5} for name in ("median", "q1", "q3")}
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {"change": {key: value for key, value in change.items() if key != "runs"}}
+
+
+@pytest.mark.parametrize("key", ["setup", "machine"])
+def test_record_refuses_another_setup_or_machine(build_stages, tmp_path, capsys, key):
+    path = tmp_path / "BENCH.json"
+    build_stages.harness.record(str(path), "parent", {"script": "test"}, lambda: _one_run(1.0), _scaled)
+    data = json.loads(path.read_text())
+    data[key]["script" if key == "setup" else "nproc"] = "elsewhere"
+    path.write_text(json.dumps(data))
+    before = path.read_bytes()
+
+    def measure():
+        raise AssertionError("a refused file is checked before anything is timed")
+
+    with pytest.raises(SystemExit, match=f"records another {key}"):
+        build_stages.harness.record(str(path), "change", {"script": "test"}, measure, _scaled)
+    assert path.read_bytes() == before
 
 
 def test_construction_has_what_perfbench_reads(workloads):

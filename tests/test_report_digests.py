@@ -8,25 +8,14 @@ reproduces them, and the file is re-recorded with ``-o`` only when
 ``format_version`` is bumped.
 """
 
-import importlib.util
 import json
-import os
-from pathlib import Path
 
 from semicalib.field import FORMAT_VERSION
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from helpers import BENCH, load_bench_script
 
 
 def test_digests_match_the_committed_file():
-    spec = importlib.util.spec_from_file_location("report_digests", BENCH / "report_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    saved = dict(os.environ)
-    try:
-        spec.loader.exec_module(script)
-    finally:  # the script pins BLAS threads for its own runs
-        os.environ.clear()
-        os.environ.update(saved)
+    script = load_bench_script("report_digests")
     committed = json.loads((BENCH / "report_digests.json").read_text())
     assert FORMAT_VERSION == 12, "a new format_version needs re-recorded digests"
     assert script.digests() == committed
