@@ -351,10 +351,13 @@ def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts:
     signed value, the frame's first two vectors swapped where the sign is
     negative, with a lexicographic frame tie-break.  Returns the columns
     (values, best frames, restarts used, ascent iterations, capped), one row
-    per point: the row it gets on a stack of one.
+    per point: the row it gets on a stack of one.  Raises ValueError when
+    ``samples`` is below 1 or ``restarts`` below 0.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if restarts < 0:
+        raise ValueError("restarts must be >= 0")
     k, n, keep = 2 * p, G.shape[-1], max(restarts, 1)
     starts = []
     for i, seed in enumerate(seeds):

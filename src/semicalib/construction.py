@@ -11,10 +11,11 @@ g_J = P^-T diag(d) P^-1 and Omega = -P^-T diag(d) J0 P^-1, with J0 the 2x2
 rotation blocks and d = sqrt(lambda_i) twice per V pair, 1 on the
 complement.  On V this is J = Q^-1 A with Q = sqrt(-A^2): a compatible
 triple, g_J(v, w) = Omega(v, J w) and J^2 = -Id, in which every plane
-calibrated by omega in (R^n, g) stays calibrated.  Each stage reports its
-failures as (mask, error) checks; the caller raises the lowest index's, as a
-ConstructionError.  ``construct_point`` is every stage on a stack of one,
-and ``_point_construction`` reads its result off one row of the stacks.
+calibrated by omega in (R^n, g) stays calibrated.  A stack's faults come
+back as its first one, an (index, error) pair; the caller raises the
+lowest (index, stage) fault as a ConstructionError.  ``construct_point`` is
+every stage on a stack of one, and ``_point_construction`` reads its result
+off one row of the stacks.
 Every product, the residuals' M v and x^T M y included, is one BLAS or
 LAPACK call per matrix of a stack, which gives each matrix the bits a call
 on it alone gives: a point's construction does not depend on its batch.
@@ -35,11 +36,10 @@ from .forms import (
     Frame,
     MetricTensor,
     TwoForm,
+    _first_fault,
     _freeze,
     _metric_stack,
-    _placed,
     _polar_factor,
-    _raise_first,
     _trusted,
     _two_form_stack,
 )
@@ -196,19 +196,14 @@ def _complement_frames(basis, g, m, prev) -> np.ndarray:
     return frames
 
 
-def _failures(checks) -> list:
-    """The checks with each error as a ConstructionError of the same message, chained to it."""
-
-    def failure(error, i: int) -> ConstructionError:
-        exc = error(i)
-        message = str(exc)
-        if isinstance(exc, NotPositiveDefiniteError):
-            message = f"compatible metric is not positive definite: {message}"
-        failed = ConstructionError(message)
-        failed.__cause__ = exc
-        return failed
-
-    return [(mask, functools.partial(failure, error)) for mask, error in checks]
+def _failed(error: Exception) -> ConstructionError:
+    """``error`` as a ConstructionError of the same message, chained to it."""
+    message = str(error)
+    if isinstance(error, NotPositiveDefiniteError):
+        message = f"compatible metric is not positive definite: {message}"
+    failed = ConstructionError(message)
+    failed.__cause__ = error
+    return failed
 
 
 def _form_spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
@@ -273,12 +268,13 @@ def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
 
 
 def _assemble(g, a, basis, values, npairs, frames, m: int, tol: Tolerances):
-    """The stacks (J, g_J, Omega, residuals) of points sharing (n, m), and the checks on them.
+    """The stacks (J, g_J, Omega, residuals) of points sharing (n, m), or None, and the first fault.
 
     The inputs are :func:`_form_spectra`'s stacks and the paired frames as rows;
     the checks run J, g_J, Omega, then the residuals'.  ``residuals`` maps
-    each name to one value per point.  The stacks are returned only when
-    every check passes, else None.
+    each name to one value per point.  The stacks are returned, with fault
+    None, only when every check passes; else the fault is the pair (row,
+    ConstructionError) of the lowest failing row and its earliest failing check.
     """
     p, p_inv, d = paired_frame(frames, values[:, : 2 * m : 2])
     j = almost_complex_structure(p, p_inv)
@@ -294,10 +290,12 @@ def _assemble(g, a, basis, values, npairs, frames, m: int, tol: Tolerances):
     keep = slice(None) if len(rows) == len(g) else rows
     stacks = (g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
     res, gram_check = _residuals(m, *(x[keep] for x in stacks))
-    checks = _failures([*checks, *_placed([gram_check], rows, len(g))])
-    if len(rows) < len(g) or gram_check[0].any():
-        return None, checks
-    return (j, g_j, omega_total, res), checks
+    fault, gram_fault = _first_fault(checks), _first_fault([gram_check])  # the latter's row is in rows
+    if gram_fault is not None and (fault is None or rows[gram_fault[0]] < fault[0]):
+        fault = int(rows[gram_fault[0]]), gram_fault[1]
+    if fault is not None:
+        return None, (fault[0], _failed(fault[1]))
+    return (j, g_j, omega_total, res), None
 
 
 def _point_construction(i: int, m: int, epsilon: float, basis, values, npairs, frames, assembled):
@@ -337,7 +335,9 @@ def construct_point(
         raise ValueError(f"dimension {g.dim} is odd; lift the data first")
     G = g.entries[None]
     a, basis, values, npairs, checks = _form_spectra(G, omega.entries[None], tol)
-    _raise_first(_failures(checks))
+    fault = _first_fault(checks)
+    if fault is not None:
+        raise _failed(fault[1])
     spectrum = PairedSpectrum(basis[0], values[0], int(npairs[0]))
     if epsilon is None:
         # Degenerate all-kernel spectrum: any positive epsilon produces the
@@ -347,6 +347,7 @@ def construct_point(
     frame = basis.copy()
     if tframe_hint is not None and len(tframe_hint) == len(frame[0]) - 2 * m:
         frame[0, 2 * m :] = align_frame(tframe_hint, Frame(frame[0, 2 * m :]), g).vectors
-    assembled, checks = _assemble(G, a, basis, values, npairs, frame, m, tol)
-    _raise_first(checks)
+    assembled, fault = _assemble(G, a, basis, values, npairs, frame, m, tol)
+    if fault is not None:
+        raise fault[1]
     return _point_construction(0, m, float(epsilon), basis, values, npairs, frame, assembled)

@@ -47,7 +47,7 @@ from .construction import (  # noqa: F401
     PointConstruction,
     _assemble,
     _complement_frames,
-    _failures,
+    _failed,
     _form_spectra,
     _lift_stack,
     _point_construction,
@@ -62,8 +62,6 @@ from .forms import (
     _first_fault,
     _freeze,
     _metric_stack,
-    _placed,
-    _raise_first,
     _triu,
     _trusted,
     _two_form_stack,
@@ -141,11 +139,11 @@ class FieldConfig:
     """Knobs for processing and verification.
 
     ``epsilon=None`` means the automatic policy (from the base point).  All
-    randomness used in verification flows from ``seed``; point ``i`` uses the
-    child stream seeded by ``[seed, i]``.  ``samples`` and ``restarts`` size
-    the one sampled run on ``(g_J, Omega)``: every pair value of ``Omega`` is
-    1, so its maximum is attained on a large set and a few hundred starts
-    suffice for the polish.
+    randomness used in verification flows from ``seed``; point ``i`` draws
+    from ``SeedSequence(seed, spawn_key=(i, 0))``.  ``samples`` and
+    ``restarts`` size the one sampled run on ``(g_J, Omega)``: every pair
+    value of ``Omega`` is 1, so its maximum is attained on a large set and a
+    few hundred starts suffice for the polish.
     """
 
     epsilon: float | None = None
@@ -387,9 +385,11 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     field's columns at its rows.  Epsilon comes from the base
     point (automatic policy) or the config; gap violations flag and exclude
     the offending point.  With ``use_hints`` the frame chain links each point
-    to the last included one with a complement of the same dimension.  Of
-    several faults the lowest index's is raised, as if each point were built
-    in turn: spectrum, epsilon at the base point, J, g_J, Omega, residuals.
+    to the last included one with a complement of the same dimension.  Each
+    slice and batch is reduced at once to its first fault, an (index, stage,
+    error) triple; of several, the lowest (index, stage) is raised, as if
+    each point were built in turn: spectrum, epsilon at the base point, then
+    the assembly's J, g_J, Omega and residuals.
     """
     g, w = _lift_stack(grid.g, grid.w)
     size, dim = g.shape[:2]
@@ -398,20 +398,21 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     lifted_from = grid.dim if dim > grid.dim else None
 
     tol = config.tolerances
-    parts, checks = [], []
+    parts, faults = [], []  # faults: (index, stage, error), stages 0 spectrum, 1 epsilon, 2 assembly
     for lo in range(0, size, _BATCH):
-        *arrays, part_checks = _form_spectra(g[lo : lo + _BATCH], w[lo : lo + _BATCH], tol)
+        *arrays, checks = _form_spectra(g[lo : lo + _BATCH], w[lo : lo + _BATCH], tol)
         parts.append(arrays)
-        checks += _placed(_failures(part_checks), np.arange(lo, lo + len(arrays[0])), size)
+        fault = _first_fault(checks)
+        if fault is not None:
+            faults.append((lo + fault[0], 0, _failed(fault[1])))
     a, basis, values, npairs = map(np.concatenate, zip(*parts))
 
     epsilon = config.epsilon
     if epsilon is None:  # infer_epsilon of the base point: its smallest paired eigenvalue
-        epsilon = float(values[0, 2 * npairs[0] - 2]) if npairs[0] else None
-        no_epsilon = (np.arange(size) == 0) & (epsilon is None)
-        checks.append((no_epsilon, lambda i: EpsilonInferenceError(
-            "cannot infer epsilon: base point has no positive eigenvalue above threshold")))
-        epsilon = epsilon or 1.0
+        epsilon = float(values[0, 2 * npairs[0] - 2]) if npairs[0] else 1.0
+        if not npairs[0]:
+            faults.append((0, 1, EpsilonInferenceError(
+                "cannot infer epsilon: base point has no positive eigenvalue above threshold")))
     m, offending = _split_stack(values, npairs, epsilon)
     included = ~offending.any(axis=1)
 
@@ -428,13 +429,15 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
         members = np.flatnonzero(included & (m == mi))
         for lo in range(0, len(members), _BATCH):
             rows = members[lo : lo + _BATCH]
-            assembled, batch_checks = _assemble(*(x[rows] for x in stacks), mi, tol)
-            checks += _placed(batch_checks, rows, size)
-            if assembled is not None:
-                matrices[:, rows] = assembled[:3]
-                for key, column in assembled[3].items():
-                    residuals.setdefault(key, np.full(size, np.nan))[rows] = column
-    _raise_first(checks)
+            assembled, fault = _assemble(*(x[rows] for x in stacks), mi, tol)
+            if fault is not None:
+                faults.append((int(rows[fault[0]]), 2, fault[1]))
+                continue
+            matrices[:, rows] = assembled[:3]
+            for key, column in assembled[3].items():
+                residuals.setdefault(key, np.full(size, np.nan))[rows] = column
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
     return ConstructionField(float(epsilon), dim, lifted_from, values, offending, included, m,
                              basis, npairs, frames, *matrices, residuals)
 

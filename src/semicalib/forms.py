@@ -103,18 +103,6 @@ def _raise_first(checks) -> None:
         raise fault[1]
 
 
-def _placed(checks, rows: np.ndarray, size: int) -> list:
-    """A stack's checks as those of a larger one of ``size`` that holds it at ascending ``rows``."""
-    if len(rows) == size:  # then rows are 0, 1, ..., size - 1
-        return list(checks)
-    placed = []
-    for mask, error in checks:
-        full = np.zeros(size, dtype=bool)
-        full[rows] = mask
-        placed.append((full, lambda i, error=error: error(int(np.searchsorted(rows, i)))))
-    return placed
-
-
 def _metric_stack(mats: np.ndarray, pd_tol: float = DEFAULT_TOLERANCES.pd):
     """Canonical form of a (k, n, n) stack of metric matrices, and MetricTensor's checks on it.
 

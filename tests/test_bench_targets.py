@@ -6,11 +6,13 @@ module that calls it, the adversarial workload reads ``J``, ``g_J``,
 ``bench/comass_stages.py`` wraps the sampled oracle's stage functions and
 ``bench/build_stages.py`` chains the four build stages.  A renamed function
 or field breaks the benchmark only when it runs; these tests catch it in the
-tier-1 suite.  ``perfbench/workloads.py`` is imported, never changed.  The
+tier-1 suite.  A library import kept for the tracer alone is one of its
+targets; any other unused relative import fails here.  ``perfbench/workloads.py`` is imported, never changed.  The
 BENCH record of ``bench/harness.py`` is checked on stored and tmp files,
 without timing anything.
 """
 
+import ast
 import importlib
 import json
 import sys
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semicalib
 from semicalib import GapViolation, construct_point, lift_odd
 from semicalib.field import RESIDUAL_THRESHOLDS, build_report, parse_calfield, process_field
 from semicalib.jsonio import dumps
@@ -48,6 +51,23 @@ def test_trace_targets_resolve(workloads):
     for module, attribute, _, _ in workloads.TRACE_TARGETS:
         target = getattr(importlib.import_module(module), attribute, None)
         assert callable(target), f"{module}.{attribute} is missing or not callable"
+
+
+def test_relative_imports_used_or_traced(workloads):
+    """Every ``from .x import name`` of a library module is used there or is a perfbench trace target."""
+    traced = {(module, attribute) for module, attribute, _, _ in workloads.TRACE_TARGETS}
+    unused = []
+    for path in sorted(Path(semicalib.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"semicalib.{path.stem}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = (alias.asname or alias.name for alias in node.names)
+                unused += [f"{module}.{name}" for name in names if name not in used and (module, name) not in traced]
+    assert not unused, f"unused imports: {unused}"
 
 
 def test_comass_stage_names_resolve():

@@ -324,6 +324,16 @@ class TestComassBruteforce:
         est = comass_bruteforce(MetricTensor.identity(4), TwoForm.zero(4), samples=100, restarts=2, seed=0)
         assert est.value == 0.0
 
+    @pytest.mark.parametrize("samples, restarts, message", [
+        (0, 2, "samples must be >= 1"),
+        (50, -3, "restarts must be >= 0"),
+    ])
+    def test_sample_and_restart_counts_validated(self, samples, restarts, message):
+        # a negative count would skip the polish and report one restart
+        w = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
+        with pytest.raises(ValueError, match=message):
+            comass_bruteforce(MetricTensor.identity(4), w, samples=samples, restarts=restarts, seed=0)
+
     def test_top_power_at_n16_returns(self):
         # a 16-frame spans all of R^16, so every g-orthonormal frame gives
         # |Pf| = prod(mu); before the elimination this call never finished

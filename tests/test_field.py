@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import logging
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,41 @@ class TestBatchedAssembly:
         self.breakdowns(monkeypatch, metric_faults=[{1: 5.0}, {0: 7.0}])
         with pytest.raises(ConstructionError, match=r"smallest eigenvalue -7\)$"):
             process_field(self.field([0.9, 1e-3, 2e-3, 0.8, 0.7]), self.CONFIG)
+
+    def test_spectral_error_beats_epsilon_error_at_the_base_point(self):
+        # A overflows at point 0 and is zeroed there, so the base point has no
+        # pairs either: its spectrum and the epsilon inference both fail.
+        field = self.overflow(ramp_field_text([0.9] * 3), 0)
+        with pytest.raises(ConstructionError, match="endomorphism contains non-finite entries"):
+            process_field(field)
+
+    def test_epsilon_error_beats_later_construction_error(self, monkeypatch):
+        # Point 0 has omega = 0.  At epsilon 1 (the fallback of the failed
+        # inference) it is the m = 0 batch, assembled first; the m = 2 batch
+        # (points 1, 2) breaks at its row 0, point 1.
+        field = parse_calfield(ramp_field_text([0.9] * 3).replace("W 1 0 0 0 0 0.9", "W 0 0 0 0 0 0", 1))
+        self.breakdowns(monkeypatch, metric_faults=[{}, {0: 2.0}])
+        with pytest.raises(ConstructionError, match=r"smallest eigenvalue -2\)$"):
+            process_field(field, FieldConfig(epsilon=1.0))
+        self.breakdowns(monkeypatch, metric_faults=[{}, {0: 2.0}])
+        with pytest.raises(EpsilonInferenceError, match="cannot infer epsilon"):
+            process_field(field)
+
+    def test_peak_memory_bounded_by_the_columns(self, monkeypatch):
+        # Each slice's and batch's checks are reduced to one fault as they
+        # come, so no fault bookkeeping grows with the field per slice.  On a
+        # 1024-point n = 4 field in slices of 4 the peak is about 1.8x the
+        # result's columns; a field-sized mask per check made it about 9x.
+        monkeypatch.setattr(semicalib.field, "_BATCH", 4)
+        grid = parse_calfield(planted_field_text(4, seed=4, points=1024))
+        tracemalloc.start()
+        try:
+            cf = process_field(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = [x for x in (*vars(cf).values(), *cf.residuals.values()) if isinstance(x, np.ndarray)]
+        assert peak <= 4 * sum(x.nbytes for x in columns)
 
 
 class TestProcessField:
