@@ -285,14 +285,12 @@ def _assemble(g, a, basis, values, npairs, frames, m: int, tol: Tolerances):
     checks = [j_check, *metric_checks, *form_checks]
 
     # The residuals need a positive definite g_J: they are computed for the
-    # points that pass the checks above, all of them when the stack passes.
-    rows = np.flatnonzero(~np.logical_or.reduce([mask for mask, _ in checks]))
-    keep = slice(None) if len(rows) == len(g) else rows
+    # rows before the first fault above, the only ones that can fault earlier.
+    fault = _first_fault(checks)
+    end = len(g) if fault is None else fault[0]
     stacks = (g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
-    res, gram_check = _residuals(m, *(x[keep] for x in stacks))
-    fault, gram_fault = _first_fault(checks), _first_fault([gram_check])  # the latter's row is in rows
-    if gram_fault is not None and (fault is None or rows[gram_fault[0]] < fault[0]):
-        fault = int(rows[gram_fault[0]]), gram_fault[1]
+    res, gram_check = _residuals(m, *(x[:end] for x in stacks))
+    fault = _first_fault([gram_check]) or fault
     if fault is not None:
         return None, (fault[0], _failed(fault[1]))
     return (j, g_j, omega_total, res), None

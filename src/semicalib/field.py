@@ -14,8 +14,9 @@ its batch.  The result, a ConstructionField, keeps the stacks the stages
 compute as columns, one row per point.  The report and verification read
 the columns of the grid, the result and the comass oracles, each run once
 per slice of points; ``grid.points`` and ``cf.outcomes`` are per-point
-views built on demand.  Parsing likewise reads the records first, then
-converts every number of the field at once and checks the metrics in slices.
+views built on demand.  Parsing reads the file once, in order: each record
+is checked and converted when it is taken, and the metrics read are checked
+in slices at the first fault or at the end, so no token outlives its line.
 
 CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
 
@@ -31,8 +32,8 @@ CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ import numpy as np
 # associated_endomorphism and paired_spectrum are not called here;
 # perfbench/workloads.py traces them by patching these names in this module,
 # so they stay imported.
-from .comass import _exact_powers, _sampled_stack, comass_bruteforce, comass_exact  # noqa: F401
+from .comass import _check_power, _exact_powers, _sampled_stack, comass_bruteforce, comass_exact  # noqa: F401
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .construction import (  # noqa: F401
     PointConstruction,
@@ -235,54 +236,55 @@ def _parse_int(token: str, line: int, what: str) -> int:
 
 
 class _Records:
-    """Logical lines of a CALFIELD file: (line number, tokens)."""
+    """Logical lines of a CALFIELD file, (line number, tokens), read as they are taken.
+
+    ``next`` is the record ``take`` returns next, or None at the end of the
+    file; ``last_line`` is then the line of the file's last record.
+    """
 
     def __init__(self, text: str):
-        self.records: list[tuple[int, list[str]]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.records.append((lineno, body.split()))
-        self.pos = 0
-        self.last_line = self.records[-1][0] if self.records else 1
+        self._lines = ((lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+                       if (tokens := raw.split("#", 1)[0].split()))
+        self.last_line = 1
+        self.next = self._read()
+
+    def _read(self) -> tuple[int, list[str]] | None:
+        record = next(self._lines, None)
+        if record is not None:
+            self.last_line = record[0]
+        return record
 
     def take(self, tag: str, what: str) -> tuple[int, list[str]]:
-        if self.pos >= len(self.records):
+        if self.next is None:
             raise ParseError(f"unexpected end of file, expected {what}", self.last_line)
-        lineno, tokens = self.records[self.pos]
-        self.pos += 1
+        (lineno, tokens), self.next = self.next, self._read()
         if tokens[0] != tag:
             raise ParseError(f"expected {what}, got {tokens[0]!r}", lineno)
         return lineno, tokens[1:]
 
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.records)
-
-
-def _floats(lines: list[tuple[int, list[str]]]) -> np.ndarray:
-    """Every token of these records as a float, in order; raises ValueError on a bad token."""
-    tokens = itertools.chain.from_iterable(tokens for _, tokens in lines)
-    return np.fromiter(map(float, tokens), float, count=sum(len(tokens) for _, tokens in lines))
-
-
-def _number_fault(lines: list[tuple[int, list[str]]]) -> tuple[int, ParseError] | None:
-    """(position in ``lines``, error) of the first token that is not a finite number."""
-    for k, (lineno, tokens) in enumerate(lines):
-        for token in tokens:
-            try:
-                _parse_number(token, lineno)
-            except ParseError as exc:
-                return k, exc
-    return None
+    def numbers(self, tag: str, what: str, count: int, noun: str) -> tuple[int, list[float]]:
+        """The next record, a ``tag`` line of ``count`` finite numbers: (line number, values)."""
+        lineno, tokens = self.take(tag, what)
+        if len(tokens) != count:
+            raise ParseError(f"expected {count} {noun}, got {len(tokens)}", lineno)
+        try:
+            values = list(map(float, tokens))
+            if math.isfinite(sum(values)):  # else a value, or only their sum, is not finite
+                return lineno, values
+        except ValueError:
+            pass
+        return lineno, [_parse_number(token, lineno) for token in tokens]
 
 
 def parse_calfield(text: str) -> FieldGrid:
     """Parse CALFIELD v1 text into a validated grid; errors carry line numbers.
 
-    The records are read in order first, then every number of the field is
-    converted at once and the metrics are checked in slices of ``_BATCH``
-    points.  Of several faults, the one on the earliest line is raised: a
-    metric that is not positive definite counts on its ``G`` line.
+    One pass in file order: each record is checked and converted when it is
+    taken, and the metric and form coefficients go to two flat buffers.  At
+    the first structural or number fault, or at the end, the metrics read so
+    far are checked in slices of ``_BATCH`` points; a metric that is not
+    positive definite counts on its ``G`` line, which precedes the fault, so
+    of several faults the one on the earliest line is raised.
     """
     records = _Records(text)
 
@@ -302,14 +304,12 @@ def parse_calfield(text: str) -> FieldGrid:
     if npoints < 1:
         raise ParseError(f"point count must be >= 1, got {npoints}", lineno)
 
-    n_g = dim * (dim + 1) // 2
-    n_w = dim * (dim - 1) // 2
-    numeric: list[tuple[int, list[str]]] = []  # X, G and W records, in file order
-    g_lines: list[int] = []
+    n_g, n_w = dim * (dim + 1) // 2, dim * (dim - 1) // 2
+    g_rows, w_rows, g_lines = array("d"), array("d"), []  # G and W coefficients; each G's line
     fault: ParseError | None = None
     try:
         for i in range(npoints):
-            if records.exhausted():
+            if records.next is None:
                 raise ParseError(
                     f"point count mismatch: expected {npoints} points, file ends after {i}",
                     records.last_line,
@@ -317,21 +317,13 @@ def parse_calfield(text: str) -> FieldGrid:
             lineno, rest = records.take("P", f"'P {i}'")
             if len(rest) != 1 or _parse_int(rest[0], lineno, "point index") != i:
                 raise ParseError(f"expected point index {i}", lineno)
-            lineno, rest = records.take("X", "coordinates 'X ...'")
-            if len(rest) != dim:
-                raise ParseError(f"expected {dim} coordinates, got {len(rest)}", lineno)
-            numeric.append((lineno, rest))
-            lineno, rest = records.take("G", "metric 'G ...'")
-            if len(rest) != n_g:
-                raise ParseError(f"expected {n_g} metric coefficients, got {len(rest)}", lineno)
-            numeric.append((lineno, rest))
+            records.numbers("X", "coordinates 'X ...'", dim, "coordinates")
+            lineno, values = records.numbers("G", "metric 'G ...'", n_g, "metric coefficients")
+            g_rows.fromlist(values)
             g_lines.append(lineno)
-            lineno, rest = records.take("W", "two-form 'W ...'")
-            if len(rest) != n_w:
-                raise ParseError(f"expected {n_w} form coefficients, got {len(rest)}", lineno)
-            numeric.append((lineno, rest))
-        if not records.exhausted():
-            lineno, tokens = records.records[records.pos]
+            w_rows.fromlist(records.numbers("W", "two-form 'W ...'", n_w, "form coefficients")[1])
+        if records.next is not None:
+            lineno, tokens = records.next
             raise ParseError(
                 f"point count mismatch: trailing content {tokens[0]!r} after {npoints} points",
                 lineno,
@@ -339,30 +331,12 @@ def parse_calfield(text: str) -> FieldGrid:
     except ParseError as exc:
         fault = exc
 
-    # Every record read so far precedes the structural fault, if any.  A bad
-    # number ends the records whose metrics are checked below.
-    try:
-        values = _floats(numeric)
-        finite = bool(np.isfinite(values).all())
-    except ValueError:
-        finite = False
-    if not finite:
-        k, fault = _number_fault(numeric)
-        numeric = numeric[:k]
-        values = _floats(numeric)
-
-    # One row per point whose G record was read (X, G, W); the last may lack W.
-    count = (len(numeric) + 1) // 3
-    stride = dim + n_g + n_w
-    if len(values) < count * stride:
-        values = np.concatenate([values, np.zeros(count * stride - len(values))])
-    table = values[: count * stride].reshape(count, stride)
     # Slices of _BATCH points keep the temporaries small; stacked eigvalsh
     # gives each metric the bits it gives the metric alone.
-    g, w = np.empty((2, count, dim, dim))
+    count = len(g_lines)
+    g_rows, g = np.frombuffer(g_rows).reshape(count, n_g), np.empty((count, dim, dim))
     for lo in range(0, count, _BATCH):
-        rows = table[lo : lo + _BATCH]
-        upper = _upper_stack(dim, rows[:, dim : dim + n_g], 0)
+        upper = _upper_stack(dim, g_rows[lo : lo + _BATCH], 0)
         upper += _triu(upper, 1).mT
         g[lo : lo + _BATCH], checks = _metric_stack(upper)
         # The entries are finite and mirrored: only positive definiteness can fail.
@@ -370,10 +344,12 @@ def parse_calfield(text: str) -> FieldGrid:
         if metric_fault is not None:
             i, exc = lo + metric_fault[0], metric_fault[1]
             raise ParseError(f"metric not positive definite at point {i}: {exc}", g_lines[i]) from exc
-        upper = _upper_stack(dim, rows[:, dim + n_g :], 1)
-        w[lo : lo + _BATCH] = upper - upper.mT  # as TwoForm stores it: finite and antisymmetric
     if fault is not None:
         raise fault
+    w_rows, w = np.frombuffer(w_rows).reshape(count, n_w), np.empty_like(g)
+    for lo in range(0, count, _BATCH):
+        upper = _upper_stack(dim, w_rows[lo : lo + _BATCH], 1)
+        w[lo : lo + _BATCH] = upper - upper.mT  # as TwoForm stores it: finite and antisymmetric
     return _trusted(FieldGrid, dim=dim, g=g, w=w)  # every row passed FieldGrid's checks above
 
 
@@ -398,14 +374,14 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     lifted_from = grid.dim if dim > grid.dim else None
 
     tol = config.tolerances
-    parts, faults = [], []  # faults: (index, stage, error), stages 0 spectrum, 1 epsilon, 2 assembly
+    faults = []  # (index, stage, error), stages 0 spectrum, 1 epsilon, 2 assembly
+    a, basis, values, npairs = np.empty_like(g), np.empty_like(g), np.empty((size, dim)), np.empty(size, dtype=int)
     for lo in range(0, size, _BATCH):
-        *arrays, checks = _form_spectra(g[lo : lo + _BATCH], w[lo : lo + _BATCH], tol)
-        parts.append(arrays)
+        rows = slice(lo, lo + _BATCH)
+        a[rows], basis[rows], values[rows], npairs[rows], checks = _form_spectra(g[rows], w[rows], tol)
         fault = _first_fault(checks)
         if fault is not None:
             faults.append((lo + fault[0], 0, _failed(fault[1])))
-    a, basis, values, npairs = map(np.concatenate, zip(*parts))
 
     epsilon = config.epsilon
     if epsilon is None:  # infer_epsilon of the base point: its smallest paired eigenvalue
@@ -519,12 +495,18 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
     every power of both without a paired spectrum; a point's values do not
     depend on its slice.  Failures become
     report entries, not exceptions; gap-excluded points are listed but do not
-    fail verification.  Raises ValueError when ``config.restarts`` is below
-    1: unpolished, the sampled run cannot attain comass 1.
+    fail verification.  Raises ValueError, before any point is sampled, when
+    ``config.samples`` is below 1, when a power's degree 2p exceeds the
+    lifted dimension, or when ``config.restarts`` is below 1: unpolished, the
+    sampled run cannot attain comass 1.
     """
+    if config.samples < 1:
+        raise ValueError("samples must be >= 1")
     if config.restarts < 1:
         raise ValueError("verify needs restarts >= 1: unpolished, its sampled run cannot attain 1")
     powers = sorted(set(config.powers))
+    for p in powers:
+        _check_power(p, cf.dim)
     g_in, w_in = _lift_stack(grid.g, grid.w) if powers else (None, None)
     sampled = np.full(len(cf.built), np.nan)
     comass = {p: np.full((2, len(cf.built)), np.nan) for p in powers}

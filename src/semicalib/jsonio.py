@@ -204,4 +204,5 @@ def dumps(obj) -> str:
     """Serialize to deterministic, human-readable JSON (trailing newline)."""
     out: list[str] = []
     _emit(obj, 0, out)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)

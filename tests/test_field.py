@@ -130,6 +130,20 @@ class TestParser:
         with pytest.raises(ParseError, match=r"line 7"):
             parse_calfield(text)
 
+    def test_peak_memory_bounded_by_the_text_and_columns(self):
+        # Each record is converted when it is read, so no token outlives its
+        # line.  On this 2000-point n = 8 field the peak is about 0.9x the
+        # text and the grid's columns; a token string kept per number of the
+        # file made it about 3.8x.
+        text = planted_field_text(8, seed=8, points=2000)
+        tracemalloc.start()
+        try:
+            grid = parse_calfield(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (len(text) + grid.g.nbytes + grid.w.nbytes)
+
 
 def two_faults(kinds, at=(1, 2)):
     """(A field with faults of ``kinds`` at points ``at``, the same field with the first only).
@@ -761,6 +775,20 @@ class TestVerifyField:
         cfg = FieldConfig(restarts=0)
         with pytest.raises(ValueError, match="restarts"):
             verify_field(process_field(grid, cfg), grid, cfg)
+
+    @pytest.mark.parametrize(("change", "message"), [
+        ({"samples": 0}, "samples must be >= 1"),
+        ({"powers": (3,)}, "degree 6 exceeds the ambient dimension 4"),
+        ({"powers": (0,)}, "power must be a positive integer"),
+    ])
+    def test_invalid_config_raises_with_every_point_excluded(self, change, message):
+        # epsilon 0.9 excludes every point, so no sampled run or power check would reject the config
+        grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 0.6", 2))
+        cfg = dataclasses.replace(FieldConfig(epsilon=0.9, samples=200, restarts=1), **change)
+        cf = process_field(grid, cfg)
+        assert not cf.built.any()
+        with pytest.raises(ValueError, match=message):
+            verify_field(cf, grid, cfg)
 
     def test_constant_standard_passes(self):
         grid = parse_calfield(constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 1", 3))
