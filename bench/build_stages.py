@@ -59,7 +59,7 @@ def time_stages(text: str, around) -> dict:
         for stage, step in steps.items():
             value, row[f"{stage}_s"], row[f"{stage}_ref_s"] = around(lambda: step(value))
         rows.append(row)
-    med = {key: float(np.median([r[key] for r in rows])) for key in rows[0]}
+    med = harness.median_rows(rows)
     med["total_s"] = sum(med[f"{stage}_s"] for stage in STAGES)
     med["report_bytes"] = len(value)
     return med

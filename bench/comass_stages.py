@@ -2,36 +2,39 @@
 
     python bench/comass_stages.py --label change [--src DIR] [-o BENCH_comass.json]
 
-Times ``comass_bruteforce`` at n = 8 for p = 1, 2 and 3 with the
-``semicalib comass`` default of 20 000 samples and FieldConfig's default
-restarts, split into frame sampling (``_orthonormal_frames``), sample ranking
-(``_abs_values``) and ascent (the Stiefel polish ``_polish``; the rest,
-mostly the chunk merge and the final re-orthonormalization, one stacked
-Gram-Schmidt pass over every restart, or one pass per restart in trees
-before format 8, is ``other``).  Stages are timed by wrapping the oracle's
-private stage functions, so the numbers are only as stable as those names;
-``tests/test_bench_targets.py`` checks that they resolve.  Two end-to-end ``semicalib verify`` timings
-at verify's default sampling follow: ``--power 2 --power 3`` on a one-point
-n = 8 field, the median of VERIFY_CALLS calls of a few ms each, and one
-call without ``--power`` on a seeded N = 1000, n = 8 smooth field from
-``perfbench/inputs.py`` (imported, never changed).  Every oracle call and
-every ``verify`` call is timed with the host reference kernel around it
-(``bench/harness.py``); each ``p<p>`` row keeps the median kernel time of its
-calls as ``ref_s``, each ``verify`` row as ``<row>_ref_s``.
+The input is the benchmark's verify-power point: one n = 8 point from
+perfbench's ``inputs.smooth_field`` with its verify-power pair values
+``VERIFY_PAIR_VALUES``.  Times ``comass_bruteforce`` on it for p = 1, 2 and 3
+with the ``semicalib comass`` default of 20 000 samples and FieldConfig's
+default restarts, split into the ``STAGES``: frame sampling
+(``_orthonormal_frames``), sample ranking (``_abs_values``) and ascent (the
+Stiefel polish ``_polish``), each the self time perfbench's
+``tracing.Tracer`` records while it patches the three names in
+``semicalib.comass``.  The rest, mostly the chunk merge and the final
+re-orthonormalization, is ``other``.  The numbers are only as stable as the
+stage names; ``tests/test_bench_targets.py`` checks that they resolve.  Two
+end-to-end ``semicalib verify`` timings at verify's default sampling follow:
+``--power 2 --power 3`` on the same point, the median of VERIFY_CALLS calls
+of a few ms each, and one call without ``--power`` on a seeded N = 1000,
+n = 8 smooth field.  ``perfbench/`` is imported, never changed.  Every oracle
+call and every ``verify`` call is timed with the host reference kernel around
+it (``bench/harness.py``); each ``p<p>`` row keeps the median kernel time of
+its calls as ``ref_s``, each ``verify`` row as ``<row>_ref_s``.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import time
 
 import harness  # first: pins BLAS to one thread before numpy loads
 
 import numpy as np
 
 N = 8
-PAIR_VALUES = (1.0, 0.7, 0.4)  # the last pair of R^8 is kernel
+PAIR_VALUES = (1.0, 0.7, 0.4, 0.0)  # perfbench's VERIFY_PAIR_VALUES; the last pair of R^8 is kernel
+POINT_SEED = 8
+STAGES = {"_orthonormal_frames": "sampling", "_abs_values": "ranking", "_polish": "ascent"}
 POWERS = (1, 2, 3)
 SEEDS = (0, 1, 2)
 REPEATS = 3  # oracle passes per run; each stage keeps the median
@@ -45,9 +48,13 @@ SETUP = {
     "n": N, "pair_values": list(PAIR_VALUES), "powers": list(POWERS), "seeds": list(SEEDS),
     "repeats": REPEATS,
     "oracle_samples": ORACLE_SAMPLES,
+    "point": f"perfbench/inputs.py smooth_field with seed {POINT_SEED}, one point, n={N}, "
+             "pair values perfbench/workloads.py VERIFY_PAIR_VALUES",
     "oracle": "comass_bruteforce with oracle_samples and FieldConfig's default restarts; "
               "stage times are medians over seeds, then over repeats",
-    "verify": f"semicalib verify --power 2 --power 3, one point, in process, "
+    "stages": "perfbench/tracing.py Tracer self times of _orthonormal_frames (sampling), _abs_values (ranking) "
+              "and _polish (ascent), patched in semicalib.comass for each oracle call",
+    "verify": f"semicalib verify --power 2 --power 3, the oracle's point, in process, "
               f"median of {VERIFY_CALLS} calls",
     "verify_field": f"semicalib verify, perfbench/inputs.py smooth_field with seed {FIELD_SEED}, "
                     f"N={FIELD_POINTS}, n={N}, no gap points, in process",
@@ -56,95 +63,39 @@ SETUP = {
 }
 
 
-def planted_point(seed: int = 8):
-    """(G, W) at n = 8: random SPD metric, pair values PAIR_VALUES on a g-orthonormal frame."""
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((N, N)))
-    G = (q * rng.uniform(0.5, 2.0, N)) @ q.T
-    G = (G + G.T) / 2
-    z, _ = np.linalg.qr(rng.standard_normal((N, N)))
-    frame = np.linalg.solve(np.linalg.cholesky(G).T, z)  # columns are g-orthonormal
-    W = np.zeros((N, N))
-    for i, mu in enumerate(PAIR_VALUES):
-        a, b = G @ frame[:, 2 * i], G @ frame[:, 2 * i + 1]
-        W += mu * (np.outer(a, b) - np.outer(b, a))
-    return G, W
-
-
-def smooth_field_text() -> str:
-    """CALFIELD text of the seeded FIELD_POINTS-point smooth field at n = N, without gap violations."""
+def smooth_field(seed: int, points: int, values=None):
+    """perfbench's seeded smooth field at n = N without gap points, with pair ``values`` or its default ones."""
     inputs = harness.sibling("perfbench", "inputs")
-    rng = np.random.default_rng(FIELD_SEED)
-    return inputs.smooth_field(rng, "verify-field", N, FIELD_POINTS, 0).text
-
-
-def field_text(G, W) -> str:
-    """One-point CALFIELD: G's upper triangle with the diagonal, W's without."""
-    def upper(m, offset):
-        return " ".join(repr(float(m[i, j])) for i in range(N) for j in range(i + offset, N))
-
-    return "\n".join([
-        "CALFIELD 1", f"DIM {N}", "POINTS 1", "P 0", "X " + " ".join(["0"] * N),
-        "G " + upper(G, 0), "W " + upper(W, 1),
-    ]) + "\n"
-
-
-class StageTimer:
-    """Wraps the oracle's stage functions and adds up the seconds spent in each."""
-
-    def __init__(self, module):
-        self.module = module
-        self.names = {"_orthonormal_frames": "sampling", "_abs_values": "ranking", "_polish": "ascent"}
-        self.seconds = dict.fromkeys(self.names.values(), 0.0)
-        self.saved = {}
-
-    def _wrap(self, name, stage):
-        fn = getattr(self.module, name)
-
-        def timed(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self.seconds[stage] += time.perf_counter() - start
-
-        return timed
-
-    def __enter__(self):
-        for name, stage in self.names.items():
-            self.saved[name] = getattr(self.module, name)
-            setattr(self.module, name, self._wrap(name, stage))
-        return self
-
-    def __exit__(self, *exc):
-        for name, fn in self.saved.items():
-            setattr(self.module, name, fn)
+    return inputs.smooth_field(np.random.default_rng(seed), f"n{N}-N{points}", N, points, 0, values)
 
 
 def time_oracle(G, W, around) -> dict:
-    import semicalib.comass as comass
+    """{"p<p>": median over SEEDS of each stage's seconds, ``other_s``, ``call_s`` and ``ref_s``}."""
     from semicalib import FieldConfig, MetricTensor, PowerForm, TwoForm, comass_bruteforce
 
+    tracing = harness.sibling("perfbench", "tracing")
     config = FieldConfig()
     g, w = MetricTensor(G), TwoForm(W)
     out = {}
     for p in POWERS:
         rows = []
         for seed in SEEDS:
-            with StageTimer(comass) as timer:
+            tracer = tracing.Tracer()
+            for name, stage in STAGES.items():
+                tracer.patch("semicalib.comass", name, stage)
+            try:
                 _, call, ref = around(lambda: comass_bruteforce(g, PowerForm(w, p), samples=ORACLE_SAMPLES,
                                                                 restarts=config.restarts, seed=seed))
-            row = {f"{stage}_s": t for stage, t in timer.seconds.items()}
+            finally:
+                tracer.restore()
+            self_s = tracer.self_times()[0]
+            row = {f"{stage}_s": self_s[stage] for stage in STAGES.values()}
             row["other_s"] = call - sum(row.values())
             row["call_s"] = call
             row["ref_s"] = ref
             rows.append(row)
-        out[f"p{p}"] = _median_rows(rows)
+        out[f"p{p}"] = harness.median_rows(rows)
     return out
-
-
-def _median_rows(rows: list[dict]) -> dict:
-    return {key: float(np.median([r[key] for r in rows])) for key in rows[0]}
 
 
 def time_verify(text: str, around, extra=()) -> tuple[float, float]:
@@ -172,15 +123,14 @@ def scaled(run: dict) -> dict:
 
 def measure() -> dict:
     around = harness.host_reference()
-    G, W = planted_point()
-    point = field_text(G, W)
+    point = smooth_field(POINT_SEED, 1, PAIR_VALUES)
     powers = ["--power", "2", "--power", "3"]
-    time_verify(point, around, powers)  # warm-up: imports, LAPACK initialisation
-    passes = [time_oracle(G, W, around) for _ in range(REPEATS)]
-    calls = np.array([time_verify(point, around, powers) for _ in range(VERIFY_CALLS)])
-    field_s, field_ref_s = time_verify(smooth_field_text(), around)
+    time_verify(point.text, around, powers)  # warm-up: imports, LAPACK initialisation
+    passes = [time_oracle(point.points[0].g, point.points[0].w, around) for _ in range(REPEATS)]
+    calls = np.array([time_verify(point.text, around, powers) for _ in range(VERIFY_CALLS)])
+    field_s, field_ref_s = time_verify(smooth_field(FIELD_SEED, FIELD_POINTS).text, around)
     return {
-        **{p: _median_rows([x[p] for x in passes]) for p in passes[0]},
+        **harness.median_rows(passes),
         "verify_power_2_3_s": float(np.median(calls[:, 0])),
         "verify_power_2_3_ref_s": float(np.median(calls[:, 1])),
         "verify_field_n1000_s": field_s,

@@ -1,4 +1,4 @@
-"""What the bench scripts share: BLAS pinning, the measured tree, the host reference and the BENCH record.
+"""What the bench scripts share: BLAS pinning, the measured tree, the host reference, row medians and the BENCH record.
 
 Importing this module pins BLAS to one thread, as in the benchmark, so a
 script imports it before numpy.  ``parse_args`` puts the tree named by
@@ -77,6 +77,11 @@ def _percentile(rows: list, q: float):
     if isinstance(rows[0], dict):
         return {key: _percentile([row[key] for row in rows], q) for key in rows[0]}
     return float(np.percentile(rows, q))
+
+
+def median_rows(rows: list[dict]) -> dict:
+    """The median of every leaf over ``rows``, dicts with the same keys."""
+    return _percentile(rows, 50)
 
 
 def summarize(runs: list[dict], scaled) -> dict:

@@ -69,6 +69,16 @@ def _plane_tol_arg(text: str) -> float:
     return value
 
 
+def _vector_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse frame vector entry {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"frame vector entries must be finite, got {text!r}")
+    return value
+
+
 def _epsilon_arg(text: str):
     if text == "auto":
         return None
@@ -133,8 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="test against the normalized power of this order (default 1)")
     p_plane.add_argument("--tol", type=_plane_tol_arg, default=1e-9,
                          help="calibration tolerance, finite and non-negative (default 1e-9)")
-    p_plane.add_argument("--vectors", type=float, nargs="+", required=True,
-                         help="2p*n reals, row-major: the frame spanning the plane")
+    p_plane.add_argument("--vectors", type=_vector_arg, nargs="+", required=True,
+                         help="2p*n finite reals, row-major: the frame spanning the plane")
 
     p_demo = sub.add_parser("demo", help="write a documented demo CALFIELD file")
     p_demo.add_argument("--name", required=True, choices=field_mod.DEMO_NAMES)

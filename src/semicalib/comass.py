@@ -27,13 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES
-from .construction import PointConstruction, _form_spectra
-from .forms import Frame, MetricTensor, TwoForm, _gram_schmidt_stack, _polar_factor, _raise_first, gram_schmidt
-from .spectral import _pair_values
-
-# perfbench/workloads.py traces these names by patching them in this module,
-# so they stay importable here, though the oracles call neither of them.
-from .spectral import associated_endomorphism, paired_spectrum  # noqa: E402, F401
+from .construction import PointConstruction
+from .forms import Frame, MetricTensor, TwoForm, _gram_schmidt_stack, _polar_factor, gram_schmidt
+from .spectral import _pair_values, associated_endomorphism, paired_spectrum
 
 # Frames per sampling chunk: each (chunk, n) temporary stays cache-sized.  The
 # sampled values do not depend on it.
@@ -209,9 +205,8 @@ def comass_exact(g: MetricTensor, form) -> ComassEstimate:
     omega, p = _form_data(form)
     if omega.dim != g.dim:
         raise ValueError("metric and two-form dimensions disagree")
-    _, basis, _, npairs, checks = _form_spectra(g.entries[None], omega.entries[None], _EVERY_BLOCK)
-    _raise_first(checks)
-    rows = basis[0, : 2 * p] if npairs[0] >= p else np.zeros((0, g.dim))
+    spectrum = paired_spectrum(associated_endomorphism(g, omega), g, _EVERY_BLOCK)
+    rows = spectrum.basis[: 2 * p] if spectrum.npairs >= p else np.zeros((0, g.dim))
     value = _exact_powers(g.entries[None], omega.entries[None], (p,))[p][0]
     return ComassEstimate(float(value), Frame(rows), 0, 0, "exact")
 

@@ -35,6 +35,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -74,6 +75,9 @@ FORMAT_VERSION = 12
 # Points per assembly batch: enough to share each stacked call's overhead,
 # few enough that a batch's temporaries stay small whatever the field size.
 _BATCH = 64
+# Characters of CALFIELD text split into lines at a time: the parse holds one
+# block's lines, not a second copy of the file.
+_BLOCK = 1 << 16
 
 # Thresholds applied by verify_field, per check.
 RESIDUAL_THRESHOLDS = {
@@ -235,6 +239,20 @@ def _parse_int(token: str, line: int, what: str) -> int:
         raise ParseError(f"cannot parse {what} {token!r}", line) from exc
 
 
+def _line_blocks(text: str):
+    r"""``text.splitlines()`` in parts: the lines of one block of about ``_BLOCK`` characters at a time.
+
+    Each block ends just after a ``\n``, which always ends a line and never
+    splits a ``\r\n``, so the blocks' lines, chained, are the text's.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _BLOCK - 1)
+        end = len(text) if cut < 0 else cut + 1
+        yield text[start:end].splitlines()
+        start = end
+
+
 class _Records:
     """Logical lines of a CALFIELD file, (line number, tokens), read as they are taken.
 
@@ -243,7 +261,8 @@ class _Records:
     """
 
     def __init__(self, text: str):
-        self._lines = ((lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+        lines = chain.from_iterable(_line_blocks(text))
+        self._lines = ((lineno, tokens) for lineno, raw in enumerate(lines, start=1)
                        if (tokens := raw.split("#", 1)[0].split()))
         self.last_line = 1
         self.next = self._read()

@@ -3,7 +3,7 @@
 ``perfbench/run.py --trace`` patches every ``TRACE_TARGETS`` name in the
 module that calls it, the adversarial workload reads ``J``, ``g_J``,
 ``Omega`` and the residuals off ``construct_point``'s result,
-``bench/comass_stages.py`` wraps the sampled oracle's stage functions and
+``bench/comass_stages.py`` traces the sampled oracle's stage functions and
 ``bench/build_stages.py`` chains the four build stages.  A renamed function
 or field breaks the benchmark only when it runs; these tests catch it in the
 tier-1 suite.  A library import kept for the tracer alone is one of its
@@ -70,15 +70,37 @@ def test_relative_imports_used_or_traced(workloads):
     assert not unused, f"unused imports: {unused}"
 
 
-def test_comass_stage_names_resolve():
-    """``bench/comass_stages.py`` times the oracle by wrapping these stage functions by name."""
-    stages = load_bench_script("comass_stages")
+@pytest.fixture(scope="module")
+def comass_stages():
+    return load_bench_script("comass_stages")
+
+
+def test_comass_stage_names_resolve(comass_stages):
+    """``bench/comass_stages.py`` times the oracle by tracing these stage functions by name."""
     import semicalib.comass as comass
 
-    names = stages.StageTimer(comass).names
-    assert set(names) == {"_orthonormal_frames", "_abs_values", "_polish"}
-    for name in names:
+    assert set(comass_stages.STAGES) == {"_orthonormal_frames", "_abs_values", "_polish"}
+    for name in comass_stages.STAGES:
         assert callable(getattr(comass, name, None)), f"semicalib.comass.{name} is missing"
+
+
+def test_comass_stages_time_the_verify_power_point(comass_stages, workloads):
+    assert comass_stages.PAIR_VALUES == workloads.VERIFY_PAIR_VALUES
+
+
+def test_comass_stages_time_oracle(comass_stages, monkeypatch):
+    """``time_oracle`` splits each power's calls into the traced stages and restores them; no bound is timed."""
+    import semicalib.comass as comass
+
+    before = {name: getattr(comass, name) for name in comass_stages.STAGES}
+    monkeypatch.setattr(comass_stages, "ORACLE_SAMPLES", 300)
+    point = comass_stages.smooth_field(comass_stages.POINT_SEED, 1, comass_stages.PAIR_VALUES).points[0]
+    out = comass_stages.time_oracle(point.g, point.w, lambda fn: (fn(), 1.0, 2.0))
+    assert set(out) == {f"p{p}" for p in comass_stages.POWERS}
+    for row in out.values():
+        assert set(row) == {"sampling_s", "ranking_s", "ascent_s", "other_s", "call_s", "ref_s"}
+        assert row["sampling_s"] > 0 and row["call_s"] == 1.0 and row["ref_s"] == 2.0
+    assert {name: getattr(comass, name) for name in comass_stages.STAGES} == before
 
 
 @pytest.fixture(scope="module")

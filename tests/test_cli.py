@@ -306,6 +306,16 @@ class TestPlaneTest:
         assert err.value.code == 2
         assert "finite and non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["nan", "1e400"])
+    def test_non_finite_vectors_rejected(self, entry, tmp_path, capsys):
+        # 1e400 parses to inf; a non-finite frame is a usage error, not a failed verification (exit 1)
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        with pytest.raises(SystemExit) as err:
+            main(["plane-test", demo, "--vectors", entry, "0", "1", "0", "0", "1", "0", "1"])
+        assert err.value.code == 2
+        assert "error: argument --vectors: frame vector entries must be finite" in capsys.readouterr().err
+
     def test_degenerate_frame(self, tmp_path, capsys):
         demo = str(tmp_path / "d.calfield")
         main(["demo", "--name", "standard", "-o", demo])

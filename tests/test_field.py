@@ -132,17 +132,39 @@ class TestParser:
 
     def test_peak_memory_bounded_by_the_text_and_columns(self):
         # Each record is converted when it is read, so no token outlives its
-        # line.  On this 2000-point n = 8 field the peak is about 0.9x the
+        # line.  On this 2000-point n = 8 field the peak is about 0.7x the
         # text and the grid's columns; a token string kept per number of the
         # file made it about 3.8x.
         text = planted_field_text(8, seed=8, points=2000)
-        tracemalloc.start()
-        try:
-            grid = parse_calfield(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        grid, peak = parse_peak(text)
         assert peak <= 2 * (len(text) + grid.g.nbytes + grid.w.nbytes)
+
+    def test_peak_memory_holds_no_copy_of_the_lines(self):
+        # The coefficient buffers (half the columns at n = 8), the columns and
+        # one block's lines: about 1.61x the columns on this field.  Holding
+        # every line of the file until the end made it about 2.07x.
+        grid, peak = parse_peak(planted_field_text(8, seed=8, points=2000))
+        assert peak <= 1.75 * (grid.g.nbytes + grid.w.nbytes)
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_lines_split_in_blocks_are_those_of_splitlines(self, monkeypatch, block):
+        monkeypatch.setattr(semicalib.field, "_BLOCK", block)
+        ends = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+        fills = ["", "a", "bc", "def"]
+        texts = [a + x + b + y + c for x in ends for y in ends for a in fills for b in fills for c in ("", "g", "h\n")]
+        texts += ["", "\n", "\r\r\n\n\r", "\n\r" * 5, MINIMAL.replace("\n", "\r\n")]
+        for text in texts:
+            assert sum(semicalib.field._line_blocks(text), []) == text.splitlines(), repr(text)
+
+
+def parse_peak(text: str):
+    """(parse_calfield(text), the parse's tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        grid = parse_calfield(text)
+        return grid, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def two_faults(kinds, at=(1, 2)):
