@@ -59,7 +59,7 @@ def time_stages(text: str, around) -> dict:
         for stage, step in steps.items():
             value, row[f"{stage}_s"], row[f"{stage}_ref_s"] = around(lambda: step(value))
         rows.append(row)
-    med = harness.median_rows(rows)
+    med = harness.percentile(rows, 50)
     med["total_s"] = sum(med[f"{stage}_s"] for stage in STAGES)
     med["report_bytes"] = len(value)
     return med

@@ -1,4 +1,4 @@
-"""What the bench scripts share: BLAS pinning, the measured tree, the host reference, row medians and the BENCH record.
+"""What the bench scripts share: BLAS pinning, the measured tree, the host reference, row percentiles and the BENCH record.
 
 Importing this module pins BLAS to one thread, as in the benchmark, so a
 script imports it before numpy.  ``parse_args`` puts the tree named by
@@ -73,21 +73,17 @@ def host_reference():
     return around
 
 
-def _percentile(rows: list, q: float):
+def percentile(rows: list, q: float):
+    """The ``q``-th percentile of every leaf over ``rows``, numbers or (nested) dicts with the same keys."""
     if isinstance(rows[0], dict):
-        return {key: _percentile([row[key] for row in rows], q) for key in rows[0]}
+        return {key: percentile([row[key] for row in rows], q) for key in rows[0]}
     return float(np.percentile(rows, q))
-
-
-def median_rows(rows: list[dict]) -> dict:
-    """The median of every leaf over ``rows``, dicts with the same keys."""
-    return _percentile(rows, 50)
 
 
 def summarize(runs: list[dict], scaled) -> dict:
     """``median``, ``q1`` and ``q3`` of every leaf over ``runs``, and under ``scaled`` the same of ``scaled(run)``."""
     def stats(rows: list[dict]) -> dict:
-        return {name: _percentile(rows, q) for name, q in (("median", 50), ("q1", 25), ("q3", 75))}
+        return {name: percentile(rows, q) for name, q in (("median", 50), ("q1", 25), ("q3", 75))}
 
     return {**stats(runs), "scaled": stats([scaled(run) for run in runs])}
 

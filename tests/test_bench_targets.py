@@ -84,8 +84,11 @@ def test_comass_stage_names_resolve(comass_stages):
         assert callable(getattr(comass, name, None)), f"semicalib.comass.{name} is missing"
 
 
-def test_comass_stages_time_the_verify_power_point(comass_stages, workloads):
+def test_comass_stages_time_the_verify_power_point(comass_stages, workloads, tmp_path):
+    """The script's point is the first field the verify-power workload draws at seed 1."""
     assert comass_stages.PAIR_VALUES == workloads.VERIFY_PAIR_VALUES
+    point = comass_stages.smooth_field(comass_stages.POINT_SEED, 1, comass_stages.PAIR_VALUES)
+    assert point.text == workloads.VerifyPower(1, str(tmp_path)).fields[0].text
 
 
 def test_comass_stages_time_oracle(comass_stages, monkeypatch):
