@@ -43,6 +43,27 @@ _DEFAULTS = FieldConfig()
 _COMASS_SAMPLES = 20_000
 
 
+def _real(parse_message: str, range_message: str, in_range=lambda v: True):
+    """An argparse type: a finite float passing ``in_range``. ``{!r}`` in a message is the flag's text."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(parse_message.format(text))
+        if not (math.isfinite(value) and in_range(value)):
+            raise argparse.ArgumentTypeError(range_message.format(text))
+        return value
+    return parse
+
+
+_tol_value = _real("cannot parse tolerance value {!r}", "tolerances must be finite and positive", lambda v: v > 0)
+_epsilon_value = _real("epsilon must be 'auto' or a number, got {!r}", "epsilon must be finite and positive",
+                       lambda v: v > 0)
+_plane_tol = _real("cannot parse calibration tolerance {!r}",
+                   "calibration tolerance must be finite and non-negative", lambda v: v >= 0)
+_vector_entry = _real("cannot parse frame vector entry {!r}", "frame vector entries must be finite, got {!r}")
+
+
 def _tol_arg(text: str):
     name, _, value = text.partition("=")
     if name not in _TOLERANCE_NAMES or not value:
@@ -50,45 +71,11 @@ def _tol_arg(text: str):
             f"tolerance override must look like name=value with name in "
             f"{', '.join(_TOLERANCE_NAMES)}; got {text!r}"
         )
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse tolerance value {value!r}")
-    if not (math.isfinite(parsed) and parsed > 0):
-        raise argparse.ArgumentTypeError("tolerances must be finite and positive")
-    return name, parsed
-
-
-def _plane_tol_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse calibration tolerance {text!r}")
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("calibration tolerance must be finite and non-negative")
-    return value
-
-
-def _vector_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse frame vector entry {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"frame vector entries must be finite, got {text!r}")
-    return value
+    return name, _tol_value(value)
 
 
 def _epsilon_arg(text: str):
-    if text == "auto":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"epsilon must be 'auto' or a number, got {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("epsilon must be finite and positive")
-    return value
+    return None if text == "auto" else _epsilon_value(text)
 
 
 @functools.cache
@@ -141,9 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plane.add_argument("--point", type=int, default=0, help="point index (default 0)")
     p_plane.add_argument("--power", type=int, default=1,
                          help="test against the normalized power of this order (default 1)")
-    p_plane.add_argument("--tol", type=_plane_tol_arg, default=1e-9,
+    p_plane.add_argument("--tol", type=_plane_tol, default=1e-9,
                          help="calibration tolerance, finite and non-negative (default 1e-9)")
-    p_plane.add_argument("--vectors", type=_vector_arg, nargs="+", required=True,
+    p_plane.add_argument("--vectors", type=_vector_entry, nargs="+", required=True,
                          help="2p*n finite reals, row-major: the frame spanning the plane")
 
     p_demo = sub.add_parser("demo", help="write a documented demo CALFIELD file")
@@ -284,8 +271,10 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "samples", 1) < 1 or getattr(args, "restarts", 0) < 0:
-        parser.error("--samples must be >= 1 and --restarts >= 0")
+    if getattr(args, "samples", 1) < 1:
+        parser.error("--samples must be >= 1")
+    if getattr(args, "restarts", 0) < 0:
+        parser.error("--restarts must be >= 0")
     if args.command == "verify" and args.restarts < 1:
         parser.error("verify needs --restarts >= 1: unpolished, its sampled run cannot attain comass 1")
     if getattr(args, "seed", 0) < 0:

@@ -142,6 +142,29 @@ class TestExitCodes:
             assert err.value.code == 2
             assert "error: argument --epsilon: epsilon must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["build", "x", "--epsilon", "abc"], "epsilon must be 'auto' or a number, got 'abc'"),
+            (["build", "x", "--tol", "zero=abc"], "cannot parse tolerance value 'abc'"),
+            (["plane-test", "x", "--tol", "abc", "--vectors", "1"], "cannot parse calibration tolerance 'abc'"),
+            (["plane-test", "x", "--vectors", "abc"], "cannot parse frame vector entry 'abc'"),
+        ],
+        ids=["epsilon", "tol", "plane-tol", "vectors"],
+    )
+    def test_unparsable_real_flag_rejected(self, args, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        assert f"error: argument {args[2]}: {message}" in capsys.readouterr().err
+
+    def test_epsilon_auto_is_the_default(self, tmp_path):
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "standard", "-o", demo])
+        assert main(["build", demo, "--epsilon", "auto", "-o", str(tmp_path / "auto.json")]) == 0
+        assert main(["build", demo, "-o", str(tmp_path / "default.json")]) == 0
+        assert (tmp_path / "auto.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         demo = str(tmp_path / "d.calfield")
         main(["demo", "--name", "standard", "-o", demo])
@@ -186,10 +209,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["verify", "comass"])
     @pytest.mark.parametrize("flag", [["--samples", "0"], ["--restarts", "-1"]])
-    def test_bad_sampling_flags_rejected(self, command, flag):
+    def test_bad_sampling_flags_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as err:
             main([command, "x", *flag])
         assert err.value.code == 2
+        message = {"--samples": "--samples must be >= 1", "--restarts": "--restarts must be >= 0"}[flag[0]]
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     def test_verify_without_restarts_is_a_usage_error(self, tmp_path, capsys):
         # unpolished, verify's sampled run cannot attain comass 1; comass still takes 0
