@@ -148,8 +148,13 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path) as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8-sig")  # UTF-8, a leading byte-order mark dropped
+    except UnicodeDecodeError as exc:  # its offsets index exc.object, the data after any mark
+        line = len((exc.object[: exc.start].decode() + "x").splitlines())  # numbered as the parser does
+        raise ParseError(f"cannot decode byte 0x{exc.object[exc.start]:02x} as UTF-8", line) from exc
 
 
 def _config(args, powers=()) -> FieldConfig:

@@ -427,7 +427,7 @@ def test_calibrated(g: MetricTensor, form, frame: Frame, tol: float = 1e-9) -> C
     return CalibrationVerdict(ratio=ratio, calibrated=abs(ratio - 1.0) <= tol, tolerance=tol)
 
 
-def calibrated_eigenspace(pc: PointConstruction, tol: float = CALIBRATED_TOL) -> Frame:
+def calibrated_eigenspace(pc: PointConstruction) -> Frame:
     """g-orthonormal basis of the eigenvalue-1 eigenspace of -A^2.
 
     Every positively-oriented plane of the shape (v, Av) inside it is
@@ -435,5 +435,5 @@ def calibrated_eigenspace(pc: PointConstruction, tol: float = CALIBRATED_TOL) ->
     reaches 1 (then no plane is calibrated).
     """
     spectrum = pc.spectrum
-    calibrated = np.abs(spectrum.eigenvalues - 1.0) <= tol
+    calibrated = np.abs(spectrum.eigenvalues - 1.0) <= CALIBRATED_TOL
     return Frame(spectrum.basis[: 2 * spectrum.npairs][np.repeat(calibrated, 2)])

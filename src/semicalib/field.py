@@ -64,7 +64,6 @@ from .forms import (
     _first_fault,
     _freeze,
     _metric_stack,
-    _triu,
     _trusted,
     _two_form_stack,
     _upper_stack,
@@ -355,9 +354,7 @@ def parse_calfield(text: str) -> FieldGrid:
     count = len(g_lines)
     g_rows, g = np.frombuffer(g_rows).reshape(count, n_g), np.empty((count, dim, dim))
     for lo in range(0, count, _BATCH):
-        upper = _upper_stack(dim, g_rows[lo : lo + _BATCH], 0)
-        upper += _triu(upper, 1).mT
-        g[lo : lo + _BATCH], checks = _metric_stack(upper)
+        g[lo : lo + _BATCH], checks = _metric_stack(_upper_stack(dim, g_rows[lo : lo + _BATCH], 0))
         # The entries are finite and mirrored: only positive definiteness can fail.
         metric_fault = _first_fault(checks)
         if metric_fault is not None:
@@ -367,8 +364,7 @@ def parse_calfield(text: str) -> FieldGrid:
         raise fault
     w_rows, w = np.frombuffer(w_rows).reshape(count, n_w), np.empty_like(g)
     for lo in range(0, count, _BATCH):
-        upper = _upper_stack(dim, w_rows[lo : lo + _BATCH], 1)
-        w[lo : lo + _BATCH] = upper - upper.mT  # as TwoForm stores it: finite and antisymmetric
+        w[lo : lo + _BATCH] = _upper_stack(dim, w_rows[lo : lo + _BATCH], 1)  # TwoForm's storage: finite, antisymmetric
     return _trusted(FieldGrid, dim=dim, g=g, w=w)  # every row passed FieldGrid's checks above
 
 

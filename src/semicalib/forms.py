@@ -71,15 +71,15 @@ def _trusted(cls, **fields):
 
 
 def _upper_stack(dim: int, coeffs: np.ndarray, offset: int) -> np.ndarray:
-    """A stack of zero (dim, dim) matrices with row k of ``coeffs`` on matrix k's triangle.
+    """Canonical (dim, dim) matrices with the rows of ``coeffs`` on their upper triangles, row-major.
 
-    The triangle is the upper one from diagonal ``offset`` on (0 keeps the
-    diagonal, 1 leaves it out), filled row-major.
+    Offset 0 keeps the diagonal and mirrors it (a metric), offset 1 leaves it out and subtracts the
+    transpose (a 2-form), by :func:`_metric_stack`'s and :func:`_two_form_stack`'s formulas, signed zeros too.
     """
-    mats = np.zeros((len(coeffs), dim, dim))
+    upper = np.zeros((len(coeffs), dim, dim))
     rows, cols = np.triu_indices(dim, offset)
-    mats[:, rows, cols] = coeffs
-    return mats
+    upper[:, rows, cols] = coeffs
+    return upper - upper.mT if offset else upper + _triu(upper, 1).mT
 
 
 def _first_fault(checks) -> tuple[int, Exception] | None:
@@ -171,8 +171,7 @@ class MetricTensor:
         expected = dim * (dim + 1) // 2
         if coeffs.shape != (expected,):
             raise ValueError(f"expected {expected} coefficients, got {coeffs.size}")
-        mat = _upper_stack(dim, coeffs[None], 0)[0]
-        return cls(mat + np.triu(mat, 1).T)
+        return cls(_upper_stack(dim, coeffs[None], 0)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +208,7 @@ class TwoForm:
         expected = dim * (dim - 1) // 2
         if coeffs.shape != (expected,):
             raise ValueError(f"expected {expected} coefficients, got {coeffs.size}")
-        mat = _upper_stack(dim, coeffs[None], 1)[0]
-        return cls(mat - mat.T)
+        return cls(_upper_stack(dim, coeffs[None], 1)[0])
 
     @classmethod
     def standard_symplectic(cls, dim: int) -> "TwoForm":
@@ -332,15 +330,15 @@ def _polar_factor(mats: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _orthonormal_rows(g: MetricTensor, vectors: np.ndarray, strict: int, rank_tol: float) -> np.ndarray:
+def _orthonormal_rows(g: MetricTensor, vectors: np.ndarray, strict: int) -> np.ndarray:
     """The g-orthonormalized rows of one frame: :func:`_gram_schmidt_stack` on a stack of one.
 
-    A vector with residual at most ``rank_tol`` of its own norm is dropped,
+    A vector with residual at most ``_RANK_TOL`` of its own norm is dropped,
     or among the first ``strict`` raises :class:`RankDeficiencyError`.
     """
     X = np.array(vectors, dtype=float)
     original = np.sqrt(np.maximum(np.einsum("kn,kn->k", X @ g.entries, X), 0.0))
-    floor = rank_tol * np.maximum(original, _TINY)
+    floor = _RANK_TOL * np.maximum(original, _TINY)
     F, residual = _gram_schmidt_stack(g.entries, X[:, None], floor[:, None])
     kept = residual[:, 0] > floor
     if not kept[:strict].all():
@@ -351,18 +349,18 @@ def _orthonormal_rows(g: MetricTensor, vectors: np.ndarray, strict: int, rank_to
     return F[kept, 0]
 
 
-def gram_schmidt(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:
+def gram_schmidt(g: MetricTensor, frame: Frame) -> Frame:
     """g-orthonormalize a frame, preserving the span and the first direction.
 
     Raises :class:`RankDeficiencyError` when a vector's residual drops below
-    ``rank_tol`` relative to its original norm.
+    ``_RANK_TOL`` = 1e-10 of its original norm.
     """
     if frame.dim != g.dim:
         raise ValueError("frame and metric dimensions disagree")
-    return Frame(_orthonormal_rows(g, frame.vectors, len(frame), rank_tol))
+    return Frame(_orthonormal_rows(g, frame.vectors, len(frame)))
 
 
-def complement_basis(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL) -> Frame:
+def complement_basis(g: MetricTensor, frame: Frame) -> Frame:
     """Deterministic g-orthonormal basis of the g-orthogonal complement of a frame.
 
     Seeds Gram-Schmidt with the frame itself, then sweeps the coordinate
@@ -371,7 +369,7 @@ def complement_basis(g: MetricTensor, frame: Frame, rank_tol: float = _RANK_TOL)
     if frame.dim != g.dim:
         raise ValueError("frame and metric dimensions disagree")
     n, k = g.dim, len(frame)
-    rows = _orthonormal_rows(g, np.concatenate([frame.vectors, np.eye(n)]), k, rank_tol)[:n]
+    rows = _orthonormal_rows(g, np.concatenate([frame.vectors, np.eye(n)]), k)[:n]
     if len(rows) != n:
         raise RankDeficiencyError("could not complete the frame to a full basis")
     return Frame(rows[k:])

@@ -74,6 +74,24 @@ class TestExitCodes:
         assert main(["build", bad]) == 2
         assert "positive definite" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path):
+        demo = tmp_path / "d.calfield"
+        main(["demo", "--name", "scaled", "-o", str(demo)])
+        marked = tmp_path / "bom.calfield"
+        marked.write_bytes(b"\xef\xbb\xbf" + demo.read_bytes())
+        for path in (demo, marked):
+            assert main(["build", str(path), "-o", f"{path}.json"]) == 0
+        assert (tmp_path / "bom.calfield.json").read_bytes() == (tmp_path / "d.calfield.json").read_bytes()
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_undecodable_byte_is_2_with_its_line(self, mark, tmp_path, capsys):
+        lines = constant_field_text(4, "1 0 0 0 1 0 0 1 0 1", "1 0 0 0 0 1", 1).encode().split(b"\n")
+        lines[2] += b"  # caf\xe9"
+        bad = tmp_path / "latin1.calfield"
+        bad.write_bytes(mark + b"\n".join(lines))
+        assert main(["build", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: cannot decode byte 0xe9 as UTF-8 (line 3)\n"
+
     def test_verification_failure_is_1(self, tmp_path, capsys):
         # comass 2 input: semi-calibration bound fails
         bad = write(
@@ -164,6 +182,21 @@ class TestExitCodes:
         assert main(["build", demo, "--epsilon", "auto", "-o", str(tmp_path / "auto.json")]) == 0
         assert main(["build", demo, "-o", str(tmp_path / "default.json")]) == 0
         assert (tmp_path / "auto.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, ignored",
+        [
+            (["build"], ["--seed", "7"]),
+            (["comass", *FAST], ["--epsilon", "0.3", "--no-hints", "--tol", "zero=1e-3", "--tol", "pd=1e-3"]),
+        ],
+        ids=["build", "comass"],
+    )
+    def test_ignored_flags_leave_the_report_unchanged(self, args, ignored, tmp_path):
+        demo = str(tmp_path / "d.calfield")
+        main(["demo", "--name", "scaled", "-o", demo])
+        assert main([*args, demo, "-o", str(tmp_path / "plain.json")]) == 0
+        assert main([*args, demo, *ignored, "-o", str(tmp_path / "flags.json")]) == 0
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         demo = str(tmp_path / "d.calfield")

@@ -315,13 +315,28 @@ class TestParseOrder:
     def test_python_float_spellings(self):
         g_tokens = "1_0 +0 -0.0 .5 1E1 0 0 1e1 5. 1_0.0_1".split()
         w_tokens = ["+1e3", "-1_0", "4.9e-324", "1e-320", "-.25", "1_0E-1_0"]
-        text = MINIMAL.replace("G 1 0 0 0 1 0 0 1 0 1", "G " + " ".join(g_tokens))
-        text = text.replace("W 1 0 0 0 0 1", "W " + " ".join(w_tokens))
-        point = parse_calfield(text).points[0]
-        g = MetricTensor.from_upper(4, [float(t) for t in g_tokens])
-        w = TwoForm.from_upper(4, [float(t) for t in w_tokens])
-        assert point.g.entries.tobytes() == g.entries.tobytes()
-        assert point.omega.entries.tobytes() == w.entries.tobytes()
+        assert_canonical_rows(4, g_tokens, w_tokens)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    def test_parsed_rows_have_canonical_bits(self, dim):
+        # Zeros of both signs among the coefficients: a parse that wrote a form's
+        # lower triangle as -coefficient would store -0.0 where TwoForm stores +0.0.
+        cycle = ["0", "-0", ".125", "-0", "0", "-2.5e-1"]
+        g_tokens = ["1_0" if i == j else cycle[(i + j) % 6] for i in range(dim) for j in range(i, dim)]
+        w_tokens = [cycle[k % 6] for k in range(dim * (dim - 1) // 2)]
+        assert_canonical_rows(dim, g_tokens, w_tokens)
+
+
+def assert_canonical_rows(dim, g_tokens, w_tokens):
+    """The parsed rows of a one-point field of these tokens have its value types' canonical bits."""
+    grid = parse_calfield(constant_field_text(dim, " ".join(g_tokens), " ".join(w_tokens), 1))
+    g = MetricTensor.from_upper(dim, [float(t) for t in g_tokens])
+    w = TwoForm.from_upper(dim, [float(t) for t in w_tokens])
+    assert grid.g[0].tobytes() == g.entries.tobytes() == MetricTensor(grid.g[0]).entries.tobytes()
+    assert grid.w[0].tobytes() == w.entries.tobytes() == TwoForm(grid.w[0]).entries.tobytes()
+    point = grid.points[0]
+    assert point.g.entries.tobytes() == g.entries.tobytes()
+    assert point.omega.entries.tobytes() == w.entries.tobytes()
 
 
 def with_complement(g, omega, pc, complement, tol):
