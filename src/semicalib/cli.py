@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Commands: ``build`` (run the construction over a CALFIELD file), ``verify``
-(build + check every guarantee), ``comass`` (exact + sampled comass per
-point), ``plane-test`` (test one oriented plane), ``demo`` (write a
-documented example field).
+Commands, with the flags each reads besides ``-o``: ``build INPUT`` runs the
+construction over a CALFIELD file (``--epsilon``, ``--no-hints``, ``--tol``);
+``verify INPUT`` builds, then checks every guarantee (build's flags, ``--seed``,
+``--samples``, ``--restarts``, ``--power``); ``comass INPUT`` tabulates exact +
+sampled comass per point (``--seed``, ``--samples``, ``--restarts``, ``--power``);
+``plane-test INPUT`` tests one oriented plane (``--point``, ``--power``, ``--tol``,
+``--vectors``); ``demo`` writes a documented example field (``--name``).
 
 Exit codes: 0 success / verification passed, 1 verification failure,
 2 input or parse error, 3 base-point failure (gap violation at point 0, or
@@ -92,33 +95,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples: int | None):
+    def common(p, builds: bool, samples: int | None):
         p.add_argument("input", help="CALFIELD input file")
         p.add_argument("-o", "--output", help="write the report here instead of stdout")
-        p.add_argument("--epsilon", type=_epsilon_arg, default=None,
-                       help="gap parameter: 'auto' (default, from the base point) or a finite positive number")
-        p.add_argument("--seed", type=int, default=0, help="non-negative PRNG seed (default 0)")
-        p.add_argument("--no-hints", action="store_true",
-                       help="disable frame propagation between points")
-        p.add_argument("--tol", type=_tol_arg, action="append", default=[],
-                       metavar="NAME=VALUE",
-                       help=f"override a tolerance ({', '.join(_TOLERANCE_NAMES)}); repeatable")
+        if builds:
+            p.add_argument("--epsilon", type=_epsilon_arg, default=None,
+                           help="gap parameter: 'auto' (default, from the base point) or a finite positive number")
+            p.add_argument("--no-hints", action="store_true",
+                           help="disable frame propagation between points")
+            p.add_argument("--tol", type=_tol_arg, action="append", default=[], metavar="NAME=VALUE",
+                           help=f"override a tolerance ({', '.join(_TOLERANCE_NAMES)}); repeatable")
         if samples is not None:
+            p.add_argument("--seed", type=int, default=0, help="non-negative PRNG seed (default 0)")
             p.add_argument("--samples", type=int, default=samples,
                            help=f"random frames per sampled comass run (default {samples})")
             p.add_argument("--restarts", type=int, default=_DEFAULTS.restarts,
                            help=f"best sampled frames to polish (default {_DEFAULTS.restarts})")
 
     p_build = sub.add_parser("build", help="run the construction and emit the report")
-    common(p_build, samples=None)
+    common(p_build, builds=True, samples=None)
 
     p_verify = sub.add_parser("verify", help="build, then verify every guarantee")
-    common(p_verify, samples=_DEFAULTS.samples)
+    common(p_verify, builds=True, samples=_DEFAULTS.samples)
     p_verify.add_argument("--power", type=int, action="append", default=[],
                           help="also check the normalized power of this order (repeatable)")
 
     p_comass = sub.add_parser("comass", help="per-point comass table (exact + sampled)")
-    common(p_comass, samples=_COMASS_SAMPLES)
+    common(p_comass, builds=False, samples=_COMASS_SAMPLES)
     p_comass.add_argument("--power", type=int, default=1,
                           help="comass of the normalized power of this order (default 1)")
 
@@ -160,7 +163,7 @@ def _read(path: str) -> str:
 def _config(args, powers=()) -> FieldConfig:
     return FieldConfig(
         epsilon=args.epsilon,
-        seed=args.seed,
+        seed=getattr(args, "seed", _DEFAULTS.seed),
         samples=getattr(args, "samples", _DEFAULTS.samples),
         restarts=getattr(args, "restarts", _DEFAULTS.restarts),
         powers=tuple(powers),

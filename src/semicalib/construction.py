@@ -161,6 +161,8 @@ def align_frame(hint: Frame, base: Frame, g: MetricTensor) -> Frame:
     Orthogonal Procrustes, polar(hint G base^T) base: the step of
     :func:`_complement_frames` on a stack of one.
     """
+    if hint.dim != g.dim or base.dim != g.dim:
+        raise ValueError("frame and metric dimensions disagree")
     if len(hint) != len(base):
         raise ValueError("hint and base frames have different sizes")
     if len(base) == 0:
@@ -323,14 +325,17 @@ def construct_point(
     ``epsilon=None`` uses the automatic policy: the smallest paired eigenvalue
     of -A^2 at this point; with none (omega = 0) the whole space is the
     complement.  A ``tframe_hint`` of the complement's size replaces the
-    spectral complement frame by :func:`align_frame`.  Raises
-    :class:`GapViolation` when an eigenvalue falls between the bands, and
-    :class:`ConstructionError` when a stage's check fails.
+    spectral complement frame by :func:`align_frame`.  Raises ValueError for
+    a hint whose dimension is not g's, :class:`GapViolation` when an
+    eigenvalue falls between the bands, and :class:`ConstructionError` when
+    a stage's check fails.
     """
     if g.dim != omega.dim:
         raise ValueError("metric and two-form dimensions disagree")
     if g.dim % 2:
         raise ValueError(f"dimension {g.dim} is odd; lift the data first")
+    if tframe_hint is not None and tframe_hint.dim != g.dim:
+        raise ValueError("frame and metric dimensions disagree")
     G = g.entries[None]
     a, basis, values, npairs, checks = _form_spectra(G, omega.entries[None], tol)
     fault = _first_fault(checks)

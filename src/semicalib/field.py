@@ -44,7 +44,7 @@ import numpy as np
 # perfbench/workloads.py traces them by patching these names in this module,
 # so they stay imported.
 from .comass import _check_power, _exact_powers, _sampled_stack, comass_bruteforce, comass_exact  # noqa: F401
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, MAX_DIM, Tolerances
 from .construction import (  # noqa: F401
     PointConstruction,
     _assemble,
@@ -313,8 +313,8 @@ def parse_calfield(text: str) -> FieldGrid:
     if len(rest) != 1:
         raise ParseError("DIM takes exactly one value", lineno)
     dim = _parse_int(rest[0], lineno, "dimension")
-    if not 2 <= dim <= 16:
-        raise ParseError(f"dimension must be in [2, 16], got {dim}", lineno)
+    if not 2 <= dim <= MAX_DIM:
+        raise ParseError(f"dimension must be in [2, {MAX_DIM}], got {dim}", lineno)
     lineno, rest = records.take("POINTS", "'POINTS N'")
     if len(rest) != 1:
         raise ParseError("POINTS takes exactly one value", lineno)

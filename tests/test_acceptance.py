@@ -208,7 +208,7 @@ def test_criterion_10_determinism(tmp_path):
         for run in range(2):
             b = tmp_path / f"{name}-b{run}.json"
             v = tmp_path / f"{name}-v{run}.json"
-            ok &= cli_main(["build", str(demo), "--seed", "0", "-o", str(b)]) == 0
+            ok &= cli_main(["build", str(demo), "-o", str(b)]) == 0
             ok &= (
                 cli_main(
                     ["verify", str(demo), "--seed", "0", "--samples", "5000",

@@ -184,19 +184,23 @@ class TestExitCodes:
         assert (tmp_path / "auto.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
     @pytest.mark.parametrize(
-        "args, ignored",
+        "command, flag",
         [
-            (["build"], ["--seed", "7"]),
-            (["comass", *FAST], ["--epsilon", "0.3", "--no-hints", "--tol", "zero=1e-3", "--tol", "pd=1e-3"]),
+            ("build", ["--seed", "0"]),
+            ("comass", ["--epsilon", "0.3"]),
+            ("comass", ["--no-hints"]),
+            ("comass", ["--tol", "zero=1e-3"]),
         ],
-        ids=["build", "comass"],
+        ids=["build-seed", "comass-epsilon", "comass-no-hints", "comass-tol"],
     )
-    def test_ignored_flags_leave_the_report_unchanged(self, args, ignored, tmp_path):
-        demo = str(tmp_path / "d.calfield")
-        main(["demo", "--name", "scaled", "-o", demo])
-        assert main([*args, demo, "-o", str(tmp_path / "plain.json")]) == 0
-        assert main([*args, demo, *ignored, "-o", str(tmp_path / "flags.json")]) == 0
-        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+    def test_flags_a_command_does_not_read_are_rejected(self, command, flag, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "x", *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        seen = []
+        monkeypatch.setitem(cli._DISPATCH, "verify", lambda args: seen.append(args) or 0)
+        assert main(["verify", "x", *flag]) == 0 and len(seen) == 1
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         demo = str(tmp_path / "d.calfield")
@@ -391,7 +395,7 @@ class TestDeterminism:
         for run in range(2):
             b = tmp_path / f"b{run}.json"
             v = tmp_path / f"v{run}.json"
-            assert main(["build", demo, "--seed", "0", "-o", str(b)]) == 0
+            assert main(["build", demo, "-o", str(b)]) == 0
             assert main(["verify", demo, "--seed", "0", *FAST, "-o", str(v)]) == 0
             outs.append((b.read_bytes(), v.read_bytes()))
         assert outs[0] == outs[1]

@@ -343,6 +343,10 @@ class TestConstructPoint:
         np.testing.assert_allclose(pc.frame[2 * pc.m :], hint.vectors, atol=1e-12)
         # invariants hold regardless of the frame choice
         assert max(abs(v) for v in pc.residuals.values()) <= 1e-10
+        # a hint of the wrong dimension is rejected, whether or not its size fits the complement
+        for rows in (2, 3):
+            with pytest.raises(ValueError, match="frame and metric dimensions disagree"):
+                construct_point(g, w, tframe_hint=Frame(np.eye(6)[:rows]))
 
 
 def loop_reference(g, omega, pc):
@@ -537,3 +541,8 @@ class TestAlignFrame:
         proj = base.vectors.T @ (base.vectors @ g.entries)
         for v in aligned:
             np.testing.assert_allclose(proj @ v, v, atol=1e-10)
+
+    @pytest.mark.parametrize("hint_dim, base_dim", [(6, 4), (4, 6), (6, 6)])
+    def test_frame_of_another_dimension_rejected(self, hint_dim, base_dim):
+        with pytest.raises(ValueError, match="frame and metric dimensions disagree"):
+            align_frame(Frame(np.eye(hint_dim)[:2]), Frame(np.eye(base_dim)[2:4]), MetricTensor.identity(4))
