@@ -28,7 +28,17 @@ import numpy as np
 
 from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES
 from .construction import PointConstruction
-from .forms import Frame, MetricTensor, TwoForm, _gram_schmidt_stack, _polar_factor, gram_schmidt
+from .forms import (
+    Frame,
+    MetricTensor,
+    TwoForm,
+    _cholesky,
+    _gram_schmidt_stack,
+    _inv,
+    _polar_factor,
+    gram_schmidt,
+)
+from .forms import _solve as _lapack_solve
 from .spectral import _pair_values, associated_endomorphism, paired_spectrum
 
 # Frames per sampling chunk: each (chunk, n) temporary stays cache-sized.  The
@@ -262,7 +272,7 @@ def _abs_values(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
 def _solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
     """M^-1 R for a stack of k x k M: the 2x2 adjugate, adj(M) R / det M, at k = 2, LAPACK above."""
     if M.shape[-1] != 2:
-        return np.linalg.solve(M, R)
+        return _lapack_solve(M, R)
     adj = M.mT[:, ::-1, ::-1] * _ADJ_SIGN
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     return adj @ R / det[:, None, None]
@@ -310,8 +320,8 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray,
     they are.  Returns (frames, iterations, capped), the last two per point:
     the steps of its longest restart, and whether one still moved at the cap.
     """
-    L = np.linalg.cholesky(G)
-    L_inv = np.linalg.inv(L)
+    L = _cholesky(G)
+    L_inv = _inv(L)
     w_w = (L_inv @ w @ L_inv.mT)[point]
     Y = frames @ L[point]
     scale = np.abs(w_w).max(axis=(1, 2)) ** (frames.shape[1] // 2)

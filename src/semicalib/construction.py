@@ -29,33 +29,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES, MAX_DIM, Tolerances
-from .errors import ConstructionError, NotPositiveDefiniteError
+from .errors import ConstructionError, GapViolation, NotPositiveDefiniteError
 from .forms import (
     _RANK_TOL,
     _TINY,
     Frame,
     MetricTensor,
     TwoForm,
+    _eigvalsh,
     _first_fault,
     _freeze,
+    _inv,
     _metric_stack,
     _polar_factor,
+    _solve,
     _trusted,
     _two_form_stack,
 )
-from .spectral import (
-    Endomorphism,
-    PairedSpectrum,
-    _pair_values,
-    _paired_stack,
-    infer_epsilon,
-    split_spaces,
-)
+from .spectral import Endomorphism, PairedSpectrum, _pair_values, _paired_stack, _split_stack
 
 # perfbench/workloads.py traces these names by patching them in this module,
 # so they stay importable here, though the construction calls none of them.
 from .forms import gram_schmidt  # noqa: E402, F401
-from .spectral import associated_endomorphism, paired_spectrum  # noqa: E402, F401
+from .spectral import associated_endomorphism, paired_spectrum, split_spaces  # noqa: E402, F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +79,12 @@ class PointConstruction:
 
 
 @functools.lru_cache(maxsize=MAX_DIM + 1)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n."""
+    return _freeze(np.eye(n))
+
+
+@functools.lru_cache(maxsize=MAX_DIM + 1)
 def _rotation_blocks(n: int) -> np.ndarray:
     """J0: 2x2 rotation blocks, e_2i -> e_2i+1 and e_2i+1 -> -e_2i."""
     j0 = np.zeros((n, n))
@@ -106,7 +108,7 @@ def paired_frame(
     root = np.sqrt(v_eigenvalues)
     d = np.ones(frame.shape[:-1])
     d[..., : 2 * root.shape[-1]] = root.repeat(2, axis=-1)
-    return p, np.linalg.inv(p), d
+    return p, _inv(p), d
 
 
 def almost_complex_structure(p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
@@ -210,9 +212,10 @@ def _failed(error: Exception) -> ConstructionError:
 
 def _form_spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
     """(a, basis, values, npairs, raw checks) of a stack of (G, W); A = G^-1 W^T, or 0 where not finite."""
-    a = np.linalg.solve(g, w.mT)
+    a = _solve(g, w.mT)
     finite = np.isfinite(a).all(axis=(1, 2))
-    a = np.where(finite[:, None, None], a, 0.0)
+    if not finite.all():
+        a = np.where(finite[:, None, None], a, 0.0)
     basis, values, npairs, checks = _paired_stack(a, g, tol)
     finite_check = (~finite, lambda i: ValueError("endomorphism contains non-finite entries"))
     return a, basis, values, npairs, [finite_check, *checks]
@@ -229,7 +232,7 @@ def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
     under g_J must not be negative beyond rounding.
     """
     n = g.shape[-1]
-    eye = np.eye(n)
+    eye = _identity(n)
 
     res: dict[str, np.ndarray] = {}
     res["j_squared"] = _abs_max(j @ j + eye)
@@ -262,7 +265,7 @@ def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
     res["preservation"] = np.where(calibrated, np.abs(ratio - 1.0), 0.0).max(axis=-1)
 
     dom = basis[:, :nv] @ (g - g_j) @ basis[:, :nv].mT
-    res["metric_domination_min_eig"] = np.linalg.eigvalsh((dom + dom.mT) / 2)[:, 0] if m else np.zeros(len(g))
+    res["metric_domination_min_eig"] = _eigvalsh((dom + dom.mT) / 2)[:, 0] if m else np.zeros(len(g))
 
     gram_check = (negative.any(axis=-1), lambda i: ValueError(
         f"negative Gram determinant {float(radicand[i][negative[i]][0]):.6g}; metric is not PSD"))
@@ -341,12 +344,15 @@ def construct_point(
     fault = _first_fault(checks)
     if fault is not None:
         raise _failed(fault[1])
-    spectrum = PairedSpectrum(basis[0], values[0], int(npairs[0]))
     if epsilon is None:
-        # Degenerate all-kernel spectrum: any positive epsilon produces the
-        # same split, so a fixed sentinel keeps the output deterministic.
-        epsilon = infer_epsilon(spectrum) or 1.0
-    m = split_spaces(spectrum, epsilon)
+        # infer_epsilon: the smallest paired eigenvalue.  Degenerate all-kernel
+        # spectrum: any positive epsilon produces the same split, so a fixed
+        # sentinel keeps the output deterministic.
+        epsilon = float(values[0, 2 * npairs[0] - 2]) if npairs[0] else 1.0
+    m, offending = _split_stack(values, npairs, epsilon)
+    if offending.any():
+        raise GapViolation(epsilon, values[0][offending[0]], values[0])
+    m = int(m[0])
     frame = basis.copy()
     if tframe_hint is not None and len(tframe_hint) == len(frame[0]) - 2 * m:
         frame[0, 2 * m :] = align_frame(tframe_hint, Frame(frame[0, 2 * m :]), g).vectors

@@ -15,6 +15,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _linalg, _umath_linalg
 
 from .config import DEFAULT_TOLERANCES, MAX_DIM
 from .errors import NotPositiveDefiniteError, RankDeficiencyError
@@ -24,6 +25,57 @@ _RANK_TOL = 1e-10  # linear independence, relative to the vectors' own scale
 # Guard against grossly asymmetric input before canonicalization silently
 # rewrites it; canonicalization itself only cleans up rounding dust.
 _STORAGE_GUARD = 1e-8
+
+
+def _errors(on_error):
+    """``np.linalg``'s error state around a LAPACK gufunc: a failed factorization calls ``on_error``."""
+    return np.errstate(call=on_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+# The LAPACK layer: each function is its ``np.linalg`` counterpart on stacks of
+# float64 (``_eigh``: complex128) matrices without the generic wrappers, one
+# call of the same gufunc with the same signature and error state, so the same
+# bits and the same LinAlgError.
+@_errors(_linalg._raise_linalgerror_singular)
+def _solve(a, b):
+    """``np.linalg.solve`` of (..., n, n) a and (..., n, k) b."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+@_errors(_linalg._raise_linalgerror_singular)
+def _inv(a):
+    """``np.linalg.inv``."""
+    return _umath_linalg.inv(a, signature="d->d")
+
+
+@_errors(_linalg._raise_linalgerror_nonposdef)
+def _cholesky(a):
+    """``np.linalg.cholesky``: the lower factor."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+@_errors(_linalg._raise_linalgerror_eigenvalues_nonconvergence)
+def _eigh(a):
+    """``np.linalg.eigh`` of complex Hermitian matrices: ascending real eigenvalues and eigenvectors as columns."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD")
+
+
+@_errors(_linalg._raise_linalgerror_eigenvalues_nonconvergence)
+def _eigvalsh(a):
+    """``np.linalg.eigvalsh``: ascending eigenvalues."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
+@_errors(_linalg._raise_linalgerror_svd_nonconvergence)
+def _svd(a):
+    """``np.linalg.svd(a, full_matrices=False)``: (u, s, vt)."""
+    return _umath_linalg.svd_s(a, signature="d->ddd")
+
+
+@_errors(_linalg._raise_linalgerror_svd_nonconvergence)
+def _svd_values(a):
+    """``np.linalg.svd(a, compute_uv=False)``: descending singular values."""
+    return _umath_linalg.svd(a, signature="d->d")
 
 
 def _checked(entries, what: str, stack, stacked: bool = False) -> np.ndarray:
@@ -53,6 +105,13 @@ def _below(n: int, k: int) -> np.ndarray:
     return _freeze(np.tri(n, n, k - 1, dtype=bool))
 
 
+@functools.lru_cache(maxsize=2 * MAX_DIM + 2)
+def _upper_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k)``, built once per (n, k)."""
+    rows, cols = np.triu_indices(n, k)
+    return _freeze(rows), _freeze(cols)
+
+
 def _triu(mats: np.ndarray, k: int = 0) -> np.ndarray:
     """``np.triu`` of a stack, with the mask built once per (n, k)."""
     return np.where(_below(mats.shape[-1], k), 0.0, mats)
@@ -77,7 +136,7 @@ def _upper_stack(dim: int, coeffs: np.ndarray, offset: int) -> np.ndarray:
     transpose (a 2-form), by :func:`_metric_stack`'s and :func:`_two_form_stack`'s formulas, signed zeros too.
     """
     upper = np.zeros((len(coeffs), dim, dim))
-    rows, cols = np.triu_indices(dim, offset)
+    rows, cols = _upper_indices(dim, offset)
     upper[:, rows, cols] = coeffs
     return upper - upper.mT if offset else upper + _triu(upper, 1).mT
 
@@ -117,7 +176,7 @@ def _metric_stack(mats: np.ndarray, pd_tol: float = DEFAULT_TOLERANCES.pd):
     canonical = upper + _triu(upper, 1).mT
     if not finite.all():  # eigvalsh may fail on NaN; those matrices fail the first check anyway
         canonical = np.where(finite[:, None, None], canonical, np.eye(mats.shape[-1]))
-    eigmin = np.linalg.eigvalsh(canonical)[:, 0]
+    eigmin = _eigvalsh(canonical)[:, 0]
     checks = [
         (~finite, lambda i: ValueError("metric contains non-finite entries")),
         (asymmetric, lambda i: ValueError("metric entries are not symmetric")),
@@ -274,7 +333,7 @@ def eval_two_form(omega: TwoForm, v, w) -> float:
     """
     v = _check_vector(v, omega.dim)
     w = _check_vector(w, omega.dim)
-    iu, ju = np.triu_indices(omega.dim, 1)
+    iu, ju = _upper_indices(omega.dim, 1)
     terms = omega.entries[iu, ju] * (v[iu] * w[ju] - v[ju] * w[iu])
     return float(terms.sum())
 
@@ -326,7 +385,7 @@ def _gram_schmidt_stack(G: np.ndarray, X: np.ndarray, floor=0.0):
 
 def _polar_factor(mats: np.ndarray) -> np.ndarray:
     """U V^T of the thin SVD of each (k, n) matrix of a stack, k <= n: its nearest orthonormal rows."""
-    u, _, vt = np.linalg.svd(mats, full_matrices=False)
+    u, _, vt = _svd(mats)
     return u @ vt
 
 

@@ -21,7 +21,19 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import GapViolation
-from .forms import _TINY, MetricTensor, TwoForm, _freeze, _polar_factor, _raise_first
+from .forms import (
+    _TINY,
+    MetricTensor,
+    TwoForm,
+    _cholesky,
+    _eigh,
+    _freeze,
+    _polar_factor,
+    _raise_first,
+    _solve,
+    _svd,
+    _svd_values,
+)
 
 _BAND_SLACK = 1e-8  # relative to the largest eigenvalue
 _SKEW_LIMIT = 1e-8  # largest relative skew-adjointness defect paired_spectrum accepts
@@ -76,7 +88,7 @@ def associated_endomorphism(g: MetricTensor, omega: TwoForm) -> Endomorphism:
     """The endomorphism A with omega(v, w) = g(Av, w) for all v, w."""
     if g.dim != omega.dim:
         raise ValueError("metric and two-form dimensions disagree")
-    return Endomorphism(np.linalg.solve(g.entries, omega.entries.T))
+    return Endomorphism(_solve(g.entries, omega.entries.T))
 
 
 def _skew_defect(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -105,10 +117,10 @@ def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
     """
     n = a.shape[-1]
     defect = _skew_defect(a, g)
-    chol = np.linalg.cholesky(g)
+    chol = _cholesky(g)
     # S^T = L^-1 (L^T A)^T, so S = L^T A L^-T needs one solve.
-    s_t = np.linalg.solve(chol, (chol.mT @ a).mT)
-    t, z = np.linalg.eigh(1j * ((s_t.mT - s_t) / 2))
+    s_t = _solve(chol, (chol.mT @ a).mT)
+    t, z = _eigh(1j * ((s_t.mT - s_t) / 2))
     t, z = t[:, ::-1], z[:, :, ::-1].mT  # descending; eigenvectors as rows
     h, lam = n // 2, t * t
     pair = (t[:, :h] > 0) & (lam[:, :h] > tol.zero * lam.max(axis=1)[:, None])
@@ -118,15 +130,16 @@ def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
     rows[:, 0 : 2 * h : 2] = np.sqrt(2) * z[:, :h].real
     rows[:, 1 : 2 * h : 2] = np.sqrt(2) * z[:, :h].imag
     values[:, : 2 * h] = lam[:, :h].repeat(2, axis=1)
-    index = np.arange(n)
-    rest = (index >= npairs[:, None]) & (index < n - npairs[:, None])
-    z_rest = np.where(rest[:, :, None], z, 0.0)
-    parts = np.concatenate([z_rest.real, z_rest.imag], axis=1)
-    kernel = np.linalg.svd(parts, full_matrices=False)[2]
-    for i, p in enumerate(npairs):
-        rows[i, 2 * p :] = kernel[i, : n - 2 * p]
-        values[i, 2 * p :] = np.sort(lam[i, p : n - p])[::-1]
-    basis = np.ascontiguousarray(np.linalg.solve(chol.mT, _polar_factor(rows).mT).mT)
+    if (2 * npairs < n).any():  # else every row is a pair's and the kernel block writes empty slices
+        index = np.arange(n)
+        rest = (index >= npairs[:, None]) & (index < n - npairs[:, None])
+        z_rest = np.where(rest[:, :, None], z, 0.0)
+        parts = np.concatenate([z_rest.real, z_rest.imag], axis=1)
+        kernel = _svd(parts)[2]
+        for i, p in enumerate(npairs):
+            rows[i, 2 * p :] = kernel[i, : n - 2 * p]
+            values[i, 2 * p :] = np.sort(lam[i, p : n - p])[::-1]
+    basis = np.ascontiguousarray(_solve(chol.mT, _polar_factor(rows).mT).mT)
     checks = [(defect > _SKEW_LIMIT, lambda i: ValueError(
         f"endomorphism is not g-skew-adjoint (relative defect {defect[i]:.3g})"))]
     return basis, values, npairs, checks
@@ -149,9 +162,9 @@ def paired_spectrum(
 
 def _pair_values(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The n // 2 descending pair values of stacks g, omega: every other singular value of L^-1 W L^-T, g = L L^T."""
-    chol = np.linalg.cholesky(g)
-    skew = np.linalg.solve(chol, np.linalg.solve(chol, w).mT)
-    return np.linalg.svd(skew, compute_uv=False)[:, : g.shape[-1] - 1 : 2]
+    chol = _cholesky(g)
+    skew = _solve(chol, _solve(chol, w).mT)
+    return _svd_values(skew)[:, : g.shape[-1] - 1 : 2]
 
 
 def infer_epsilon(spectrum: PairedSpectrum) -> float | None:

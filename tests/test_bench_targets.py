@@ -3,8 +3,9 @@
 ``perfbench/run.py --trace`` patches every ``TRACE_TARGETS`` name in the
 module that calls it, the adversarial workload reads ``J``, ``g_J``,
 ``Omega`` and the residuals off ``construct_point``'s result,
-``bench/comass_stages.py`` traces the sampled oracle's stage functions and
-``bench/build_stages.py`` chains the four build stages.  A renamed function
+``bench/comass_stages.py`` traces the sampled oracle's stage functions,
+``bench/build_stages.py`` chains the four build stages and
+``bench/point_stages.py`` times ``construct_point`` on the adversarial grid.  A renamed function
 or field breaks the benchmark only when it runs; these tests catch it in the
 tier-1 suite.  A library import kept for the tracer alone is one of its
 targets; any other unused relative import fails here.  ``perfbench/workloads.py`` is imported, never changed.  The
@@ -129,6 +130,30 @@ def test_stored_bench_summary_is_reproduced(build_stages):
     for entry in data["results"].values():
         summary = build_stages.harness.summarize(entry["runs"], build_stages.scaled)
         assert summary == {key: entry[key] for key in ("median", "q1", "q3", "scaled")}
+
+
+@pytest.fixture(scope="module")
+def point_stages():
+    return load_bench_script("point_stages")
+
+
+def test_point_stages_time_the_adversarial_grid(point_stages, workloads, tmp_path):
+    """The script's points are the adversarial-points workload's at seed 1; ``time_calls`` counts every call."""
+    args = point_stages.grid_args()
+    expected = workloads.AdversarialPoints(point_stages.SEED, str(tmp_path)).args
+    assert len(args) == len(expected) == 4096
+    for (g, w), (g0, w0) in zip(args[::97], expected[::97]):
+        assert g.entries.tobytes() == g0.entries.tobytes() and w.entries.tobytes() == w0.entries.tobytes()
+    chunks = []
+
+    def around(fn):
+        chunks.append(fn())
+        return None, 1.0, 2.0
+
+    row = point_stages.time_calls(args[:5], around, passes=2, chunk=2)
+    assert len(chunks) == 6
+    assert row["call_s"] > 0 and row["ref_s"] == 2.0 and row["raised"] == 0
+    assert point_stages.scaled(row) == {"call": row["call_s"] / 2.0}
 
 
 def _one_run(value: float) -> dict:

@@ -14,6 +14,7 @@ from semicalib import (
     gram_schmidt,
     plane_area,
 )
+from semicalib import forms
 from semicalib.forms import _polar_factor
 from helpers import random_pd_metric, random_two_form
 
@@ -234,3 +235,90 @@ class TestComplementBasis:
             assert len(comp) == n - 2
             full = Frame(np.vstack([f.vectors, comp.vectors]))
             assert np.abs(full.vectors @ g.entries @ full.vectors.T - np.eye(n)).max() < 1e-10
+
+
+def _spd(x):
+    return x @ x.mT + x.shape[-1] * np.eye(x.shape[-1])
+
+
+def _hermitian(x):
+    z = x + 1j * np.roll(x, 1, axis=-1)
+    return z + z.mT.conj()
+
+
+def _thin_svd(a):
+    return np.linalg.svd(a, full_matrices=False)
+
+
+def _svd_values(a):
+    return np.linalg.svd(a, compute_uv=False)
+
+
+# (layer function, np.linalg counterpart, inputs from one standard normal stack x and one more y)
+LAYER = {
+    "_solve": (forms._solve, np.linalg.solve, lambda x, y: (x, y)),
+    "_solve_transposed": (forms._solve, np.linalg.solve, lambda x, y: (_spd(x).mT, y.mT)),
+    "_inv": (forms._inv, np.linalg.inv, lambda x, y: (x,)),
+    "_inv_transposed": (forms._inv, np.linalg.inv, lambda x, y: (x.mT,)),
+    "_cholesky": (forms._cholesky, np.linalg.cholesky, lambda x, y: (_spd(x),)),
+    "_eigh": (forms._eigh, np.linalg.eigh, lambda x, y: (_hermitian(x),)),
+    "_eigh_transposed": (forms._eigh, np.linalg.eigh, lambda x, y: (_hermitian(x).mT,)),
+    "_eigvalsh": (forms._eigvalsh, np.linalg.eigvalsh, lambda x, y: (x + x.mT,)),
+    "_svd": (forms._svd, _thin_svd, lambda x, y: (x,)),
+    "_svd_wide": (forms._svd, _thin_svd, lambda x, y: (x[:, : x.shape[-1] // 2],)),
+    "_svd_transposed": (forms._svd, _thin_svd, lambda x, y: (x.mT,)),
+    "_svd_values": (forms._svd_values, _svd_values, lambda x, y: (x,)),
+    "_svd_values_tall": (forms._svd_values, _svd_values, lambda x, y: (np.concatenate([x, y], axis=1),)),
+}
+
+
+def _bits(result) -> list:
+    """dtype, shape and bytes of each array of a result; ``np.linalg``'s named tuples are tuples."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in (result if isinstance(result, tuple) else (result,))]
+
+
+class TestLapackLayer:
+    """Each layer function calls the gufunc that ``np.linalg`` calls: the same bits and the same errors."""
+
+    @pytest.mark.parametrize("name", LAYER)
+    @pytest.mark.parametrize("n", [2, 7, 8, 16])
+    @pytest.mark.parametrize("count", [0, 1, 64])
+    def test_bits_equal_numpy(self, name, n, count):
+        ours, numpys, args = LAYER[name]
+        rng = np.random.default_rng([n, count])
+        inputs = args(rng.standard_normal((count, n, n)), rng.standard_normal((count, n, n)))
+        assert _bits(ours(*inputs)) == _bits(numpys(*inputs))
+
+    @pytest.mark.parametrize("name", LAYER)
+    def test_empty_matrices(self, name):
+        ours, numpys, args = LAYER[name]
+        inputs = args(np.zeros((3, 0, 0)), np.zeros((3, 0, 0)))
+        assert _bits(ours(*inputs)) == _bits(numpys(*inputs))
+
+    @pytest.mark.parametrize("name, matrix", [
+        ("_solve", np.zeros((2, 3, 3))),
+        ("_inv", np.ones((2, 3, 3))),
+        ("_cholesky", np.diag([1.0, -1.0, 1.0])[None].repeat(2, axis=0)),
+    ])
+    def test_same_linalg_error(self, name, matrix):
+        ours, numpys, _ = LAYER[name]
+        inputs = (matrix, np.ones((2, 3, 3))) if name == "_solve" else (matrix,)
+        with pytest.raises(np.linalg.LinAlgError) as expected:
+            numpys(*inputs)
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{expected.value}$"):
+            ours(*inputs)
+
+    def test_no_error_state_leaks(self):
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError):
+            forms._inv(np.zeros((1, 2, 2)))
+        assert np.geterr() == before and np.geterrcall() is None
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_upper_indices_are_cached_triu_indices(dim, offset):
+    rows, cols = forms._upper_indices(dim, offset)
+    expected = np.triu_indices(dim, offset)
+    assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+    assert not rows.flags.writeable and forms._upper_indices(dim, offset)[0] is rows

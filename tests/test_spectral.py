@@ -21,6 +21,8 @@ from semicalib import (
     skew_adjoint_defect,
     split_spaces,
 )
+from semicalib.field import FieldGrid, process_field
+from semicalib.spectral import _paired_stack
 from helpers import dual_wedge, random_pd_metric, random_two_form, unit_comass_form
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -279,3 +281,57 @@ class TestSplitSpaces:
     def test_infer_epsilon(self):
         s = spectrum_from_eigenvalues([1.0, 0.25, 0.04])
         assert infer_epsilon(s) == 0.04
+
+
+def _normal_form_point(rng, n: int, pair_values) -> tuple[np.ndarray, np.ndarray]:
+    """(G, W) at cond(G) about 1e3: ``pair_values`` on a random g-orthonormal frame, a kernel past them."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    g = (q * np.geomspace(1.0, 1e3, n)) @ q.T
+    g = (g + g.T) / 2
+    frame = np.linalg.solve(np.linalg.cholesky(g).T, np.linalg.qr(rng.standard_normal((n, n)))[0]).T
+    w = sum(mu * dual_wedge(MetricTensor(g), frame[2 * i], frame[2 * i + 1]) for i, mu in enumerate(pair_values))
+    return g, w
+
+
+class TestKernelFreeStacks:
+    """``_paired_stack`` skips its kernel block on a stack without a kernel: the same bits as the SVD path.
+
+    Kernel-free points alone take the skip path; in one stack with kernel
+    points they take the SVD path, and the kernel points alone take it too.
+    Each point's rows must not depend on the stack it is in.
+    """
+
+    FREE_ROWS, KERNEL_ROWS = [0, 1, 4, 5, 6, 7, 10, 11], [2, 3, 8, 9]
+
+    @classmethod
+    def stacks(cls, n: int):
+        """(G, W) stacks of 8 kernel-free points with near-double pair values, 4 kernel points, and all 12 mixed."""
+        rng = np.random.default_rng(n)
+        near_double = [1.0, 1.0 - 1e-6, 0.6, 0.6 * (1.0 - 1e-6), 0.8, 0.8 * (1.0 - 1e-9), 0.7, 0.9][: n // 2]
+        free = [_normal_form_point(rng, n, near_double) for _ in range(8)]
+        kernel = [_normal_form_point(rng, n, near_double[:1]) for _ in range(4)]
+        mixed = [None] * 12
+        for rows, points in ((cls.FREE_ROWS, free), (cls.KERNEL_ROWS, kernel)):
+            for i, point in zip(rows, points):
+                mixed[i] = point
+        return [[np.array(x) for x in zip(*points)] for points in (free, kernel, mixed)]
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_paired_stack_rows(self, n):
+        free, kernel, mixed = (_paired_stack(np.linalg.solve(g, w.mT), g, DEFAULT_TOLERANCES)
+                               for g, w in self.stacks(n))
+        assert (2 * free[2] == n).all() and (2 * kernel[2] < n).all()
+        for rows, alone in ((self.FREE_ROWS, free), (self.KERNEL_ROWS, kernel)):
+            for x, y in zip(alone[:3], mixed[:3]):
+                assert x.tobytes() == y[rows].tobytes()
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_process_field_columns(self, n):
+        (g, w), _, (g_mixed, w_mixed) = self.stacks(n)
+        alone, mixed = process_field(FieldGrid(n, g, w)), process_field(FieldGrid(n, g_mixed, w_mixed))
+        assert alone.built.all() and mixed.built.all() and (2 * mixed.m < n).any()
+        for name in ("J", "g_J", "Omega"):
+            assert getattr(alone, name).tobytes() == getattr(mixed, name)[self.FREE_ROWS].tobytes()
+        for name, column in alone.residuals.items():
+            expected = [x.hex() for x in column.tolist()]
+            assert [x.hex() for x in mixed.residuals[name][self.FREE_ROWS].tolist()] == expected
