@@ -34,14 +34,20 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def parse_args(doc: str, argv, label: bool, output: str | None, output_help: str | None = None):
-    """``--label`` (when ``label``), ``--src`` and ``-o``; puts ``--src`` first on ``sys.path``."""
+def parse_args(doc: str, argv, label: bool, output: str | None, output_help: str | None = None,
+               options: dict | None = None):
+    """``--label`` (when ``label``), ``--src``, ``-o`` and ``options`` ({flag: add_argument keywords}).
+
+    Puts ``--src`` first on ``sys.path``.
+    """
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     if label:
         parser.add_argument("--label", required=True, help="name of the measured tree, e.g. parent or change")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="source tree holding the semicalib package (default: this checkout)")
     parser.add_argument("-o", "--output", default=output, help=output_help)
+    for flag, keywords in (options or {}).items():
+        parser.add_argument(flag, **keywords)
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     return args

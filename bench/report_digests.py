@@ -1,6 +1,6 @@
 """Digests of semicalib's reports and constructions over a fixed, seeded input set.
 
-    python bench/report_digests.py [--src DIR] [-o FILE]
+    python bench/report_digests.py [--src DIR] [-o FILE] [--reports DIR]
 
 Writes ``{name: [exit code, sha256]}`` as JSON, one entry per run:
 
@@ -26,7 +26,10 @@ Writes ``{name: [exit code, sha256]}`` as JSON, one entry per run:
   item counts the inputs that raised, in place of an exit code.
 
 CLI runs go through ``semicalib.cli.main`` in process; their digest is the
-sha256 of the report file (of nothing when the run wrote none).  ``--src``
+sha256 of the report file (of nothing when the run wrote none).  With
+``--reports DIR`` each CLI run also writes the bytes it hashed to
+``DIR/<name>.json`` (empty when the run wrote no report), so report sets can be
+compared value by value across trees and BLAS kernels.  ``--src``
 chooses the source tree to import, so one copy of this script checks that two
 commits give byte-identical reports: run it once per tree and compare the
 files.  ``bench/report_digests.json`` holds the digests of the current report
@@ -60,8 +63,8 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_cli(argv: list[str], tmp: str) -> list:
-    """[exit code, sha256 of the report] of one in-process CLI run."""
+def run_cli(argv: list[str], tmp: str, keep: str | None = None) -> list:
+    """[exit code, sha256 of the report] of one in-process CLI run; the hashed bytes go to ``keep`` if given."""
     from semicalib import cli
 
     out = os.path.join(tmp, "report.json")
@@ -73,6 +76,10 @@ def run_cli(argv: list[str], tmp: str) -> list:
     if os.path.exists(out):
         with open(out, "rb") as handle:
             data = handle.read()
+    if keep is not None:
+        os.makedirs(os.path.dirname(keep), exist_ok=True)
+        with open(keep, "wb") as handle:
+            handle.write(data)
     return [code, _sha256(data)]
 
 
@@ -101,52 +108,52 @@ def near_double_digest() -> list:
     return [failures, digest.hexdigest()]
 
 
-def digests() -> dict:
+def digests(reports: str | None = None) -> dict:
+    """The digest of every run; with ``reports``, each CLI run's report is kept there as ``<name>.json``."""
     from semicalib import demo_calfield
 
     planted_field_text = harness.sibling("tests", "helpers").planted_field_text
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
+        def run(name: str, argv: list[str]) -> None:
+            out[name] = run_cli(argv, tmp, reports and os.path.join(reports, f"{name}.json"))
+
         for name in DEMOS:
             path = os.path.join(tmp, f"{name}.calfield")
             with open(path, "w") as handle:
                 handle.write(demo_calfield(name))
-            out[f"demo/{name}/build"] = run_cli(["build", path], tmp)
-            out[f"demo/{name}/verify-p2"] = run_cli(["verify", path, "--power", "2"], tmp)
-            out[f"demo/{name}/build-no-hints"] = run_cli(["build", path, "--no-hints"], tmp)
+            run(f"demo/{name}/build", ["build", path])
+            run(f"demo/{name}/verify-p2", ["verify", path, "--power", "2"])
+            run(f"demo/{name}/build-no-hints", ["build", path, "--no-hints"])
             if name == "scaled":
-                out["demo/scaled/comass"] = run_cli(["comass", path], tmp)
+                run("demo/scaled/comass", ["comass", path])
             if name == "standard":
                 plane = ["plane-test", path, "--point", "2", "--vectors"]
-                out["demo/standard/plane-test"] = run_cli(plane + "1 0 1 0 0 1 0 1".split(), tmp)
-                out["demo/standard/plane-test-p2"] = run_cli(
-                    plane + "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1".split() + ["--power", "2"], tmp
-                )
+                run("demo/standard/plane-test", plane + "1 0 1 0 0 1 0 1".split())
+                frame = "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1".split()
+                run("demo/standard/plane-test-p2", plane + frame + ["--power", "2"])
         for n in FIELD_DIMS:
             path = os.path.join(tmp, f"n{n}.calfield")
             with open(path, "w") as handle:
                 handle.write(planted_field_text(n, seed=n, points=FIELD_POINTS))
-            out[f"field/n{n}/auto"] = run_cli(["build", path], tmp)
-            out[f"field/n{n}/eps"] = run_cli(["build", path, "--epsilon", FIXED_EPSILON], tmp)
+            run(f"field/n{n}/auto", ["build", path])
+            run(f"field/n{n}/eps", ["build", path, "--epsilon", FIXED_EPSILON])
             if n == 8:
-                out["field/n8/verify-p2-p3"] = run_cli(
-                    ["verify", path, "--power", "2", "--power", "3"], tmp
-                )
-                out["field/n8/auto-no-hints"] = run_cli(["build", path, "--no-hints"], tmp)
-                out["field/n8/comass-p2"] = run_cli(
-                    ["comass", path, "--power", "2", "--samples", "500"], tmp
-                )
+                run("field/n8/verify-p2-p3", ["verify", path, "--power", "2", "--power", "3"])
+                run("field/n8/auto-no-hints", ["build", path, "--no-hints"])
+                run("field/n8/comass-p2", ["comass", path, "--power", "2", "--samples", "500"])
             if n == 7:
-                out["field/n7/comass"] = run_cli(["comass", path, "--samples", "2000"], tmp)
+                run("field/n7/comass", ["comass", path, "--samples", "2000"])
     out["construct_point/near-double"] = near_double_digest()
     return out
 
 
 def main(argv=None) -> int:
     args = harness.parse_args(__doc__, argv, label=False, output=None,
-                              output_help="write the digests here instead of stdout")
-    text = json.dumps(digests(), indent=2, sort_keys=True) + "\n"
+                              output_help="write the digests here instead of stdout",
+                              options={"--reports": {"metavar": "DIR", "help": "keep each CLI run's report here"}})
+    text = json.dumps(digests(args.reports), indent=2, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)

@@ -11,11 +11,11 @@ g_J = P^-T diag(d) P^-1 and Omega = -P^-T diag(d) J0 P^-1, with J0 the 2x2
 rotation blocks and d = sqrt(lambda_i) twice per V pair, 1 on the
 complement.  On V this is J = Q^-1 A with Q = sqrt(-A^2): a compatible
 triple, g_J(v, w) = Omega(v, J w) and J^2 = -Id, in which every plane
-calibrated by omega in (R^n, g) stays calibrated.  A stack's faults come
-back as its first one, an (index, error) pair; the caller raises the
-lowest (index, stage) fault as a ConstructionError.  ``construct_point`` is
-every stage on a stack of one, and ``_point_construction`` reads its result
-off one row of the stacks.
+calibrated by omega in (R^n, g) stays calibrated.  The spectra and the
+assembly each hand back a stack's first fault, an (index,
+ConstructionError) pair; the caller raises the lowest (index, stage)
+fault.  ``construct_point`` is every stage on a stack of one, and
+``_point_construction`` reads its result off one row of the stacks.
 Every product, the residuals' M v and x^T M y included, is one BLAS or
 LAPACK call per matrix of a stack, which gives each matrix the bits a call
 on it alone gives: a point's construction does not depend on its batch.
@@ -46,7 +46,7 @@ from .forms import (
     _trusted,
     _two_form_stack,
 )
-from .spectral import Endomorphism, PairedSpectrum, _pair_values, _paired_stack, _split_stack
+from .spectral import Endomorphism, PairedSpectrum, _auto_epsilon, _pair_values, _paired_stack, _split_stack
 
 # perfbench/workloads.py traces these names by patching them in this module,
 # so they stay importable here, though the construction calls none of them.
@@ -211,14 +211,18 @@ def _failed(error: Exception) -> ConstructionError:
 
 
 def _form_spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
-    """(a, basis, values, npairs, raw checks) of a stack of (G, W); A = G^-1 W^T, or 0 where not finite."""
+    """The stacks (a, basis, values, npairs) of (G, W), A = G^-1 W^T or 0 where not finite, and the first fault.
+
+    The fault is None, or the pair (row, ConstructionError) of the lowest
+    row failing the finite check or the skew check, in that order.
+    """
     a = _solve(g, w.mT)
     finite = np.isfinite(a).all(axis=(1, 2))
     if not finite.all():
         a = np.where(finite[:, None, None], a, 0.0)
     basis, values, npairs, checks = _paired_stack(a, g, tol)
-    finite_check = (~finite, lambda i: ValueError("endomorphism contains non-finite entries"))
-    return a, basis, values, npairs, [finite_check, *checks]
+    fault = _first_fault([(~finite, lambda i: ValueError("endomorphism contains non-finite entries")), *checks])
+    return (a, basis, values, npairs), fault and (fault[0], _failed(fault[1]))
 
 
 def _abs_max(mats: np.ndarray) -> np.ndarray:
@@ -340,15 +344,12 @@ def construct_point(
     if tframe_hint is not None and tframe_hint.dim != g.dim:
         raise ValueError("frame and metric dimensions disagree")
     G = g.entries[None]
-    a, basis, values, npairs, checks = _form_spectra(G, omega.entries[None], tol)
-    fault = _first_fault(checks)
+    (a, basis, values, npairs), fault = _form_spectra(G, omega.entries[None], tol)
     if fault is not None:
-        raise _failed(fault[1])
-    if epsilon is None:
-        # infer_epsilon: the smallest paired eigenvalue.  Degenerate all-kernel
-        # spectrum: any positive epsilon produces the same split, so a fixed
-        # sentinel keeps the output deterministic.
-        epsilon = float(values[0, 2 * npairs[0] - 2]) if npairs[0] else 1.0
+        raise fault[1]
+    epsilon = _auto_epsilon(values, npairs) if epsilon is None else epsilon
+    if epsilon is None:  # all kernel: any positive epsilon splits alike; a fixed one keeps the output fixed
+        epsilon = 1.0
     m, offending = _split_stack(values, npairs, epsilon)
     if offending.any():
         raise GapViolation(epsilon, values[0][offending[0]], values[0])

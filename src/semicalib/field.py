@@ -49,7 +49,6 @@ from .construction import (  # noqa: F401
     PointConstruction,
     _assemble,
     _complement_frames,
-    _failed,
     _form_spectra,
     _lift_stack,
     _point_construction,
@@ -68,7 +67,7 @@ from .forms import (
     _two_form_stack,
     _upper_stack,
 )
-from .spectral import _split_stack, associated_endomorphism, paired_spectrum  # noqa: F401
+from .spectral import _auto_epsilon, _split_stack, associated_endomorphism, paired_spectrum  # noqa: F401
 
 FORMAT_VERSION = 12
 # Points per assembly batch: enough to share each stacked call's overhead,
@@ -393,17 +392,15 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     a, basis, values, npairs = np.empty_like(g), np.empty_like(g), np.empty((size, dim)), np.empty(size, dtype=int)
     for lo in range(0, size, _BATCH):
         rows = slice(lo, lo + _BATCH)
-        a[rows], basis[rows], values[rows], npairs[rows], checks = _form_spectra(g[rows], w[rows], tol)
-        fault = _first_fault(checks)
+        (a[rows], basis[rows], values[rows], npairs[rows]), fault = _form_spectra(g[rows], w[rows], tol)
         if fault is not None:
-            faults.append((lo + fault[0], 0, _failed(fault[1])))
+            faults.append((lo + fault[0], 0, fault[1]))
 
-    epsilon = config.epsilon
-    if epsilon is None:  # infer_epsilon of the base point: its smallest paired eigenvalue
-        epsilon = float(values[0, 2 * npairs[0] - 2]) if npairs[0] else 1.0
-        if not npairs[0]:
-            faults.append((0, 1, EpsilonInferenceError(
-                "cannot infer epsilon: base point has no positive eigenvalue above threshold")))
+    epsilon = _auto_epsilon(values, npairs) if config.epsilon is None else config.epsilon
+    if epsilon is None:  # 1.0 keeps the band split defined until the fault is raised
+        epsilon = 1.0
+        faults.append((0, 1, EpsilonInferenceError(
+            "cannot infer epsilon: base point has no positive eigenvalue above threshold")))
     m, offending = _split_stack(values, npairs, epsilon)
     included = ~offending.any(axis=1)
 

@@ -105,13 +105,6 @@ def _below(n: int, k: int) -> np.ndarray:
     return _freeze(np.tri(n, n, k - 1, dtype=bool))
 
 
-@functools.lru_cache(maxsize=2 * MAX_DIM + 2)
-def _upper_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, k)``, built once per (n, k)."""
-    rows, cols = np.triu_indices(n, k)
-    return _freeze(rows), _freeze(cols)
-
-
 def _triu(mats: np.ndarray, k: int = 0) -> np.ndarray:
     """``np.triu`` of a stack, with the mask built once per (n, k)."""
     return np.where(_below(mats.shape[-1], k), 0.0, mats)
@@ -136,7 +129,7 @@ def _upper_stack(dim: int, coeffs: np.ndarray, offset: int) -> np.ndarray:
     transpose (a 2-form), by :func:`_metric_stack`'s and :func:`_two_form_stack`'s formulas, signed zeros too.
     """
     upper = np.zeros((len(coeffs), dim, dim))
-    rows, cols = _upper_indices(dim, offset)
+    rows, cols = np.triu_indices(dim, offset)
     upper[:, rows, cols] = coeffs
     return upper - upper.mT if offset else upper + _triu(upper, 1).mT
 
@@ -333,7 +326,7 @@ def eval_two_form(omega: TwoForm, v, w) -> float:
     """
     v = _check_vector(v, omega.dim)
     w = _check_vector(w, omega.dim)
-    iu, ju = _upper_indices(omega.dim, 1)
+    iu, ju = np.triu_indices(omega.dim, 1)
     terms = omega.entries[iu, ju] * (v[iu] * w[ju] - v[ju] * w[iu])
     return float(terms.sum())
 

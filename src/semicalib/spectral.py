@@ -167,11 +167,14 @@ def _pair_values(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _svd_values(skew)[:, : g.shape[-1] - 1 : 2]
 
 
+def _auto_epsilon(values: np.ndarray, npairs: np.ndarray) -> float | None:
+    """The automatic gap parameter of stacked spectra: row 0's smallest paired eigenvalue, or None."""
+    return float(values[0, 2 * npairs[0] - 2]) if npairs[0] else None
+
+
 def infer_epsilon(spectrum: PairedSpectrum) -> float | None:
-    """Smallest paired eigenvalue (the automatic gap parameter), or None."""
-    if spectrum.npairs == 0:
-        return None
-    return float(spectrum.eigenvalues[-1])
+    """Smallest paired eigenvalue (the automatic gap parameter), or None: a stack of one's :func:`_auto_epsilon`."""
+    return _auto_epsilon(spectrum.values[None], np.array([spectrum.npairs]))
 
 
 def _split_stack(values: np.ndarray, npairs: np.ndarray, epsilon: float):

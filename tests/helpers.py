@@ -92,6 +92,44 @@ def near_double_form(rng, cond: float, sep: float, kernel: bool = False):
     return g, TwoForm(w)
 
 
+def three_form(n: int, terms: dict) -> np.ndarray:
+    """The (n, n, n) antisymmetric coefficients of a 3-form given as {"ijk": coefficient}, 1-based digits."""
+    phi = np.zeros((n, n, n))
+    for digits, c in terms.items():
+        i, j, k = (int(d) - 1 for d in digits)
+        for a, b, d, sign in ((i, j, k, 1), (j, k, i, 1), (k, i, j, 1), (j, i, k, -1), (i, k, j, -1), (k, j, i, -1)):
+            phi[a, b, d] = sign * c
+    return phi
+
+
+# The associative 3-form of R^7 (Harvey-Lawson, Acta Math. 148, 1982), and
+# Re(dz1 dz2 dz3) on C^3 = R^6 with z_k = x_{2k-1} + i x_{2k}: parallel
+# calibrations whose contraction with the Euler field is a semi-calibration
+# of S^6 (its nearly Kahler form) and of S^5 (Harvey-Lawson II.5).
+ASSOCIATIVE = three_form(7, {"123": 1, "145": 1, "167": 1, "246": 1, "257": -1, "347": -1, "356": -1})
+SPECIAL_LAGRANGIAN = three_form(6, {"135": 1, "146": -1, "236": -1, "245": -1})
+
+
+def sphere_point(phi: np.ndarray, y) -> tuple[MetricTensor, TwoForm]:
+    """(g, omega) of the contraction of ``phi`` with x at x = (y, sqrt(1 - |y|^2)) on the unit sphere.
+
+    The chart is the graph over the equator: g = dF^T dF = I + y y^T / (1 - |y|^2),
+    so cond(g) = 1 / (1 - |y|^2) exactly, and omega = dF^T (i_x phi) dF.
+    """
+    y = np.asarray(y, dtype=float)
+    top = np.sqrt(1.0 - y @ y)
+    x = np.append(y, top)
+    df = np.vstack([np.eye(len(y)), -y / top])
+    g = np.eye(len(y)) + np.outer(y, y) / (1.0 - y @ y)
+    return MetricTensor(g), TwoForm(df.T @ np.tensordot(x, phi, axes=1) @ df)
+
+
+def sphere_directions(rng, phi: np.ndarray, cond: float, count: int) -> np.ndarray:
+    """``count`` seeded chart points y with cond(g) = ``cond``: |y|^2 = 1 - 1/cond in random directions."""
+    u = rng.standard_normal((count, phi.shape[0] - 1))
+    return u / np.linalg.norm(u, axis=1, keepdims=True) * np.sqrt(1.0 - 1.0 / cond)
+
+
 def ramp_field_text(svals, coords_axis: int = 0) -> str:
     """n=4 field with omega = dx1^dx2 + s dx3^dx4 and identity metric."""
     lines = ["CALFIELD 1", "DIM 4", f"POINTS {len(svals)}"]

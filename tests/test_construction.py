@@ -11,6 +11,8 @@ from semicalib import (
     Endomorphism,
     Frame,
     MetricTensor,
+    NotPositiveDefiniteError,
+    Tolerances,
     TwoForm,
     align_frame,
     almost_complex_structure,
@@ -256,6 +258,27 @@ class TestConstructPoint:
         g = MetricTensor.identity(3)
         with pytest.raises(ValueError, match="odd"):
             construct_point(g, TwoForm.from_pairs(3, {(0, 1): 1.0}))
+
+    def test_overflowing_endomorphism_fails_the_spectra(self):
+        # G^-1 W^T is 1e600: the spectra's finite check fails.
+        g = MetricTensor(1e-300 * np.eye(4))
+        omega = TwoForm.from_pairs(4, {(0, 1): 1e300, (2, 3): 1e300})
+        with pytest.raises(ConstructionError) as raised:
+            construct_point(g, omega)
+        cause = raised.value.__cause__
+        assert str(raised.value) == "endomorphism contains non-finite entries"
+        assert type(cause) is ValueError and str(cause) == str(raised.value)
+
+    def test_compatible_metric_below_the_pd_tolerance_fails_the_assembly(self):
+        # g_J = diag(sqrt(10), sqrt(10), sqrt(1e5) / 2, sqrt(1e5) / 2) up to a
+        # congruence; its smallest eigenvalue is below half its largest entry.
+        g = MetricTensor.diagonal([1.0, 10.0, 100.0, 1000.0])
+        omega = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
+        with pytest.raises(ConstructionError) as raised:
+            construct_point(g, omega, tol=Tolerances(pd=0.5))
+        cause = raised.value.__cause__
+        assert type(cause) is NotPositiveDefiniteError
+        assert str(raised.value) == f"compatible metric is not positive definite: {cause}"
 
     def test_compatibility_triple_random(self):
         rng = np.random.default_rng(5)
@@ -546,3 +569,7 @@ class TestAlignFrame:
     def test_frame_of_another_dimension_rejected(self, hint_dim, base_dim):
         with pytest.raises(ValueError, match="frame and metric dimensions disagree"):
             align_frame(Frame(np.eye(hint_dim)[:2]), Frame(np.eye(base_dim)[2:4]), MetricTensor.identity(4))
+
+    def test_empty_frame_is_returned_as_is(self):
+        base = Frame.empty(4)
+        assert align_frame(Frame.empty(4), base, MetricTensor.identity(4)) is base

@@ -48,6 +48,18 @@ class TestMetricTensor:
         with pytest.raises(ValueError, match="dimension"):
             MetricTensor(np.eye(17))
 
+    def test_stack_reports_a_non_finite_row_first(self):
+        # Row 1 is NaN and row 2 indefinite: the eigenvalues run on a stand-in
+        # for row 1, and its fault comes first.
+        mats = np.stack([np.eye(3), np.full((3, 3), np.nan), -np.eye(3)])
+        with np.errstate(all="raise"):
+            canonical, checks = forms._metric_stack(mats)
+        i, error = forms._first_fault(checks)
+        assert i == 1 and type(error) is ValueError and str(error) == "metric contains non-finite entries"
+        masks = [[False, True, False], [False, False, False], [False, False, True]]  # finite, symmetric, PD
+        assert [mask.tolist() for mask, _ in checks] == masks
+        np.testing.assert_array_equal(canonical[[0, 2]], mats[[0, 2]])
+
     def test_from_upper(self):
         g = MetricTensor.from_upper(2, [4.0, 1.0, 3.0])
         np.testing.assert_array_equal(g.entries, [[4.0, 1.0], [1.0, 3.0]])
@@ -314,11 +326,3 @@ class TestLapackLayer:
             forms._inv(np.zeros((1, 2, 2)))
         assert np.geterr() == before and np.geterrcall() is None
 
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
-@pytest.mark.parametrize("offset", [0, 1])
-def test_upper_indices_are_cached_triu_indices(dim, offset):
-    rows, cols = forms._upper_indices(dim, offset)
-    expected = np.triu_indices(dim, offset)
-    assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
-    assert not rows.flags.writeable and forms._upper_indices(dim, offset)[0] is rows

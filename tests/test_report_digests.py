@@ -8,7 +8,9 @@ reproduces them, and the file is re-recorded with ``-o`` only when
 ``format_version`` is bumped.
 """
 
+import hashlib
 import json
+import sys
 
 from semicalib.field import FORMAT_VERSION
 from helpers import BENCH, load_bench_script
@@ -19,3 +21,17 @@ def test_digests_match_the_committed_file():
     committed = json.loads((BENCH / "report_digests.json").read_text())
     assert FORMAT_VERSION == 12, "a new format_version needs re-recorded digests"
     assert script.digests() == committed
+
+
+def test_reports_are_kept_next_to_their_digests(tmp_path, monkeypatch):
+    """``--reports DIR`` writes each CLI run's report to ``DIR/<name>.json``, the bytes its digest hashes."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # --src goes first on sys.path
+    script = load_bench_script("report_digests")
+    reports, output = tmp_path / "reports", tmp_path / "digests.json"
+    assert script.main(["--reports", str(reports), "-o", str(output)]) == 0
+    recorded = json.loads(output.read_text())
+    kept = {str(path.relative_to(reports).with_suffix("")): path for path in reports.rglob("*.json")}
+    assert set(kept) == set(recorded) - {"construct_point/near-double"}
+    for name, path in kept.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded[name][1]
+    assert kept["demo/standard/build"].read_bytes().startswith(b"{")

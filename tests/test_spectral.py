@@ -21,7 +21,7 @@ from semicalib import (
     skew_adjoint_defect,
     split_spaces,
 )
-from semicalib.field import FieldGrid, process_field
+from semicalib.field import RESIDUAL_THRESHOLDS, FieldGrid, process_field
 from semicalib.spectral import _paired_stack
 from helpers import dual_wedge, random_pd_metric, random_two_form, unit_comass_form
 
@@ -283,10 +283,10 @@ class TestSplitSpaces:
         assert infer_epsilon(s) == 0.04
 
 
-def _normal_form_point(rng, n: int, pair_values) -> tuple[np.ndarray, np.ndarray]:
-    """(G, W) at cond(G) about 1e3: ``pair_values`` on a random g-orthonormal frame, a kernel past them."""
+def _normal_form_point(rng, n: int, pair_values, cond: float = 1e3) -> tuple[np.ndarray, np.ndarray]:
+    """(G, W) at cond(G) = ``cond``: ``pair_values`` on a random g-orthonormal frame, a kernel past them."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    g = (q * np.geomspace(1.0, 1e3, n)) @ q.T
+    g = (q * np.geomspace(1.0, cond, n)) @ q.T
     g = (g + g.T) / 2
     frame = np.linalg.solve(np.linalg.cholesky(g).T, np.linalg.qr(rng.standard_normal((n, n)))[0]).T
     w = sum(mu * dual_wedge(MetricTensor(g), frame[2 * i], frame[2 * i + 1]) for i, mu in enumerate(pair_values))
@@ -335,3 +335,33 @@ class TestKernelFreeStacks:
         for name, column in alone.residuals.items():
             expected = [x.hex() for x in column.tolist()]
             assert [x.hex() for x in mixed.residuals[name][self.FREE_ROWS].tolist()] == expected
+
+
+class TestKernelRows:
+    """The kernel rows ``basis[2 * npairs:]`` span the kernel of A, g-orthonormal and g-orthogonal to the pairs.
+
+    :class:`TestKernelFreeStacks` pins the rows' bits across stacks; this pins
+    the subspace they span, which any other choice of kernel basis must keep.
+    """
+
+    PAIR_VALUES = [1.0, 0.7, 0.5, 0.3, 0.9, 0.8, 0.6, 0.4]
+    KERNEL_DIMS = (0, 2, 4, 6)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_kernel_rows_span_the_kernel(self, n):
+        rng = np.random.default_rng(n)
+        conds = np.geomspace(1.0, 1e6, 7)
+        points = [_normal_form_point(rng, n, self.PAIR_VALUES[: (n - k) // 2], cond)
+                  for cond in conds for k in self.KERNEL_DIMS]
+        g, w = (np.array(x) for x in zip(*points))
+        a = np.linalg.solve(g, w.mT)
+        basis, _, npairs, _ = _paired_stack(a, g, DEFAULT_TOLERANCES)
+        assert (n - 2 * npairs).tolist() == list(self.KERNEL_DIMS) * len(conds)
+        limit = RESIDUAL_THRESHOLDS["basis_orthonormality"]
+        for gi, ai, rows, p in zip(g, a, basis, npairs.tolist()):
+            kernel, pairs = rows[2 * p :], rows[: 2 * p]
+            assert np.abs(kernel @ gi @ kernel.T - np.eye(n - 2 * p)).max(initial=0.0) <= limit
+            assert np.abs(kernel @ gi @ pairs.T).max(initial=0.0) <= limit
+            image = ai @ kernel.T  # A k, one column per kernel row
+            norms = np.sqrt(np.maximum(np.einsum("ij,ik,kj->j", image, gi, image), 0.0))
+            assert norms.max(initial=0.0) <= 1e-12 * np.abs(ai).max()
