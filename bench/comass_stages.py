@@ -11,12 +11,14 @@ default restarts and the library's default polish.  That is not the sampled
 run ``verify`` makes (p = 1 only, on the constructed ``(g_J, Omega)``, with
 FieldConfig's 256 samples and verify's own polish constants), so the split
 is the ``comass`` command's, not verify-power's.  Each row is split into the
-``STAGES``: frame sampling (``_orthonormal_frames``), sample ranking
-(``_abs_values``) and ascent (the Stiefel polish ``_polish``), each the self
-time perfbench's ``tracing.Tracer`` records while it patches the three names
-in ``semicalib.comass``.  The rest, mostly the chunk merge and the final
-re-orthonormalization, is ``other``.  The numbers are only as stable as the
-stage names; ``tests/test_bench_targets.py`` checks that they resolve.  Two
+``STAGES``: the draws and their ranking values (``_ranked_draws``), the
+Gram-Schmidt of the kept frames and of the final re-orthonormalization
+(``_gram_schmidt_stack``) and ascent (the Stiefel polish ``_polish``), each
+the self time perfbench's ``tracing.Tracer`` records while it patches the
+names in ``semicalib.comass``.  A tree without one of the names (one before
+``_ranked_draws``) gets no row for its stage.  The rest, mostly the chunk
+merge, is ``other``.  The numbers are only as stable as the stage names;
+``tests/test_bench_targets.py`` checks that they resolve.  Two
 end-to-end ``semicalib verify`` timings at verify's default sampling follow:
 ``--power 2 --power 3`` on the same point, which is one of verify-power's
 calls, the median of VERIFY_CALLS calls of a few ms each, and one call
@@ -39,7 +41,7 @@ import numpy as np
 N = 8
 PAIR_VALUES = (1.0, 0.7, 0.4, 0.0)  # perfbench's VERIFY_PAIR_VALUES; the last pair of R^8 is kernel
 POINT_SEED = (1, 2)  # VerifyPower(seed) draws its fields from default_rng([seed, 2]); perfbench seed 1
-STAGES = {"_orthonormal_frames": "sampling", "_abs_values": "ranking", "_polish": "ascent"}
+STAGES = {"_ranked_draws": "ranking", "_gram_schmidt_stack": "orthonormalization", "_polish": "ascent"}
 POWERS = (1, 2, 3)
 SEEDS = (0, 1, 2)
 REPEATS = 3  # oracle passes per run; each stage keeps the median
@@ -57,8 +59,9 @@ SETUP = {
              "pair values perfbench/workloads.py VERIFY_PAIR_VALUES: verify-power's first field at seed 1",
     "oracle": "comass_bruteforce on the point's raw (g, omega), the comass command's sampling: oracle_samples, "
               "FieldConfig's default restarts, default polish; stage times are medians over seeds, then over repeats",
-    "stages": "perfbench/tracing.py Tracer self times of _orthonormal_frames (sampling), _abs_values (ranking) "
-              "and _polish (ascent), patched in semicalib.comass for each oracle call",
+    "stages": "perfbench/tracing.py Tracer self times of _ranked_draws (ranking: the draws and their values), "
+              "_gram_schmidt_stack (orthonormalization: the kept frames and the final pass) and _polish (ascent), "
+              "patched in semicalib.comass for each oracle call where the tree has the name",
     "verify": f"semicalib verify --power 2 --power 3, the oracle's point, in process, "
               f"median of {VERIFY_CALLS} calls",
     "verify_field": f"semicalib verify, perfbench/inputs.py smooth_field with seed {FIELD_SEED}, "
@@ -76,17 +79,19 @@ def smooth_field(seed, points: int, values=None):
 
 def time_oracle(G, W, around) -> dict:
     """{"p<p>": median over SEEDS of each stage's seconds, ``other_s``, ``call_s`` and ``ref_s``}."""
+    import semicalib.comass as comass
     from semicalib import FieldConfig, MetricTensor, PowerForm, TwoForm, comass_bruteforce
 
     tracing = harness.sibling("perfbench", "tracing")
     config = FieldConfig()
     g, w = MetricTensor(G), TwoForm(W)
+    stages = {name: stage for name, stage in STAGES.items() if hasattr(comass, name)}
     out = {}
     for p in POWERS:
         rows = []
         for seed in SEEDS:
             tracer = tracing.Tracer()
-            for name, stage in STAGES.items():
+            for name, stage in stages.items():
                 tracer.patch("semicalib.comass", name, stage)
             try:
                 _, call, ref = around(lambda: comass_bruteforce(g, PowerForm(w, p), samples=ORACLE_SAMPLES,
@@ -94,7 +99,7 @@ def time_oracle(G, W, around) -> dict:
             finally:
                 tracer.restore()
             self_s = tracer.self_times()[0]
-            row = {f"{stage}_s": self_s[stage] for stage in STAGES.values()}
+            row = {f"{stage}_s": self_s[stage] for stage in stages.values()}
             row["other_s"] = call - sum(row.values())
             row["call_s"] = call
             row["ref_s"] = ref

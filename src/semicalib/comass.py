@@ -8,12 +8,14 @@ and only ``comass_exact``'s maximizer needs the paired spectrum.  The value
 of (1/p!) omega^p on a frame is the Pfaffian of its omega-Gram matrix, and
 the sampled oracle, an independent cross-check, maximizes it directly.  Both
 run on stacks of points; ``comass_exact`` and ``comass_bruteforce`` are their
-stacks of one.  The sampled oracle draws random metric-orthonormal frames for
-each point from its own stream, in cache-sized chunks, vector-major, and
-ranks them by the |Pf| of their Gram matrices; one deterministic gradient
-ascent on the Stiefel manifold then polishes the best ones of every point at
-once.  For 2-frames (p = 1, every ``verify`` run) the ascent's solve and
-polar factor are closed forms on 2x2 matrices, with no LAPACK call per step.
+stacks of one.  The sampled oracle draws random frames X for each point from
+its own stream, in cache-sized chunks, vector-major, and ranks them by the
+value each takes once metric-orthonormalized, |Pf(X W X^T)| / sqrt(det X G
+X^T), read off the raw draw; only the best ones are Gram-Schmidt
+orthonormalized, and one deterministic gradient ascent on the Stiefel
+manifold then polishes them, for every point at once.  For 2-frames (p = 1,
+every ``verify`` run) the ascent's solve and polar factor are closed forms
+on 2x2 matrices, with no LAPACK call per step.
 The reported value is the signed Pfaffian of a point's best frame after one
 Gram-Schmidt pass over all of them has re-orthonormalized it, so the sampled
 estimate stays a lower bound of the true comass by construction.
@@ -39,7 +41,8 @@ from .forms import (
     gram_schmidt,
 )
 from .forms import _solve as _lapack_solve
-from .spectral import _pair_values, associated_endomorphism, paired_spectrum
+# perfbench/workloads.py traces paired_spectrum by patching it here, so it stays importable; nothing here calls it.
+from .spectral import _pair_values, _paired_stack, associated_endomorphism, paired_spectrum  # noqa: F401
 
 # Frames per sampling chunk: each (chunk, n) temporary stays cache-sized.  The
 # sampled values do not depend on it.
@@ -215,8 +218,9 @@ def comass_exact(g: MetricTensor, form) -> ComassEstimate:
     omega, p = _form_data(form)
     if omega.dim != g.dim:
         raise ValueError("metric and two-form dimensions disagree")
-    spectrum = paired_spectrum(associated_endomorphism(g, omega), g, _EVERY_BLOCK)
-    rows = spectrum.basis[: 2 * p] if spectrum.npairs >= p else np.zeros((0, g.dim))
+    # A = G^-1 W^T is g-skew-adjoint by construction, so the stack's input needs no check
+    basis, _, npairs = _paired_stack(associated_endomorphism(g, omega).matrix[None], g.entries[None], _EVERY_BLOCK)
+    rows = basis[0, : 2 * p] if npairs[0] >= p else np.zeros((0, g.dim))
     value = _exact_powers(g.entries[None], omega.entries[None], (p,))[p][0]
     return ComassEstimate(float(value), Frame(rows), 0, 0, "exact")
 
@@ -233,40 +237,35 @@ def _exact_powers(G: np.ndarray, W: np.ndarray, powers) -> dict:
     return {p: np.prod(top[:, :p], axis=1) for p in powers}
 
 
-def _orthonormal_frames(rng, G: np.ndarray, k: int, count: int):
-    """Batch of random g-orthonormal k-frames; returns (frames, valid mask).
+def _ranked_draws(rng, G: np.ndarray, w: np.ndarray, k: int, count: int):
+    """Random k-frames X, vector-major (k, count, n), and each one's |form value| once g-orthonormalized.
 
-    The frames are vector-major, shape (k, count, n): ``frames[j]`` holds the
-    j-th vector of every frame as one contiguous block.  The normals are
-    drawn frame-major, so the stream, and each frame, is the same for any
-    layout or chunk size.  A draw is invalid when a vector's residual is
-    rounding-sized on the metric's own scale: its squared g-norm at most
-    1e-24 of the largest metric entry.
+    The normals are drawn frame-major, so the stream, and each draw, is the
+    same for any chunk size.  Gram-Schmidt keeps a frame's span and
+    orientation, so that value is |Pf(X W X^T)| / sqrt(det X G X^T), read off
+    the raw draw: one GEMM per frame vector gives X G and X W, and one row dot
+    product per entry the two Gram matrices.  The determinant is the product
+    of the unpivoted LDL^T pivots, the squared Gram-Schmidt residuals; a draw
+    is invalid, value -inf, when one is rounding-sized on the metric's own
+    scale: at most 1e-24 of the largest metric entry.
     """
-    floor = 1e-12 * np.sqrt(np.abs(G).max())
-    X = rng.standard_normal((count, k, G.shape[0]))
-    # a view: the draws are not read again, so they are reduced in place
-    frames, residual = _gram_schmidt_stack(G, X.transpose(1, 0, 2), floor)
-    return frames, (residual > floor).all(axis=0)
-
-
-def _abs_values(w: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """|form value| on a batch of vector-major frames (k, count, n): |Pf(gram)|.
-
-    One GEMM per frame vector gives f_a W, and one row dot product per
-    entry the strict upper triangle of gram = [omega(f_a, f_b)]; its
-    Pfaffian is the value the final estimate reports.  The sign is lost, so
-    this serves the search only (ranking the samples).
-    """
-    k, count = frames.shape[:2]
-    fw = frames @ w
-    # (k, k, count) storage: each entry is a contiguous vector for the expansion
-    gram = np.zeros((k, k, count))
+    X = rng.standard_normal((count, k, G.shape[0])).transpose(1, 0, 2)
+    XG, XW = X @ G, X @ w
+    # (k, k, count) storage: each entry is a contiguous vector for the elimination and the expansion
+    gram, form = np.empty((k, k, count)), np.zeros((k, k, count))
     for a in range(k):
+        for b in range(a, k):
+            gram[a, b] = gram[b, a] = np.einsum("cn,cn->c", XG[a], X[b])
         for b in range(a + 1, k):
-            gram[a, b] = np.einsum("cn,cn->c", fw[a], frames[b])
-            gram[b, a] = -gram[a, b]
-    return np.abs(_pf_batch(gram.transpose(2, 0, 1)))
+            form[a, b] = np.einsum("cn,cn->c", XW[a], X[b])
+            form[b, a] = -form[a, b]
+    valid, root, floor = np.ones(count, dtype=bool), np.ones(count), 1e-24 * np.abs(G).max()
+    for j in range(k):
+        valid &= gram[j, j] > floor
+        pivot = np.where(valid, gram[j, j], 1.0)  # an invalid draw's elimination goes on unread
+        root *= np.sqrt(pivot)
+        gram[j + 1 :, j + 1 :] -= gram[j + 1 :, j, None] * (gram[j, j + 1 :] / pivot)
+    return X, np.where(valid, np.abs(_pf_batch(form.transpose(2, 0, 1))) / root, -np.inf)
 
 
 def _solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -348,9 +347,10 @@ def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts:
     """Sampled comass of (1/p!) omega^p at a stack of points (G, W), (P, n, n) each, as columns.
 
     Each point draws ``samples`` frames from its own stream,
-    ``default_rng(seeds[i])``, and keeps the ``restarts`` best by |Pf| (one
-    when ``restarts`` is 0).  One :func:`_polish` with ``shift`` and the step
-    cap ``max_iter`` (``_POLISH_MAX_ITER`` when None) then runs every restart
+    ``default_rng(seeds[i])``, keeps the ``restarts`` best by
+    :func:`_ranked_draws`' value (one when ``restarts`` is 0) and
+    Gram-Schmidt orthonormalizes them.  One :func:`_polish` with ``shift``
+    and the step cap ``max_iter`` (``_POLISH_MAX_ITER`` when None) then runs every restart
     of every point, unless ``restarts`` is 0; one Gram-Schmidt pass
     re-orthonormalizes all of them, and each point reports its largest
     signed value, the frame's first two vectors swapped where the sign is
@@ -369,18 +369,17 @@ def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts:
         rng = np.random.default_rng(seed)
         parts = []
         for drawn in range(0, samples, _CHUNK):
-            frames, valid = _orthonormal_frames(rng, G[i], k, min(_CHUNK, samples - drawn))
-            vals = np.where(valid, _abs_values(W[i], frames), -np.inf)
+            X, vals = _ranked_draws(rng, G[i], W[i], k, min(_CHUNK, samples - drawn))
             part = np.argpartition(-vals, min(keep, len(vals)) - 1)[:keep]
-            parts.append((frames[:, part].transpose(1, 0, 2), vals[part]))
-        top_frames, top_vals = map(np.concatenate, zip(*parts))
+            parts.append((X[:, part].transpose(1, 0, 2), vals[part]))
+        top_draws, top_vals = map(np.concatenate, zip(*parts))
         if len(top_vals) > keep:  # the best of every chunk's best, earlier chunks first on ties
             order = np.argsort(-top_vals, kind="stable")[:keep]
-            top_frames, top_vals = top_frames[order], top_vals[order]
+            top_draws, top_vals = top_draws[order], top_vals[order]
         finite = np.isfinite(top_vals)
         # every draw degenerate, impossible for a PD metric: polish the coordinate frame
-        starts.append(top_frames[finite] if finite.any() else
-                      _gram_schmidt_stack(G[i], np.eye(n)[:k, None].copy())[0].transpose(1, 0, 2))
+        draws = top_draws[finite] if finite.any() else np.eye(n)[None, :k]
+        starts.append(_gram_schmidt_stack(G[i], draws.transpose(1, 0, 2))[0].transpose(1, 0, 2))
     used = np.array([len(f) for f in starts])
     point = np.repeat(np.arange(len(starts)), used)
     frames = np.concatenate(starts)

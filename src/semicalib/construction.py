@@ -213,16 +213,16 @@ def _failed(error: Exception) -> ConstructionError:
 def _form_spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
     """The stacks (a, basis, values, npairs) of (G, W), A = G^-1 W^T or 0 where not finite, and the first fault.
 
-    The fault is None, or the pair (row, ConstructionError) of the lowest
-    row failing the finite check or the skew check, in that order.
+    A is g-skew-adjoint by construction, G being symmetric and W
+    antisymmetric, so only its finiteness is checked.  The fault is None, or
+    the pair (row, ConstructionError) of the lowest row whose A is not finite.
     """
     a = _solve(g, w.mT)
     finite = np.isfinite(a).all(axis=(1, 2))
     if not finite.all():
         a = np.where(finite[:, None, None], a, 0.0)
-    basis, values, npairs, checks = _paired_stack(a, g, tol)
-    fault = _first_fault([(~finite, lambda i: ValueError("endomorphism contains non-finite entries")), *checks])
-    return (a, basis, values, npairs), fault and (fault[0], _failed(fault[1]))
+    fault = _first_fault([(~finite, lambda i: ValueError("endomorphism contains non-finite entries"))])
+    return (a, *_paired_stack(a, g, tol)), fault and (fault[0], _failed(fault[1]))
 
 
 def _abs_max(mats: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from .forms import (
     _eigh,
     _freeze,
     _polar_factor,
-    _raise_first,
     _solve,
     _svd,
     _svd_values,
@@ -91,20 +90,14 @@ def associated_endomorphism(g: MetricTensor, omega: TwoForm) -> Endomorphism:
     return Endomorphism(_solve(g.entries, omega.entries.T))
 
 
-def _skew_defect(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Relative deviation of g(Av, w) + g(v, Aw) from zero, for one matrix pair or a stack."""
-    ga = g @ a
-    scale = np.maximum(np.abs(ga).max(axis=(-2, -1)), _TINY)
-    return np.abs(a.mT @ g + ga).max(axis=(-2, -1)) / scale
-
-
 def skew_adjoint_defect(endo: Endomorphism, g: MetricTensor) -> float:
     """Relative deviation of g(Av, w) + g(v, Aw) from zero."""
-    return float(_skew_defect(endo.matrix, g.entries))
+    a, ga = endo.matrix, g.entries @ endo.matrix
+    return float(np.abs(a.T @ g.entries + ga).max() / max(np.abs(ga).max(), _TINY))
 
 
 def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
-    """Stacked ``basis``, ``values`` and ``npairs`` of (k, n, n) finite A and g, and a skew check.
+    """Stacked ``basis``, ``values`` and ``npairs`` of (k, n, n) finite g-skew-adjoint A and g.
 
     With g = L L^T, i S = i L^T A L^-T is Hermitian with eigenvalues +-t, and
     an eigenvector x + iy of t > 0 gives S x = t y and S y = -t x: the pair
@@ -114,9 +107,10 @@ def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
     singular vectors of their real and imaginary parts are a real orthonormal
     basis of it.  The polar factor of all rows, in whitened coordinates,
     restores the orthonormality that pairs of small t lose (about eps / t).
+    Only the skew part of S is read: A = G^-1 W^T is g-skew-adjoint up to
+    its solve's rounding, and :func:`paired_spectrum` checks an arbitrary A.
     """
     n = a.shape[-1]
-    defect = _skew_defect(a, g)
     chol = _cholesky(g)
     # S^T = L^-1 (L^T A)^T, so S = L^T A L^-T needs one solve.
     s_t = _solve(chol, (chol.mT @ a).mT)
@@ -140,9 +134,7 @@ def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
             rows[i, 2 * p :] = kernel[i, : n - 2 * p]
             values[i, 2 * p :] = np.sort(lam[i, p : n - p])[::-1]
     basis = np.ascontiguousarray(_solve(chol.mT, _polar_factor(rows).mT).mT)
-    checks = [(defect > _SKEW_LIMIT, lambda i: ValueError(
-        f"endomorphism is not g-skew-adjoint (relative defect {defect[i]:.3g})"))]
-    return basis, values, npairs, checks
+    return basis, values, npairs
 
 
 def paired_spectrum(
@@ -155,8 +147,10 @@ def paired_spectrum(
     """
     if endo.dim != g.dim:
         raise ValueError("endomorphism and metric dimensions disagree")
-    basis, values, npairs, checks = _paired_stack(endo.matrix[None], g.entries[None], tol)
-    _raise_first(checks)
+    defect = skew_adjoint_defect(endo, g)
+    if defect > _SKEW_LIMIT:
+        raise ValueError(f"endomorphism is not g-skew-adjoint (relative defect {defect:.3g})")
+    basis, values, npairs = _paired_stack(endo.matrix[None], g.entries[None], tol)
     return PairedSpectrum(basis=basis[0], values=values[0], npairs=int(npairs[0]))
 
 

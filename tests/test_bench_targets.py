@@ -80,7 +80,7 @@ def test_comass_stage_names_resolve(comass_stages):
     """``bench/comass_stages.py`` times the oracle by tracing these stage functions by name."""
     import semicalib.comass as comass
 
-    assert set(comass_stages.STAGES) == {"_orthonormal_frames", "_abs_values", "_polish"}
+    assert set(comass_stages.STAGES) == {"_ranked_draws", "_gram_schmidt_stack", "_polish"}
     for name in comass_stages.STAGES:
         assert callable(getattr(comass, name, None)), f"semicalib.comass.{name} is missing"
 
@@ -102,8 +102,8 @@ def test_comass_stages_time_oracle(comass_stages, monkeypatch):
     out = comass_stages.time_oracle(point.g, point.w, lambda fn: (fn(), 1.0, 2.0))
     assert set(out) == {f"p{p}" for p in comass_stages.POWERS}
     for row in out.values():
-        assert set(row) == {"sampling_s", "ranking_s", "ascent_s", "other_s", "call_s", "ref_s"}
-        assert row["sampling_s"] > 0 and row["call_s"] == 1.0 and row["ref_s"] == 2.0
+        assert set(row) == {"ranking_s", "orthonormalization_s", "ascent_s", "other_s", "call_s", "ref_s"}
+        assert row["ranking_s"] > 0 and row["call_s"] == 1.0 and row["ref_s"] == 2.0
     assert {name: getattr(comass, name) for name in comass_stages.STAGES} == before
 
 

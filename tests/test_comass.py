@@ -1,6 +1,7 @@
 """Tests for comass computation, power forms, and plane testing."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -360,18 +361,40 @@ class TestSamplingAndRanking:
         np.testing.assert_array_equal(est.maximizer.vectors, reference.maximizer.vectors)
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
-    def test_abs_values_is_sqrt_det_of_the_gram_matrix(self, k):
+    def test_ranked_value_is_the_pf_of_the_orthonormalized_draw(self, k):
         # k = 10 takes the Parlett-Reid branch of the Pfaffian
         rng = np.random.default_rng(k)
         g, w = random_pd_metric(rng, 12), random_two_form(rng, 12)
-        frames, valid = comass_module._orthonormal_frames(rng, g.entries, k, 500)
-        assert valid.all()
+        X, values = comass_module._ranked_draws(rng, g.entries, w.entries, k, 500)
+        assert X.shape == (k, 500, 12) and np.isfinite(values).all()
+        frames, _ = comass_module._gram_schmidt_stack(g.entries, X.copy())
         rows = frames.transpose(1, 0, 2)  # frame-major view (count, k, n)
         assert np.abs(rows @ g.entries @ rows.transpose(0, 2, 1) - np.eye(k)).max() <= 1e-12
         gram = rows @ w.entries @ rows.transpose(0, 2, 1)
-        reference = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-        values = comass_module._abs_values(w.entries, frames)
+        reference = np.abs(comass_module._pf_batch(gram))
         assert np.abs(values - reference).max() <= 1e-12 * reference.max()
+        assert np.abs(values - np.sqrt(np.maximum(np.linalg.det(gram), 0.0))).max() <= 1e-12 * reference.max()
+
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_repeated_vector_is_an_invalid_draw(self, k):
+        # at k = n = 8 a repeated vector leaves X G X^T singular, yet nothing raises or warns
+        rng = np.random.default_rng(k)
+        g, w = random_pd_metric(rng, 8), random_two_form(rng, 8)
+
+        class Repeated:
+            """Normals of which every draw's last vector repeats its first."""
+
+            @staticmethod
+            def standard_normal(shape):
+                draws = rng.standard_normal(shape)
+                draws[:, -1] = draws[:, 0]
+                return draws
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, values = comass_module._ranked_draws(Repeated(), g.entries, w.entries, k, 300)
+        assert (values == -np.inf).all()
+        np.testing.assert_array_equal(X[-1], X[0])
 
 
 class TestTestCalibrated:
@@ -530,16 +553,17 @@ class TestMetricScale:
     def test_fallback_frame_is_orthonormal(self, monkeypatch):
         # with every draw rejected the polish starts from the g-orthonormalized
         # coordinate frame, which it can still ascend from
-        draw = comass_module._orthonormal_frames
+        draw, calls = comass_module._ranked_draws, []
 
-        def rejected(rng, G, k, count):
-            frames, _ = draw(rng, G, k, count)
-            return frames, np.zeros(count, dtype=bool)
+        def rejected(rng, G, w, k, count):
+            calls.append(count)
+            return draw(rng, G, w, k, count)[0], np.full(count, -np.inf)
 
-        monkeypatch.setattr(comass_module, "_orthonormal_frames", rejected)
+        monkeypatch.setattr(comass_module, "_ranked_draws", rejected)
         g, w = self.scaled(1e-26)
         exact = comass_exact(g, w).value
         sampled = comass_bruteforce(g, w, samples=100, restarts=1, seed=0)
+        assert calls == [100]
         assert exact * (1 - 1e-6) <= sampled.value <= exact * (1 + 1e-9)
 
 

@@ -420,7 +420,9 @@ class TestBatchedAssembly:
 
         ``metric_faults[k]`` maps rows of the k-th assembled batch to a
         factor f: that g_J becomes -f g_J, so its error names -f times its
-        largest eigenvalue.  The stacked spectra fail a check at ``spectral_point``.
+        largest eigenvalue.  The stacked spectra fail their finite check at
+        ``spectral_point``, whose A is made infinite and then zeroed: it has
+        m = 0 and leaves the m > 0 batches.
         """
         metric, batches = semicalib.construction.compatible_metric, []
 
@@ -433,18 +435,17 @@ class TestBatchedAssembly:
                     out[row] *= -factor
             return out
 
-        stack, points = semicalib.construction._paired_stack, []
+        solve, points = semicalib.construction._solve, []
 
-        def broken_stack(a, *args):
-            basis, values, npairs, checks = stack(a, *args)
+        def broken_solve(g, w_t):
+            a = solve(g, w_t)
             index = np.arange(len(points), len(points) + len(a))
             points.extend(index)
-            message = f"spectral stage failed at point {spectral_point}"
-            failed = (index == spectral_point, lambda i: ValueError(message))
-            return basis, values, npairs, [*checks, failed]
+            a[index == spectral_point] = np.inf
+            return a
 
         monkeypatch.setattr(semicalib.construction, "compatible_metric", broken_metric)
-        monkeypatch.setattr(semicalib.construction, "_paired_stack", broken_stack)
+        monkeypatch.setattr(semicalib.construction, "_solve", broken_solve)
 
     @staticmethod
     def field(svals):
@@ -462,8 +463,9 @@ class TestBatchedAssembly:
             process_field(self.field([0.9] * 5), self.CONFIG)
 
     def test_earlier_spectral_error_beats_later_construction_error(self, monkeypatch):
-        self.breakdowns(monkeypatch, metric_faults=[{3: 2.0}], spectral_point=1)
-        with pytest.raises(ConstructionError, match="spectral stage failed at point 1"):
+        # point 1 leaves the m = 2 batch, so its row 2 is point 3
+        self.breakdowns(monkeypatch, metric_faults=[{2: 2.0}], spectral_point=1)
+        with pytest.raises(ConstructionError, match="endomorphism contains non-finite entries"):
             process_field(self.field([0.9] * 5), self.CONFIG)
 
     @staticmethod

@@ -355,7 +355,7 @@ class TestKernelRows:
                   for cond in conds for k in self.KERNEL_DIMS]
         g, w = (np.array(x) for x in zip(*points))
         a = np.linalg.solve(g, w.mT)
-        basis, _, npairs, _ = _paired_stack(a, g, DEFAULT_TOLERANCES)
+        basis, _, npairs = _paired_stack(a, g, DEFAULT_TOLERANCES)
         assert (n - 2 * npairs).tolist() == list(self.KERNEL_DIMS) * len(conds)
         limit = RESIDUAL_THRESHOLDS["basis_orthonormality"]
         for gi, ai, rows, p in zip(g, a, basis, npairs.tolist()):

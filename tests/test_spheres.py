@@ -8,13 +8,16 @@ S^5, from Re(dz1 dz2 dz3), the pair values are (1, 1) with a 1-dim kernel,
 so after the lift J = A and Omega = omega hold on the 4-dim V, while the
 complement's J is LAPACK's choice; g_J = g holds everywhere.  The chart is
 the graph over the equator, with cond(g) = 1 / (1 - |y|^2) exactly, and the
-tolerance is c eps cond(g)^2: the construction's errors grow with cond(g).
+tolerance is c eps cond(g): the construction's errors grow with cond(g),
+linearly (at most 0.51 eps cond(g) measured up to cond 1e6).  At cond 1e9,
+past what ``verify`` judges on today's scale, the fields still build.
 """
 
 import numpy as np
 import pytest
 
 from semicalib import PowerForm, comass_exact, construct_point, lift_odd
+from semicalib.cli import main
 from semicalib.field import FieldConfig, FieldGrid, process_field, verify_field
 from helpers import ASSOCIATIVE, SPECIAL_LAGRANGIAN, sphere_directions, sphere_point
 
@@ -23,7 +26,7 @@ POINTS = 16
 
 
 def tolerance(cond: float) -> float:
-    return 16 * np.finfo(float).eps * cond**2
+    return 16 * np.finfo(float).eps * cond
 
 
 def relative(x: np.ndarray, reference: np.ndarray) -> float:
@@ -112,3 +115,21 @@ def test_verify_passes_on_a_sphere_field(phi, powers, cond):
     cf = process_field(grid, config)
     assert cf.built.all() and cf.lifted_from == (5 if phi is SPECIAL_LAGRANGIAN else None)
     assert verify_field(cf, grid, config).passed
+
+
+@pytest.mark.parametrize("phi", [ASSOCIATIVE, SPECIAL_LAGRANGIAN], ids=["S6", "S5"])
+def test_build_exits_0_at_cond_1e9(phi, tmp_path):
+    # A = G^-1 W^T is g-skew-adjoint up to its solve's rounding, about 3e-17 cond(g): nothing checks that
+    points = chart_points(phi, 1e9)
+    upper, strict = np.triu_indices(len(phi) - 1), np.triu_indices(len(phi) - 1, 1)
+    lines = ["CALFIELD 1", f"DIM {len(phi) - 1}", f"POINTS {POINTS}"]
+    for i, (g, omega) in enumerate(points):
+        lines += [f"P {i}", "X " + " ".join(["0"] * (len(phi) - 1)),
+                  "G " + " ".join(repr(float(x)) for x in g.entries[upper]),
+                  "W " + " ".join(repr(float(x)) for x in omega.entries[strict])]
+    field = tmp_path / "sphere.calfield"
+    field.write_text("\n".join(lines) + "\n")
+    assert main(["build", str(field), "-o", str(tmp_path / "build.json")]) == 0
+    if phi is ASSOCIATIVE:
+        for g, omega in points:
+            assert abs(comass_exact(g, PowerForm(omega, 3)).value - 1.0) <= tolerance(1e9)
