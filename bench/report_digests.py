@@ -28,8 +28,9 @@ Writes ``{name: [exit code, sha256]}`` as JSON, one entry per run:
 CLI runs go through ``semicalib.cli.main`` in process; their digest is the
 sha256 of the report file (of nothing when the run wrote none).  With
 ``--reports DIR`` each CLI run also writes the bytes it hashed to
-``DIR/<name>.json`` (empty when the run wrote no report), so report sets can be
-compared value by value across trees and BLAS kernels.  ``--src``
+``DIR/<name>.json`` (empty when the run wrote no report) and its exit code to
+``DIR/exit_codes.txt``, so ``report_compare.py`` can compare report sets value
+by value across trees and BLAS kernels.  ``--src``
 chooses the source tree to import, so one copy of this script checks that two
 commits give byte-identical reports: run it once per tree and compare the
 files.  ``bench/report_digests.json`` holds the digests of the current report
@@ -145,6 +146,9 @@ def digests(reports: str | None = None) -> dict:
                 run("field/n8/comass-p2", ["comass", path, "--power", "2", "--samples", "500"])
             if n == 7:
                 run("field/n7/comass", ["comass", path, "--samples", "2000"])
+    if reports:
+        with open(os.path.join(reports, "exit_codes.txt"), "w") as handle:
+            handle.writelines(f"{name} {code}\n" for name, (code, _) in sorted(out.items()))
     out["construct_point/near-double"] = near_double_digest()
     return out
 

@@ -181,22 +181,23 @@ def _complement_frames(basis, g, m, prev) -> np.ndarray:
     polar(R C) = R polar(C) for orthogonal R, R_i B_i is the rotation of B_i
     closest to R_prev B_prev, and stays g-orthonormal.  Each product takes one
     Newton-Schulz step R <- 1.5 R - 0.5 R R^T R, so the rounding of a long
-    chain's products does not pile up in R.  The polar factors take one
-    stacked SVD per complement dimension; only k x k products run point by point.
+    chain's products does not pile up in R.  Per complement dimension k the
+    polar factors take one stacked SVD and the frames R_i B_i one stacked
+    product; only the recursion's k x k products run point by point, in index
+    order, since each R_i needs R_prev.
     """
     n = basis.shape[-1]
     frames = basis.copy()
-    rotations: dict[int, np.ndarray] = {}  # polar factors, then R_i in index order
     linked = prev >= 0
     for k in set((n - 2 * m[linked]).tolist()):
         rows = np.flatnonzero(linked & (n - 2 * m == k))
-        polar = _polar_factor(basis[prev[rows], n - k :] @ g[rows] @ basis[rows, n - k :].mT)
-        rotations.update(zip(rows.tolist(), polar))
-    for i in sorted(rotations):
-        if int(prev[i]) in rotations:  # else the predecessor restarted the chain, R_prev = I
-            r = rotations[int(prev[i])] @ rotations[i]
-            rotations[i] = 1.5 * r - 0.5 * (r @ r.T @ r)
-        frames[i, 2 * m[i] :] = rotations[i] @ basis[i, 2 * m[i] :]
+        r = _polar_factor(basis[prev[rows], n - k :] @ g[rows] @ basis[rows, n - k :].mT)
+        at = dict(zip(rows.tolist(), range(len(rows))))  # a row's place in r; links stay in one k
+        for i, p in enumerate(prev[rows].tolist()):
+            if p in at:  # else the predecessor restarted the chain, R_prev = I
+                x = r[at[p]] @ r[i]
+                r[i] = 1.5 * x - 0.5 * (x @ x.T @ x)
+        frames[rows, n - k :] = r @ basis[rows, n - k :]
     return frames
 
 

@@ -69,7 +69,7 @@ from .forms import (
 )
 from .spectral import _auto_epsilon, _split_stack, associated_endomorphism, paired_spectrum  # noqa: F401
 
-FORMAT_VERSION = 12
+FORMAT_VERSION = 13
 # Points per assembly batch: enough to share each stacked call's overhead,
 # few enough that a batch's temporaries stay small whatever the field size.
 _BATCH = 64

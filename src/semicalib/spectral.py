@@ -7,9 +7,12 @@ basis of the shape (v, Av/sqrt(lambda)).  With g = L L^T the pairs are the
 eigenvectors of the Hermitian matrix i L^T A L^-T: the real and imaginary
 parts of one eigenvector span one eigenplane, so a double eigenvalue needs no
 special care, and numpy's ``eigh`` computes a whole stack of points in one
-call.  Splitting the spectrum into a large band and a small band separates
-the tangent space into the non-degenerate subspace V and its g-orthogonal
-complement.
+call.  The kernel's basis is the one free choice: the polar factor of the
+pair rows completes them, and a pivoted projection (``_canonical_rows``)
+fixes the completion, so the input alone decides it, whatever the BLAS
+kernel or the order of the coordinates.  Splitting the spectrum into a large
+band and a small band separates the tangent space into the non-degenerate
+subspace V and its g-orthogonal complement.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .forms import (
     _freeze,
     _polar_factor,
     _solve,
-    _svd,
     _svd_values,
 )
 
@@ -62,7 +64,8 @@ class PairedSpectrum:
     """Eigen-decomposition of -A^2 as one ordered g-orthonormal basis.
 
     The rows of ``basis`` are the ``npairs`` pairs (v_i, A v_i / sqrt(lambda_i)),
-    interleaved and by descending lambda_i, then a basis of the kernel of A.
+    interleaved and by descending lambda_i, then the basis of the kernel of A
+    that :func:`_canonical_rows` fixes.
     ``values`` holds one eigenvalue per row: lambda_i twice for pair i, then,
     for the kernel rows, the eigenvalues of -A^2 left below the zero
     threshold, descending, for diagnostics (rounding-sized for an exact
@@ -96,17 +99,41 @@ def skew_adjoint_defect(endo: Endomorphism, g: MetricTensor) -> float:
     return float(np.abs(a.T @ g.entries + ga).max() / max(np.abs(ga).max(), _TINY))
 
 
+def _canonical_rows(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Q^T K for a (P, k, n) stack of g-orthonormal rows K: a basis of their span that the span fixes.
+
+    Q is the orthogonal factor of a pivoted QR of C = K G: k times, the column
+    of C with the largest residual (the lowest index on ties) is normalized
+    into the next column of Q and projected out of C.  For K -> O K with O
+    orthogonal, C -> O C has the same residuals, so Q -> O Q and Q^T K stays;
+    a permutation of the coordinates permutes C's columns and the picks.
+    """
+    c = rows @ g
+    q_t = np.empty(c.shape[:2] + c.shape[1:2])  # Q^T: the columns of Q as rows
+    at = np.arange(len(c))
+    for s in range(c.shape[1]):
+        if s:  # project the last pick out
+            c = c - q_t[:, s - 1, :, None] * (q_t[:, s - 1, None] @ c)
+        residual = np.einsum("pkn,pkn->pn", c, c)
+        pick = residual.argmax(axis=1)
+        q_t[:, s] = c[at, :, pick] / np.sqrt(residual[at, pick])[:, None]
+    return q_t @ rows
+
+
 def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
-    """Stacked ``basis``, ``values`` and ``npairs`` of (k, n, n) finite g-skew-adjoint A and g.
+    """Stacked ``basis``, ``values`` and ``npairs`` of (P, n, n) finite g-skew-adjoint A and g.
 
     With g = L L^T, i S = i L^T A L^-T is Hermitian with eigenvalues +-t, and
     an eigenvector x + iy of t > 0 gives S x = t y and S y = -t x: the pair
     v = L^-T sqrt2 x, w = L^-T sqrt2 y has A v = t w and lambda = t^2.  Of the
     n // 2 largest t, those with t^2 above ``tol.zero`` times the largest are
-    the pairs.  The other eigenvectors span the kernel; the leading right
-    singular vectors of their real and imaginary parts are a real orthonormal
-    basis of it.  The polar factor of all rows, in whitened coordinates,
-    restores the orthonormality that pairs of small t lose (about eps / t).
+    the pairs.  The other eigenvectors span the kernel, and its rows stay
+    zero: the polar factor of all rows, in whitened coordinates, completes
+    them to an orthonormal basis and restores the orthonormality that pairs
+    of small t lose (about eps / t).  The kernel rows' ``values`` are the lam
+    of the middle t, descending, from one masked sort of the stack.  The
+    points that share a kernel dimension then take :func:`_canonical_rows`
+    of their kernel rows together, so no point's rows depend on its stack.
     Only the skew part of S is read: A = G^-1 W^T is g-skew-adjoint up to
     its solve's rounding, and :func:`paired_spectrum` checks an arbitrary A.
     """
@@ -120,20 +147,21 @@ def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
     pair = (t[:, :h] > 0) & (lam[:, :h] > tol.zero * lam.max(axis=1)[:, None])
     npairs = np.count_nonzero(pair, axis=1)  # t descends, so the pairs come first
 
+    kernel_dims = n - 2 * npairs
     rows, values = np.zeros(a.shape), np.zeros(t.shape)
     rows[:, 0 : 2 * h : 2] = np.sqrt(2) * z[:, :h].real
     rows[:, 1 : 2 * h : 2] = np.sqrt(2) * z[:, :h].imag
     values[:, : 2 * h] = lam[:, :h].repeat(2, axis=1)
-    if (2 * npairs < n).any():  # else every row is a pair's and the kernel block writes empty slices
+    if kernel_dims.any():  # zero kernel rows, for the polar factor to complete
         index = np.arange(n)
+        kernel = index >= 2 * npairs[:, None]
+        rows[kernel] = 0.0
         rest = (index >= npairs[:, None]) & (index < n - npairs[:, None])
-        z_rest = np.where(rest[:, :, None], z, 0.0)
-        parts = np.concatenate([z_rest.real, z_rest.imag], axis=1)
-        kernel = _svd(parts)[2]
-        for i, p in enumerate(npairs):
-            rows[i, 2 * p :] = kernel[i, : n - 2 * p]
-            values[i, 2 * p :] = np.sort(lam[i, p : n - p])[::-1]
+        values[kernel] = np.sort(np.where(rest, lam, -np.inf))[:, ::-1][index < kernel_dims[:, None]]
     basis = np.ascontiguousarray(_solve(chol.mT, _polar_factor(rows).mT).mT)
+    for k in set(kernel_dims.tolist()) - {0}:
+        i = np.flatnonzero(kernel_dims == k)
+        basis[i, n - k :] = _canonical_rows(basis[i, n - k :], g[i])
     return basis, values, npairs
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import semicalib.spectral
 from semicalib import (
     ConstructionError,
     Endomorphism,
@@ -32,6 +33,7 @@ from semicalib import (
 from semicalib.config import CALIBRATED_TOL
 from semicalib.field import RESIDUAL_THRESHOLDS, parse_calfield, process_field
 from helpers import (
+    dual_wedge,
     near_double_form,
     planted_field_text,
     planted_form,
@@ -573,3 +575,70 @@ class TestAlignFrame:
     def test_empty_frame_is_returned_as_is(self):
         base = Frame.empty(4)
         assert align_frame(Frame.empty(4), base, MetricTensor.identity(4)) is base
+
+
+def kernel_point(rng, n: int, k: int, cond: float) -> tuple[MetricTensor, TwoForm]:
+    """(g, omega) at cond(g) = ``cond``: pair values 1 - 0.2 i / n on a random g-orthonormal frame, a k-dim kernel."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gm = (u * np.geomspace(1.0, cond, n)) @ u.T
+    g = MetricTensor((gm + gm.T) / 2)
+    z, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    frame = np.linalg.solve(np.linalg.cholesky(g.entries).T, z).T
+    w = np.zeros((n, n))
+    for i in range((n - k) // 2):
+        w += (1.0 - 0.2 * i / n) * dual_wedge(g, frame[2 * i], frame[2 * i + 1])
+    return g, TwoForm(w)
+
+
+def triple(pc):
+    return pc.j.matrix, pc.g_j.entries, pc.omega_total.entries
+
+
+class TestComplementFrameFixedByInput:
+    """The complement frame, and with it J and Omega on the complement, is a function of the input.
+
+    The kernel rows are canonicalized by a pivoted projection
+    (``spectral._canonical_rows``): whatever basis of the kernel the solver
+    hands it, and in whatever order the coordinates come, the same frame comes out.
+    """
+
+    CONDS = (2.0, 1e2, 1e4)  # at cond 1 a full kernel ties every axis up to rounding (see the last test)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_coordinate_permutations_commute_with_the_construction(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        for cond in self.CONDS:
+            for _ in range(3):
+                g, omega = kernel_point(rng, n, k, cond)
+                perm = rng.permutation(n)
+                moved = construct_point(MetricTensor(g.entries[perm][:, perm]), TwoForm(omega.entries[perm][:, perm]))
+                pc = construct_point(g, omega)
+                assert 2 * pc.m == n - k
+                for got, want in zip(triple(moved), triple(pc)):
+                    want = want[perm][:, perm]
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_kernel_basis_rotations_change_nothing(self, n, k, monkeypatch):
+        rng = np.random.default_rng(10 * n + k)
+        canonical = semicalib.spectral._canonical_rows
+        for cond in self.CONDS:
+            g, omega = kernel_point(rng, n, k, cond)
+            pc = construct_point(g, omega)
+            for reflect in (False, True):
+                o, _ = np.linalg.qr(rng.standard_normal((k, k)))
+                o[0] *= -1 if reflect == (np.linalg.det(o) > 0) else 1  # det o = -1 when reflecting
+                monkeypatch.setattr(semicalib.spectral, "_canonical_rows", lambda rows, g: canonical(o @ rows, g))
+                turned = construct_point(g, omega)
+                monkeypatch.undo()
+                for got, want in zip(triple(turned), triple(pc)):
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_exact_ties_take_the_lowest_index(self, n):
+        # Every column of C = K G has residual 1: the identity's full kernel gives the coordinate frame.
+        pc = construct_point(MetricTensor.identity(n), TwoForm.zero(n))
+        assert pc.frame.tobytes() == np.eye(n).tobytes()
+        assert pc.j.matrix.tobytes() == almost_complex_structure(np.eye(n), np.eye(n)).tobytes()

@@ -19,7 +19,7 @@ from helpers import BENCH, load_bench_script
 def test_digests_match_the_committed_file():
     script = load_bench_script("report_digests")
     committed = json.loads((BENCH / "report_digests.json").read_text())
-    assert FORMAT_VERSION == 12, "a new format_version needs re-recorded digests"
+    assert FORMAT_VERSION == 13, "a new format_version needs re-recorded digests"
     assert script.digests() == committed
 
 

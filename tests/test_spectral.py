@@ -294,10 +294,10 @@ def _normal_form_point(rng, n: int, pair_values, cond: float = 1e3) -> tuple[np.
 
 
 class TestKernelFreeStacks:
-    """``_paired_stack`` skips its kernel block on a stack without a kernel: the same bits as the SVD path.
+    """``_paired_stack`` skips its kernel block on a stack without a kernel: the same bits as the kernel path.
 
     Kernel-free points alone take the skip path; in one stack with kernel
-    points they take the SVD path, and the kernel points alone take it too.
+    points they take the kernel path, and the kernel points alone take it too.
     Each point's rows must not depend on the stack it is in.
     """
 
