@@ -19,7 +19,7 @@ from .comass import (
     pfaffian,
     test_calibrated,
 )
-from .config import DEFAULT_TOLERANCES, MAX_DIM, Tolerances
+from .config import MAX_DIM
 from .construction import (
     PointConstruction,
     align_frame,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Commands, with the flags each reads besides ``-o``: ``build INPUT`` runs the
-construction over a CALFIELD file (``--epsilon``, ``--no-hints``, ``--tol``);
+construction over a CALFIELD file (``--epsilon``, ``--no-hints``);
 ``verify INPUT`` builds, then checks every guarantee (build's flags, ``--seed``,
 ``--samples``, ``--restarts``, ``--power``); ``comass INPUT`` tabulates exact +
 sampled comass per point (``--seed``, ``--samples``, ``--restarts``, ``--power``);
@@ -17,7 +17,6 @@ the automatic epsilon policy found no positive eigenvalue there),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -27,7 +26,6 @@ import numpy as np
 from . import comass
 from . import field as field_mod
 from .comass import PowerForm, test_calibrated
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     ConstructionError,
     EpsilonInferenceError,
@@ -39,7 +37,6 @@ from .field import FieldConfig, build_report, demo_calfield, parse_calfield, pro
 from .forms import Frame, MetricTensor, TwoForm
 from .jsonio import dumps
 
-_TOLERANCE_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
 _DEFAULTS = FieldConfig()
 # `comass` searches raw forms and their powers, whose pair values can be
 # near-double or below 1, so it keeps many more starts than verify's run.
@@ -59,22 +56,11 @@ def _real(parse_message: str, range_message: str, in_range=lambda v: True):
     return parse
 
 
-_tol_value = _real("cannot parse tolerance value {!r}", "tolerances must be finite and positive", lambda v: v > 0)
 _epsilon_value = _real("epsilon must be 'auto' or a number, got {!r}", "epsilon must be finite and positive",
                        lambda v: v > 0)
 _plane_tol = _real("cannot parse calibration tolerance {!r}",
                    "calibration tolerance must be finite and non-negative", lambda v: v >= 0)
 _vector_entry = _real("cannot parse frame vector entry {!r}", "frame vector entries must be finite, got {!r}")
-
-
-def _tol_arg(text: str):
-    name, _, value = text.partition("=")
-    if name not in _TOLERANCE_NAMES or not value:
-        raise argparse.ArgumentTypeError(
-            f"tolerance override must look like name=value with name in "
-            f"{', '.join(_TOLERANCE_NAMES)}; got {text!r}"
-        )
-    return name, _tol_value(value)
 
 
 def _epsilon_arg(text: str):
@@ -103,8 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="gap parameter: 'auto' (default, from the base point) or a finite positive number")
             p.add_argument("--no-hints", action="store_true",
                            help="disable frame propagation between points")
-            p.add_argument("--tol", type=_tol_arg, action="append", default=[], metavar="NAME=VALUE",
-                           help=f"override a tolerance ({', '.join(_TOLERANCE_NAMES)}); repeatable")
         if samples is not None:
             p.add_argument("--seed", type=int, default=0, help="non-negative PRNG seed (default 0)")
             p.add_argument("--samples", type=int, default=samples,
@@ -168,7 +152,6 @@ def _config(args, powers=()) -> FieldConfig:
         restarts=getattr(args, "restarts", _DEFAULTS.restarts),
         powers=tuple(powers),
         use_hints=not args.no_hints,
-        tolerances=dataclasses.replace(DEFAULT_TOLERANCES, **dict(args.tol)),
     )
 
 

@@ -24,11 +24,11 @@ estimate stays a lower bound of the true comass by construction.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES
+from .config import CALIBRATED_TOL
 from .construction import PointConstruction
 from .forms import (
     Frame,
@@ -55,8 +55,6 @@ _PF_EXPANSION_MAX = 8
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 _log = logging.getLogger("semicalib")
-# Every pair counts, however small its value t > 0: a power's maximizer may need them all.
-_EVERY_BLOCK = replace(DEFAULT_TOLERANCES, zero=0.0)
 
 
 def _check_power(p: int, dim: int) -> None:
@@ -219,7 +217,8 @@ def comass_exact(g: MetricTensor, form) -> ComassEstimate:
     if omega.dim != g.dim:
         raise ValueError("metric and two-form dimensions disagree")
     # A = G^-1 W^T is g-skew-adjoint by construction, so the stack's input needs no check
-    basis, _, npairs = _paired_stack(associated_endomorphism(g, omega).matrix[None], g.entries[None], _EVERY_BLOCK)
+    # every pair counts, however small its value t > 0: a power's maximizer may need them all
+    basis, _, npairs = _paired_stack(associated_endomorphism(g, omega).matrix[None], g.entries[None], 0.0)
     rows = basis[0, : 2 * p] if npairs[0] >= p else np.zeros((0, g.dim))
     value = _exact_powers(g.entries[None], omega.entries[None], (p,))[p][0]
     return ComassEstimate(float(value), Frame(rows), 0, 0, "exact")

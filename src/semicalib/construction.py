@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CALIBRATED_TOL, DEFAULT_TOLERANCES, MAX_DIM, Tolerances
+from .config import CALIBRATED_TOL, MAX_DIM
 from .errors import ConstructionError, GapViolation, NotPositiveDefiniteError
 from .forms import (
     _RANK_TOL,
@@ -211,7 +211,7 @@ def _failed(error: Exception) -> ConstructionError:
     return failed
 
 
-def _form_spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
+def _form_spectra(g: np.ndarray, w: np.ndarray):
     """The stacks (a, basis, values, npairs) of (G, W), A = G^-1 W^T or 0 where not finite, and the first fault.
 
     A is g-skew-adjoint by construction, G being symmetric and W
@@ -223,7 +223,7 @@ def _form_spectra(g: np.ndarray, w: np.ndarray, tol: Tolerances):
     if not finite.all():
         a = np.where(finite[:, None, None], a, 0.0)
     fault = _first_fault([(~finite, lambda i: ValueError("endomorphism contains non-finite entries"))])
-    return (a, *_paired_stack(a, g, tol)), fault and (fault[0], _failed(fault[1]))
+    return (a, *_paired_stack(a, g)), fault and (fault[0], _failed(fault[1]))
 
 
 def _abs_max(mats: np.ndarray) -> np.ndarray:
@@ -277,7 +277,7 @@ def _residuals(m, g, a, basis, values, npairs, p, p_inv, d, j, g_j, omega_total)
     return res, gram_check
 
 
-def _assemble(g, a, basis, values, npairs, frames, m: int, tol: Tolerances):
+def _assemble(g, a, basis, values, npairs, frames, m: int):
     """The stacks (J, g_J, Omega, residuals) of points sharing (n, m), or None, and the first fault.
 
     The inputs are :func:`_form_spectra`'s stacks and the paired frames as rows;
@@ -288,7 +288,7 @@ def _assemble(g, a, basis, values, npairs, frames, m: int, tol: Tolerances):
     """
     p, p_inv, d = paired_frame(frames, values[:, : 2 * m : 2])
     j = almost_complex_structure(p, p_inv)
-    g_j, metric_checks = _metric_stack(compatible_metric(p_inv, d), tol.pd)
+    g_j, metric_checks = _metric_stack(compatible_metric(p_inv, d))
     omega_total, form_checks = _two_form_stack(assemble_calibration(p_inv, d))
     j_finite = np.isfinite(j).all(axis=(1, 2))
     j_check = (~j_finite, lambda i: ValueError("endomorphism contains non-finite entries"))
@@ -326,7 +326,6 @@ def construct_point(
     omega: TwoForm,
     epsilon: float | None = None,
     tframe_hint: Frame | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> PointConstruction:
     """Run the construction at one point: every stage of the field's on a stack of one.
 
@@ -336,7 +335,10 @@ def construct_point(
     spectral complement frame by :func:`align_frame`.  Raises ValueError for
     a hint whose dimension is not g's, :class:`GapViolation` when an
     eigenvalue falls between the bands, and :class:`ConstructionError` when
-    a stage's check fails.
+    a stage's check fails.  The spectrum's kernel threshold
+    ``config.ZERO_TOL`` and g_J's definiteness threshold ``config.PD_TOL``
+    are fixed and relative: scaling (g, omega) by c scales g_J and Omega by
+    c and leaves J as it is.
     """
     if g.dim != omega.dim:
         raise ValueError("metric and two-form dimensions disagree")
@@ -345,7 +347,7 @@ def construct_point(
     if tframe_hint is not None and tframe_hint.dim != g.dim:
         raise ValueError("frame and metric dimensions disagree")
     G = g.entries[None]
-    (a, basis, values, npairs), fault = _form_spectra(G, omega.entries[None], tol)
+    (a, basis, values, npairs), fault = _form_spectra(G, omega.entries[None])
     if fault is not None:
         raise fault[1]
     epsilon = _auto_epsilon(values, npairs) if epsilon is None else epsilon
@@ -358,7 +360,7 @@ def construct_point(
     frame = basis.copy()
     if tframe_hint is not None and len(tframe_hint) == len(frame[0]) - 2 * m:
         frame[0, 2 * m :] = align_frame(tframe_hint, Frame(frame[0, 2 * m :]), g).vectors
-    assembled, fault = _assemble(G, a, basis, values, npairs, frame, m, tol)
+    assembled, fault = _assemble(G, a, basis, values, npairs, frame, m)
     if fault is not None:
         raise fault[1]
     return _point_construction(0, m, float(epsilon), basis, values, npairs, frame, assembled)

@@ -44,7 +44,7 @@ import numpy as np
 # perfbench/workloads.py traces them by patching these names in this module,
 # so they stay imported.
 from .comass import _check_power, _exact_powers, _sampled_stack, comass_bruteforce, comass_exact  # noqa: F401
-from .config import DEFAULT_TOLERANCES, MAX_DIM, Tolerances
+from .config import MAX_DIM
 from .construction import (  # noqa: F401
     PointConstruction,
     _assemble,
@@ -139,7 +139,7 @@ class FieldGrid:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Knobs for processing and verification.
+    """The settings of processing and verification; the numerical thresholds are fixed in ``config``.
 
     ``epsilon=None`` means the automatic policy (from the base point).  All
     randomness used in verification flows from ``seed``; point ``i`` draws
@@ -155,7 +155,6 @@ class FieldConfig:
     restarts: int = 10
     powers: tuple[int, ...] = ()
     use_hints: bool = True
-    tolerances: Tolerances = DEFAULT_TOLERANCES
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,12 +386,11 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
         raise ValueError("grid is empty")
     lifted_from = grid.dim if dim > grid.dim else None
 
-    tol = config.tolerances
     faults = []  # (index, stage, error), stages 0 spectrum, 1 epsilon, 2 assembly
     a, basis, values, npairs = np.empty_like(g), np.empty_like(g), np.empty((size, dim)), np.empty(size, dtype=int)
     for lo in range(0, size, _BATCH):
         rows = slice(lo, lo + _BATCH)
-        (a[rows], basis[rows], values[rows], npairs[rows]), fault = _form_spectra(g[rows], w[rows], tol)
+        (a[rows], basis[rows], values[rows], npairs[rows]), fault = _form_spectra(g[rows], w[rows])
         if fault is not None:
             faults.append((lo + fault[0], 0, fault[1]))
 
@@ -417,7 +415,7 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
         members = np.flatnonzero(included & (m == mi))
         for lo in range(0, len(members), _BATCH):
             rows = members[lo : lo + _BATCH]
-            assembled, fault = _assemble(*(x[rows] for x in stacks), mi, tol)
+            assembled, fault = _assemble(*(x[rows] for x in stacks), mi)
             if fault is not None:
                 faults.append((int(rows[fault[0]]), 2, fault[1]))
                 continue
@@ -489,9 +487,7 @@ def _check_columns(cf: ConstructionField, sampled: np.ndarray, powers: dict):
         bounds[f"power_{p}_comass_bound"] = comass_in, 1.0 + COMASS_SLACK
         bounds[f"power_{p}_calibration_bound"] = comass_out, 1.0 + COMASS_SLACK
     value = np.array([column for column, _ in bounds.values()])
-    threshold = np.empty_like(value)
-    for k, (_, limit) in enumerate(bounds.values()):
-        threshold[k] = limit
+    threshold = np.array([np.broadcast_to(limit, value.shape[1:]) for _, limit in bounds.values()])
     ok = value <= threshold
     ok[list(bounds).index("input_eigenvalue_bound")] &= cf.values.min(axis=1) >= EIGENVALUE_LOWER
     return list(bounds), value, threshold, ok

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _linalg, _umath_linalg
 
-from .config import DEFAULT_TOLERANCES, MAX_DIM
+from .config import MAX_DIM, PD_TOL
 from .errors import NotPositiveDefiniteError, RankDeficiencyError
 
 _TINY = 1e-300
@@ -155,7 +155,7 @@ def _raise_first(checks) -> None:
         raise fault[1]
 
 
-def _metric_stack(mats: np.ndarray, pd_tol: float = DEFAULT_TOLERANCES.pd):
+def _metric_stack(mats: np.ndarray):
     """Canonical form of a (k, n, n) stack of metric matrices, and MetricTensor's checks on it.
 
     The checks, in order: finite entries, symmetric storage (up to
@@ -173,7 +173,7 @@ def _metric_stack(mats: np.ndarray, pd_tol: float = DEFAULT_TOLERANCES.pd):
     checks = [
         (~finite, lambda i: ValueError("metric contains non-finite entries")),
         (asymmetric, lambda i: ValueError("metric entries are not symmetric")),
-        (eigmin <= pd_tol * np.maximum(scale, _TINY), lambda i: NotPositiveDefiniteError(
+        (eigmin <= PD_TOL * np.maximum(scale, _TINY), lambda i: NotPositiveDefiniteError(
             f"metric is not positive definite (smallest eigenvalue {float(eigmin[i]):.6g})")),
     ]
     return canonical, checks

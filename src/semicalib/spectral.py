@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import ZERO_TOL
 from .errors import GapViolation
 from .forms import (
     _TINY,
@@ -120,14 +120,16 @@ def _canonical_rows(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     return q_t @ rows
 
 
-def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
+def _paired_stack(a: np.ndarray, g: np.ndarray, zero: float = ZERO_TOL):
     """Stacked ``basis``, ``values`` and ``npairs`` of (P, n, n) finite g-skew-adjoint A and g.
 
     With g = L L^T, i S = i L^T A L^-T is Hermitian with eigenvalues +-t, and
     an eigenvector x + iy of t > 0 gives S x = t y and S y = -t x: the pair
     v = L^-T sqrt2 x, w = L^-T sqrt2 y has A v = t w and lambda = t^2.  Of the
-    n // 2 largest t, those with t^2 above ``tol.zero`` times the largest are
-    the pairs.  The other eigenvectors span the kernel, and its rows stay
+    n // 2 largest t, those with t^2 above ``zero`` times the largest are
+    the pairs; ``zero`` is the construction's ``config.ZERO_TOL``, or 0 where
+    every pair counts, as for a power's comass maximizer.  The other
+    eigenvectors span the kernel, and its rows stay
     zero: the polar factor of all rows, in whitened coordinates, completes
     them to an orthonormal basis and restores the orthonormality that pairs
     of small t lose (about eps / t).  The kernel rows' ``values`` are the lam
@@ -144,7 +146,7 @@ def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
     t, z = _eigh(1j * ((s_t.mT - s_t) / 2))
     t, z = t[:, ::-1], z[:, :, ::-1].mT  # descending; eigenvectors as rows
     h, lam = n // 2, t * t
-    pair = (t[:, :h] > 0) & (lam[:, :h] > tol.zero * lam.max(axis=1)[:, None])
+    pair = (t[:, :h] > 0) & (lam[:, :h] > zero * lam.max(axis=1)[:, None])
     npairs = np.count_nonzero(pair, axis=1)  # t descends, so the pairs come first
 
     kernel_dims = n - 2 * npairs
@@ -165,20 +167,18 @@ def _paired_stack(a: np.ndarray, g: np.ndarray, tol: Tolerances):
     return basis, values, npairs
 
 
-def paired_spectrum(
-    endo: Endomorphism, g: MetricTensor, tol: Tolerances = DEFAULT_TOLERANCES
-) -> PairedSpectrum:
+def paired_spectrum(endo: Endomorphism, g: MetricTensor) -> PairedSpectrum:
     """Eigenvalues and paired g-orthonormal eigenbasis of -A^2 (see :func:`_paired_stack`).
 
-    Pairs with lambda at or below ``tol.zero`` relative to the largest one
-    span the kernel with it.  Raises ValueError when A is not g-skew-adjoint.
+    Pairs with lambda at or below ``config.ZERO_TOL`` relative to the largest
+    one span the kernel with it.  Raises ValueError when A is not g-skew-adjoint.
     """
     if endo.dim != g.dim:
         raise ValueError("endomorphism and metric dimensions disagree")
     defect = skew_adjoint_defect(endo, g)
     if defect > _SKEW_LIMIT:
         raise ValueError(f"endomorphism is not g-skew-adjoint (relative defect {defect:.3g})")
-    basis, values, npairs = _paired_stack(endo.matrix[None], g.entries[None], tol)
+    basis, values, npairs = _paired_stack(endo.matrix[None], g.entries[None])
     return PairedSpectrum(basis=basis[0], values=values[0], npairs=int(npairs[0]))
 
 

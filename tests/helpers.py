@@ -102,10 +102,12 @@ def three_form(n: int, terms: dict) -> np.ndarray:
     return phi
 
 
-# The associative 3-form of R^7 (Harvey-Lawson, Acta Math. 148, 1982), and
-# Re(dz1 dz2 dz3) on C^3 = R^6 with z_k = x_{2k-1} + i x_{2k}: parallel
-# calibrations whose contraction with the Euler field is a semi-calibration
-# of S^6 (its nearly Kahler form) and of S^5 (Harvey-Lawson II.5).
+# The volume form of R^3, the associative 3-form of R^7 (Harvey-Lawson, Acta
+# Math. 148, 1982), and Re(dz1 dz2 dz3) on C^3 = R^6 with z_k = x_{2k-1} +
+# i x_{2k}: parallel calibrations whose contraction with the Euler field is
+# a semi-calibration of S^2 (its area form), of S^6 (its nearly Kahler form)
+# and of S^5 (Harvey-Lawson II.5).
+VOLUME = three_form(3, {"123": 1})
 ASSOCIATIVE = three_form(7, {"123": 1, "145": 1, "167": 1, "246": 1, "257": -1, "347": -1, "356": -1})
 SPECIAL_LAGRANGIAN = three_form(6, {"135": 1, "146": -1, "236": -1, "245": -1})
 

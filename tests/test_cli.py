@@ -164,11 +164,10 @@ class TestExitCodes:
         "args, message",
         [
             (["build", "x", "--epsilon", "abc"], "epsilon must be 'auto' or a number, got 'abc'"),
-            (["build", "x", "--tol", "zero=abc"], "cannot parse tolerance value 'abc'"),
             (["plane-test", "x", "--tol", "abc", "--vectors", "1"], "cannot parse calibration tolerance 'abc'"),
             (["plane-test", "x", "--vectors", "abc"], "cannot parse frame vector entry 'abc'"),
         ],
-        ids=["epsilon", "tol", "plane-tol", "vectors"],
+        ids=["epsilon", "plane-tol", "vectors"],
     )
     def test_unparsable_real_flag_rejected(self, args, message, capsys):
         with pytest.raises(SystemExit) as err:
@@ -184,23 +183,32 @@ class TestExitCodes:
         assert (tmp_path / "auto.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
     @pytest.mark.parametrize(
-        "command, flag",
+        "command, flag, verify_reads",
         [
-            ("build", ["--seed", "0"]),
-            ("comass", ["--epsilon", "0.3"]),
-            ("comass", ["--no-hints"]),
-            ("comass", ["--tol", "zero=1e-3"]),
+            ("build", ["--seed", "0"], True),
+            ("comass", ["--epsilon", "0.3"], True),
+            ("comass", ["--no-hints"], True),
+            ("comass", ["--tol", "zero=1e-3"], False),
+            ("build", ["--tol", "zero=1e-6"], False),
+            ("verify", ["--tol", "pd=1e-3"], False),
         ],
-        ids=["build-seed", "comass-epsilon", "comass-no-hints", "comass-tol"],
+        ids=["build-seed", "comass-epsilon", "comass-no-hints", "comass-tol", "build-tol", "verify-tol"],
     )
-    def test_flags_a_command_does_not_read_are_rejected(self, command, flag, monkeypatch, capsys):
+    def test_flags_a_command_does_not_read_are_rejected(self, command, flag, verify_reads, monkeypatch, capsys):
         with pytest.raises(SystemExit) as err:
             main([command, "x", *flag])
         assert err.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         seen = []
         monkeypatch.setitem(cli._DISPATCH, "verify", lambda args: seen.append(args) or 0)
-        assert main(["verify", "x", *flag]) == 0 and len(seen) == 1
+        if verify_reads:  # the flag is one that verify parses
+            assert main(["verify", "x", *flag]) == 0 and len(seen) == 1
+            return
+        # the construction's thresholds are fixed: no command parses --tol NAME=VALUE
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "x", *flag])
+        assert err.value.code == 2 and not seen
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         demo = str(tmp_path / "d.calfield")
@@ -213,35 +221,6 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["build", "x", "--frobnicate"])
-        assert err.value.code == 2
-
-    def test_tolerance_override_accepted(self, tmp_path):
-        demo = str(tmp_path / "d.calfield")
-        main(["demo", "--name", "scaled", "-o", demo])
-        assert main(["build", demo, "--tol", "zero=1e-6", "-o", str(tmp_path / "b.json")]) == 0
-
-    def test_bad_tolerance_override_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["build", "x", "--tol", "bogus=1"])
-        assert err.value.code == 2
-
-    @pytest.mark.parametrize("override", ["zero=nan", "pd=inf", "zero=-inf"])
-    def test_non_finite_tolerance_override_rejected(self, override, tmp_path, capsys):
-        demo = str(tmp_path / "d.calfield")
-        main(["demo", "--name", "standard", "-o", demo])
-        with pytest.raises(SystemExit) as err:
-            main(["build", demo, "--tol", override])
-        assert err.value.code == 2
-        assert "tolerances must be finite and positive" in capsys.readouterr().err
-
-    def test_removed_cluster_tolerance_rejected(self):
-        with pytest.raises(SystemExit) as err:
-            main(["build", "x", "--tol", "cluster=1e-6"])
-        assert err.value.code == 2
-
-    def test_removed_rank_tolerance_rejected(self):
-        with pytest.raises(SystemExit) as err:
-            main(["build", "x", "--tol", "rank=0.99"])
         assert err.value.code == 2
 
     @pytest.mark.parametrize("command", ["verify", "comass"])
@@ -406,10 +385,10 @@ class TestSharedParser:
         # every main call parses with the one cached parser
         seen = []
         monkeypatch.setitem(cli._DISPATCH, "verify", lambda args: seen.append(args) or 0)
-        assert main(["verify", "x", "--power", "2", "--tol", "zero=1e-9"]) == 0
+        assert main(["verify", "x", "--power", "2"]) == 0
         assert main(["verify", "x"]) == 0
-        assert seen[0].power == [2] and seen[0].tol == [("zero", 1e-9)]
-        assert seen[1].power == [] and seen[1].tol == []
+        assert seen[0].power == [2]
+        assert seen[1].power == []
 
 
 class TestColumnarPipeline:

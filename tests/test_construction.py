@@ -13,7 +13,6 @@ from semicalib import (
     Frame,
     MetricTensor,
     NotPositiveDefiniteError,
-    Tolerances,
     TwoForm,
     align_frame,
     almost_complex_structure,
@@ -271,13 +270,14 @@ class TestConstructPoint:
         assert str(raised.value) == "endomorphism contains non-finite entries"
         assert type(cause) is ValueError and str(cause) == str(raised.value)
 
-    def test_compatible_metric_below_the_pd_tolerance_fails_the_assembly(self):
+    def test_compatible_metric_below_the_pd_tolerance_fails_the_assembly(self, monkeypatch):
         # g_J = diag(sqrt(10), sqrt(10), sqrt(1e5) / 2, sqrt(1e5) / 2) up to a
         # congruence; its smallest eigenvalue is below half its largest entry.
         g = MetricTensor.diagonal([1.0, 10.0, 100.0, 1000.0])
         omega = TwoForm.from_pairs(4, {(0, 1): 1.0, (2, 3): 0.5})
+        monkeypatch.setattr(semicalib.forms, "PD_TOL", 0.5)  # the threshold _metric_stack reads
         with pytest.raises(ConstructionError) as raised:
-            construct_point(g, omega, tol=Tolerances(pd=0.5))
+            construct_point(g, omega)
         cause = raised.value.__cause__
         assert type(cause) is NotPositiveDefiniteError
         assert str(raised.value) == f"compatible metric is not positive definite: {cause}"

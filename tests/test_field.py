@@ -339,7 +339,7 @@ def assert_canonical_rows(dim, g_tokens, w_tokens):
     assert point.omega.entries.tobytes() == w.entries.tobytes()
 
 
-def with_complement(g, omega, pc, complement, tol):
+def with_complement(g, omega, pc, complement):
     """``pc`` assembled again on a stack of one, with ``complement`` as its complement frame."""
     frame = pc.frame[None].copy()
     frame[0, 2 * pc.m :] = complement
@@ -347,7 +347,7 @@ def with_complement(g, omega, pc, complement, tol):
     a = associated_endomorphism(g, omega).matrix
     stacks = (g.entries, a, s.basis, s.values, np.array(s.npairs))
     stacks = (*(x[None] for x in stacks), frame)
-    assembled, _ = semicalib.construction._assemble(*stacks, pc.m, tol)
+    assembled, _ = semicalib.construction._assemble(*stacks, pc.m)
     return semicalib.construction._point_construction(0, pc.m, pc.epsilon, *stacks[2:5], frame, assembled)
 
 
@@ -363,7 +363,7 @@ def pointwise(grid, config):
     for point in grid.points:
         g, omega = (point.g, point.omega) if grid.dim % 2 == 0 else lift_odd(point.g, point.omega)
         try:
-            pc = construct_point(g, omega, epsilon, None, config.tolerances)
+            pc = construct_point(g, omega, epsilon)
         except GapViolation as exc:
             epsilon = exc.epsilon if epsilon is None else epsilon
             out.append(None)
@@ -378,7 +378,7 @@ def pointwise(grid, config):
                 else:
                     r = rotation @ step
                     rotation = 1.5 * r - 0.5 * (r @ r.T @ r)
-                pc = with_complement(g, omega, pc, rotation @ base, config.tolerances)
+                pc = with_complement(g, omega, pc, rotation @ base)
             else:
                 rotation = None
             prev = base

@@ -1,9 +1,11 @@
 """The sphere semi-calibrations of Harvey-Lawson II.5 as closed-form fixtures.
 
 Contracting a parallel 3-form calibration of R^n with the Euler field x gives
-a semi-calibration of S^{n-1}.  On S^6, from the associative form, -A^2 = I:
-every pair value is 1, m = 3, and the construction must return J = A,
-g_J = g and Omega = omega, with every normalized power of unit comass.  On
+a semi-calibration of S^{n-1}.  On S^2, from the volume form of R^3, it is
+the area form: one pair of value 1, m = 1, and the construction must return
+J = A, g_J = g and Omega = omega.  On S^6, from the associative form,
+-A^2 = I: every pair value is 1, m = 3, and the construction must return
+the input in the same way, with every normalized power of unit comass.  On
 S^5, from Re(dz1 dz2 dz3), the pair values are (1, 1) with a 1-dim kernel,
 so after the lift J = A and Omega = omega hold on the 4-dim V, while the
 complement's J is LAPACK's choice; g_J = g holds everywhere.  The chart is
@@ -19,7 +21,7 @@ import pytest
 from semicalib import PowerForm, comass_exact, construct_point, lift_odd
 from semicalib.cli import main
 from semicalib.field import FieldConfig, FieldGrid, process_field, verify_field
-from helpers import ASSOCIATIVE, SPECIAL_LAGRANGIAN, sphere_directions, sphere_point
+from helpers import ASSOCIATIVE, SPECIAL_LAGRANGIAN, VOLUME, sphere_directions, sphere_point
 
 CONDS = [1.0, 1e2, 1e4]
 POINTS = 16
@@ -50,7 +52,8 @@ def sphere_points(phi, cond: float):
 def test_the_forms_and_the_chart():
     assert ASSOCIATIVE[0, 1, 2] == 1 and ASSOCIATIVE[4, 1, 6] == 1 and ASSOCIATIVE[2, 3, 6] == -1
     assert SPECIAL_LAGRANGIAN[0, 2, 4] == 1 and SPECIAL_LAGRANGIAN[3, 5, 0] == -1
-    for phi in (ASSOCIATIVE, SPECIAL_LAGRANGIAN):
+    assert VOLUME[0, 1, 2] == 1 and VOLUME[2, 1, 0] == -1 and np.count_nonzero(VOLUME) == 6
+    for phi in (VOLUME, ASSOCIATIVE, SPECIAL_LAGRANGIAN):
         assert np.array_equal(phi, -phi.transpose(1, 0, 2)) and np.array_equal(phi, -phi.transpose(0, 2, 1))
     y = sphere_directions(np.random.default_rng(0), ASSOCIATIVE, 1e4, 1)[0]
     g, omega = sphere_point(ASSOCIATIVE, y)
@@ -61,6 +64,28 @@ def test_the_forms_and_the_chart():
     np.testing.assert_allclose(g.entries, tangent @ tangent.T, rtol=1e-12)
     values = np.einsum("ijk,i,aj,bk->ab", ASSOCIATIVE, x, tangent, tangent)
     np.testing.assert_allclose(omega.entries, values, atol=1e-12 * np.abs(values).max())
+
+
+@pytest.mark.parametrize("cond", CONDS)
+class TestS2:
+    """The volume form's S^2: omega is the area form of g, so J = A, g_J = g and Omega = omega."""
+
+    def test_pair_value_is_one(self, cond):
+        for g, omega, _ in sphere_points(VOLUME, cond):
+            pc = construct_point(g, omega)
+            assert pc.m == 1 and pc.spectrum.npairs == 1
+            assert abs(pc.spectrum.eigenvalues[0] - 1.0) <= tolerance(cond)
+
+    def test_construction_is_the_input(self, cond):
+        for g, omega, a in sphere_points(VOLUME, cond):
+            pc = construct_point(g, omega)
+            assert relative(pc.j.matrix, a) <= tolerance(cond)
+            assert relative(pc.g_j.entries, g.entries) <= tolerance(cond)
+            assert relative(pc.omega_total.entries, omega.entries) <= tolerance(cond)
+
+    def test_area_form_has_unit_comass(self, cond):
+        for g, omega, _ in sphere_points(VOLUME, cond):
+            assert abs(comass_exact(g, omega).value - 1.0) <= tolerance(cond)
 
 
 @pytest.mark.parametrize("cond", CONDS)
@@ -106,7 +131,8 @@ class TestS5:
 
 
 @pytest.mark.parametrize("cond", CONDS)
-@pytest.mark.parametrize("phi, powers", [(ASSOCIATIVE, (2,)), (SPECIAL_LAGRANGIAN, ())], ids=["S6-p2", "S5"])
+@pytest.mark.parametrize("phi, powers", [(VOLUME, ()), (ASSOCIATIVE, (2,)), (SPECIAL_LAGRANGIAN, ())],
+                         ids=["S2", "S6-p2", "S5"])
 def test_verify_passes_on_a_sphere_field(phi, powers, cond):
     points = chart_points(phi, cond)
     grid = FieldGrid(phi.shape[0] - 1, np.array([g.entries for g, _ in points]),
