@@ -46,6 +46,7 @@ from .field import (
     PointOutcome,
     VerificationReport,
     build_report,
+    calfield_text,
     demo_calfield,
     parse_calfield,
     process_field,

@@ -27,6 +27,9 @@ CALFIELD v1 (plain text, whitespace separated, '#' comments to end of line)::
     X x1 ... xn
     G g11 g12 ... gnn   # upper triangle incl. diagonal, row-major
     W w12 w13 ... w(n-1)n  # strict upper triangle, row-major
+
+``calfield_text`` writes it, so that ``parse_calfield`` reads the stacks
+back bit for bit.
 """
 
 from __future__ import annotations
@@ -366,6 +369,32 @@ def parse_calfield(text: str) -> FieldGrid:
     return _trusted(FieldGrid, dim=dim, g=g, w=w)  # every row passed FieldGrid's checks above
 
 
+def _tokens(values: list[float]) -> str:
+    """CALFIELD numbers: each the shortest repr that reads back as it, a trailing ``.0`` dropped."""
+    return " ".join(text[:-2] if (text := repr(value)).endswith(".0") else text for value in values)
+
+
+def calfield_text(g, w) -> str:
+    """CALFIELD v1 text of (N, n, n) metric and 2-form stacks, whose parse gives their bits back.
+
+    G is written as its upper triangle including the diagonal and W as its
+    strict upper triangle, both row-major, each number as its shortest
+    round-trip ``repr`` with a trailing ``.0`` dropped (``1``, ``-0``,
+    ``0.5``): a grid's stacks come back bit for bit, signed zeros too.  X is
+    the point index on the first axis.  Stacks whose shapes disagree raise
+    ValueError.
+    """
+    g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+    if g.ndim != 3 or g.shape[1] != g.shape[2] or w.shape != g.shape:
+        raise ValueError(f"metric and two-form stacks must share one shape (N, n, n), got {g.shape} and {w.shape}")
+    size, dim = g.shape[:2]
+    (gr, gc), (wr, wc) = np.triu_indices(dim), np.triu_indices(dim, 1)
+    lines = ["CALFIELD 1", f"DIM {dim}", f"POINTS {size}"]
+    for i, (gi, wi) in enumerate(zip(g[:, gr, gc].tolist(), w[:, wr, wc].tolist())):
+        lines += [f"P {i}", f"X {i}" + " 0" * (dim - 1), "G " + _tokens(gi), "W " + _tokens(wi)]
+    return "\n".join(lines) + "\n"
+
+
 def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> ConstructionField:
     """Run the construction's stages on the whole field, with complement frames that follow it.
 
@@ -504,10 +533,15 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
     depend on its slice.  Failures become
     report entries, not exceptions; gap-excluded points are listed but do not
     fail verification.  Raises ValueError, before any point is sampled, when
-    ``config.samples`` is below 1, when a power's degree 2p exceeds the
-    lifted dimension, or when ``config.restarts`` is below 1: unpolished, the
-    sampled run cannot attain comass 1.
+    ``grid`` is not the field ``cf`` was built from (its point count or its
+    dimension before the lift differs), when ``config.samples`` is below 1,
+    when a power's degree 2p exceeds the lifted dimension, or when
+    ``config.restarts`` is below 1: unpolished, the sampled run cannot attain
+    comass 1.
     """
+    if (len(grid.g), grid.dim) != (len(cf.built), cf.lifted_from or cf.dim):
+        raise ValueError(f"grid of {len(grid.g)} points in dimension {grid.dim} is not the construction's field "
+                         f"of {len(cf.built)} points in dimension {cf.lifted_from or cf.dim}")
     if config.samples < 1:
         raise ValueError("samples must be >= 1")
     if config.restarts < 1:
@@ -538,12 +572,12 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
     return VerificationReport(data=data, passed=data["summary"]["pass"])
 
 
-# name: (description, dimension, W line); every demo has 3 points and the identity metric.
+# name: (description, dimension, W's strict upper triangle); every demo has 3 points and the identity metric.
 _DEMO_SPECS = {
-    "standard": ("compatible triple already: identity metric, standard symplectic form", 4, "1 0 0 0 0 1"),
-    "scaled": ("unit block plus a 0.5-scaled block; rank 2, comass 1", 4, "1 0 0 0 0 0.5"),
-    "rank-deficient": ("single unit block; rank 1, two kernel directions", 4, "1 0 0 0 0 0"),
-    "odd3": ("odd ambient dimension; processing lifts every point to dimension 4", 3, "1 0 0"),
+    "standard": ("compatible triple already: identity metric, standard symplectic form", 4, (1, 0, 0, 0, 0, 1)),
+    "scaled": ("unit block plus a 0.5-scaled block; rank 2, comass 1", 4, (1, 0, 0, 0, 0, 0.5)),
+    "rank-deficient": ("single unit block; rank 1, two kernel directions", 4, (1, 0, 0, 0, 0, 0)),
+    "odd3": ("odd ambient dimension; processing lifts every point to dimension 4", 3, (1, 0, 0)),
 }
 _DEMO_POINTS = 3
 
@@ -554,16 +588,8 @@ def demo_calfield(name: str) -> str:
     """Generate a documented CALFIELD file for one of the built-in demos."""
     if name not in _DEMO_SPECS:
         raise ValueError(f"unknown demo {name!r}; choose one of {', '.join(DEMO_NAMES)}")
-    description, dim, w_line = _DEMO_SPECS[name]
-    lines = [
-        f"# demo '{name}': {description}",
-        "# G is the upper triangle (incl. diagonal) of the metric, row-major;",
-        "# W is the strict upper triangle of the 2-form, row-major.",
-        "CALFIELD 1",
-        f"DIM {dim}",
-        f"POINTS {_DEMO_POINTS}",
-    ]
-    identity_upper = " ".join("1" if i == j else "0" for i in range(dim) for j in range(i, dim))
-    for k in range(_DEMO_POINTS):
-        lines += [f"P {k}", "X " + " ".join([str(k)] + ["0"] * (dim - 1)), "G " + identity_upper, "W " + w_line]
-    return "\n".join(lines) + "\n"
+    description, dim, w_upper = _DEMO_SPECS[name]
+    w = _upper_stack(dim, np.tile(w_upper, (_DEMO_POINTS, 1)), 1)
+    comments = (f"demo '{name}': {description}", "G is the upper triangle (incl. diagonal) of the metric, row-major;",
+                "W is the strict upper triangle of the 2-form, row-major.")
+    return "".join(f"# {c}\n" for c in comments) + calfield_text(np.broadcast_to(np.eye(dim), w.shape), w)

@@ -14,10 +14,12 @@ from semicalib import (
     Frame,
     MetricTensor,
     TwoForm,
+    calfield_text,
     comass_exact,
     complement_basis,
     gram_schmidt,
 )
+from semicalib.forms import _upper_stack
 
 
 def random_pd_metric(rng, n: int, cond_range=(0.5, 2.0)) -> MetricTensor:
@@ -132,19 +134,23 @@ def sphere_directions(rng, phi: np.ndarray, cond: float, count: int) -> np.ndarr
     return u / np.linalg.norm(u, axis=1, keepdims=True) * np.sqrt(1.0 - 1.0 / cond)
 
 
-def ramp_field_text(svals, coords_axis: int = 0) -> str:
+def sphere_chart(phi: np.ndarray, cond: float) -> list:
+    """(g, omega) at 16 seeded chart points of ``phi``'s sphere with cond(g) = ``cond``."""
+    rng = np.random.default_rng(int(np.log10(cond)) + phi.shape[0])
+    return [sphere_point(phi, y) for y in sphere_directions(rng, phi, cond, 16)]
+
+
+def sphere_field_text(phi: np.ndarray, cond: float) -> str:
+    """:func:`sphere_chart`'s points as a CALFIELD field."""
+    g, w = (np.array([x.entries for x in column]) for column in zip(*sphere_chart(phi, cond)))
+    return calfield_text(g, w)
+
+
+def ramp_field_text(svals) -> str:
     """n=4 field with omega = dx1^dx2 + s dx3^dx4 and identity metric."""
-    lines = ["CALFIELD 1", "DIM 4", f"POINTS {len(svals)}"]
-    for k, s in enumerate(svals):
-        x = ["0"] * 4
-        x[coords_axis] = str(k)
-        lines += [
-            f"P {k}",
-            "X " + " ".join(x),
-            "G 1 0 0 0 1 0 0 1 0 1",
-            f"W 1 0 0 0 0 {float(s)!r}",
-        ]
-    return "\n".join(lines) + "\n"
+    w = np.zeros((len(svals), 4, 4))
+    w[:, 0, 1], w[:, 2, 3] = 1.0, svals
+    return calfield_text(np.broadcast_to(np.eye(4), w.shape), w)
 
 
 def rotating_plane_field_text(thetas) -> str:
@@ -154,26 +160,18 @@ def rotating_plane_field_text(thetas) -> str:
     identity metric, so the kernel rotates too; the default spectral frames
     flip sign along the path while hint propagation keeps them continuous.
     """
-    lines = ["CALFIELD 1", "DIM 4", f"POINTS {len(thetas)}"]
+    w, e2 = np.zeros((len(thetas), 4, 4)), np.eye(4)[1]
     for k, th in enumerate(thetas):
         u1 = np.array([np.cos(th), 0.0, np.sin(th), 0.0])
-        u2 = np.array([0.0, 1.0, 0.0, 0.0])
-        w = np.outer(u1, u2) - np.outer(u2, u1)
-        wu = [f"{float(w[i, j])!r}" for i in range(4) for j in range(i + 1, 4)]
-        lines += [f"P {k}", f"X {k} 0 0 0", "G 1 0 0 0 1 0 0 1 0 1", "W " + " ".join(wu)]
-    return "\n".join(lines) + "\n"
+        w[k] = np.outer(u1, e2) - np.outer(e2, u1)
+    return calfield_text(np.broadcast_to(np.eye(4), w.shape), w)
 
 
 def constant_field_text(n: int, g_upper: str, w_upper: str, points: int) -> str:
-    lines = ["CALFIELD 1", f"DIM {n}", f"POINTS {points}"]
-    for k in range(points):
-        lines += [
-            f"P {k}",
-            "X " + " ".join([str(k)] + ["0"] * (n - 1)),
-            "G " + g_upper,
-            "W " + w_upper,
-        ]
-    return "\n".join(lines) + "\n"
+    """``points`` copies of one point whose G and W lines hold the numbers of ``g_upper`` and ``w_upper``."""
+    g, w = (_upper_stack(n, np.tile([float(t) for t in upper.split()], (points, 1)), offset)
+            for upper, offset in ((g_upper, 0), (w_upper, 1)))
+    return calfield_text(g, w)
 
 
 def planted_field_text(n: int, seed: int, points: int = 12) -> str:
@@ -194,22 +192,16 @@ def planted_field_text(n: int, seed: int, points: int = 12) -> str:
     k = rng.standard_normal((n, n))
     turn = (k - k.T) / 4
     z0, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    iu, su = np.triu_indices(n), np.triu_indices(n, 1)
-    lines = ["CALFIELD 1", f"DIM {n}", f"POINTS {points}"]
+    gs, ws = np.zeros((2, points, n, n))
     for i in range(points):
         t = i / (points - 1)
         g = MetricTensor(g0 + np.sin(np.pi * t) * g1)
         z = scipy.linalg.expm(t * turn) @ z0
         frame = np.linalg.solve(np.linalg.cholesky(g.entries).T, z).T
         mu = [1.0 - 0.1 * j for j in range(npairs - 1)] + [0.3 - 0.25 * t]
-        w = sum(m * dual_wedge(g, frame[2 * j], frame[2 * j + 1]) for j, m in enumerate(mu))
-        lines += [
-            f"P {i}",
-            "X " + " ".join(repr(float(x)) for x in [t] + [0.0] * (n - 1)),
-            "G " + " ".join(repr(float(x)) for x in g.entries[iu]),
-            "W " + " ".join(repr(float(x)) for x in w[su]),
-        ]
-    return "\n".join(lines) + "\n"
+        gs[i] = g.entries
+        ws[i] = sum(m * dual_wedge(g, frame[2 * j], frame[2 * j + 1]) for j, m in enumerate(mu))
+    return calfield_text(gs, ws)
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

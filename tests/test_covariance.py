@@ -17,7 +17,7 @@ import pytest
 
 from semicalib import MetricTensor, TwoForm, construct_point
 from semicalib.cli import main
-from semicalib.field import FieldGrid, demo_calfield, process_field
+from semicalib.field import FieldGrid, calfield_text, demo_calfield, parse_calfield, process_field
 from helpers import near_double_form
 
 SCALES = (4.0, 0.25, 2.0**40, 2.0**-40)
@@ -64,12 +64,8 @@ def test_process_field_commutes_with_units_on_a_kernel_chain():
 
 def scaled_field_text(text: str, c: float) -> str:
     """A CALFIELD text with every G and W entry multiplied by ``c``."""
-    lines = []
-    for line in text.splitlines():
-        if line[:2] in ("G ", "W "):
-            line = line[:2] + " ".join(repr(c * float(x)) for x in line[2:].split())
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    grid = parse_calfield(text)
+    return calfield_text(c * grid.g, c * grid.w)
 
 
 @pytest.mark.parametrize("name", ["scaled", "rank-deficient"])

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import semicalib.comass
 import semicalib.construction
@@ -26,6 +28,7 @@ from semicalib import (
     TwoForm,
     align_frame,
     build_report,
+    calfield_text,
     construct_point,
     lift_odd,
     demo_calfield,
@@ -155,6 +158,62 @@ class TestParser:
         texts += ["", "\n", "\r\r\n\n\r", "\n\r" * 5, MINIMAL.replace("\n", "\r\n")]
         for text in texts:
             assert sum(semicalib.field._line_blocks(text), []) == text.splitlines(), repr(text)
+
+
+# Zeros of both signs and subnormals; values near +-1e+-300, and near the
+# largest double, where a W line's sum overflows and the parse reads it token
+# by token; values of 17 significant digits.
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-320, -1e-310, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308,
+               0.30000000000000004, -1.0000000000000002, 123456789.12345679)
+
+
+def grid_stacks(off, diagonal, x):
+    """A FieldGrid's (g, w): metrics of off-diagonal ``off`` and ``diagonal``, forms of strict upper ``x``."""
+    n = x.shape[-1]
+    grid = FieldGrid(n, np.triu(off, 1) + np.triu(off, 1).mT + diagonal[..., None] * np.eye(n),
+                     np.triu(x, 1) - np.triu(x, 1).mT)
+    return grid.g, grid.w
+
+
+@st.composite
+def canonical_stacks(draw):
+    """A FieldGrid's (g, w): n = 2..16, N = 1..4, each metric diagonally dominant on one scale."""
+    n, size = draw(st.integers(2, 16)), draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300, 8e307]))  # 8e307: a G line's sum overflows
+    bound = scale / (2 * n)  # off-diagonal rows sum below scale / 2: positive definite
+    off = draw(arrays(float, (size, n, n), elements=st.one_of(st.sampled_from(EDGE_VALUES[:6]),
+                                                               st.floats(-bound, bound))))
+    diagonal = draw(arrays(float, (size, n), elements=st.floats(scale, 2 * scale)))
+    x = draw(arrays(float, (size, n, n), elements=st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1e3, 1e3))))
+    return grid_stacks(off, diagonal, x)
+
+
+# n = 16, N = 4: every edge value in the forms, zeros and subnormals off the metrics' diagonal
+LARGEST = grid_stacks(np.resize(EDGE_VALUES[:6], (4, 16, 16)), np.full((4, 16), 1.5e308),
+                      np.resize(EDGE_VALUES, (4, 16, 16)))
+
+
+class TestWriter:
+    def test_format(self):
+        g = np.array([[[1.0, 0.0], [0.0, 0.5]], [[2.0, 0.25], [0.25, 1e-300]]])
+        w = np.array([[[0.0, -0.0], [0.0, 0.0]], [[0.0, 0.9], [-0.9, 0.0]]])
+        assert calfield_text(g, w) == (
+            "CALFIELD 1\nDIM 2\nPOINTS 2\n"
+            "P 0\nX 0 0\nG 1 0 0.5\nW -0\nP 1\nX 1 0\nG 2 0.25 1e-300\nW 0.9\n"
+        )
+
+    @given(stacks=canonical_stacks())
+    @example(stacks=LARGEST)
+    def test_parse_of_the_text_is_the_identity(self, stacks):
+        g, w = stacks
+        grid = parse_calfield(calfield_text(g, w))
+        assert grid.g.tobytes() == g.tobytes() and grid.w.tobytes() == w.tobytes()
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            calfield_text(np.eye(4)[None], np.zeros((1, 3, 3)))
+        with pytest.raises(ValueError, match="share one shape"):
+            calfield_text(np.eye(4), np.zeros((4, 4)))
 
 
 def parse_peak(text: str):
@@ -329,7 +388,9 @@ class TestParseOrder:
 
 def assert_canonical_rows(dim, g_tokens, w_tokens):
     """The parsed rows of a one-point field of these tokens have its value types' canonical bits."""
-    grid = parse_calfield(constant_field_text(dim, " ".join(g_tokens), " ".join(w_tokens), 1))
+    lines = calfield_text(np.zeros((1, dim, dim)), np.zeros((1, dim, dim))).splitlines()
+    lines[-2:] = ["G " + " ".join(g_tokens), "W " + " ".join(w_tokens)]  # as spelt: their parse is under test
+    grid = parse_calfield("\n".join(lines) + "\n")
     g = MetricTensor.from_upper(dim, [float(t) for t in g_tokens])
     w = TwoForm.from_upper(dim, [float(t) for t in w_tokens])
     assert grid.g[0].tobytes() == g.entries.tobytes() == MetricTensor(grid.g[0]).entries.tobytes()
@@ -615,15 +676,9 @@ class TestProcessField:
     def test_base_gap_violation_keeps_inferred_epsilon(self):
         # base pair values (1, 3e-8, 0.9e-8) in lambda: the last pair is kernel
         # (<= 1e-8) but lies in the band (eps/4, eps/2) of eps = 3e-8
-        upper = np.triu_indices(6, 1)
-        g_text = " ".join(str(x) for x in np.eye(6)[np.triu_indices(6)])
-        lines = ["CALFIELD 1", "DIM 6", "POINTS 2"]
-        for k, lams in enumerate([(1.0, 3e-8, 0.9e-8), (1.0, 0.5, 0.3)]):
-            w = np.zeros((6, 6))
-            w[0, 1], w[2, 3], w[4, 5] = np.sqrt(lams)
-            lines += [f"P {k}", "X " + " ".join(["0"] * 6), "G " + g_text,
-                      "W " + " ".join(repr(float(x)) for x in w[upper])]
-        cf = process_field(parse_calfield("\n".join(lines) + "\n"))
+        w = np.zeros((2, 6, 6))
+        w[:, [0, 2, 4], [1, 3, 5]] = np.sqrt([(1.0, 3e-8, 0.9e-8), (1.0, 0.5, 0.3)])
+        cf = process_field(parse_calfield(calfield_text(np.broadcast_to(np.eye(6), w.shape), w)))
         assert not cf.outcomes[0].gap_ok
         assert cf.epsilon == pytest.approx(3e-8, rel=1e-6)
         assert cf.outcomes[1].gap_ok and cf.outcomes[1].construction.epsilon == cf.epsilon
@@ -889,11 +944,9 @@ class TestVerifyField:
             exact_rows.append((len(g), tuple(powers)))
             return exact(g, w, powers)
 
-        iu = np.triu_indices(8, 1)
-        w = np.zeros((8, 8))
-        w[0, 1], w[2, 3], w[4, 5] = 1.0, 0.7, 0.4
-        g_upper = " ".join(str(x) for x in np.eye(8)[np.triu_indices(8)])
-        grid = parse_calfield(constant_field_text(8, g_upper, " ".join(str(x) for x in w[iu]), 3))
+        w = np.zeros((3, 8, 8))
+        w[:, [0, 2, 4], [1, 3, 5]] = 1.0, 0.7, 0.4
+        grid = parse_calfield(calfield_text(np.broadcast_to(np.eye(8), w.shape), w))
         cfg = FieldConfig(samples=500, restarts=2, powers=powers)
         cf = process_field(grid, cfg)
         monkeypatch.setattr(semicalib.field, "_sampled_stack", counting)
@@ -949,10 +1002,10 @@ class TestVerifyField:
 
     def test_check_table_contract(self):
         # metric c I with omega c (dx1^dx2 + s dx3^dx4): |g_J| scales with c; s = 0.35 is in the band
-        lines = ["CALFIELD 1", "DIM 4", "POINTS 4"]
-        for k, (c, s) in enumerate([(0.5, 0.6), (3.0, 0.6), (1.0, 0.35), (20.0, 0.6)]):
-            lines += [f"P {k}", f"X {k} 0 0 0", f"G {c} 0 0 0 {c} 0 0 {c} 0 {c}", f"W {c} 0 0 0 0 {c * s}"]
-        grid = parse_calfield("\n".join(lines) + "\n")
+        c, s = np.array([(0.5, 0.6), (3.0, 0.6), (1.0, 0.35), (20.0, 0.6)]).T
+        w = np.zeros((4, 4, 4))
+        w[:, 0, 1], w[:, 2, 3] = c, c * s
+        grid = parse_calfield(calfield_text(c[:, None, None] * np.eye(4), w))
         cfg = FieldConfig(samples=500, restarts=2, powers=(1, 2))
         cf = process_field(grid, cfg)
         points = verify_field(cf, grid, cfg).data["points"]
@@ -982,13 +1035,7 @@ def planted_point_field(seed: int):
     rng = np.random.default_rng(seed)
     g = random_pd_metric(rng, 8)
     w, planted = planted_form(rng, g, blocks=1)
-    text = constant_field_text(
-        8,
-        " ".join(repr(float(x)) for x in g.entries[np.triu_indices(8)]),
-        " ".join(repr(float(x)) for x in w.entries[np.triu_indices(8, 1)]),
-        1,
-    )
-    grid = parse_calfield(text)
+    grid = parse_calfield(calfield_text(g.entries[None], w.entries[None]))
     return process_field(grid), grid, planted.vectors
 
 

@@ -20,11 +20,12 @@ import pytest
 
 from semicalib import PowerForm, comass_exact, construct_point, lift_odd
 from semicalib.cli import main
-from semicalib.field import FieldConfig, FieldGrid, process_field, verify_field
-from helpers import ASSOCIATIVE, SPECIAL_LAGRANGIAN, VOLUME, sphere_directions, sphere_point
+from semicalib.field import FieldConfig, FieldGrid, calfield_text, process_field, verify_field
+from semicalib.jsonio import dumps
+from helpers import (ASSOCIATIVE, SPECIAL_LAGRANGIAN, VOLUME, sphere_chart, sphere_directions, sphere_field_text,
+                     sphere_point)
 
 CONDS = [1.0, 1e2, 1e4]
-POINTS = 16
 
 
 def tolerance(cond: float) -> float:
@@ -35,15 +36,9 @@ def relative(x: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(x - reference).max() / np.abs(reference).max())
 
 
-def chart_points(phi, cond: float) -> list:
-    """(g, omega) at ``POINTS`` seeded chart points of ``phi``'s sphere with cond(g) = ``cond``."""
-    rng = np.random.default_rng(int(np.log10(cond)) + phi.shape[0])
-    return [sphere_point(phi, y) for y in sphere_directions(rng, phi, cond, POINTS)]
-
-
 def sphere_points(phi, cond: float):
-    """:func:`chart_points` lifted to even dimension, with A = G^-1 W^T."""
-    for g, omega in chart_points(phi, cond):
+    """:func:`sphere_chart` lifted to even dimension, with A = G^-1 W^T."""
+    for g, omega in sphere_chart(phi, cond):
         if g.dim % 2:
             g, omega = lift_odd(g, omega)
         yield g, omega, np.linalg.solve(g.entries, omega.entries.T)
@@ -133,28 +128,28 @@ class TestS5:
 @pytest.mark.parametrize("cond", CONDS)
 @pytest.mark.parametrize("phi, powers", [(VOLUME, ()), (ASSOCIATIVE, (2,)), (SPECIAL_LAGRANGIAN, ())],
                          ids=["S2", "S6-p2", "S5"])
-def test_verify_passes_on_a_sphere_field(phi, powers, cond):
-    points = chart_points(phi, cond)
+def test_verify_passes_on_a_sphere_field(phi, powers, cond, tmp_path):
+    points = sphere_chart(phi, cond)
     grid = FieldGrid(phi.shape[0] - 1, np.array([g.entries for g, _ in points]),
                      np.array([omega.entries for _, omega in points]))
     config = FieldConfig(powers=powers)
     cf = process_field(grid, config)
     assert cf.built.all() and cf.lifted_from == (5 if phi is SPECIAL_LAGRANGIAN else None)
-    assert verify_field(cf, grid, config).passed
+    report = verify_field(cf, grid, config)
+    assert report.passed
+    # the same field as a file: the CLI reads the grid back bit for bit, so its report is the library's
+    field, out = tmp_path / "sphere.calfield", tmp_path / "verify.json"
+    field.write_text(calfield_text(grid.g, grid.w))
+    assert main(["verify", str(field), *(f"--power={p}" for p in powers), "-o", str(out)]) == 0
+    assert out.read_text() == dumps(report.data)
 
 
 @pytest.mark.parametrize("phi", [ASSOCIATIVE, SPECIAL_LAGRANGIAN], ids=["S6", "S5"])
 def test_build_exits_0_at_cond_1e9(phi, tmp_path):
     # A = G^-1 W^T is g-skew-adjoint up to its solve's rounding, about 3e-17 cond(g): nothing checks that
-    points = chart_points(phi, 1e9)
-    upper, strict = np.triu_indices(len(phi) - 1), np.triu_indices(len(phi) - 1, 1)
-    lines = ["CALFIELD 1", f"DIM {len(phi) - 1}", f"POINTS {POINTS}"]
-    for i, (g, omega) in enumerate(points):
-        lines += [f"P {i}", "X " + " ".join(["0"] * (len(phi) - 1)),
-                  "G " + " ".join(repr(float(x)) for x in g.entries[upper]),
-                  "W " + " ".join(repr(float(x)) for x in omega.entries[strict])]
+    points = sphere_chart(phi, 1e9)
     field = tmp_path / "sphere.calfield"
-    field.write_text("\n".join(lines) + "\n")
+    field.write_text(sphere_field_text(phi, 1e9))
     assert main(["build", str(field), "-o", str(tmp_path / "build.json")]) == 0
     if phi is ASSOCIATIVE:
         for g, omega in points:

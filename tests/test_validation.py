@@ -11,6 +11,7 @@ import pytest
 
 from semicalib import (
     Endomorphism,
+    FieldGrid,
     Frame,
     MetricTensor,
     ParseError,
@@ -22,6 +23,7 @@ from semicalib import (
     comass_exact,
     complement_basis,
     construct_point,
+    demo_calfield,
     eval_power,
     gram_schmidt,
     lift_odd,
@@ -29,6 +31,8 @@ from semicalib import (
     parse_calfield,
     pfaffian,
     plane_area,
+    process_field,
+    verify_field,
 )
 from semicalib import test_calibrated as check_calibrated
 from semicalib.forms import _trusted
@@ -37,6 +41,12 @@ from semicalib.jsonio import dumps
 I2, I3, I4 = (MetricTensor.identity(n) for n in (2, 3, 4))
 Z4 = TwoForm.zero(4)
 HEADER = "CALFIELD 1\nDIM 2\n"
+
+
+def verify_standard_demo(grid):
+    """verify_field on the construction of the 'standard' demo (3 points, n = 4), given ``grid``."""
+    return verify_field(process_field(parse_calfield(demo_calfield("standard"))), grid)
+
 
 CASES = {
     # the CALFIELD parser
@@ -96,6 +106,13 @@ CASES = {
                              "frame must have exactly 2 vectors, got 3"),
     "test-calibrated/dimension": (lambda: check_calibrated(I4, Z4, Frame(np.eye(6)[:2])), ValueError,
                                   "frame and form dimensions disagree"),
+    # field verification
+    "verify-field/points": (lambda: verify_standard_demo(FieldGrid(4, np.array([np.eye(4)] * 2), np.zeros((2, 4, 4)))),
+                            ValueError, "grid of 2 points in dimension 4 is not the construction's field "
+                            "of 3 points in dimension 4"),
+    "verify-field/dimension": (lambda: verify_standard_demo(parse_calfield(demo_calfield("odd3"))), ValueError,
+                               "grid of 3 points in dimension 3 is not the construction's field "
+                               "of 3 points in dimension 4"),
     # JSON output
     "dumps/type": (lambda: dumps({"x": object()}), TypeError, "cannot serialize object"),
 }
