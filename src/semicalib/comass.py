@@ -338,7 +338,9 @@ def _polish(G: np.ndarray, w: np.ndarray, frames: np.ndarray, point: np.ndarray,
         gradient[act] = size
         act = act[moving]
         Y[act] = _frame_polar(E[moving] + shift * Ya[moving])
-    return Y @ L_inv[point], iterations, np.isin(np.arange(len(G)), point[act])
+    capped = np.zeros(len(G), dtype=bool)
+    capped[point[act]] = True
+    return Y @ L_inv[point], iterations, capped
 
 
 def _sampled_stack(G: np.ndarray, W: np.ndarray, p: int, samples: int, restarts: int, seeds,

@@ -70,6 +70,7 @@ from .forms import (
     _two_form_stack,
     _upper_stack,
 )
+from .jsonio import LazySequence
 from .spectral import _auto_epsilon, _split_stack, associated_endomorphism, paired_spectrum  # noqa: F401
 
 FORMAT_VERSION = 13
@@ -180,6 +181,8 @@ class ConstructionField:
     and ``frames`` holds the paired frames as rows.  ``built`` marks the
     points outside the band; their rows of ``J``, ``g_J``, ``Omega`` and of
     each ``residuals`` column hold the construction, the other rows NaN.
+    ``grid_g`` and ``grid_w`` are the input grid's own stacks, kept by
+    reference, so that :func:`verify_field` can tell its grid from another.
     """
 
     epsilon: float
@@ -196,6 +199,8 @@ class ConstructionField:
     g_J: np.ndarray        # (N, n, n)
     Omega: np.ndarray      # (N, n, n)
     residuals: dict        # name -> (N,)
+    grid_g: np.ndarray     # (N, grid.dim, grid.dim), before any lift
+    grid_w: np.ndarray     # (N, grid.dim, grid.dim), before any lift
 
     def __post_init__(self):  # the per-point view's value objects are views of these rows
         for value in (*vars(self).values(), *self.residuals.values()):
@@ -454,21 +459,33 @@ def process_field(grid: FieldGrid, config: FieldConfig = FieldConfig()) -> Const
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
     return ConstructionField(float(epsilon), dim, lifted_from, values, offending, included, m,
-                             basis, npairs, frames, *matrices, residuals)
+                             basis, npairs, frames, *matrices, residuals, grid.g, grid.w)
 
 
-def _point_entries(cf: ConstructionField) -> list[dict]:
-    """One report entry per point, read from the columns; its arrays are float64 rows."""
-    keys, residuals = list(cf.residuals), list(zip(*(c.tolist() for c in cf.residuals.values())))
-    rows = zip(cf.built.tolist(), cf.m.tolist(), cf.values, cf.offending, cf.J, cf.g_J, cf.Omega)
-    entries = []
-    for i, (ok, m, values, offending, j, g_j, omega) in enumerate(rows):
-        entry = {"index": i, "gap_ok": ok, "eigenvalues": values, "offending_eigenvalues": values[offending],
-                 "m": None, "J": None, "gJ": None, "Omega": None, "residuals": {}}
-        if ok:
-            entry.update({"m": m, "J": j, "gJ": g_j, "Omega": omega, "residuals": dict(zip(keys, residuals[i]))})
-        entries.append(entry)
-    return entries
+def _point_entries(cf: ConstructionField, checks: tuple | None = None) -> LazySequence:
+    """The report's point entries, each built from the columns when it is read; its arrays are float64 rows.
+
+    ``checks``, the (names, value, threshold, pass) tables of :func:`_check_columns`,
+    gives each built point its column of them as ``checks``, and every other point ``{}``.
+    """
+    keys, residuals = list(cf.residuals), np.array(list(cf.residuals.values())).T  # (N, residuals)
+    built, m = cf.built.tolist(), cf.m.tolist()
+    if checks is not None:
+        names, *table = checks
+
+    def entry(i: int) -> dict:
+        values = cf.values[i]
+        item = {"index": i, "gap_ok": built[i], "eigenvalues": values, "offending_eigenvalues": values[cf.offending[i]],
+                "m": None, "J": None, "gJ": None, "Omega": None, "residuals": {}}
+        if built[i]:
+            item.update({"m": m[i], "J": cf.J[i], "gJ": cf.g_J[i], "Omega": cf.Omega[i],
+                         "residuals": dict(zip(keys, residuals[i].tolist()))})
+        if checks is not None:
+            rows = zip(names, *(column[:, i].tolist() for column in table)) if built[i] else ()
+            item["checks"] = {name: {"value": v, "threshold": t, "pass": o} for name, v, t, o in rows}
+        return item
+
+    return LazySequence(len(built), entry)
 
 
 def _max_residuals(cf: ConstructionField) -> dict:
@@ -483,18 +500,26 @@ def _notes(cf: ConstructionField) -> list[str]:
     return notes
 
 
-def build_report(cf: ConstructionField) -> dict:
-    """JSON-ready build report: per-point construction data plus summary."""
+def _report(cf: ConstructionField, points: LazySequence, passed: bool) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "epsilon": cf.epsilon,
         "notes": _notes(cf),
-        "points": _point_entries(cf),
+        "points": points,
         "summary": {
             "max_residuals": _max_residuals(cf),
-            "pass": bool(cf.built.all()),
+            "pass": passed,
         },
     }
+
+
+def build_report(cf: ConstructionField) -> dict:
+    """JSON-ready build report: per-point construction data plus summary.
+
+    ``"points"`` is a read-only sequence whose entries are built from the
+    columns when they are read, so the report holds no field-sized list.
+    """
+    return _report(cf, _point_entries(cf), bool(cf.built.all()))
 
 
 def _check_columns(cf: ConstructionField, sampled: np.ndarray, powers: dict):
@@ -516,7 +541,9 @@ def _check_columns(cf: ConstructionField, sampled: np.ndarray, powers: dict):
         bounds[f"power_{p}_comass_bound"] = comass_in, 1.0 + COMASS_SLACK
         bounds[f"power_{p}_calibration_bound"] = comass_out, 1.0 + COMASS_SLACK
     value = np.array([column for column, _ in bounds.values()])
-    threshold = np.array([np.broadcast_to(limit, value.shape[1:]) for _, limit in bounds.values()])
+    threshold = np.empty_like(value)
+    for row, (_, limit) in enumerate(bounds.values()):
+        threshold[row] = limit
     ok = value <= threshold
     ok[list(bounds).index("input_eigenvalue_bound")] &= cf.values.min(axis=1) >= EIGENVALUE_LOWER
     return list(bounds), value, threshold, ok
@@ -532,16 +559,20 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
     every power of both without a paired spectrum; a point's values do not
     depend on its slice.  Failures become
     report entries, not exceptions; gap-excluded points are listed but do not
-    fail verification.  Raises ValueError, before any point is sampled, when
-    ``grid`` is not the field ``cf`` was built from (its point count or its
-    dimension before the lift differs), when ``config.samples`` is below 1,
-    when a power's degree 2p exceeds the lifted dimension, or when
-    ``config.restarts`` is below 1: unpolished, the sampled run cannot attain
-    comass 1.
+    fail verification.  The report's ``"points"`` are built when read, as in
+    :func:`build_report`, each with its column of the check tables.  Raises
+    ValueError, before any point is sampled, when ``grid`` is not the field
+    ``cf`` was built from (its point count or its dimension before the lift
+    differs, or its stacks are not equal to those ``cf`` keeps), when
+    ``config.samples`` is below 1, when a power's degree 2p exceeds the
+    lifted dimension, or when ``config.restarts`` is below 1: unpolished, the
+    sampled run cannot attain comass 1.
     """
     if (len(grid.g), grid.dim) != (len(cf.built), cf.lifted_from or cf.dim):
         raise ValueError(f"grid of {len(grid.g)} points in dimension {grid.dim} is not the construction's field "
                          f"of {len(cf.built)} points in dimension {cf.lifted_from or cf.dim}")
+    if not all(a is b or np.array_equal(a, b) for a, b in ((grid.g, cf.grid_g), (grid.w, cf.grid_w))):
+        raise ValueError("grid's metrics or two-forms differ from those of the construction's field")
     if config.samples < 1:
         raise ValueError("samples must be >= 1")
     if config.restarts < 1:
@@ -563,13 +594,10 @@ def verify_field(cf: ConstructionField, grid: FieldGrid, config: FieldConfig = F
             exact = _exact_powers(np.concatenate([g_in[rows], g_j]), np.concatenate([w_in[rows], omega]), powers)
             for p in powers:
                 comass[p][:, rows] = exact[p].reshape(2, len(rows))
-    data = build_report(cf)
     names, value, threshold, ok = _check_columns(cf, sampled, comass)
-    for entry, *row in zip(data["points"], value.T.tolist(), threshold.T.tolist(), ok.T.tolist()):
-        checks = zip(names, *row) if entry["gap_ok"] else ()
-        entry["checks"] = {name: {"value": v, "threshold": t, "pass": o} for name, v, t, o in checks}
-    data["summary"]["pass"] = bool(ok[:, cf.built].all())
-    return VerificationReport(data=data, passed=data["summary"]["pass"])
+    passed = bool(ok[:, cf.built].all())
+    points = _point_entries(cf, (names, value, threshold, ok))
+    return VerificationReport(data=_report(cf, points, passed), passed=passed)
 
 
 # name: (description, dimension, W's strict upper triangle); every demo has 3 points and the identity metric.

@@ -19,6 +19,12 @@ sends the record the slow way).  Anything else (a non-finite value, a numpy
 scalar, a string, a list, a non-str key, another array, an array outside a
 record) goes through the general writer, the one path that raises: for the
 first non-finite entry and for a non-str key.
+
+The writer hands its pieces, in order, to a sink, a callable taking one
+string: :func:`stream` passes any sink, and :func:`dumps` is the join of what
+a list's ``append`` collects.  A :class:`LazySequence` is written one item
+per line, as a list of records is, so items built when read are written
+without all of them existing at once.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -151,58 +158,78 @@ def _record(obj: dict, indent: int):
     return _record_template(tuple(layout), indent) % tuple(values)
 
 
-def _emit(obj, indent: int, out: list[str]) -> None:
+class LazySequence(Sequence):
+    """A read-only sequence of ``size`` items, item ``i`` being ``entry(i)``, built each time it is read."""
+
+    def __init__(self, size: int, entry):
+        self._size, self._entry = size, entry
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index: int):
+        return self._entry(range(self._size)[index])  # negative indices count from the end
+
+
+def _emit(obj, indent: int, put) -> None:
     """Write ``obj``: in one step if it is a record, else by the general writer."""
     if type(obj) is dict:
         text = _record(obj, indent)
         if text is not None:
-            out.append(text)
+            put(text)
             return
-    _write(obj, indent, out)
+    _write(obj, indent, put)
 
 
-def _write(obj, indent: int, out: list[str]) -> None:
+def _write(obj, indent: int, put) -> None:
     """The general writer: any JSON-able value, its containers' items through :func:`_emit`."""
     obj = _convert(obj)
     pad = "  " * indent
     if obj is None or isinstance(obj, (int, float)):
-        out.append(_scalar(obj))
+        put(_scalar(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        put(json.dumps(obj))
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            put("{}")
             return
-        out.append("{\n")
+        put("{\n")
         keys = sorted(obj)
         for i, key in enumerate(keys):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
-            out.append(f'{pad}  {json.dumps(key)}: ')
-            _emit(obj[key], indent + 1, out)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        items = [_convert(x) for x in obj]
+            put(f'{pad}  {json.dumps(key)}: ')
+            _emit(obj[key], indent + 1, put)
+            put(",\n" if i + 1 < len(keys) else "\n")
+        put(pad + "}")
+    elif isinstance(obj, (list, tuple, LazySequence)):
+        lazy = isinstance(obj, LazySequence)  # one item per line, each built once, when written
+        items = obj if lazy else [_convert(x) for x in obj]
         if not items:
-            out.append("[]")
+            put("[]")
             return
-        if all(x is None or isinstance(x, (int, float)) for x in items):
-            out.append("[" + ", ".join(map(_scalar, items)) + "]")
+        if not lazy and all(x is None or isinstance(x, (int, float)) for x in items):
+            put("[" + ", ".join(map(_scalar, items)) + "]")
             return
-        out.append("[\n")
+        put("[\n")
+        last = len(items) - 1
         for i, item in enumerate(items):
-            out.append(pad + "  ")
-            _emit(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "]")
+            put(pad + "  ")
+            _emit(item, indent + 1, put)
+            put(",\n" if i < last else "\n")
+        put(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def stream(obj, put) -> None:
+    """Hand the deterministic JSON text of ``obj`` to ``put`` in pieces, in order; their join is ``dumps(obj)``."""
+    _emit(obj, 0, put)
+    put("\n")
 
 
 def dumps(obj) -> str:
     """Serialize to deterministic, human-readable JSON (trailing newline)."""
     out: list[str] = []
-    _emit(obj, 0, out)
-    out.append("\n")
+    stream(obj, out.append)
     return "".join(out)

@@ -15,6 +15,7 @@ without timing anything.
 
 import ast
 import importlib
+import importlib.util
 import json
 import sys
 from collections import Counter
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 import semicalib
-from semicalib import GapViolation, construct_point, lift_odd
+from semicalib import GapViolation, cli, construct_point, lift_odd
 from semicalib.field import RESIDUAL_THRESHOLDS, build_report, parse_calfield, process_field
 from semicalib.jsonio import dumps
 from helpers import BENCH, load_bench_script, planted_field_text, planted_form, random_pd_metric
@@ -154,6 +155,29 @@ def test_point_stages_time_the_adversarial_grid(point_stages, workloads, tmp_pat
     assert len(chunks) == 6
     assert row["call_s"] > 0 and row["ref_s"] == 2.0 and row["raised"] == 0
     assert point_stages.scaled(row) == {"call": row["call_s"] / 2.0}
+
+
+@pytest.fixture(scope="module")
+def report_memory():
+    return load_bench_script("report_memory")
+
+
+def test_report_memory_targets_resolve(report_memory, tmp_path):
+    """The child program runs a CLI command on ``--src`` and reads its growth; perfbench takes the run's arguments
+    and reports the metrics the script reads.  Nothing is timed."""
+    demo, out = tmp_path / "standard.calfield", tmp_path / "report.json"
+    demo.write_text(semicalib.demo_calfield("standard"))
+    assert set(report_memory.COMMANDS) <= set(cli._DISPATCH)
+    row = report_memory.cli_growth(str(BENCH.parent / "src"), ["build", str(demo), "-o", str(out)])
+    assert row["exit"] == 0 and row["growth_mb"] >= 0 and out.stat().st_size > 0
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert set(report_memory.PERFBENCH_WORKLOADS) <= set(run.WORKLOAD_NAMES)
+    for workload in report_memory.PERFBENCH_WORKLOADS:
+        assert run._parse_args(["--workload", workload, *report_memory.PERFBENCH_ARGS]).workload == workload
+    metrics = {m["name"] for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert set(report_memory.PERFBENCH_METRICS) <= metrics
 
 
 def _one_run(value: float) -> dict:

@@ -113,6 +113,8 @@ CASES = {
     "verify-field/dimension": (lambda: verify_standard_demo(parse_calfield(demo_calfield("odd3"))), ValueError,
                                "grid of 3 points in dimension 3 is not the construction's field "
                                "of 3 points in dimension 4"),
+    "verify-field/values": (lambda: verify_standard_demo(parse_calfield(demo_calfield("scaled"))), ValueError,
+                            "grid's metrics or two-forms differ from those of the construction's field"),
     # JSON output
     "dumps/type": (lambda: dumps({"x": object()}), TypeError, "cannot serialize object"),
 }
